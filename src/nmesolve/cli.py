@@ -26,6 +26,7 @@ from .exceptions import (
     InvalidR,
     MaxIterationsExceeded,
     NmeError,
+    NonFiniteInput,
     NotCriticalCase,
     NotPositiveDefinite,
     NotSymmetric,
@@ -33,8 +34,8 @@ from .exceptions import (
     SolverFailure,
     ZeroLambda,
 )
-from .harness import GeneratorSpec, generate_problem, run_experiment
-from .problem import load_problem, residual, save_problem
+from .harness import ExperimentRecord, GeneratorSpec, generate_problem, run_experiment
+from .problem import load_problem, problem_payload, residual
 from .shifting import (
     DEFAULT_R_SCHEDULE,
     generalized_eigenvalues,
@@ -47,14 +48,13 @@ from .shifting import (
 from .solvers import (
     Algorithm,
     SolverConfig,
-    solve,
     solve_sda_scalar,
     write_history_csv,
 )
 
 logger = logging.getLogger(__name__)
 
-_INPUT_ERRORS = (ProblemFileError, OSError, ValueError, DimensionMismatch,
+_INPUT_ERRORS = (ProblemFileError, OSError, ValueError, DimensionMismatch, NonFiniteInput,
                  NotSymmetric, NotPositiveDefinite, ZeroLambda, InvalidR)
 
 #: Error threshold reported by scalar-critical for the plain doubling run.
@@ -93,18 +93,22 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _report_payload(report, algorithm, problem):
+def _final_residual(problem, X):
+    """Relative residual of X, or None when X is not an SPD candidate."""
     try:
-        final_res = residual(problem, report.X).rel_norm
+        return _num(residual(problem, X).rel_norm)
     except NmeError:
-        final_res = None
+        return None
+
+
+def _report_payload(report, algorithm, problem):
     rate = report.estimated_rate
     return {
         "algorithm": algorithm.value,
         "n": problem.n,
         "converged": report.converged,
         "iterations": report.iterations,
-        "rel_residual": _num(final_res),
+        "rel_residual": _final_residual(problem, report.X),
         "rho_ratio": _num(report.rho_ratio),
         "rate_kind": rate.kind if rate else None,
         "rate": _num(rate.rate) if rate else None,
@@ -115,38 +119,24 @@ def _report_payload(report, algorithm, problem):
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.problem)
-    cfg = SolverConfig(algorithm=_algorithm(args.algorithm), tol=args.tol,
-                       max_iter=args.max_iter)
-    code = 0
-    try:
-        report = solve(problem, cfg)
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        report = exc.report
-        if report is None:
-            return 1
-        report.failure = str(exc)
-        code = 1
+    algorithm = _algorithm(args.algorithm)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    report = run_experiment(ExperimentRecord(problem), [algorithm], cfg).reports[algorithm]
+    if report.failure:
+        print(f"error: {report.failure}", file=sys.stderr)
     if args.history:
         write_history_csv(report, args.history)
     with _open_out(args.out) as fh:
-        fh.write(serialize.dumps_json(_report_payload(report, cfg.algorithm, problem)))
-    return code
+        fh.write(serialize.dumps_json(_report_payload(report, algorithm, problem)))
+    return 1 if report.failure else 0
 
 
 def _cmd_generate(args) -> int:
     spec = GeneratorSpec(n=args.n, rho_target=args.rho, seed=args.seed,
                          conditioning=args.conditioning)
     record = generate_problem(spec)
-    if args.out:
-        save_problem(record.problem, args.out)
-    else:
-        payload = {
-            "n": record.problem.n,
-            "A": [float(v) for v in record.problem.A.ravel()],
-            "Q": [float(v) for v in record.problem.Q.ravel()],
-        }
-        sys.stdout.write(serialize.dumps_json(payload))
+    with _open_out(args.out) as fh:
+        fh.write(serialize.dumps_json(problem_payload(record.problem)))
     return 0
 
 
@@ -162,14 +152,10 @@ def _cmd_bench(args) -> int:
         run_experiment(record, algorithms, cfg)
         for algorithm in algorithms:
             report = record.reports[algorithm]
-            try:
-                final_res = residual(record.problem, report.X).rel_norm
-            except NmeError:
-                final_res = None
             rate = report.estimated_rate
             rate_val = rate.rate if (rate and rate.kind == "linear") else None
             rows.append((algorithm.value, n, rho, report.iterations,
-                         _num(final_res), _num(rate_val)))
+                         _final_residual(record.problem, report.X), _num(rate_val)))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     with _open_out(args.out) as fh:
         serialize.write_csv(

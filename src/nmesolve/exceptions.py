@@ -16,6 +16,10 @@ class DimensionMismatch(NmeError):
     """Input matrices are not square or their dimensions disagree."""
 
 
+class NonFiniteInput(NmeError):
+    """An input matrix holds NaN or Inf entries."""
+
+
 class NotSymmetric(NmeError):
     """A matrix required to be symmetric is asymmetric beyond tolerance."""
 
@@ -50,8 +54,9 @@ class InsufficientHistory(NmeError):
 class SolverFailure(NmeError):
     """Numerical failure inside an iterative solver.
 
-    ``report`` holds the partial solve report (``converged=False``) when one
-    could be assembled, ``iteration`` the 1-based step at which the failure
+    ``report`` holds the partial solve report (``converged=False``); every
+    failure of a ``solve_*`` function carries one, a bare :func:`solve_stein`
+    failure does not.  ``iteration`` is the 1-based step at which the failure
     was detected.
     """
 
@@ -78,7 +83,8 @@ class DoublingBreakdown(SolverFailure):
 
 
 class Diverged(SolverFailure):
-    """The relative residual grew by more than 1e6 from its running minimum."""
+    """The relative residual grew by more than 1e6 from its running minimum,
+    or an iterate that met the stopping test is not finite."""
 
 
 class ShiftError(NmeError):

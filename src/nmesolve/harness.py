@@ -10,14 +10,13 @@ examples alone cannot provide.
 """
 
 import logging
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import SolverFailure
 from .problem import NmeProblem, new_problem, symmetric_part
-from .solvers import SolveReport, SolverConfig, solve
+from .solvers import SolverConfig, solve
 
 __all__ = ["GeneratorSpec", "ExperimentRecord", "generate_problem", "run_experiment"]
 
@@ -89,7 +88,6 @@ def generate_problem(spec: GeneratorSpec) -> ExperimentRecord:
             "seed": spec.seed,
             "rho_target": spec.rho_target,
             "conditioning": spec.conditioning,
-            "created_at": time.time(),
         },
     )
 
@@ -98,20 +96,16 @@ def run_experiment(record: ExperimentRecord, algorithms,
                    config: SolverConfig | None = None) -> ExperimentRecord:
     """Run the requested algorithms on the record's problem.
 
-    Solver failures are not fatal: the partial report (when the failure
-    carries one) is stored with its ``failure`` message set.  The problem and
-    known solution are never mutated.
+    Solver failures are not fatal: the partial report the failure carries is
+    stored with its ``failure`` message set.  The problem and known solution
+    are never mutated.
     """
     cfg = config or SolverConfig()
     for algorithm in sorted(set(algorithms), key=lambda a: a.value):
-        run_cfg = replace(cfg, algorithm=algorithm)
         try:
-            report = solve(record.problem, run_cfg)
+            report = solve(record.problem, algorithm, cfg)
         except SolverFailure as exc:
             report = exc.report
-            if report is None:
-                report = SolveReport(X=np.array(record.problem.Q), iterations=0,
-                                     converged=False)
             report.failure = str(exc)
             logger.info("%s failed: %s", algorithm.value, exc)
         record.reports[algorithm] = report

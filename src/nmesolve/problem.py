@@ -27,6 +27,7 @@ from scipy.linalg import cho_solve
 from . import serialize
 from .exceptions import (
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     OddDimension,
@@ -145,13 +146,17 @@ def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
 def new_problem(A, Q) -> NmeProblem:
     """Validate and pack the data of X + A^T X^{-1} A = Q.
 
-    Q is checked for symmetry (max-abs asymmetry at most 1e-12 * ||Q||_F),
-    symmetrized, and then required to admit a Cholesky factorization.
+    A and Q must be finite.  Q is checked for symmetry (max-abs asymmetry at
+    most 1e-12 * ||Q||_F), symmetrized, and then required to admit a
+    Cholesky factorization.
     """
     A = _square_real(A, "A")
     Q = _square_real(Q, "Q")
     if A.shape != Q.shape:
         raise DimensionMismatch(f"A is {A.shape}, Q is {Q.shape}")
+    for name, M in (("A", A), ("Q", Q)):
+        if not np.all(np.isfinite(M)):
+            raise NonFiniteInput(f"{name} contains NaN/Inf")
     asym = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
     if asym > SYMMETRY_RTOL * max(np.linalg.norm(Q), 1e-300):
         raise NotSymmetric(f"Q asymmetry {asym:.3e} exceeds tolerance")
@@ -160,16 +165,28 @@ def new_problem(A, Q) -> NmeProblem:
     return NmeProblem(A=A.copy(), Q=Qs)
 
 
-def residual(problem: NmeProblem, X) -> Residual:
-    """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X."""
+def _candidate(problem: NmeProblem, X):
+    """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A."""
     X = _square_real(X, "X")
     if X.shape != problem.A.shape:
         raise DimensionMismatch(f"X is {X.shape}, problem is {problem.A.shape}")
     Xs = symmetric_part(X)
-    W = cho_solve((_cholesky(Xs, "X"), True), problem.A)
-    R = symmetric_part(problem.Q - Xs - problem.A.T @ W)
+    return Xs, cho_solve((_cholesky(Xs, "X"), True), problem.A)
+
+
+def residual_from(A: np.ndarray, Q: np.ndarray, X: np.ndarray, W: np.ndarray,
+                  q_fro: float) -> Residual:
+    """R(X) = Q - X - A^T W (symmetrized) for a given W = X^{-1} A and
+    q_fro = ||Q||_F; how W is obtained is the caller's choice."""
+    R = symmetric_part(Q - X - A.T @ W)
     fro = float(np.linalg.norm(R))
-    return Residual(matrix=R, fro_norm=fro, rel_norm=fro / float(np.linalg.norm(problem.Q)))
+    return Residual(matrix=R, fro_norm=fro, rel_norm=fro / q_fro)
+
+
+def residual(problem: NmeProblem, X) -> Residual:
+    """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X."""
+    Xs, W = _candidate(problem, X)
+    return residual_from(problem.A, problem.Q, Xs, W, float(np.linalg.norm(problem.Q)))
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
@@ -271,20 +288,20 @@ def solvability_check(problem: NmeProblem, samples: int = 512, tol: float = 1e-1
                               samples=samples, verdict=verdict)
 
 
-def spectral_radius_ratio(problem: NmeProblem, X) -> float:
-    """rho(X^{-1} A) for an SPD candidate X."""
-    X = _square_real(X, "X")
-    Xs = symmetric_part(X)
-    W = cho_solve((_cholesky(Xs, "X"), True), problem.A)
+def spectral_radius(W: np.ndarray) -> float:
+    """max |eig(W)|, zero for an empty matrix."""
     eigs = np.linalg.eigvals(W)
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
+def spectral_radius_ratio(problem: NmeProblem, X) -> float:
+    """rho(X^{-1} A) for an SPD candidate X."""
+    return spectral_radius(_candidate(problem, X)[1])
+
+
 def invariant_subspace_defect(problem: NmeProblem, X) -> float:
     """|| M [I; X] - L [I; X] X^{-1} A ||_F; zero exactly when X solves the equation."""
-    X = _square_real(X, "X")
-    Xs = symmetric_part(X)
-    W = cho_solve((_cholesky(Xs, "X"), True), problem.A)
+    Xs, W = _candidate(problem, X)
     pen = build_pencil(problem)
     U = np.vstack([np.eye(problem.n), Xs])
     D = pen.M @ U - pen.L @ (U @ W)
@@ -317,12 +334,14 @@ def load_problem(path) -> NmeProblem:
     return new_problem(mats["A"], mats["Q"])
 
 
+def problem_payload(problem: NmeProblem) -> dict:
+    """The JSON object of a problem file (see :func:`load_problem`)."""
+    return {
+        "n": problem.n,
+        "A": [float(v) for v in problem.A.ravel()],
+        "Q": [float(v) for v in problem.Q.ravel()],
+    }
+
+
 def save_problem(problem: NmeProblem, path) -> None:
-    serialize.dump_json(
-        {
-            "n": problem.n,
-            "A": [float(v) for v in problem.A.ravel()],
-            "Q": [float(v) for v in problem.Q.ravel()],
-        },
-        path,
-    )
+    serialize.dump_json(problem_payload(problem), path)

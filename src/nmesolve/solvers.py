@@ -25,11 +25,12 @@ Four algorithms share one reporting contract:
     rho = 1.  ``solve_sda_scalar`` is the 1-by-1 specialization used by the
     shifted scalar pipeline.
 
-Stopping rule (uniform across algorithms, for fair benchmarking): relative
-residual ||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol; the doubling
-iteration additionally stops once ||A_k||_F <= tol * ||A||_F.  Non-convergent
-runs raise a :class:`~nmesolve.exceptions.SolverFailure` subclass carrying the
-partial report.
+Each solver supplies only its update; one loop (``_Run.drive``) runs them
+all, so the stopping rule is shared, for fair benchmarking: relative residual
+||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol, and for doubling also
+||A_k||_F <= tol * ||A||_F.  Non-convergent runs, and runs whose X is not
+finite, raise a :class:`~nmesolve.exceptions.SolverFailure` subclass carrying
+the partial report.
 """
 
 import logging
@@ -51,7 +52,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularSteinOperator,
 )
-from .problem import NmeProblem, symmetric_part
+from .problem import NmeProblem, residual_from, spectral_radius, symmetric_part
 
 __all__ = [
     "Algorithm",
@@ -89,14 +90,8 @@ class Algorithm(Enum):
 
 @dataclass
 class SolverConfig:
-    """Shared solver options.
+    """Shared solver options."""
 
-    ``algorithm`` is only consulted by the dispatching front ends
-    (:func:`solve`, the experiment harness); the ``solve_*`` functions ignore
-    it.
-    """
-
-    algorithm: Algorithm | None = None
     tol: float = 1e-12
     max_iter: int = 200
     record_history: bool = True
@@ -163,104 +158,115 @@ class SteinProblem:
     C: np.ndarray
 
 
-def _rho_of(X: np.ndarray, A: np.ndarray) -> float:
-    try:
-        W = np.linalg.solve(X, A)
-    except np.linalg.LinAlgError:
-        return math.nan
-    eigs = np.linalg.eigvals(W)
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
-
-
-def _rel_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float) -> float:
-    """Relative residual via an LU solve; inf when X is numerically singular."""
-    try:
-        W = np.linalg.solve(X, A)
-    except np.linalg.LinAlgError:
-        return math.inf
-    R = symmetric_part(Q - X - A.T @ W)
-    val = float(np.linalg.norm(R)) / q_fro
-    return val if math.isfinite(val) else math.inf
-
-
 class _Run:
-    """Per-solve bookkeeping: history, iterate capture, divergence watch."""
+    """One solve: the iteration loop with its stopping rule, history and
+    iterate capture, the divergence watch and the failure reports."""
 
-    def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig, name: str):
+    def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig | None, name: str):
         self.A = A
+        self.Q = Q
         self.q_fro = float(np.linalg.norm(Q))
-        self.config = config
+        self.config = config or SolverConfig()
         self.name = name
         self.history: list[HistoryRecord] = []
         self.iterates: list[np.ndarray] = []
         self.aux_iterates: dict[str, list[np.ndarray]] = {}
         self.best_res = math.inf
+        self.k = 0
+        self.X = None
 
-    def track_initial(self, X: np.ndarray, aux: dict | None = None) -> None:
-        if not self.config.record_history:
-            return
-        self.iterates.append(np.array(X, dtype=float))
-        for key, val in (aux or {}).items():
-            self.aux_iterates[key] = [np.array(val, dtype=float)]
+    def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
+        """Run the update generator ``steps``: it yields (X_0, res_0 or None
+        when X_0 is not tested, aux_0, stop_0), then one (X_k, res_k, step_k,
+        aux1, aux2, aux_k, stop_k) per iteration, with ``aux`` the companion
+        iterates by name (or None) and ``stop`` the solver's own stopping test
+        besides res <= tol."""
+        cfg = self.config
+        self.X, res, aux, stop = next(steps)
+        self.capture(aux)
+        if res is not None:
+            if cfg.min_iter == 0 and (res <= cfg.tol or stop):
+                return self.converged()
+            self.best_res = min(self.best_res, res)
+        for self.k in range(1, cfg.max_iter + 1):
+            self.X, res, step, aux1, aux2, aux, stop = next(steps)
+            logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
+            if cfg.record_history:
+                self.history.append(
+                    HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
+            self.capture(aux)
+            self.best_res = min(self.best_res, res)
+            if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
+                return self.converged()
+            if (nonfinite_fatal and not math.isfinite(res)) or (
+                    math.isfinite(res) and 0 < self.best_res < math.inf
+                    and res > DIVERGENCE_FACTOR * self.best_res):
+                raise self.failure(
+                    Diverged,
+                    f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
+                    f"minimum {self.best_res:.3e} at iteration {self.k}")
+        raise MaxIterationsExceeded(
+            f"{self.name}: no convergence within {cfg.max_iter} iterations "
+            f"(best relative residual {self.best_res:.3e})",
+            report=self.report(cfg.max_iter, False),
+            iteration=cfg.max_iter,
+        )
 
-    def record(self, k: int, res: float, step: float, aux1: float, aux2: float,
-               X: np.ndarray, aux: dict | None = None) -> None:
-        logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, k, res, step)
+    def capture(self, aux: dict | None) -> None:
         if self.config.record_history:
-            self.history.append(HistoryRecord(k, float(res), float(step), float(aux1), float(aux2)))
-            self.iterates.append(np.array(X, dtype=float))
+            self.iterates.append(np.array(self.X, dtype=float))
             for key, val in (aux or {}).items():
                 self.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
-        self.best_res = min(self.best_res, res)
 
-    def guard_divergence(self, res: float, k: int, X: np.ndarray,
-                         nonfinite_fatal: bool = True) -> None:
-        blown = (nonfinite_fatal and not math.isfinite(res)) or (
-            math.isfinite(res)
-            and math.isfinite(self.best_res)
-            and self.best_res > 0
-            and res > DIVERGENCE_FACTOR * self.best_res
-        )
-        if blown:
-            raise Diverged(
-                f"{self.name}: residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
-                f"minimum {self.best_res:.3e} at iteration {k}",
-                report=self.report(X, len(self.history), False),
-                iteration=k,
-            )
+    def converged(self) -> SolveReport:
+        if not np.all(np.isfinite(self.X)):
+            raise self.failure(Diverged, f"iterate {self.k} met the stopping test but is not finite")
+        logger.info("%s converged in %d iterations", self.name, self.k)
+        return self.report(self.k, True)
 
-    def report(self, X: np.ndarray, iterations: int, converged: bool) -> SolveReport:
-        X = np.array(X, dtype=float)
-        rate = None
-        steps = [h.step_norm for h in self.history]
-        while steps and steps[-1] == 0.0:
-            steps.pop()
-        if len(steps) >= 4:
-            try:
-                rate = estimate_rate(steps)
-            except InsufficientHistory:
-                rate = None
+    def lu_residual(self, X: np.ndarray) -> float:
+        """Relative residual with W by LU; inf when X is singular or it overflows."""
+        try:
+            W = np.linalg.solve(X, self.A)
+        except np.linalg.LinAlgError:
+            return math.inf
+        res = residual_from(self.A, self.Q, X, W, self.q_fro).rel_norm
+        return res if math.isfinite(res) else math.inf
+
+    def solve_spd(self, X: np.ndarray) -> np.ndarray:
+        """W = X^{-1} A by Cholesky; X_k must stay positive definite."""
+        try:
+            chol = np.linalg.cholesky(X)
+        except np.linalg.LinAlgError:
+            raise self.failure(LostPositiveDefiniteness,
+                               f"iterate {self.k} is not positive definite")
+        return scipy.linalg.cho_solve((chol, True), self.A)
+
+    def report(self, iterations: int, converged: bool) -> SolveReport:
+        X = np.array(self.X, dtype=float)
+        try:
+            rate = estimate_rate([h.step_norm for h in self.history])
+        except InsufficientHistory:
+            rate = None
+        try:
+            rho = spectral_radius(np.linalg.solve(X, self.A))
+        except np.linalg.LinAlgError:  # X singular or not finite
+            rho = math.nan
         return SolveReport(
             X=X,
             iterations=iterations,
             converged=converged,
             history=list(self.history),
             estimated_rate=rate,
-            rho_ratio=_rho_of(X, self.A),
+            rho_ratio=rho,
             iterates=list(self.iterates),
             aux_iterates={k: list(v) for k, v in self.aux_iterates.items()},
         )
 
-    def fail(self, exc_cls, message: str, k: int, X: np.ndarray):
-        raise exc_cls(message, report=self.report(X, len(self.history), False), iteration=k)
-
-    def exhausted(self, X: np.ndarray):
-        raise MaxIterationsExceeded(
-            f"{self.name}: no convergence within {self.config.max_iter} iterations "
-            f"(best relative residual {self.best_res:.3e})",
-            report=self.report(X, self.config.max_iter, False),
-            iteration=self.config.max_iter,
-        )
+    def failure(self, exc_cls, detail: str):
+        """The exception for iteration k, with the report of the last accepted X."""
+        return exc_cls(f"{self.name}: {detail}",
+                       report=self.report(len(self.history), False), iteration=self.k)
 
 
 def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -271,30 +277,21 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
     iterate stops being SPD and :class:`MaxIterationsExceeded` when the
     budget runs out (both carry the partial report).
     """
-    cfg = config or SolverConfig()
     A, Q = problem.A, problem.Q
-    run = _Run(A, Q, cfg, "fixed-point")
-    X = Q.copy()
-    run.track_initial(X)
-    chol = np.linalg.cholesky(X)
-    W = scipy.linalg.cho_solve((chol, True), A)
-    for k in range(1, cfg.max_iter + 1):
-        Xn = symmetric_part(Q - A.T @ W)
-        try:
-            chol = np.linalg.cholesky(Xn)
-        except np.linalg.LinAlgError:
-            run.fail(LostPositiveDefiniteness,
-                     f"fixed-point: iterate {k} is not positive definite", k, X)
-        W = scipy.linalg.cho_solve((chol, True), A)
-        res = float(np.linalg.norm(symmetric_part(Q - Xn - A.T @ W))) / run.q_fro
-        step = float(np.linalg.norm(Xn - X))
-        run.record(k, res, step, 0.0, 0.0, Xn)
-        X = Xn
-        if k >= cfg.min_iter and res <= cfg.tol:
-            logger.info("fixed-point converged in %d iterations", k)
-            return run.report(X, k, True)
-        run.guard_divergence(res, k, X)
-    run.exhausted(X)
+    run = _Run(A, Q, config, "fixed-point")
+
+    def steps():
+        X = Q.copy()
+        W = scipy.linalg.cho_solve((np.linalg.cholesky(X), True), A)
+        yield X, None, None, False
+        while True:
+            Xn = symmetric_part(Q - A.T @ W)
+            W = run.solve_spd(Xn)
+            step = float(np.linalg.norm(Xn - X))
+            X = Xn
+            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, 0.0, 0.0, None, False
+
+    return run.drive(steps())
 
 
 def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -304,26 +301,23 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     form (the X-update consumes the previous Y).  X_0 = Q, Y_0 = I/||Q||_inf.
     On solvable problems X_0 >= X_1 >= ... and Y_0 <= Y_1 <= ... .
     """
-    cfg = config or SolverConfig()
     A, Q = problem.A, problem.Q
     n = problem.n
-    run = _Run(A, Q, cfg, "inversion-free")
-    X = Q.copy()
-    Y = np.eye(n) / float(np.linalg.norm(Q, np.inf))
-    run.track_initial(X, {"Y": Y})
-    two_eye = 2.0 * np.eye(n)
-    for k in range(1, cfg.max_iter + 1):
-        Yn = symmetric_part(Y @ (two_eye - X @ Y))
-        Xn = symmetric_part(Q - A.T @ Y @ A)
-        step = float(np.linalg.norm(Xn - X))
-        res = _rel_residual(A, Q, Xn, run.q_fro)
-        run.record(k, res, step, 0.0, 0.0, Xn, {"Y": Yn})
-        X, Y = Xn, Yn
-        if k >= cfg.min_iter and res <= cfg.tol:
-            logger.info("inversion-free converged in %d iterations", k)
-            return run.report(X, k, True)
-        run.guard_divergence(res, k, X)
-    run.exhausted(X)
+    run = _Run(A, Q, config, "inversion-free")
+
+    def steps():
+        X = Q.copy()
+        Y = np.eye(n) / float(np.linalg.norm(Q, np.inf))
+        yield X, None, {"Y": Y}, False
+        two_eye = 2.0 * np.eye(n)
+        while True:
+            Yn = symmetric_part(Y @ (two_eye - X @ Y))
+            Xn = symmetric_part(Q - A.T @ Y @ A)
+            step = float(np.linalg.norm(Xn - X))
+            X, Y = Xn, Yn
+            yield X, run.lu_residual(X), step, 0.0, 0.0, {"Y": Y}, False
+
+    return run.drive(steps())
 
 
 def solve_stein(stein: SteinProblem) -> np.ndarray:
@@ -358,40 +352,28 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     iteration is healthy.  The iterates descend monotonically from Q toward
     the maximal solution.
     """
-    cfg = config or SolverConfig()
     A, Q = problem.A, problem.Q
-    run = _Run(A, Q, cfg, "newton")
-    X = Q.copy()
-    run.track_initial(X)
-    chol = np.linalg.cholesky(X)
-    for k in range(1, cfg.max_iter + 1):
-        Lk = scipy.linalg.cho_solve((chol, True), A)
-        eigs = np.linalg.eigvals(Lk)
-        rho_L = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        C = symmetric_part(Q - 2.0 * Lk.T @ A)
-        try:
-            Xn = solve_stein(SteinProblem(L=Lk, C=C))
-        except SingularSteinOperator as exc:
-            raise SingularSteinOperator(
-                f"newton: Stein operator singular at iteration {k}",
-                report=run.report(X, len(run.history), False),
-                iteration=k,
-            ) from exc
-        try:
-            chol = np.linalg.cholesky(Xn)
-        except np.linalg.LinAlgError:
-            run.fail(LostPositiveDefiniteness,
-                     f"newton: iterate {k} is not positive definite", k, X)
-        W = scipy.linalg.cho_solve((chol, True), A)
-        res = float(np.linalg.norm(symmetric_part(Q - Xn - A.T @ W))) / run.q_fro
-        step = float(np.linalg.norm(Xn - X))
-        run.record(k, res, step, rho_L, 0.0, Xn)
-        X = Xn
-        if k >= cfg.min_iter and res <= cfg.tol:
-            logger.info("newton converged in %d iterations", k)
-            return run.report(X, k, True)
-        run.guard_divergence(res, k, X)
-    run.exhausted(X)
+    run = _Run(A, Q, config, "newton")
+
+    def steps():
+        X = Q.copy()
+        W = scipy.linalg.cho_solve((np.linalg.cholesky(X), True), A)
+        yield X, None, None, False
+        while True:
+            # L_k = X_{k-1}^{-1} A is the W of the previous iterate
+            rho_L = spectral_radius(W)
+            C = symmetric_part(Q - 2.0 * W.T @ A)
+            try:
+                Xn = solve_stein(SteinProblem(L=W, C=C))
+            except SingularSteinOperator as exc:
+                raise run.failure(SingularSteinOperator,
+                                  f"Stein operator singular at iteration {run.k}") from exc
+            W = run.solve_spd(Xn)
+            step = float(np.linalg.norm(Xn - X))
+            X = Xn
+            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, rho_L, 0.0, None, False
+
+    return run.drive(steps())
 
 
 def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -406,42 +388,37 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
     positive whenever a solution exists.  Raises :class:`DoublingBreakdown`
     when Q_k - P_k stops being SPD.
     """
-    cfg = config or SolverConfig()
     A, Q = problem.A, problem.Q
-    run = _Run(A, Q, cfg, "sda")
-    Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
-    a_scale = float(np.linalg.norm(A))
-    run.track_initial(Qk, {"A": Ak, "P": Pk})
-    res0 = _rel_residual(A, Q, Qk, run.q_fro)
-    if cfg.min_iter == 0 and (res0 <= cfg.tol or a_scale == 0.0):
-        return run.report(Qk, 0, True)
-    run.best_res = min(run.best_res, res0)
-    for k in range(1, cfg.max_iter + 1):
-        D = symmetric_part(Qk - Pk)
-        try:
-            np.linalg.cholesky(D)
-        except np.linalg.LinAlgError:
-            run.fail(DoublingBreakdown,
-                     f"sda: Q_k - P_k lost positive definiteness at iteration {k}", k, Qk)
-        # LU for the arithmetic: a Cholesky solve routes through sqrt(D),
-        # whose rounding gets amplified by 2^k as Q_k - P_k collapses in the
-        # critical case (and would break agreement with the scalar recursion)
-        WA = np.linalg.solve(D, Ak)
-        WAT = np.linalg.solve(D, Ak.T)
-        An = Ak @ WA
-        Qn = symmetric_part(Qk - Ak.T @ WA)
-        Pn = symmetric_part(Pk + Ak @ WAT)
-        step = float(np.linalg.norm(Qn - Qk))
-        res = _rel_residual(A, Q, Qn, run.q_fro)
-        gap_min = float(np.linalg.eigvalsh(symmetric_part(Qn - Pn)).min())
-        a_norm = float(np.linalg.norm(An))
-        run.record(k, res, step, a_norm, gap_min, Qn, {"A": An, "P": Pn})
-        Ak, Qk, Pk = An, Qn, Pn
-        if k >= cfg.min_iter and (res <= cfg.tol or a_norm <= cfg.tol * a_scale):
-            logger.info("sda converged in %d iterations", k)
-            return run.report(Qk, k, True)
-        run.guard_divergence(res, k, Qk, nonfinite_fatal=False)
-    run.exhausted(Qk)
+    run = _Run(A, Q, config, "sda")
+
+    def steps():
+        Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
+        a_scale = float(np.linalg.norm(A))
+        yield Qk, run.lu_residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
+        while True:
+            D = symmetric_part(Qk - Pk)
+            try:
+                np.linalg.cholesky(D)
+            except np.linalg.LinAlgError:
+                raise run.failure(DoublingBreakdown,
+                                  f"Q_k - P_k lost positive definiteness at iteration {run.k}")
+            # LU for the arithmetic: a Cholesky solve routes through sqrt(D),
+            # whose rounding gets amplified by 2^k as Q_k - P_k collapses in the
+            # critical case (and would break agreement with the scalar recursion)
+            WA = np.linalg.solve(D, Ak)
+            WAT = np.linalg.solve(D, Ak.T)
+            An = Ak @ WA
+            Qn = symmetric_part(Qk - Ak.T @ WA)
+            Pn = symmetric_part(Pk + Ak @ WAT)
+            step = float(np.linalg.norm(Qn - Qk))
+            Ak, Qk, Pk = An, Qn, Pn
+            res = run.lu_residual(Qk)
+            gap_min = float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
+            a_norm = float(np.linalg.norm(Ak))
+            yield (Qk, res, step, a_norm, gap_min, {"A": Ak, "P": Pk},
+                   a_norm <= run.config.tol * a_scale)
+
+    return run.drive(steps(), nonfinite_fatal=False)
 
 
 def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> SolveReport:
@@ -454,35 +431,29 @@ def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> 
     stores the scalar sequences as 1-by-1 arrays in ``iterates`` (q_k) and
     ``aux_iterates`` ("A" for a_k, "P" for p_k).
     """
-    cfg = config or SolverConfig()
     a = float(a)
     q = float(q)
     if q <= 0:
         raise NotPositiveDefinite("q", f"q = {q!r}")
-    run = _Run(np.array([[a]]), np.array([[q]]), cfg, "sda-scalar")
-    ak, qk, pk = a, q, 0.0
-    a_scale = abs(a)
-    run.track_initial([[qk]], {"A": [[ak]], "P": [[pk]]})
-    res0 = abs(q - qk - a * a / qk) / q
-    if cfg.min_iter == 0 and (res0 <= cfg.tol or a_scale == 0.0):
-        return run.report([[qk]], 0, True)
-    run.best_res = min(run.best_res, res0)
-    for k in range(1, cfg.max_iter + 1):
-        d = qk - pk
-        if d <= 0.0:
-            run.fail(DoublingBreakdown,
-                     f"sda-scalar: q_k - p_k = {d!r} at iteration {k}", k, [[qk]])
-        an = ak * ak / d
-        qn = qk - an
-        pn = pk + an
-        step = abs(qn - qk)
-        res = abs(q - qn - a * a / qn) / q if qn > 0 else math.inf
-        run.record(k, res, step, abs(an), qn - pn, [[qn]], {"A": [[an]], "P": [[pn]]})
-        ak, qk, pk = an, qn, pn
-        if k >= cfg.min_iter and (res <= cfg.tol or abs(an) <= cfg.tol * a_scale):
-            return run.report([[qk]], k, True)
-        run.guard_divergence(res, k, [[qk]], nonfinite_fatal=False)
-    run.exhausted([[qk]])
+    run = _Run(np.array([[a]]), np.array([[q]]), config, "sda-scalar")
+
+    def steps():
+        ak, qk, pk = a, q, 0.0
+        a_scale = abs(a)
+        yield [[qk]], abs(q - qk - a * a / qk) / q, {"A": [[ak]], "P": [[pk]]}, a_scale == 0.0
+        while True:
+            d = qk - pk
+            if d <= 0.0:
+                raise run.failure(DoublingBreakdown, f"q_k - p_k = {d!r} at iteration {run.k}")
+            an = ak * ak / d
+            qn = qk - an
+            step = abs(qn - qk)
+            ak, qk, pk = an, qn, pk + an
+            res = abs(q - qk - a * a / qk) / q if qk > 0 else math.inf
+            yield ([[qk]], res, step, abs(ak), qk - pk, {"A": [[ak]], "P": [[pk]]},
+                   abs(ak) <= run.config.tol * a_scale)
+
+    return run.drive(steps(), nonfinite_fatal=False)
 
 
 _DISPATCH = {
@@ -493,11 +464,10 @@ _DISPATCH = {
 }
 
 
-def solve(problem: NmeProblem, config: SolverConfig) -> SolveReport:
-    """Dispatch on ``config.algorithm``."""
-    if config.algorithm is None:
-        raise ValueError("config.algorithm must be set for dispatch")
-    return _DISPATCH[config.algorithm](problem, config)
+def solve(problem: NmeProblem, algorithm: Algorithm,
+          config: SolverConfig | None = None) -> SolveReport:
+    """Run the solver of ``algorithm``."""
+    return _DISPATCH[algorithm](problem, config)
 
 
 def _fit_sse(x: np.ndarray, y: np.ndarray) -> float:

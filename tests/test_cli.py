@@ -85,6 +85,15 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", str(problem))
         assert code == 2
 
+    def test_non_finite_problem_exit_code(self, tmp_path, capsys, monkeypatch):
+        # load_problem rejects NaN itself; this checks the CLI's mapping of
+        # the in-memory rejection
+        monkeypatch.setattr("nmesolve.cli.load_problem",
+                            lambda path: nme.new_problem([[float("inf")]], [[1.0]]))
+        code, _, err = run_cli(capsys, "solve", str(tmp_path / "p.json"))
+        assert code == 2
+        assert "NaN/Inf" in err
+
 
 class TestBench:
     def test_grid_and_monotonicity(self, tmp_path, capsys):

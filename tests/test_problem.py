@@ -9,6 +9,7 @@ import nmesolve as nme
 from helpers import match_distance, scalar_x_plus
 from nmesolve.exceptions import (
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     OddDimension,
@@ -36,6 +37,13 @@ class TestNewProblem:
             nme.new_problem(np.eye(2), np.eye(3))
         with pytest.raises(DimensionMismatch):
             nme.new_problem(np.ones((2, 3)), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            nme.new_problem([[bad]], [[1.0]])
+        with pytest.raises(NonFiniteInput):
+            nme.new_problem([[1.0]], [[bad]])
 
     def test_gross_asymmetry_rejected(self):
         Q = np.array([[2.0, 0.5], [0.0, 2.0]])
@@ -72,6 +80,17 @@ class TestResidual:
         p = nme.new_problem([[1.0]], [[2.0]])
         with pytest.raises(NotPositiveDefinite):
             nme.residual(p, [[-1.0]])
+
+
+class TestCandidateShape:
+    @pytest.mark.parametrize("diagnostic", [nme.residual, nme.spectral_radius_ratio,
+                                            nme.invariant_subspace_defect])
+    def test_wrong_shape_x(self, diagnostic):
+        p = nme.new_problem(0.3 * np.eye(2), 2.0 * np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            diagnostic(p, np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            diagnostic(p, np.ones((2, 3)))
 
 
 class TestBuildPencil:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -341,6 +343,20 @@ class TestCrossSolverProperties:
                 rep = exc.report
             assert rep.rho_ratio <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("solver", [nme.solve_fixed_point, nme.solve_inversion_free,
+                                        nme.solve_newton, nme.solve_sda])
+    def test_overflow_never_converges(self, solver):
+        # ||A||_F overflows to inf, so doubling's ||A_k|| <= tol ||A|| test
+        # passes as inf <= inf on an iterate X_1 = -inf
+        with pytest.raises(nme.exceptions.SolverFailure) as info, np.errstate(all="ignore"):
+            solver(nme.new_problem(scalar(1e200), scalar(1.0)))
+        assert info.value.report is not None and not info.value.report.converged
+
+    def test_scalar_non_finite_never_converges(self):
+        with pytest.raises(Diverged) as info:
+            nme.solve_sda_scalar(1.0, math.inf)
+        assert info.value.report is not None and not info.value.report.converged
+
 
 class TestEstimateRate:
     def test_geometric_is_linear_half(self):
@@ -389,10 +405,8 @@ class TestReports:
 
     def test_dispatch(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.3, seed=17))
-        rep = nme.solve(rec.problem, nme.SolverConfig(algorithm=nme.Algorithm.NEWTON))
+        rep = nme.solve(rec.problem, nme.Algorithm.NEWTON)
         assert rep.converged
-        with pytest.raises(ValueError):
-            nme.solve(rec.problem, nme.SolverConfig())
 
     def test_history_csv(self, tmp_path):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.5, seed=18))
