@@ -155,12 +155,13 @@ def _cmd_bench(args) -> int:
             rate = report.estimated_rate
             rate_val = rate.rate if (rate and rate.kind == "linear") else None
             rows.append((algorithm.value, n, rho, report.iterations,
-                         _final_residual(record.problem, report.X), _num(rate_val)))
+                         _final_residual(record.problem, report.X), _num(rate_val),
+                         "true" if report.converged else "false"))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     with _open_out(args.out) as fh:
         serialize.write_csv(
-            fh, ["algorithm", "n", "rho", "iterations", "final_residual", "estimated_rate"],
-            rows)
+            fh, ["algorithm", "n", "rho", "iterations", "final_residual", "estimated_rate",
+                 "converged"], rows)
     return 0
 
 

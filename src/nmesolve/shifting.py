@@ -131,10 +131,6 @@ def _as_complex_matrix(M, name: str) -> np.ndarray:
     return M
 
 
-def _pencil_scale(M: np.ndarray, L: np.ndarray) -> float:
-    return float(np.linalg.norm(M) + np.linalg.norm(L))
-
-
 def _check_eigenpair(M, L, v, lam, index=None):
     resid = float(np.linalg.norm(M @ v - lam * L @ v))
     scale = (np.linalg.norm(M) + abs(lam) * np.linalg.norm(L)) * np.linalg.norm(v)

@@ -15,9 +15,10 @@ Four algorithms share one reporting contract:
 
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
-    equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
-    Quadratic when rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical
-    case.  Iterates descend monotonically from X_0 = Q.
+    equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A,
+    by the complex Schur method of ``solve_stein`` in O(n^3).  Quadratic
+    when rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.
+    Iterates descend monotonically from X_0 = Q.
 
 ``solve_sda``
     Structure-preserving doubling: each step squares the effective spectral
@@ -35,7 +36,6 @@ the partial report.
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,6 +173,8 @@ class _Run:
         self.aux_iterates: dict[str, list[np.ndarray]] = {}
         self.best_res = math.inf
         self.k = 0
+        #: iterations whose X was accepted; lags k while X_k is being computed
+        self.accepted = 0
         self.X = None
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
@@ -190,6 +192,7 @@ class _Run:
             self.best_res = min(self.best_res, res)
         for self.k in range(1, cfg.max_iter + 1):
             self.X, res, step, aux1, aux2, aux, stop = next(steps)
+            self.accepted = self.k
             logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
             if cfg.record_history:
                 self.history.append(
@@ -198,8 +201,11 @@ class _Run:
             self.best_res = min(self.best_res, res)
             if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
                 return self.converged()
-            if (nonfinite_fatal and not math.isfinite(res)) or (
-                    math.isfinite(res) and 0 < self.best_res < math.inf
+            if nonfinite_fatal and not math.isfinite(res):
+                detail = f"has residual {res:.3e}" if np.all(np.isfinite(self.X)) \
+                    else "is not finite"
+                raise self.failure(Diverged, f"iterate {self.k} {detail}")
+            if (math.isfinite(res) and 0 < self.best_res < math.inf
                     and res > DIVERGENCE_FACTOR * self.best_res):
                 raise self.failure(
                     Diverged,
@@ -266,7 +272,7 @@ class _Run:
     def failure(self, exc_cls, detail: str):
         """The exception for iteration k, with the report of the last accepted X."""
         return exc_cls(f"{self.name}: {detail}",
-                       report=self.report(len(self.history), False), iteration=self.k)
+                       report=self.report(self.accepted, False), iteration=self.k)
 
 
 def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -321,28 +327,40 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
 
 
 def solve_stein(stein: SteinProblem) -> np.ndarray:
-    """Solve X - L^T X L = C for symmetric X by dense vectorization.
+    """Solve X - L^T X L = C for symmetric X by the Schur method.
 
-    The n^2-by-n^2 system (I - L^T (x) L^T) vec(X) = vec(C) is factorized
-    directly; adequate for the dense desk-scale problems this package
-    targets.  Raises :class:`SingularSteinOperator` when the operator is
-    rank deficient beyond 1e-10 (some pair of eigenvalues of L has product
-    one).
+    With the complex Schur form L^T = U T U^H (Kitagawa 1977; Barraud 1977;
+    in the style of Bartels-Stewart), Y = U^H X U solves the triangular
+    equation Y - T Y T^H = U^H C U.  Its columns follow from the last one
+    back, each by one upper-triangular solve:
+    (I - conj(t_jj) T) y_j = c_j + T Y[:, j+1:] conj(T[j, j+1:]).
+    L is real, so its spectrum is closed under conjugation and the
+    operator's eigenvalues are 1 - lambda_i conj(lambda_j) over the
+    eigenvalues lambda of L, read off the diagonal of T.  Raises
+    :class:`SingularSteinOperator` when the smallest of their moduli is at
+    most 1e-10 times the largest (some pair of eigenvalues of L has product
+    one).  Time is O(n^3) and memory O(n^2).
     """
     L = np.asarray(stein.L, dtype=float)
     C = symmetric_part(np.asarray(stein.C, dtype=float))
     n = L.shape[0]
-    K = np.eye(n * n) - np.kron(L.T, L.T)
-    with warnings.catch_warnings():
-        # scipy warns on exactly singular factors; the diagonal test decides
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(K, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-10 * max(diag.max(), 1e-300):
+    T, U = scipy.linalg.schur(L.T, output="complex")
+    lam = np.diag(T)
+    gaps = np.abs(1.0 - np.outer(lam, lam.conj()))
+    if gaps.min() <= 1e-10 * gaps.max():
         raise SingularSteinOperator(
             "Stein operator is rank deficient (an eigenvalue pair of L has product one)")
-    x = scipy.linalg.lu_solve((lu, piv), C.ravel(), check_finite=False)
-    return symmetric_part(x.reshape(n, n))
+    Ct = U.conj().T @ C @ U
+    Y = np.empty((n, n), dtype=complex)
+    M = np.empty_like(T)
+    diag = np.arange(n)
+    for j in range(n - 1, -1, -1):
+        # M = I - conj(t_jj) T in one buffer: temporaries dominate at large n
+        np.multiply(T, -lam[j].conj(), out=M)
+        M[diag, diag] += 1.0
+        rhs = Ct[:, j] + T @ (Y[:, j + 1:] @ T[j, j + 1:].conj())
+        Y[:, j] = scipy.linalg.solve_triangular(M, rhs, check_finite=False)
+    return symmetric_part((U @ Y @ U.conj().T).real)
 
 
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:

@@ -103,13 +103,25 @@ class TestBench:
                              "--out", str(out_csv))
         assert code == 0
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == "algorithm,n,rho,iterations,final_residual,estimated_rate"
+        assert lines[0] == "algorithm,n,rho,iterations,final_residual,estimated_rate,converged"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 6
         fp_iters = [int(r[3]) for r in rows if r[0] == "fixed-point"]
         assert fp_iters == sorted(fp_iters)  # nondecreasing in rho
         sda_iters = [int(r[3]) for r in rows if r[0] == "sda"]
         assert all(s <= f for s, f in zip(sda_iters, fp_iters))
+
+    def test_converged_column(self, tmp_path, capsys):
+        # a budget-exhausted run must not read like a success
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--rho", "0.999", "--n", "8",
+                             "--algorithms", "fixed-point,newton", "--max-iter", "50",
+                             "--out", str(out_csv))
+        assert code == 0
+        lines = out_csv.read_text().splitlines()[1:]
+        rows = {row[0]: row for row in (line.split(",") for line in lines)}
+        assert rows["fixed-point"][3] == "50" and rows["fixed-point"][6] == "false"
+        assert rows["newton"][6] == "true"
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         argv = ["bench", "--rho", "0.4,0.8", "--n", "2,3", "--seed", "1",

@@ -162,6 +162,62 @@ class TestStein:
         assert np.allclose(X, oracle, atol=1e-10)
         assert np.allclose(X - L.T @ X @ L, C, atol=1e-12)
 
+    @staticmethod
+    def _random_symmetric(rng, n):
+        W = rng.standard_normal((n, n))
+        return (W + W.T) / 2.0
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_complex_eigenvalues_against_direct(self, n):
+        # rotation blocks give L complex-conjugate eigenvalue pairs, so the
+        # complex Schur form is not real
+        rng = np.random.default_rng(40 + n)
+        D = np.zeros((n, n))
+        for i in range(0, n - 1, 2):
+            r, th = rng.uniform(0.3, 0.95), rng.uniform(0.2, 3.0)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                [np.sin(th), np.cos(th)]])
+        if n % 2:
+            D[-1, -1] = -0.5
+        V = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        L = V @ D @ np.linalg.inv(V)
+        assert np.abs(np.linalg.eigvals(L).imag).max() > 0.1
+        C = self._random_symmetric(rng, n)
+        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C, method="direct")
+        assert np.linalg.norm(X - oracle) <= 1e-11 * np.linalg.norm(oracle)
+        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-13 * np.linalg.norm(X)
+        assert np.array_equal(X, X.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigenvalue_near_minus_one(self, seed):
+        # a Cayley transform through (L + I)^{-1} breaks down here
+        rng = np.random.default_rng(seed)
+        n = 6
+        d = np.concatenate([[-0.9999], rng.uniform(-0.9, 0.9, n - 1)])
+        V = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+        L = V @ np.diag(d) @ np.linalg.inv(V)
+        C = self._random_symmetric(rng, n)
+        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C, method="direct")
+        assert np.linalg.norm(X - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-13 * np.linalg.norm(X)
+
+    def test_rotation_is_singular(self):
+        # the eigenvalues exp(+-0.7i) of a rotation have lambda conj(lambda) = 1
+        c, s = np.cos(0.7), np.sin(0.7)
+        with pytest.raises(SingularSteinOperator):
+            nme.solve_stein(nme.SteinProblem(L=np.array([[c, -s], [s, c]]), C=np.eye(2)))
+
+    def test_large_n(self):
+        # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
+        rng = np.random.default_rng(3)
+        n = 200
+        L = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        C = self._random_symmetric(rng, n)
+        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-12 * np.linalg.norm(C)
+
 
 class TestNewton:
     def test_zero_a(self):
@@ -207,6 +263,13 @@ class TestNewton:
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=7))
         rep = nme.solve_newton(rec.problem)
         assert all(h.aux1 < 1.0 + 1e-8 for h in rep.history)
+
+    def test_planted_n64(self):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.9, seed=21))
+        rep = nme.solve_newton(rec.problem)
+        X_plus = rec.known_solution
+        assert rep.converged
+        assert np.linalg.norm(rep.X - X_plus) <= 1e-9 * np.linalg.norm(X_plus)
 
     def test_singular_stein_propagates_iteration(self):
         p = nme.new_problem(scalar(1.0), scalar(1.0))
@@ -402,6 +465,22 @@ class TestReports:
         rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=False))
         assert rep.history == [] and rep.iterates == []
         assert rep.estimated_rate is None
+
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_failure_report_counts_accepted_iterates(self, record_history):
+        # iterate 3 is indefinite, so the report holds X_2
+        p = nme.new_problem(np.array([[0.6, 0.0], [0.1, 0.6]]), np.eye(2))
+        with pytest.raises(LostPositiveDefiniteness) as info:
+            nme.solve_fixed_point(p, nme.SolverConfig(record_history=record_history))
+        assert info.value.iteration == 3
+        assert info.value.report.iterations == 2
+
+    def test_non_finite_iterate_message(self):
+        with pytest.raises(Diverged) as info, np.errstate(all="ignore"):
+            nme.solve_inversion_free(nme.new_problem(scalar(1e200), scalar(1.0)))
+        assert info.value.iteration == 1
+        assert "iterate 1 is not finite" in str(info.value)
+        assert "grew" not in str(info.value)
 
     def test_dispatch(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.3, seed=17))
