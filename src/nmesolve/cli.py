@@ -120,7 +120,7 @@ def _report_payload(report, algorithm, problem):
 def _cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     algorithm = _algorithm(args.algorithm)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
     report = run_experiment(ExperimentRecord(problem), [algorithm], cfg).reports[algorithm]
     if report.failure:
         print(f"error: {report.failure}", file=sys.stderr)
@@ -143,7 +143,7 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     algorithms = [_algorithm(name) for name in args.algorithms.split(",")] \
         if args.algorithms else list(Algorithm)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
     rows = []
     cells = [(n, rho) for n in sorted(args.n) for rho in sorted(args.rho)]
     for index, (n, rho) in enumerate(cells):
@@ -192,7 +192,8 @@ def _cmd_scalar_critical(args) -> int:
 
     # run plain doubling past convergence so the error history reaches the
     # reporting target even in the critical case (error 2^-k needs ~40 steps)
-    plain_cfg = SolverConfig(tol=args.tol, max_iter=max(args.max_iter, 46), min_iter=45)
+    plain_cfg = SolverConfig(tol=args.tol, max_iter=max(args.max_iter, 46), min_iter=45,
+                             record_history=True)
     try:
         plain = solve_sda_scalar(a, q, plain_cfg)
     except MaxIterationsExceeded as exc:

@@ -128,6 +128,24 @@ def symmetric_part(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def fro_norm(M) -> float:
+    """||M||_F, also where the sum of squares overflows or underflows.
+
+    The value is ``np.linalg.norm(M)`` whenever that is positive and finite.
+    Only when it reads 0 or inf for a finite, nonzero M is M first divided by
+    max|M|, so the solvers stay homogeneous over the whole exponent range.
+    """
+    with np.errstate(over="ignore"):
+        val = float(np.linalg.norm(M))
+    if 0.0 < val < math.inf:
+        return val
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        return val
+    scale = float(np.max(np.abs(M), initial=0.0))
+    return scale * float(np.linalg.norm(M / scale)) if scale > 0.0 else val
+
+
 def _square_real(M, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -158,7 +176,7 @@ def new_problem(A, Q) -> NmeProblem:
         if not np.all(np.isfinite(M)):
             raise NonFiniteInput(f"{name} contains NaN/Inf")
     asym = np.max(np.abs(Q - Q.T)) if Q.size else 0.0
-    if asym > SYMMETRY_RTOL * max(np.linalg.norm(Q), 1e-300):
+    if asym > SYMMETRY_RTOL * fro_norm(Q):
         raise NotSymmetric(f"Q asymmetry {asym:.3e} exceeds tolerance")
     Qs = symmetric_part(Q)
     _cholesky(Qs, "Q")
@@ -179,14 +197,14 @@ def residual_from(A: np.ndarray, Q: np.ndarray, X: np.ndarray, W: np.ndarray,
     """R(X) = Q - X - A^T W (symmetrized) for a given W = X^{-1} A and
     q_fro = ||Q||_F; how W is obtained is the caller's choice."""
     R = symmetric_part(Q - X - A.T @ W)
-    fro = float(np.linalg.norm(R))
+    fro = fro_norm(R)
     return Residual(matrix=R, fro_norm=fro, rel_norm=fro / q_fro)
 
 
 def residual(problem: NmeProblem, X) -> Residual:
     """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X."""
     Xs, W = _candidate(problem, X)
-    return residual_from(problem.A, problem.Q, Xs, W, float(np.linalg.norm(problem.Q)))
+    return residual_from(problem.A, problem.Q, Xs, W, fro_norm(problem.Q))
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:

@@ -34,6 +34,7 @@ finite, raise a :class:`~nmesolve.exceptions.SolverFailure` subclass carrying
 the partial report.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -49,10 +50,11 @@ from .exceptions import (
     InsufficientHistory,
     LostPositiveDefiniteness,
     MaxIterationsExceeded,
+    NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
 )
-from .problem import NmeProblem, residual_from, spectral_radius, symmetric_part
+from .problem import NmeProblem, fro_norm, residual_from, spectral_radius, symmetric_part
 
 __all__ = [
     "Algorithm",
@@ -90,11 +92,19 @@ class Algorithm(Enum):
 
 @dataclass
 class SolverConfig:
-    """Shared solver options."""
+    """Shared solver options.
+
+    ``record_history`` is opt-in: a default solve computes only what its
+    stopping rule needs.  When it is on, the report also holds one
+    :class:`HistoryRecord` per iteration, copies of every iterate and the
+    estimated rate, and the solvers compute the history-only diagnostics
+    (Newton's rho(L_k), doubling's min-eig(Q_k - P_k)).  X and the iteration
+    count do not depend on it.
+    """
 
     tol: float = 1e-12
     max_iter: int = 200
-    record_history: bool = True
+    record_history: bool = False
     #: Iterations to run before the stopping rule applies; lets closed-form
     #: tests observe a prescribed number of steps even when the residual
     #: reaches exact floating-point zero earlier.
@@ -111,8 +121,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One iteration: aux1/aux2 are algorithm specific (SDA: ||A_k||_F and
-    min-eig(Q_k - P_k); Newton: rho(L_k) and 0; others: 0 and 0)."""
+    """One iteration, recorded only with ``SolverConfig.record_history``:
+    aux1/aux2 are algorithm specific (SDA: ||A_k||_F and min-eig(Q_k - P_k);
+    Newton: rho(L_k) and 0; others: 0 and 0)."""
 
     k: int
     rel_residual: float
@@ -131,12 +142,15 @@ class RateEstimate:
 class SolveReport:
     """Outcome of one solver run.
 
-    ``history`` has one record per completed iteration.  When history is
-    recorded, ``iterates`` holds the full X-sequence including the starting
-    value, and ``aux_iterates`` holds algorithm-specific companion sequences
-    ("Y" for the inversion-free solver, "A" and "P" for doubling).
+    ``history``, ``iterates``, ``aux_iterates`` and ``estimated_rate`` are
+    filled only when the run had ``SolverConfig.record_history`` on; they are
+    empty (None for the rate) otherwise.  ``history`` has one record per
+    completed iteration, ``iterates`` holds the full X-sequence including the
+    starting value, and ``aux_iterates`` holds algorithm-specific companion
+    sequences ("Y" for the inversion-free solver, "A" and "P" for doubling).
     ``estimated_rate`` is fit to the step-size sequence ||X_k - X_{k-1}||_F,
     whose decay tracks the error decay for both linear and quadratic runs.
+    ``rho_ratio`` is computed from X and the problem's ``A`` when first read.
     """
 
     X: np.ndarray
@@ -144,10 +158,21 @@ class SolveReport:
     converged: bool
     history: list = field(default_factory=list)
     estimated_rate: RateEstimate | None = None
-    rho_ratio: float = math.nan
     failure: str | None = None
     iterates: list = field(default_factory=list)
     aux_iterates: dict = field(default_factory=dict)
+    #: the problem's A, kept for ``rho_ratio``
+    A: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def rho_ratio(self) -> float:
+        """rho(X^{-1} A); NaN when X is singular or not finite, or A is unknown."""
+        if self.A is None:
+            return math.nan
+        try:
+            return spectral_radius(np.linalg.solve(self.X, self.A))
+        except np.linalg.LinAlgError:
+            return math.nan
 
 
 @dataclass(frozen=True)
@@ -165,7 +190,7 @@ class _Run:
     def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig | None, name: str):
         self.A = A
         self.Q = Q
-        self.q_fro = float(np.linalg.norm(Q))
+        self.q_fro = fro_norm(Q)
         self.config = config or SolverConfig()
         self.name = name
         self.history: list[HistoryRecord] = []
@@ -254,19 +279,15 @@ class _Run:
             rate = estimate_rate([h.step_norm for h in self.history])
         except InsufficientHistory:
             rate = None
-        try:
-            rho = spectral_radius(np.linalg.solve(X, self.A))
-        except np.linalg.LinAlgError:  # X singular or not finite
-            rho = math.nan
         return SolveReport(
             X=X,
             iterations=iterations,
             converged=converged,
             history=list(self.history),
             estimated_rate=rate,
-            rho_ratio=rho,
             iterates=list(self.iterates),
             aux_iterates={k: list(v) for k, v in self.aux_iterates.items()},
+            A=self.A,
         )
 
     def failure(self, exc_cls, detail: str):
@@ -293,7 +314,7 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
         while True:
             Xn = symmetric_part(Q - A.T @ W)
             W = run.solve_spd(Xn)
-            step = float(np.linalg.norm(Xn - X))
+            step = fro_norm(Xn - X)
             X = Xn
             yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, 0.0, 0.0, None, False
 
@@ -319,7 +340,7 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
         while True:
             Yn = symmetric_part(Y @ (two_eye - X @ Y))
             Xn = symmetric_part(Q - A.T @ Y @ A)
-            step = float(np.linalg.norm(Xn - X))
+            step = fro_norm(Xn - X)
             X, Y = Xn, Yn
             yield X, run.lu_residual(X), step, 0.0, 0.0, {"Y": Y}, False
 
@@ -339,10 +360,13 @@ def solve_stein(stein: SteinProblem) -> np.ndarray:
     eigenvalues lambda of L, read off the diagonal of T.  Raises
     :class:`SingularSteinOperator` when the smallest of their moduli is at
     most 1e-10 times the largest (some pair of eigenvalues of L has product
-    one).  Time is O(n^3) and memory O(n^2).
+    one), and :class:`NonFiniteInput` when L or C holds NaN/Inf.  Time is
+    O(n^3) and memory O(n^2).
     """
     L = np.asarray(stein.L, dtype=float)
     C = symmetric_part(np.asarray(stein.C, dtype=float))
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
+        raise NonFiniteInput("Stein data L or C contains NaN/Inf")
     n = L.shape[0]
     T, U = scipy.linalg.schur(L.T, output="complex")
     lam = np.diag(T)
@@ -366,9 +390,9 @@ def solve_stein(stein: SteinProblem) -> np.ndarray:
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
     """Newton's method with a Stein-equation inner solve, from X_0 = Q.
 
-    Each record stores rho(L_k) in aux1; these stay below one while the
-    iteration is healthy.  The iterates descend monotonically from Q toward
-    the maximal solution.
+    With history on, each record stores rho(L_k) in aux1; these stay below
+    one while the iteration is healthy.  The iterates descend monotonically
+    from Q toward the maximal solution.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
@@ -379,15 +403,17 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
         yield X, None, None, False
         while True:
             # L_k = X_{k-1}^{-1} A is the W of the previous iterate
-            rho_L = spectral_radius(W)
+            rho_L = spectral_radius(W) if run.config.record_history else 0.0
             C = symmetric_part(Q - 2.0 * W.T @ A)
             try:
                 Xn = solve_stein(SteinProblem(L=W, C=C))
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
+            except NonFiniteInput as exc:
+                raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             W = run.solve_spd(Xn)
-            step = float(np.linalg.norm(Xn - X))
+            step = fro_norm(Xn - X)
             X = Xn
             yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, rho_L, 0.0, None, False
 
@@ -401,17 +427,17 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         Q_{k+1} = Q_k - A_k^T (Q_k - P_k)^{-1} A_k
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
-    The solution is the limit of Q_k.  Each history record stores ||A_k||_F
-    (aux1) and the minimum eigenvalue of Q_k - P_k (aux2); the latter stays
-    positive whenever a solution exists.  Raises :class:`DoublingBreakdown`
-    when Q_k - P_k stops being SPD.
+    The solution is the limit of Q_k.  With history on, each record stores
+    ||A_k||_F (aux1) and the minimum eigenvalue of Q_k - P_k (aux2); the
+    latter stays positive whenever a solution exists.  Raises
+    :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "sda")
 
     def steps():
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
-        a_scale = float(np.linalg.norm(A))
+        a_scale = fro_norm(A)
         yield Qk, run.lu_residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
         while True:
             D = symmetric_part(Qk - Pk)
@@ -423,16 +449,18 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             # LU for the arithmetic: a Cholesky solve routes through sqrt(D),
             # whose rounding gets amplified by 2^k as Q_k - P_k collapses in the
             # critical case (and would break agreement with the scalar recursion)
-            WA = np.linalg.solve(D, Ak)
-            WAT = np.linalg.solve(D, Ak.T)
+            lu = scipy.linalg.lu_factor(D, check_finite=False)
+            WA = scipy.linalg.lu_solve(lu, Ak, check_finite=False)
+            WAT = scipy.linalg.lu_solve(lu, Ak.T, check_finite=False)
             An = Ak @ WA
             Qn = symmetric_part(Qk - Ak.T @ WA)
             Pn = symmetric_part(Pk + Ak @ WAT)
-            step = float(np.linalg.norm(Qn - Qk))
+            step = fro_norm(Qn - Qk)
             Ak, Qk, Pk = An, Qn, Pn
             res = run.lu_residual(Qk)
-            gap_min = float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
-            a_norm = float(np.linalg.norm(Ak))
+            gap_min = (float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
+                       if run.config.record_history else 0.0)
+            a_norm = fro_norm(Ak)
             yield (Qk, res, step, a_norm, gap_min, {"A": Ak, "P": Pk},
                    a_norm <= run.config.tol * a_scale)
 

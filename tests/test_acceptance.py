@@ -27,7 +27,8 @@ def _verdict(num: int, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_scalar_doubling_closed_forms():
-    rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(max_iter=45, min_iter=40))
+    rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(max_iter=45, min_iter=40,
+                                                         record_history=True))
     qs = [float(np.ravel(m)[0]) for m in rep.iterates]
     ps = [float(np.ravel(m)[0]) for m in rep.aux_iterates["P"]]
     a_s = [float(np.ravel(m)[0]) for m in rep.aux_iterates["A"]]
@@ -50,7 +51,7 @@ def test_criterion_1_scalar_doubling_closed_forms():
 def test_criterion_2_shift_acceleration():
     r = 0.9
     q_hat = r + 1.0 / r
-    rep = nme.solve_sda_scalar(1.0, q_hat)
+    rep = nme.solve_sda_scalar(1.0, q_hat, nme.SolverConfig(record_history=True))
     x_hat_err = abs(rep.X[0, 0] - 1.0 / r)
     pipeline = nme.solve_scalar_shifted(1.0, 2.0)
     x_plus_err = abs(pipeline.x_plus - 1.0)
@@ -67,7 +68,7 @@ def test_criterion_2_shift_acceleration():
 
 def test_criterion_3_newton_critical_rate():
     p = nme.new_problem([[1.0]], [[2.0]])
-    rep = nme.solve_newton(p, nme.SolverConfig(tol=1e-15, max_iter=60))
+    rep = nme.solve_newton(p, nme.SolverConfig(tol=1e-15, max_iter=60, record_history=True))
     errs = [abs(float(m[0, 0]) - 1.0) for m in rep.iterates]
     assert len(errs) >= 21
     ratios = [errs[k + 1] / errs[k] for k in range(3, 20)]
@@ -82,7 +83,7 @@ def test_criterion_4_fixed_point_rate_law():
         for rho in (0.3, 0.6, 0.9):
             rec = nme.generate_problem(
                 nme.GeneratorSpec(n=n, rho_target=rho, seed=100 + 10 * n + int(10 * rho)))
-            rep = nme.solve_fixed_point(rec.problem)
+            rep = nme.solve_fixed_point(rec.problem, nme.SolverConfig(record_history=True))
             est = nme.estimate_rate([h.rel_residual for h in rep.history])
             assert est.kind == "linear"
             worst = max(worst, abs(est.rate - rho * rho) / (rho * rho))
@@ -99,7 +100,7 @@ def test_criterion_5_oracle_equivalence_and_monotonicity():
     for seed in range(20):
         n, rho = combos[seed % len(combos)]
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
-        nme.run_experiment(rec, list(nme.Algorithm))
+        nme.run_experiment(rec, list(nme.Algorithm), nme.SolverConfig(record_history=True))
         X_star = rec.known_solution
         q_norm = np.linalg.norm(rec.problem.Q)
         for rep in rec.reports.values():

@@ -72,7 +72,7 @@ class TestGenerateProblem:
 class TestRunExperiment:
     def test_critical_sda_rate_one_half(self):
         rec = nme.ExperimentRecord(problem=nme.new_problem([[1.0]], [[2.0]]))
-        nme.run_experiment(rec, {nme.Algorithm.SDA})
+        nme.run_experiment(rec, {nme.Algorithm.SDA}, nme.SolverConfig(record_history=True))
         rep = rec.reports[nme.Algorithm.SDA]
         assert rep.converged
         assert rep.estimated_rate.kind == "linear"

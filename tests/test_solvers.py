@@ -3,18 +3,27 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nmesolve as nme
 from helpers import min_eig, scalar_x_plus
+from nmesolve import solvers
 from nmesolve.exceptions import (
     Diverged,
     DoublingBreakdown,
     InsufficientHistory,
     LostPositiveDefiniteness,
     MaxIterationsExceeded,
+    NmeError,
+    NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
 )
+from nmesolve.problem import spectral_radius
+
+MATRIX_SOLVERS = [nme.solve_fixed_point, nme.solve_inversion_free,
+                  nme.solve_newton, nme.solve_sda]
 
 
 def scalar(value):
@@ -34,14 +43,14 @@ class TestSolverConfig:
 class TestFixedPoint:
     def test_zero_a_one_iteration(self):
         p = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
-        rep = nme.solve_fixed_point(p)
+        rep = nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))
         assert rep.converged and rep.iterations == 1
         assert np.allclose(rep.X, p.Q)
         assert len(rep.history) == rep.iterations
 
     def test_scalar_oracle(self):
         p = nme.new_problem(scalar(0.5), scalar(2.0))
-        rep = nme.solve_fixed_point(p)
+        rep = nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))
         assert rep.converged
         assert rep.history[-1].rel_residual <= 1e-12
         assert rep.X[0, 0] == pytest.approx(scalar_x_plus(0.5, 2.0), abs=1e-11)
@@ -49,7 +58,7 @@ class TestFixedPoint:
     def test_critical_case_stalls_like_one_over_k(self):
         p = nme.new_problem(scalar(1.0), scalar(2.0))
         with pytest.raises(MaxIterationsExceeded) as info:
-            nme.solve_fixed_point(p)
+            nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))
         rep = info.value.report
         assert rep.iterations == 200 and not rep.converged
         # independent oracle: run the scalar recursion x <- 2 - 1/x directly
@@ -73,7 +82,7 @@ class TestFixedPoint:
     @pytest.mark.parametrize("seed,rho", [(0, 0.3), (1, 0.8)])
     def test_monotone_decreasing(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
-        rep = nme.solve_fixed_point(rec.problem)
+        rep = nme.solve_fixed_point(rec.problem, nme.SolverConfig(record_history=True))
         eps = 1e-10 * np.linalg.norm(rec.problem.Q)
         for a, b in zip(rep.iterates, rep.iterates[1:]):
             assert min_eig(a - b) >= -eps
@@ -82,7 +91,7 @@ class TestFixedPoint:
 class TestInversionFree:
     def test_zero_a(self):
         p = nme.new_problem(np.zeros((2, 2)), 2.0 * np.eye(2))
-        rep = nme.solve_inversion_free(p)
+        rep = nme.solve_inversion_free(p, nme.SolverConfig(record_history=True))
         assert rep.converged and rep.iterations == 1
         assert np.allclose(rep.X, p.Q)
         # Y ascends toward Q^{-1} (here Y_0 is already Q^{-1})
@@ -105,7 +114,7 @@ class TestInversionFree:
     @pytest.mark.parametrize("seed,rho", [(2, 0.4), (3, 0.7)])
     def test_two_sided_monotonicity(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
-        rep = nme.solve_inversion_free(rec.problem)
+        rep = nme.solve_inversion_free(rec.problem, nme.SolverConfig(record_history=True))
         eps = 1e-10 * np.linalg.norm(rec.problem.Q)
         for a, b in zip(rep.iterates, rep.iterates[1:]):
             assert min_eig(a - b) >= -eps
@@ -115,7 +124,7 @@ class TestInversionFree:
 
     def test_error_coupled_to_inverse_error(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.6, seed=4))
-        rep = nme.solve_inversion_free(rec.problem)
+        rep = nme.solve_inversion_free(rec.problem, nme.SolverConfig(record_history=True))
         X_star = rec.known_solution
         X_star_inv = np.linalg.inv(X_star)
         a_sq = np.linalg.norm(rec.problem.A, 2) ** 2
@@ -209,6 +218,11 @@ class TestStein:
         with pytest.raises(SingularSteinOperator):
             nme.solve_stein(nme.SteinProblem(L=np.array([[c, -s], [s, c]]), C=np.eye(2)))
 
+    @pytest.mark.parametrize("L,C", [([[math.nan]], [[1.0]]), ([[0.5]], [[math.inf]])])
+    def test_non_finite_input(self, L, C):
+        with pytest.raises(NonFiniteInput):
+            nme.solve_stein(nme.SteinProblem(L=np.array(L), C=np.array(C)))
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)
@@ -228,7 +242,7 @@ class TestNewton:
 
     def test_scalar_quadratic(self):
         p = nme.new_problem(scalar(0.5), scalar(2.0))
-        rep = nme.solve_newton(p)
+        rep = nme.solve_newton(p, nme.SolverConfig(record_history=True))
         assert rep.converged
         assert rep.X[0, 0] == pytest.approx(scalar_x_plus(0.5, 2.0), abs=1e-12)
         res = [h.rel_residual for h in rep.history if h.rel_residual > 0]
@@ -238,7 +252,7 @@ class TestNewton:
 
     def test_critical_rate_one_half(self):
         p = nme.new_problem(scalar(1.0), scalar(2.0))
-        rep = nme.solve_newton(p, nme.SolverConfig(tol=1e-15, max_iter=60))
+        rep = nme.solve_newton(p, nme.SolverConfig(tol=1e-15, max_iter=60, record_history=True))
         xs = [float(m[0, 0]) for m in rep.iterates]
         # the scalar recursion is x <- 2x/(x+1): verify directly
         for x_prev, x_next in zip(xs, xs[1:]):
@@ -252,7 +266,7 @@ class TestNewton:
         # Newton on this equation from X_0 = Q stays above the maximal
         # solution and decreases monotonically
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
-        rep = nme.solve_newton(rec.problem)
+        rep = nme.solve_newton(rec.problem, nme.SolverConfig(record_history=True))
         eps = 1e-10 * np.linalg.norm(rec.problem.Q)
         for a, b in zip(rep.iterates, rep.iterates[1:]):
             assert min_eig(a - b) >= -eps
@@ -261,7 +275,7 @@ class TestNewton:
 
     def test_contraction_spectra_recorded(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=7))
-        rep = nme.solve_newton(rec.problem)
+        rep = nme.solve_newton(rec.problem, nme.SolverConfig(record_history=True))
         assert all(h.aux1 < 1.0 + 1e-8 for h in rep.history)
 
     def test_planted_n64(self):
@@ -295,7 +309,7 @@ class TestSda:
 
     def test_critical_closed_forms(self):
         p = nme.new_problem(scalar(1.0), scalar(2.0))
-        rep = nme.solve_sda(p, nme.SolverConfig(max_iter=45, min_iter=40))
+        rep = nme.solve_sda(p, nme.SolverConfig(max_iter=45, min_iter=40, record_history=True))
         qs = [float(m[0, 0]) for m in rep.iterates]
         ps = [float(m[0, 0]) for m in rep.aux_iterates["P"]]
         a_s = [float(m[0, 0]) for m in rep.aux_iterates["A"]]
@@ -307,7 +321,7 @@ class TestSda:
 
     def test_gap_eigenvalue_recorded_positive(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=8))
-        rep = nme.solve_sda(rec.problem)
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
         assert all(h.aux2 > 0.0 for h in rep.history)
 
     def test_breakdown_on_unsolvable(self):
@@ -318,7 +332,7 @@ class TestSda:
     @pytest.mark.parametrize("seed,rho", [(9, 0.5), (10, 0.9)])
     def test_order_relations_and_norm_bounds(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
-        rep = nme.solve_sda(rec.problem)
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
         X = rec.known_solution
         Q = rec.problem.Q
         eps = 1e-10 * np.linalg.norm(Q)
@@ -345,7 +359,8 @@ class TestSda:
 
 class TestSdaScalar:
     def test_critical_closed_forms(self):
-        rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(max_iter=45, min_iter=40))
+        rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(max_iter=45, min_iter=40,
+                                                             record_history=True))
         qs = [float(m[0, 0]) for m in rep.iterates]
         for k in range(41):
             two_k = 2.0 ** k
@@ -415,6 +430,33 @@ class TestCrossSolverProperties:
             solver(nme.new_problem(scalar(1e200), scalar(1.0)))
         assert info.value.report is not None and not info.value.report.converged
 
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_underflow_ends_typed(self, solver):
+        # ||Q||_F underflows to 0 unless it is rescaled; the problem has no
+        # solution, so every solver must fail with a report
+        with pytest.raises(NmeError) as info, np.errstate(all="ignore"):
+            solver(nme.new_problem(scalar(1e-170), scalar(1e-300)))
+        assert info.value.report is not None and not info.value.report.converged
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(k=st.integers(-1000, 1000), n=st.integers(1, 4), seed=st.integers(0, 1000),
+           rho=st.sampled_from([0.3, 0.6, 0.9]), solver=st.sampled_from(MATRIX_SOLVERS))
+    @example(k=900, n=4, seed=1, rho=0.9, solver=nme.solve_sda)
+    @example(k=-1000, n=4, seed=2, rho=0.6, solver=nme.solve_sda)
+    @example(k=1000, n=3, seed=3, rho=0.9, solver=nme.solve_newton)
+    def test_homogeneity(self, k, n, seed, rho, solver):
+        # (A, Q) -> (2^k A, 2^k Q) maps X to 2^k X, whether or not the
+        # squared entries overflow or underflow
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+        A, Q = rec.problem.A, rec.problem.Q
+        cfg = nme.SolverConfig(max_iter=1000)
+        base = solver(rec.problem, cfg)
+        scaled = solver(nme.new_problem(np.ldexp(A, k), np.ldexp(Q, k)), cfg)
+        assert base.converged and scaled.converged
+        assert scaled.iterations == base.iterations
+        X = np.ldexp(scaled.X, -k)
+        assert np.linalg.norm(X - base.X) <= 1e-12 * np.linalg.norm(base.X)
+
     def test_scalar_non_finite_never_converges(self):
         with pytest.raises(Diverged) as info:
             nme.solve_sda_scalar(1.0, math.inf)
@@ -438,7 +480,7 @@ class TestEstimateRate:
 
     def test_fixed_point_rate_matches_contraction(self):
         p = nme.new_problem(scalar(0.9), scalar(2.0))
-        rep = nme.solve_fixed_point(p)
+        rep = nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))
         est = nme.estimate_rate([h.rel_residual for h in rep.history])
         target = nme.spectral_radius_ratio(p, rep.X) ** 2
         assert est.kind == "linear"
@@ -454,7 +496,7 @@ class TestReports:
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=15))
         for solver in (nme.solve_fixed_point, nme.solve_inversion_free,
                        nme.solve_newton, nme.solve_sda):
-            rep = solver(rec.problem)
+            rep = solver(rec.problem, nme.SolverConfig(record_history=True))
             assert len(rep.history) == rep.iterations
             assert rep.converged
             assert rep.history[-1].rel_residual <= 1e-12
@@ -482,6 +524,55 @@ class TestReports:
         assert "iterate 1 is not finite" in str(info.value)
         assert "grew" not in str(info.value)
 
+    @pytest.mark.parametrize("solver", [nme.solve_sda, nme.solve_newton])
+    def test_default_solve_calls_no_eigen_routine(self, solver, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigenvalue routine called")
+
+        for module in (np.linalg, scipy.linalg):
+            monkeypatch.setattr(module, "eigvals", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
+        rep = solver(rec.problem)
+        assert rep.converged
+        assert rep.history == [] and rep.iterates == [] and rep.aux_iterates == {}
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_history_does_not_change_the_arithmetic(self, solver):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=20))
+        off = solver(rec.problem, nme.SolverConfig(max_iter=1000))
+        on = solver(rec.problem, nme.SolverConfig(max_iter=1000, record_history=True))
+        assert off.iterations == on.iterations
+        assert np.array_equal(off.X, on.X)
+
+    def test_rho_ratio_computed_once_on_read(self, monkeypatch):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=21))
+        rep = nme.solve_sda(rec.problem)
+        calls = []
+
+        def counting(W):
+            calls.append(W)
+            return spectral_radius(W)
+
+        monkeypatch.setattr(solvers, "spectral_radius", counting)
+        expected = spectral_radius(np.linalg.solve(rep.X, rec.problem.A))
+        assert rep.rho_ratio == expected
+        assert rep.rho_ratio == expected
+        assert len(calls) == 1
+        assert rep.rho_ratio == pytest.approx(0.9, abs=1e-6)
+
+    def test_rho_ratio_singular_x_is_nan(self):
+        rep = nme.SolveReport(X=np.zeros((2, 2)), iterations=0, converged=False, A=np.eye(2))
+        assert math.isnan(rep.rho_ratio)
+
+    def test_rho_ratio_of_partial_report(self):
+        p = nme.new_problem(scalar(1.0), scalar(2.0))
+        with pytest.raises(MaxIterationsExceeded) as info:
+            nme.solve_fixed_point(p, nme.SolverConfig(max_iter=5))
+        rep = info.value.report
+        assert rep.rho_ratio == spectral_radius(np.linalg.solve(rep.X, p.A))
+        assert 0.0 < rep.rho_ratio < 1.0
+
     def test_dispatch(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.3, seed=17))
         rep = nme.solve(rec.problem, nme.Algorithm.NEWTON)
@@ -489,7 +580,7 @@ class TestReports:
 
     def test_history_csv(self, tmp_path):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.5, seed=18))
-        rep = nme.solve_sda(rec.problem)
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
         path = tmp_path / "h.csv"
         nme.write_history_csv(rep, path)
         lines = path.read_text().splitlines()
