@@ -82,6 +82,11 @@ class DoublingBreakdown(SolverFailure):
     """The doubling iteration produced a non-SPD pivot block."""
 
 
+class Stagnated(SolverFailure):
+    """The solver's own stopping test passed (doubling: ||A_k||_F <= tol
+    ||A||_F) while the relative residual is still above tol."""
+
+
 class Diverged(SolverFailure):
     """The relative residual grew by more than 1e6 from its running minimum,
     or an iterate that met the stopping test is not finite."""

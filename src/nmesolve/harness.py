@@ -47,7 +47,6 @@ class ExperimentRecord:
     problem: NmeProblem
     known_solution: np.ndarray | None = None
     reports: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -81,15 +80,7 @@ def generate_problem(spec: GeneratorSpec) -> ExperimentRecord:
     Q = symmetric_part(X + S.T @ X @ S)
     problem = new_problem(A, Q)
     logger.debug("generated problem n=%d rho=%g seed=%d", n, spec.rho_target, spec.seed)
-    return ExperimentRecord(
-        problem=problem,
-        known_solution=X,
-        metadata={
-            "seed": spec.seed,
-            "rho_target": spec.rho_target,
-            "conditioning": spec.conditioning,
-        },
-    )
+    return ExperimentRecord(problem=problem, known_solution=X)
 
 
 def run_experiment(record: ExperimentRecord, algorithms,

@@ -23,15 +23,17 @@ Four algorithms share one reporting contract:
 ``solve_sda``
     Structure-preserving doubling: each step squares the effective spectral
     ratio, giving quadratic convergence for rho < 1 and linear rate 1/2 at
-    rho = 1.  ``solve_sda_scalar`` is the 1-by-1 specialization used by the
-    shifted scalar pipeline.
+    rho = 1.  ``solve_sda_scalar`` is its 1-by-1 call, used by the shifted
+    scalar pipeline.
 
 Each solver supplies only its update; one loop (``_Run.drive``) runs them
 all, so the stopping rule is shared, for fair benchmarking: relative residual
-||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol, and for doubling also
-||A_k||_F <= tol * ||A||_F.  Non-convergent runs, and runs whose X is not
-finite, raise a :class:`~nmesolve.exceptions.SolverFailure` subclass carrying
-the partial report.
+||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Doubling's own test
+||A_k||_F <= tol * ||A||_F also ends the run, but when it passes alone the
+run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and
+runs whose X is not finite, raise a
+:class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
+report.
 """
 
 import functools
@@ -53,6 +55,7 @@ from .exceptions import (
     NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
+    Stagnated,
 )
 from .problem import NmeProblem, fro_norm, residual_from, spectral_radius, symmetric_part
 
@@ -204,28 +207,33 @@ class _Run:
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
         """Run the update generator ``steps``: it yields (X_0, res_0 or None
-        when X_0 is not tested, aux_0, stop_0), then one (X_k, res_k, step_k,
-        aux1, aux2, aux_k, stop_k) per iteration, with ``aux`` the companion
+        when X_0 is not tested, aux_0, stop_0), then one (X_k, res_k, aux1,
+        aux2, aux_k, stop_k) per iteration, with ``aux`` the companion
         iterates by name (or None) and ``stop`` the solver's own stopping test
-        besides res <= tol."""
+        besides res <= tol.  The step norm ||X_k - X_{k-1}||_F is taken here,
+        and only when history or DEBUG logging wants it."""
         cfg = self.config
+        track_step = cfg.record_history or logger.isEnabledFor(logging.DEBUG)
         self.X, res, aux, stop = next(steps)
         self.capture(aux)
         if res is not None:
             if cfg.min_iter == 0 and (res <= cfg.tol or stop):
-                return self.converged()
+                return self.stopped(res)
             self.best_res = min(self.best_res, res)
         for self.k in range(1, cfg.max_iter + 1):
-            self.X, res, step, aux1, aux2, aux, stop = next(steps)
+            prev = self.X
+            self.X, res, aux1, aux2, aux, stop = next(steps)
             self.accepted = self.k
-            logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
-            if cfg.record_history:
-                self.history.append(
-                    HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
+            if track_step:
+                step = fro_norm(self.X - prev)
+                logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
+                if cfg.record_history:
+                    self.history.append(
+                        HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
             self.capture(aux)
             self.best_res = min(self.best_res, res)
             if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
-                return self.converged()
+                return self.stopped(res)
             if nonfinite_fatal and not math.isfinite(res):
                 detail = f"has residual {res:.3e}" if np.all(np.isfinite(self.X)) \
                     else "is not finite"
@@ -236,12 +244,10 @@ class _Run:
                     Diverged,
                     f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
                     f"minimum {self.best_res:.3e} at iteration {self.k}")
-        raise MaxIterationsExceeded(
-            f"{self.name}: no convergence within {cfg.max_iter} iterations "
-            f"(best relative residual {self.best_res:.3e})",
-            report=self.report(cfg.max_iter, False),
-            iteration=cfg.max_iter,
-        )
+        raise self.failure(
+            MaxIterationsExceeded,
+            f"no convergence within {cfg.max_iter} iterations "
+            f"(best relative residual {self.best_res:.3e})")
 
     def capture(self, aux: dict | None) -> None:
         if self.config.record_history:
@@ -249,9 +255,16 @@ class _Run:
             for key, val in (aux or {}).items():
                 self.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
 
-    def converged(self) -> SolveReport:
+    def stopped(self, res: float) -> SolveReport:
+        """The report of a run whose stopping test passed: converged only when
+        X is finite and the residual test passed."""
         if not np.all(np.isfinite(self.X)):
             raise self.failure(Diverged, f"iterate {self.k} met the stopping test but is not finite")
+        if not res <= self.config.tol:
+            raise self.failure(
+                Stagnated,
+                f"iterate {self.k} met the solver's own stopping test with relative "
+                f"residual {res:.3e} above tol {self.config.tol:g}")
         logger.info("%s converged in %d iterations", self.name, self.k)
         return self.report(self.k, True)
 
@@ -312,11 +325,9 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
         W = scipy.linalg.cho_solve((np.linalg.cholesky(X), True), A)
         yield X, None, None, False
         while True:
-            Xn = symmetric_part(Q - A.T @ W)
-            W = run.solve_spd(Xn)
-            step = fro_norm(Xn - X)
-            X = Xn
-            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, 0.0, 0.0, None, False
+            X = symmetric_part(Q - A.T @ W)
+            W = run.solve_spd(X)
+            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, 0.0, 0.0, None, False
 
     return run.drive(steps())
 
@@ -338,11 +349,9 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
         yield X, None, {"Y": Y}, False
         two_eye = 2.0 * np.eye(n)
         while True:
-            Yn = symmetric_part(Y @ (two_eye - X @ Y))
-            Xn = symmetric_part(Q - A.T @ Y @ A)
-            step = fro_norm(Xn - X)
-            X, Y = Xn, Yn
-            yield X, run.lu_residual(X), step, 0.0, 0.0, {"Y": Y}, False
+            # the X-update consumes the previous Y
+            X, Y = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y))
+            yield X, run.lu_residual(X), 0.0, 0.0, {"Y": Y}, False
 
     return run.drive(steps())
 
@@ -406,16 +415,14 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
             C = symmetric_part(Q - 2.0 * W.T @ A)
             try:
-                Xn = solve_stein(SteinProblem(L=W, C=C))
+                X = solve_stein(SteinProblem(L=W, C=C))
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
             except NonFiniteInput as exc:
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
-            W = run.solve_spd(Xn)
-            step = fro_norm(Xn - X)
-            X = Xn
-            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, step, rho_L, 0.0, None, False
+            W = run.solve_spd(X)
+            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, rho_L, 0.0, None, False
 
     return run.drive(steps())
 
@@ -452,54 +459,28 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             lu = scipy.linalg.lu_factor(D, check_finite=False)
             WA = scipy.linalg.lu_solve(lu, Ak, check_finite=False)
             WAT = scipy.linalg.lu_solve(lu, Ak.T, check_finite=False)
-            An = Ak @ WA
-            Qn = symmetric_part(Qk - Ak.T @ WA)
-            Pn = symmetric_part(Pk + Ak @ WAT)
-            step = fro_norm(Qn - Qk)
-            Ak, Qk, Pk = An, Qn, Pn
+            Ak, Qk, Pk = (Ak @ WA, symmetric_part(Qk - Ak.T @ WA),
+                          symmetric_part(Pk + Ak @ WAT))
             res = run.lu_residual(Qk)
             gap_min = (float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
                        if run.config.record_history else 0.0)
             a_norm = fro_norm(Ak)
-            yield (Qk, res, step, a_norm, gap_min, {"A": Ak, "P": Pk},
+            yield (Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk},
                    a_norm <= run.config.tol * a_scale)
 
     return run.drive(steps(), nonfinite_fatal=False)
 
 
 def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> SolveReport:
-    """Scalar doubling for x + a^2/x = q (q > 0).
-
-        a_{k+1} = a_k^2 / (q_k - p_k);  q_{k+1} = q_k - a_{k+1};
-        p_{k+1} = p_k + a_{k+1}
-
-    Agrees with :func:`solve_sda` on 1-by-1 inputs to roundoff.  The report
-    stores the scalar sequences as 1-by-1 arrays in ``iterates`` (q_k) and
-    ``aux_iterates`` ("A" for a_k, "P" for p_k).
-    """
+    """Doubling for the scalar equation x + a^2/x = q (q > 0): the 1-by-1
+    call of :func:`solve_sda`, so the report holds q_k in ``iterates`` and
+    a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  The problem is
+    not validated beyond q > 0, so q = inf ends in a solver failure."""
     a = float(a)
     q = float(q)
-    if q <= 0:
+    if not q > 0:
         raise NotPositiveDefinite("q", f"q = {q!r}")
-    run = _Run(np.array([[a]]), np.array([[q]]), config, "sda-scalar")
-
-    def steps():
-        ak, qk, pk = a, q, 0.0
-        a_scale = abs(a)
-        yield [[qk]], abs(q - qk - a * a / qk) / q, {"A": [[ak]], "P": [[pk]]}, a_scale == 0.0
-        while True:
-            d = qk - pk
-            if d <= 0.0:
-                raise run.failure(DoublingBreakdown, f"q_k - p_k = {d!r} at iteration {run.k}")
-            an = ak * ak / d
-            qn = qk - an
-            step = abs(qn - qk)
-            ak, qk, pk = an, qn, pk + an
-            res = abs(q - qk - a * a / qk) / q if qk > 0 else math.inf
-            yield ([[qk]], res, step, abs(ak), qk - pk, {"A": [[ak]], "P": [[pk]]},
-                   abs(ak) <= run.config.tol * a_scale)
-
-    return run.drive(steps(), nonfinite_fatal=False)
+    return solve_sda(NmeProblem(A=np.array([[a]]), Q=np.array([[q]])), config)
 
 
 _DISPATCH = {

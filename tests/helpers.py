@@ -6,7 +6,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from nmesolve import PencilForm, SymplecticPencil
+from nmesolve import PencilForm, SymplecticPencil, new_problem, symmetric_part
+from nmesolve.harness import _random_orthogonal
 
 
 def scalar_x_plus(a: float, q: float) -> float:
@@ -78,3 +79,25 @@ def pencil_with_spectrum(rng, entries):
         pairs.append((lam, R_inv @ w))
     pen = SymplecticPencil(M=M.astype(complex), L=L.astype(complex), form=PencilForm.GENERAL)
     return pen, np.asarray(spectrum, dtype=complex), pairs
+
+
+def nonnormal_planted(n: int, rho: float, eta: float, seed: int):
+    """Planted problem whose S = X^{-1} A is not normal; returns (problem, X).
+
+    Draws like :func:`nmesolve.generate_problem` (same generator, same order,
+    conditioning 10), then one more Gaussian N, and sets S = U T U^T with
+    T = diag(s) + triu(eta N / sqrt(n), 1).  T is triangular, so rho(S) is
+    still ``rho`` and X is still the maximal solution.
+    """
+    rng = np.random.default_rng(seed)
+    u1 = _random_orthogonal(rng, n)
+    x_eigs = np.exp(rng.uniform(0.0, np.log(10.0), n))
+    X = symmetric_part(u1 @ np.diag(x_eigs) @ u1.T)
+    s_eigs = np.empty(n)
+    s_eigs[0] = rho
+    s_eigs[1:] = rng.uniform(0.0, rho, n - 1)
+    u2 = _random_orthogonal(rng, n)
+    T = np.diag(s_eigs) + np.triu(eta * rng.standard_normal((n, n)) / math.sqrt(n), 1)
+    S = u2 @ T @ u2.T
+    A = X @ S
+    return new_problem(A, symmetric_part(X + S.T @ X @ S)), X

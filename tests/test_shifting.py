@@ -357,6 +357,11 @@ class TestSolveScalarShifted:
         with pytest.raises(InvalidR):
             nme.solve_scalar_shifted(1.0, 2.0, r_schedule=[])
 
+    @pytest.mark.parametrize("a", [1e-200, -1e-200, 1e200])
+    def test_extreme_scale(self, a):
+        res = nme.solve_scalar_shifted(a, 2.0 * abs(a))
+        assert abs(res.x_plus - abs(a)) <= 1e-10 * abs(a)
+
     def test_scaled_coefficient(self):
         result = nme.solve_scalar_shifted(3.0, 6.0)
         assert abs(result.x_plus - 3.0) <= 3e-10

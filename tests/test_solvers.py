@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import min_eig, scalar_x_plus
+from helpers import min_eig, nonnormal_planted, scalar_x_plus
 from nmesolve import solvers
 from nmesolve.exceptions import (
     Diverged,
@@ -19,6 +19,7 @@ from nmesolve.exceptions import (
     NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
+    Stagnated,
 )
 from nmesolve.problem import spectral_radius
 
@@ -324,6 +325,17 @@ class TestSda:
         rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
         assert all(h.aux2 > 0.0 for h in rep.history)
 
+    def test_small_a_k_alone_is_stagnation(self):
+        # non-normal S: ||A_k|| falls below tol ||A|| at step 10 while the
+        # residual stays at 3e-7 (forward error 2e-4), and stays there
+        problem, _ = nonnormal_planted(n=32, rho=0.9, eta=3.0, seed=3)
+        with pytest.raises(Stagnated) as info:
+            nme.solve_sda(problem)
+        report = info.value.report
+        assert report is not None and not report.converged
+        assert info.value.iteration == report.iterations == 10
+        assert nme.residual(problem, report.X).rel_norm > 1e-8
+
     def test_breakdown_on_unsolvable(self):
         p = nme.new_problem(scalar(1.0), scalar(1.0))
         with pytest.raises(DoublingBreakdown):
@@ -384,6 +396,13 @@ class TestSdaScalar:
     def test_breakdown(self):
         with pytest.raises(DoublingBreakdown):
             nme.solve_sda_scalar(1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e200])
+    def test_extreme_scale(self, a):
+        # a * a underflows or overflows; x+ = a (3 + sqrt 5) / 2 for q = 3a
+        rep = nme.solve_sda_scalar(a, 3.0 * a)
+        assert rep.converged
+        assert rep.X[0, 0] / a == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
 
     @pytest.mark.parametrize("a,q", [(0.5, 2.0), (1.0, 2.0), (2.0, 5.0), (0.0, 3.0)])
     def test_matches_matrix_sda(self, a, q):
