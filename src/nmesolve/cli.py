@@ -187,8 +187,11 @@ def _scalar_error_iteration(report, x_ref: float, target: float):
 def _cmd_scalar_critical(args) -> int:
     a, q = args.a, args.q
     print(f"scalar-critical a={serialize.format_float(a)} q={serialize.format_float(q)}")
-    disc = q * q - 4.0 * a * a
-    x_ref = (q + math.sqrt(disc)) / 2.0 if disc >= 0 else None
+    # x+ = (q + sqrt(q^2 - 4a^2)) / 2, with a and q divided by s first so
+    # that the squares neither overflow nor underflow
+    s = max(abs(a), abs(q)) or 1.0
+    disc = (q / s) ** 2 - 4.0 * (a / s) ** 2
+    x_ref = s * (q / s + math.sqrt(disc)) / 2.0 if disc >= 0 else None
 
     # run plain doubling past convergence so the error history reaches the
     # reporting target even in the critical case (error 2^-k needs ~40 steps)
@@ -203,7 +206,7 @@ def _cmd_scalar_critical(args) -> int:
         return 1
     plain_x = float(plain.X[0, 0])
     if x_ref is not None:
-        target = SCALAR_ERROR_TARGET * max(1.0, abs(x_ref))
+        target = SCALAR_ERROR_TARGET * abs(x_ref)
         hit = _scalar_error_iteration(plain, x_ref, target)
         hit_text = "not-reached" if hit is None else str(hit)
         print(f"plain-sda iterations-to-error-{SCALAR_ERROR_TARGET:g}={hit_text} "
@@ -211,7 +214,7 @@ def _cmd_scalar_critical(args) -> int:
               f"stopped-at={plain.iterations} converged={int(plain.converged)}")
     else:
         print(f"plain-sda stopped-at={plain.iterations} converged={int(plain.converged)} "
-              f"(no real solution: discriminant {disc:g} < 0)")
+              f"(no real solution: q^2 - 4a^2 < 0)")
 
     schedule = tuple(args.schedule) if args.schedule else DEFAULT_R_SCHEDULE
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)

@@ -8,20 +8,21 @@ definite.  A problem instance pairs with a 2n-by-2n matrix pencil (M, L):
 
 whose generalized eigenvalues carry the spectrum of X^{-1}A for any solution
 X.  The pencil is symplectic, M J M^T = L J L^T, so its spectrum is closed
-under lambda -> 1/lambda.  Solvability is probed through the rational matrix
-function psi(lambda) = Q + lambda A + lambda^{-1} A^T, which must be positive
-semidefinite on the unit circle for a positive definite solution to exist.
+under lambda -> 1/lambda.  Solvability is decided through the rational matrix
+function psi(lambda) = Q + lambda A + lambda^{-1} A^T: a positive definite
+solution exists iff psi is positive semidefinite on the unit circle, and the
+pencil's unimodular eigenvalues locate the points where psi is singular.
 
 All symmetric intermediates are re-symmetrized as (X + X^T)/2: roundoff
 destroys exact symmetry and downstream factorizations assume it.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import cho_solve
 
 from . import serialize
@@ -59,6 +60,13 @@ __all__ = [
 
 #: Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
+
+#: How far |alpha| and |beta| of a pencil eigenvalue may differ, relative to
+#: the larger, for ``solvability_check`` to treat it as unimodular.  Loose on
+#: purpose: rounding moves a defective unimodular pair off the circle by about
+#: sqrt(eps * condition), and an extra critical angle costs one evaluation of
+#: psi but cannot change a correct verdict.
+UNIMODULAR_RTOL = 1e-4
 
 
 class PencilForm(Enum):
@@ -277,32 +285,95 @@ def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
     return problem.Q.astype(complex) + lam * problem.A + (1.0 / lam) * problem.A.T
 
 
-def solvability_check(problem: NmeProblem, samples: int = 512, tol: float = 1e-10) -> SolvabilityVerdict:
-    """Sampled positivity check of psi on the unit circle.
+def _min_eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas, chunk: int) -> np.ndarray:
+    """lambda_min(psi(e^{i theta})) for each theta, from stacked eigvalsh
+    calls of at most ``chunk`` matrices each (eigvalsh reads the lower
+    triangle, so psi need not be re-symmetrized)."""
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty(thetas.size)
+    for start in range(0, thetas.size, chunk):
+        z = np.exp(1j * thetas[start:start + chunk])[:, None, None]
+        H = z * A
+        H += z.conj() * A.T
+        H += Q
+        out[start:start + chunk] = np.linalg.eigvalsh(H)[:, 0]
+    return out
 
-    The minimum eigenvalue of the Hermitian part of psi(e^{i theta}) is taken
-    over ``samples`` equispaced angles.  NOT_SOLVABLE when some sample drops
-    below -tol; SOLVABLE when all samples clear -tol and psi is regular
-    (nonzero determinant at lambda = 1 or lambda = i); INCONCLUSIVE when the
-    regularity probe fails.  This is a sampled necessary condition, not an
-    exact certificate.
+
+def _golden_min(f, a: float, b: float, xtol: float) -> float:
+    """Smallest value of f met by a golden-section search on [a, b]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10) -> SolvabilityVerdict:
+    """Decide whether the maximal solution X+ exists, from the pencil.
+
+    X+ exists iff psi(e^{i theta}) is positive semidefinite on the whole
+    unit circle (Engwerda, Ran & Rijkeboer, LAA 186, 1993).  Its smallest
+    eigenvalue can change sign only where psi is singular, and since
+    det(M - lambda L) = +-lambda^n det psi(-1/lambda), psi is singular on the
+    circle exactly at mu = -conj(lambda) for the unimodular eigenvalues
+    lambda of the SSF-2 pencil.  One real QZ of the pencil gives these
+    critical angles; psi(e^{-i theta}) = conj psi(e^{i theta}), so they fold
+    into [0, pi].  lambda_min(psi) is then evaluated at
+
+    * the angles 2 pi j / ``samples`` in [0, pi] (a coarse grid),
+    * each critical angle and one midpoint of each arc between them,
+    * a golden-section search to 1e-7 rad around the best grid point,
+
+    and ``min_eig_on_circle`` is the smallest value found.  NOT_SOLVABLE
+    when some value is below -tol; otherwise SOLVABLE when the pencil is
+    regular (no eigenvalue pair (alpha, beta) with both entries negligible),
+    INCONCLUSIVE when it is not.  A and Q are first divided by the smallest
+    power of two above their largest entry, so ``tol`` is relative to that
+    scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and scales the
+    minimum by 2^k.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    min_eig = math.inf
-    for j in range(samples):
-        lam = cmath.exp(2j * math.pi * j / samples)
-        H = psi(problem, lam)
-        H = (H + H.conj().T) / 2.0
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(H).min()))
-    regular = any(abs(np.linalg.det(psi(problem, lam))) > 1e-300 for lam in (1.0, 1j))
+    scale = math.ldexp(1.0, math.frexp(max(np.max(np.abs(problem.A)),
+                                           np.max(np.abs(problem.Q))))[1])
+    A, Q = problem.A / scale, problem.Q / scale
+    pen = build_pencil(NmeProblem(A=A, Q=Q))
+    M, L = pen.M.real, pen.L.real
+    alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
+    mod_a, mod_b = np.abs(alpha), np.abs(beta)
+    tiny = pen.dim * np.finfo(float).eps
+    negligible = (mod_a <= tiny * np.linalg.norm(M)) & (mod_b <= tiny * np.linalg.norm(L))
+    regular = not np.any(negligible)
+    unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
+    # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
+    critical = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
+    edges = np.concatenate(([0.0], critical, [math.pi]))
+    chunk = samples // 2 + 1
+    step = 2.0 * math.pi / samples
+    grid = step * np.arange(chunk)
+    on_grid = _min_eigs_on_circle(A, Q, grid, chunk)
+    on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
+                                  chunk)
+    best = grid[np.argmin(on_grid)]
+    refined = _golden_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
+                          best - step, best + step, 1e-7)
+    min_eig = min(float(on_grid.min()), float(on_arcs.min()), refined)
     if min_eig < -tol:
         verdict = Verdict.NOT_SOLVABLE
     elif regular:
         verdict = Verdict.SOLVABLE
     else:
         verdict = Verdict.INCONCLUSIVE
-    return SolvabilityVerdict(regular=regular, min_eig_on_circle=min_eig,
+    return SolvabilityVerdict(regular=regular, min_eig_on_circle=scale * min_eig,
                               samples=samples, verdict=verdict)
 
 

@@ -85,6 +85,9 @@ DIVERGENCE_FACTOR = 1e6
 #: Mean step ratio at or above which a history is classified as stalled.
 STALL_RATIO = 0.999
 
+#: Relative excess of tr(X_k) over tr(Q) at which Newton stops as diverged.
+NEWTON_TRACE_RTOL = 1e-8
+
 
 class Algorithm(Enum):
     FIXED_POINT = "fixed-point"
@@ -274,7 +277,8 @@ class _Run:
             W = np.linalg.solve(X, self.A)
         except np.linalg.LinAlgError:
             return math.inf
-        res = residual_from(self.A, self.Q, X, W, self.q_fro).rel_norm
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = residual_from(self.A, self.Q, X, W, self.q_fro).rel_norm
         return res if math.isfinite(res) else math.inf
 
     def solve_spd(self, X: np.ndarray) -> np.ndarray:
@@ -401,10 +405,17 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
 
     With history on, each record stores rho(L_k) in aux1; these stay below
     one while the iteration is healthy.  The iterates descend monotonically
-    from Q toward the maximal solution.
+    from Q toward the maximal solution, so an iterate whose trace exceeds
+    tr(Q) by more than :data:`NEWTON_TRACE_RTOL` raises
+    :class:`~nmesolve.exceptions.Diverged`.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
+    # when X+ exists, Q >= X_k >= X+ for every k, so a trace above Q's
+    # (beyond roundoff) means there is no X+ to descend to; traces are taken
+    # of X / max diag(Q) and Q / max diag(Q), which cannot overflow for Q
+    q_max = float(np.max(np.diag(Q)))
+    tr_q = float(np.sum(np.diag(Q) / q_max))
 
     def steps():
         X = Q.copy()
@@ -421,6 +432,11 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                                   f"Stein operator singular at iteration {run.k}") from exc
             except NonFiniteInput as exc:
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
+            with np.errstate(over="ignore"):
+                rise = float(np.sum(np.diag(X) / q_max)) / tr_q
+            if rise > 1.0 + NEWTON_TRACE_RTOL:
+                raise run.failure(
+                    Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
             W = run.solve_spd(X)
             yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, rho_L, 0.0, None, False
 

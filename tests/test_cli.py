@@ -173,6 +173,19 @@ class TestScalarCritical:
         err = float(re.search(r"x-plus=\S+ error=(\S+)", out).group(1))
         assert err <= 1e-10
 
+    @pytest.mark.parametrize("exp", [-200, 200])
+    def test_extreme_scales_match_unit_scale(self, capsys, exp):
+        # x+ = (q + sqrt(q^2 - 4a^2)) / 2 loses q^2 and 4a^2 to underflow
+        # (or overflow) unless a and q are divided down first
+        _, unit, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "3")
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", f"1e{exp}", "--q", f"3e{exp}")
+        assert code == 0
+        hits = [re.search(r"iterations-to-error-1e-12=(\d+)", text).group(1)
+                for text in (unit, out)]
+        assert hits[0] == hits[1]
+        err = float(re.search(r"final-error=(\S+)", out).group(1))
+        assert err <= 1e-15 * 2.618 * 10.0 ** exp
+
     def test_noncritical_skips_shifted(self, capsys):
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "0.5", "--q", "2")
         assert code == 0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nmesolve as nme
 from helpers import match_distance, scalar_x_plus
@@ -190,6 +192,47 @@ class TestSolvabilityCheck:
     def test_generated_problems_solvable(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
         assert nme.solvability_check(rec.problem).verdict is nme.Verdict.SOLVABLE
+
+    @pytest.mark.parametrize("samples", [64, 512])
+    def test_dip_between_samples(self, samples):
+        # A = R(phi): lambda_min(psi(e^{i theta})) = q + 2 cos(theta + phi) dips
+        # to q - 2 = -1e-6 on an arc about 2e-3 wide around pi - phi, which
+        # falls between the 512 sample angles
+        phi = math.pi / 512
+        A = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        v = nme.solvability_check(nme.new_problem(A, (2.0 - 1e-6) * np.eye(2)), samples=samples)
+        assert v.verdict is nme.Verdict.NOT_SOLVABLE
+        assert v.min_eig_on_circle == pytest.approx(-1e-6, abs=1e-12)
+
+    def test_small_scale_solvable(self):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.9, seed=1))
+        p = nme.new_problem(1e-6 * rec.problem.A, 1e-6 * rec.problem.Q)
+        v = nme.solvability_check(p)
+        assert v.verdict is nme.Verdict.SOLVABLE and v.regular
+        assert v.min_eig_on_circle > 0.0
+
+    def test_singular_pencil_inconclusive(self):
+        # det psi(lambda) = 1 - 1 = 0 for every lambda, while psi >= 0 on the circle
+        v = nme.solvability_check(nme.new_problem([[0.0, 0.0], [1.0, 0.0]], np.eye(2)))
+        assert not v.regular
+        assert v.verdict is nme.Verdict.INCONCLUSIVE
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(k=st.integers(-1000, 1000), n=st.integers(1, 4), seed=st.integers(0, 1000),
+           rho=st.sampled_from([0.3, 0.9, 1.0]))
+    @example(k=-1000, n=1, seed=0, rho=1.0)
+    @example(k=1000, n=4, seed=3, rho=0.9)
+    def test_homogeneity(self, k, n, seed, rho):
+        # (A, Q) -> (2^k A, 2^k Q) keeps the verdict and scales the minimum by 2^k
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+        A, Q = rec.problem.A, rec.problem.Q
+        for p in (rec.problem, nme.new_problem(A, 0.5 * Q)):
+            base = nme.solvability_check(p)
+            scaled = nme.solvability_check(nme.new_problem(np.ldexp(p.A, k), np.ldexp(p.Q, k)))
+            assert scaled.verdict is base.verdict
+            assert scaled.regular == base.regular
+            assert math.ldexp(scaled.min_eig_on_circle, -k) == pytest.approx(
+                base.min_eig_on_circle, rel=1e-12, abs=0.0)
 
 
 class TestSpectralRadiusRatio:

@@ -286,6 +286,21 @@ class TestNewton:
         assert rep.converged
         assert np.linalg.norm(rep.X - X_plus) <= 1e-9 * np.linalg.norm(X_plus)
 
+    def test_iterate_above_q_diverges(self):
+        # no X+ exists; X_1 = (1 - 2e260) / (1 - 1e260) = 2 > Q, and without
+        # the descent guard the residual only halves per step for 200 steps
+        with pytest.raises(Diverged) as info:
+            nme.solve_newton(nme.new_problem(scalar(1e130), scalar(1.0)))
+        assert info.value.iteration <= 3
+        assert info.value.report is not None and not info.value.report.converged
+
+    def test_descent_guard_near_overflow(self):
+        # tr(Q) = 2.4e308 overflows; the guard must neither warn nor fire
+        p = nme.new_problem(1e307 * np.eye(3), 8e307 * np.eye(3))
+        rep = nme.solve_newton(p)
+        assert rep.converged
+        assert rep.X[0, 0] == pytest.approx(8e307 * scalar_x_plus(0.125, 1.0), rel=1e-12)
+
     def test_singular_stein_propagates_iteration(self):
         p = nme.new_problem(scalar(1.0), scalar(1.0))
         with pytest.raises(SingularSteinOperator) as info:
