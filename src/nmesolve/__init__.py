@@ -5,7 +5,6 @@ from .exceptions import NmeError
 from .harness import ExperimentRecord, GeneratorSpec, generate_problem, run_experiment
 from .problem import (
     NmeProblem,
-    PencilForm,
     Residual,
     SolvabilityVerdict,
     SymplecticPencil,

@@ -38,7 +38,6 @@ from .exceptions import (
 
 __all__ = [
     "NmeProblem",
-    "PencilForm",
     "SymplecticPencil",
     "Residual",
     "Verdict",
@@ -69,11 +68,6 @@ SYMMETRY_RTOL = 1e-12
 UNIMODULAR_RTOL = 1e-4
 
 
-class PencilForm(Enum):
-    SSF2 = "ssf2"
-    GENERAL = "general"
-
-
 class Verdict(Enum):
     SOLVABLE = "solvable"
     NOT_SOLVABLE = "not-solvable"
@@ -94,12 +88,12 @@ class NmeProblem:
 
 @dataclass(frozen=True)
 class SymplecticPencil:
-    """A 2n-by-2n complex pair (M, L); ``form`` records whether the SSF-2
-    block layout is guaranteed."""
+    """A 2n-by-2n pair (M, L).  The factors keep the dtype of their data:
+    real for a pencil built from a problem or shifted by conjugate-closed
+    targets, complex otherwise."""
 
     M: np.ndarray
     L: np.ndarray
-    form: PencilForm = PencilForm.GENERAL
 
     def __post_init__(self):
         M, L = self.M, self.L
@@ -216,13 +210,13 @@ def residual(problem: NmeProblem, X) -> Residual:
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
-    """Assemble the SSF-2 pencil of the problem (with P = 0)."""
+    """Assemble the SSF-2 pencil of the problem (with P = 0), in real arrays."""
     n = problem.n
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    M = np.block([[problem.A, zero], [problem.Q, -eye]]).astype(complex)
-    L = np.block([[zero, eye], [problem.A.T, zero]]).astype(complex)
-    return SymplecticPencil(M=M, L=L, form=PencilForm.SSF2)
+    M = np.block([[problem.A, zero], [problem.Q, -eye]])
+    L = np.block([[zero, eye], [problem.A.T, zero]])
+    return SymplecticPencil(M=M, L=L)
 
 
 def canonical_skew(n: int) -> np.ndarray:
@@ -347,7 +341,7 @@ def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10
                                            np.max(np.abs(problem.Q))))[1])
     A, Q = problem.A / scale, problem.Q / scale
     pen = build_pencil(NmeProblem(A=A, Q=Q))
-    M, L = pen.M.real, pen.L.real
+    M, L = pen.M, pen.L
     alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
     mod_a, mod_b = np.abs(alpha), np.abs(beta)
     tiny = pen.dim * np.finfo(float).eps

@@ -45,7 +45,7 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import PencilForm, SymplecticPencil
+from .problem import SymplecticPencil
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
@@ -79,6 +79,9 @@ FACTOR_RTOL = 1e-10
 #: defective) eigenvalue when hunting for unimodular values.
 CLUSTER_TOL = 1e-6
 
+#: Computed eigenvalues with |1 - |lambda|| at most this count as unimodular.
+UNIMODULAR_TOL = 1e-6
+
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
 
 
@@ -103,12 +106,12 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class UnimodularReport:
-    """Generalized eigenvalues with |1 - |lambda|| <= tol, one entry per
-    independent eigenvector (a defective eigenvalue appears once)."""
+    """Generalized eigenvalues with |1 - |lambda|| <= UNIMODULAR_TOL, each
+    cluster of k computed values reported ceil(k/2) times (a defective pair
+    appears once), with one eigenvector column per entry."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,11 @@ def _check_eigenpair(M, L, v, lam, index=None):
 
 
 def _trim_imag(M: np.ndarray) -> np.ndarray:
-    """Zero the imaginary part when it is negligible against the matrix scale."""
+    """Drop the imaginary part when it is negligible against the matrix scale,
+    so a pencil that stays real keeps its real QZ."""
     scale = float(np.linalg.norm(M))
     if scale == 0.0 or float(np.max(np.abs(M.imag))) <= 1e-10 * scale:
-        return M.real.astype(complex)
+        return M.real
     return M
 
 
@@ -152,8 +156,8 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     """Replace the eigenvalue lambda0 (eigenvector v) by lambda1.
 
     Requires M v = lambda0 L v to roundoff accuracy and r^T v = 1 (plain
-    transpose, no conjugation).  Returns (M + (lambda1 - lambda0) L v r^T, L)
-    tagged as a general-form pencil.
+    transpose, no conjugation).  Returns (M + (lambda1 - lambda0) L v r^T, L),
+    real when the update leaves only a negligible imaginary part.
     """
     M, L = pencil.M, pencil.L
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -167,7 +171,7 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     if abs(rv - 1.0) > 1e-10 * max(1.0, float(np.linalg.norm(r) * np.linalg.norm(v))):
         raise NotNormalized(f"r^T v = {rv!r}, expected 1")
     Mn = M + (lambda1 - lambda0) * np.outer(L @ v, r)
-    return SymplecticPencil(M=_trim_imag(Mn), L=L.copy(), form=PencilForm.GENERAL)
+    return SymplecticPencil(M=_trim_imag(Mn), L=L.copy())
 
 
 def _reciprocal_closed(values: np.ndarray, rtol: float = 1e-8) -> bool:
@@ -251,7 +255,7 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
         )
     Mn = M + L @ V @ R1.T
     Ln = L + M @ V @ R2.T
-    return SymplecticPencil(M=_trim_imag(Mn), L=_trim_imag(Ln), form=PencilForm.GENERAL)
+    return SymplecticPencil(M=_trim_imag(Mn), L=_trim_imag(Ln))
 
 
 def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
@@ -286,38 +290,23 @@ def generalized_eigenvalues(pencil: SymplecticPencil) -> np.ndarray:
         raise EigensolverFailure(str(exc)) from exc
 
 
-def _refined_vector(M, L, lam, v):
-    """One inverse-iteration step; keeps whichever vector has the smaller residual."""
-    detune = lam * 1e-10 + 1e-14
-    try:
-        w = np.linalg.solve(M - (lam + detune) * L, L @ v)
-    except np.linalg.LinAlgError:
-        return v
-    norm = np.linalg.norm(w)
-    if not np.isfinite(norm) or norm == 0.0:
-        return v
-    w = w / norm
-    if np.linalg.norm(M @ w - lam * L @ w) < np.linalg.norm(M @ v - lam * L @ v):
-        return w
-    return v
-
-
-def detect_unimodular(pencil: SymplecticPencil, tol: float = 1e-6) -> UnimodularReport:
+def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     """Find generalized eigenvalues on (or near) the unit circle.
 
-    Computed eigenvalues within :data:`CLUSTER_TOL` of each other are merged
+    Computed eigenvalues within :data:`UNIMODULAR_TOL` of the circle are
+    selected, and those within :data:`CLUSTER_TOL` of each other are merged
     and represented by their mean, which recovers a defective eigenvalue to
-    roundoff; the reported eigenvectors span the null space of M - lambda L
-    at the representative, refined by one inverse-iteration step.  A
-    defective eigenvalue is therefore reported once, with its single
-    independent eigenvector.
+    roundoff.  A cluster of k computed values reports ceil(k/2) copies of
+    its mean: when the maximal solution exists, [I; X+] spans exactly half
+    of each unimodular root subspace (Lancaster & Rodman, Algebraic Riccati
+    Equations, 1995), so a defective pair at lambda = 1 is reported once.
+    The vectors are the right singular vectors of M - lambda L for its
+    smallest singular values.
     """
-    if not 0.0 < tol < 0.5:
-        raise ValueError("tol must lie in (0, 0.5)")
     M, L = pencil.M, pencil.L
     eigs = generalized_eigenvalues(pencil)
     finite = eigs[np.isfinite(eigs)]
-    selected = [complex(w) for w in finite if abs(1.0 - abs(w)) <= tol]
+    selected = [complex(w) for w in finite if abs(1.0 - abs(w)) <= UNIMODULAR_TOL]
     # merge computed values that belong to one (possibly defective) eigenvalue
     clusters: list[list[complex]] = []
     for w in sorted(selected, key=lambda z: (z.real, z.imag)):
@@ -329,24 +318,16 @@ def detect_unimodular(pencil: SymplecticPencil, tol: float = 1e-6) -> Unimodular
             clusters.append([w])
     values: list[complex] = []
     vectors: list[np.ndarray] = []
-    l_norm = float(np.linalg.norm(L))
     for cluster in sorted(clusters, key=lambda c: (np.mean(c).real, np.mean(c).imag)):
         rep = complex(np.mean(cluster))
-        spread = max(abs(u - rep) for u in cluster)
-        B = M - rep * L
-        s, vh = np.linalg.svd(B)[1:]
-        thresh = max(1e-8 * s[0], 4.0 * spread * l_norm, 1e-300)
-        nullity = int(np.sum(s <= thresh))
-        count = min(max(nullity, 1), len(cluster))
-        basis = vh.conj().T[:, vh.shape[0] - count:]
-        for i in range(count):
-            v = _refined_vector(M, L, rep, basis[:, i])
-            values.append(rep)
-            vectors.append(v)
-    eigenvectors = (np.column_stack(vectors) if vectors
+        count = (len(cluster) + 1) // 2
+        vh = np.linalg.svd(M - rep * L)[2]
+        values += [rep] * count
+        vectors.append(vh[-count:].conj().T)
+    eigenvectors = (np.hstack(vectors) if vectors
                     else np.zeros((pencil.dim, 0), dtype=complex))
     return UnimodularReport(eigenvalues=np.asarray(values, dtype=complex),
-                            eigenvectors=eigenvectors, tol=float(tol))
+                            eigenvectors=eigenvectors)
 
 
 def shifted_scalar_problem(a: float, r: float) -> tuple[float, float]:
@@ -455,7 +436,7 @@ def load_pencil(path) -> SymplecticPencil:
         raise ProblemFileError(f"{path}: dim must be a positive even integer")
     M = _from_interleaved(data["M"], (dim, dim), "M")
     L = _from_interleaved(data["L"], (dim, dim), "L")
-    return SymplecticPencil(M=M, L=L, form=PencilForm.GENERAL)
+    return SymplecticPencil(M=M, L=L)
 
 
 def load_shift_spec(path, dim: int) -> ShiftSpec:
@@ -470,6 +451,8 @@ def load_shift_spec(path, dim: int) -> ShiftSpec:
     for key in ("V", "lambda", "lambda_hat"):
         if key not in data:
             raise ProblemFileError(f"{path}: missing key {key!r}")
+    if not isinstance(data["lambda"], list):
+        raise ProblemFileError(f"{path}: lambda must be a list of interleaved numbers")
     lam = _from_interleaved(data["lambda"], (len(data["lambda"]) // 2,), "lambda")
     k = lam.size
     V = _from_interleaved(data["V"], (dim, k), "V")

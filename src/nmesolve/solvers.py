@@ -121,8 +121,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.min_iter < 0:
-            raise ValueError("min_iter must be nonnegative")
+        if not 0 <= self.min_iter <= self.max_iter:
+            raise ValueError("min_iter must lie in [0, max_iter]")
 
 
 @dataclass(frozen=True)
@@ -471,7 +471,7 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                                   f"Q_k - P_k lost positive definiteness at iteration {run.k}")
             # LU for the arithmetic: a Cholesky solve routes through sqrt(D),
             # whose rounding gets amplified by 2^k as Q_k - P_k collapses in the
-            # critical case (and would break agreement with the scalar recursion)
+            # critical case
             lu = scipy.linalg.lu_factor(D, check_finite=False)
             WA = scipy.linalg.lu_solve(lu, Ak, check_finite=False)
             WAT = scipy.linalg.lu_solve(lu, Ak.T, check_finite=False)

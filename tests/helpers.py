@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from nmesolve import PencilForm, SymplecticPencil, new_problem, symmetric_part
+from nmesolve import SymplecticPencil, new_problem, symmetric_part
 from nmesolve.harness import _random_orthogonal
 
 
@@ -77,7 +77,7 @@ def pencil_with_spectrum(rng, entries):
         w = np.zeros(dim, dtype=complex)
         w[off:off + emb.size] = emb
         pairs.append((lam, R_inv @ w))
-    pen = SymplecticPencil(M=M.astype(complex), L=L.astype(complex), form=PencilForm.GENERAL)
+    pen = SymplecticPencil(M=M.astype(complex), L=L.astype(complex))
     return pen, np.asarray(spectrum, dtype=complex), pairs
 
 

@@ -198,12 +198,19 @@ class TestScalarCritical:
         assert out.count("shifted r=") == 2
 
 
+def child_env(**extra):
+    """Environment for a child interpreter that imports this copy of nmesolve."""
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(nme.__file__)))
+    path = os.pathsep.join(p for p in (parent, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "p.json"
     proc = subprocess.run(
         [sys.executable, "-m", "nmesolve", "generate", "--n", "2", "--rho", "0.5",
          "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(out.read_text())["n"] == 2
 
@@ -213,6 +220,6 @@ def test_log_level_env_var(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nmesolve", "generate", "--n", "2", "--rho", "0.5",
          "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "NME_LOG": "debug"})
+        capture_output=True, text=True, env=child_env(NME_LOG="debug"))
     assert proc.returncode == 0
     assert "generated problem" in proc.stderr

@@ -100,7 +100,6 @@ class TestBuildPencil:
         pen = nme.build_pencil(nme.new_problem([[1.0]], [[2.0]]))
         assert np.array_equal(pen.M.real, [[1.0, 0.0], [2.0, -1.0]])
         assert np.array_equal(pen.L.real, [[0.0, 1.0], [1.0, 0.0]])
-        assert pen.form is nme.PencilForm.SSF2
 
     def test_zero_a_blocks(self):
         pen = nme.build_pencil(nme.new_problem([[0.0]], [[1.0]]))

@@ -7,6 +7,7 @@ import scipy.linalg
 
 import nmesolve as nme
 from helpers import match_distance, pencil_with_spectrum, scalar_x_plus
+from nmesolve.shifting import UNIMODULAR_TOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
     InvalidR,
@@ -35,7 +36,6 @@ class TestShiftSingle:
         out = nme.shift_single(pen, [1.0, 1.0], 1.0, 0.9, [1.0, 0.0])
         assert np.allclose(out.M.real, [[0.9, 0.0], [1.9, -1.0]], atol=1e-15)
         assert np.allclose(out.L, pen.L)
-        assert out.form is nme.PencilForm.GENERAL
 
     def test_equal_targets_is_identity(self):
         pen = critical_pencil()
@@ -271,7 +271,7 @@ class TestDetectUnimodular:
 
     def test_subcritical_pencil_empty(self):
         pen = nme.build_pencil(nme.new_problem([[0.5]], [[2.0]]))
-        rep = nme.detect_unimodular(pen, tol=1e-6)
+        rep = nme.detect_unimodular(pen)
         assert rep.eigenvalues.size == 0
 
     def test_zero_a_empty(self):
@@ -283,7 +283,7 @@ class TestDetectUnimodular:
         rep = nme.detect_unimodular(pen)
         scale = np.linalg.norm(pen.M) + np.linalg.norm(pen.L)
         for lam, v in zip(rep.eigenvalues, rep.eigenvectors.T):
-            assert abs(1.0 - abs(lam)) <= rep.tol
+            assert abs(1.0 - abs(lam)) <= UNIMODULAR_TOL
             resid = np.linalg.norm(pen.M @ v - lam * pen.L @ v)
             assert resid <= 1e-8 * scale * np.linalg.norm(v)
 
@@ -292,14 +292,35 @@ class TestDetectUnimodular:
         theta = 0.8
         pen, spectrum, pairs = pencil_with_spectrum(
             rng, [complex(math.cos(theta), math.sin(theta)), 0.4, 2.5])
-        rep = nme.detect_unimodular(pen, tol=1e-6)
+        rep = nme.detect_unimodular(pen)
         assert rep.eigenvalues.size == 2
         assert match_distance(rep.eigenvalues,
                               [spectrum[0], spectrum[1]]) <= 1e-7
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            nme.detect_unimodular(critical_pencil(), tol=0.7)
+    @pytest.mark.parametrize("n,seed", [(32, 2001), (64, 3002)])
+    def test_defective_pair_near_other_eigenvalue_reported_once(self, n, seed):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed))
+        pen = nme.build_pencil(rec.problem)
+        rep = nme.detect_unimodular(pen)
+        assert rep.eigenvalues.shape == (1,)
+        spec = nme.build_shift_factors(rep.eigenvectors, rep.eigenvalues,
+                                       0.9 * rep.eigenvalues)
+        shifted = nme.shift_multi(pen, spec)
+        spectrum = nme.generalized_eigenvalues(shifted)
+        assert np.min(np.abs(spectrum - spec.lam_hat[0])) <= 1e-6
+
+    def test_real_pencil_stays_real(self):
+        # A = R(0.8)/2, Q = I: psi is singular at a conjugate pair e^{+-i theta}
+        t = 0.8
+        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        pen = nme.build_pencil(nme.new_problem(0.5 * rot, np.eye(2)))
+        assert pen.M.dtype == np.float64 and pen.L.dtype == np.float64
+        rep = nme.detect_unimodular(pen)
+        assert rep.eigenvalues.size == 2 and abs(rep.eigenvalues[0].imag) > 0.5
+        spec = nme.build_shift_factors(rep.eigenvectors, rep.eigenvalues,
+                                       0.9 * rep.eigenvalues)
+        shifted = nme.shift_multi(pen, spec)
+        assert not np.iscomplexobj(shifted.M) and not np.iscomplexobj(shifted.L)
 
 
 class TestShiftedScalarProblem:
@@ -400,6 +421,12 @@ class TestPencilFiles:
     def test_spec_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"V": [1,0], "lambda": [1,0], "lambda_hat": [0.9,0]}')
+        with pytest.raises(ProblemFileError):
+            nme.load_shift_spec(path, 2)
+
+    def test_spec_rejects_scalar_lambda(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"V": [1,0,1,0], "lambda": 5, "lambda_hat": [0.9,0]}')
         with pytest.raises(ProblemFileError):
             nme.load_shift_spec(path, 2)
 

@@ -39,6 +39,9 @@ class TestSolverConfig:
             nme.SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             nme.SolverConfig(min_iter=-1)
+        with pytest.raises(ValueError):
+            nme.SolverConfig(max_iter=5, min_iter=6)
+        assert nme.SolverConfig(max_iter=5, min_iter=5).min_iter == 5
 
 
 class TestFixedPoint:
