@@ -46,7 +46,6 @@ from .solvers import (
     RateEstimate,
     SolveReport,
     SolverConfig,
-    SteinProblem,
     estimate_rate,
     solve,
     solve_fixed_point,

@@ -67,6 +67,15 @@ SYMMETRY_RTOL = 1e-12
 #: psi but cannot change a correct verdict.
 UNIMODULAR_RTOL = 1e-4
 
+#: A pencil factor F with max |Im F| <= REAL_RTOL * ||F||_F is stored real.
+REAL_RTOL = 1e-10
+#: Tolerances of ``is_symplectic_pencil`` and ``ssf2_blocks``, and the grid
+#: size and tolerance of ``solvability_check`` (see their docstrings).
+SYMPLECTIC_RTOL = 1e-13
+SSF2_RTOL = 1e-10
+SOLVABILITY_SAMPLES = 64
+SOLVABILITY_TOL = 1e-10
+
 
 class Verdict(Enum):
     SOLVABLE = "solvable"
@@ -88,9 +97,9 @@ class NmeProblem:
 
 @dataclass(frozen=True)
 class SymplecticPencil:
-    """A 2n-by-2n pair (M, L).  The factors keep the dtype of their data:
-    real for a pencil built from a problem or shifted by conjugate-closed
-    targets, complex otherwise."""
+    """A 2n-by-2n pair (M, L), real exactly when its arrays are real: a factor
+    whose imaginary part is negligible (:data:`REAL_RTOL`) is stored real, and
+    every other layer reads realness from the dtype."""
 
     M: np.ndarray
     L: np.ndarray
@@ -99,6 +108,10 @@ class SymplecticPencil:
         M, L = self.M, self.L
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != L.shape:
             raise DimensionMismatch("pencil factors must be square and equally sized")
+        for name, F in (("M", M), ("L", L)):
+            if np.iscomplexobj(F) and (np.max(np.abs(F.imag), initial=0.0)
+                                       <= REAL_RTOL * np.linalg.norm(F)):
+                object.__setattr__(self, name, F.real)
 
     @property
     def dim(self) -> int:
@@ -122,7 +135,6 @@ class Residual:
 class SolvabilityVerdict:
     regular: bool
     min_eig_on_circle: float
-    samples: int
     verdict: Verdict
 
 
@@ -226,46 +238,36 @@ def canonical_skew(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def is_symplectic_pencil(pencil: SymplecticPencil, tol: float = 1e-13) -> bool:
-    """True iff ||M J M^T - L J L^T||_F <= tol * (||M||_F + ||L||_F)^2."""
+def is_symplectic_pencil(pencil: SymplecticPencil) -> bool:
+    """True iff ||M J M^T - L J L^T||_F <= SYMPLECTIC_RTOL * (||M||_F + ||L||_F)^2."""
     if pencil.dim % 2 != 0:
         raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     J = canonical_skew(pencil.half)
     M, L = pencil.M, pencil.L
     defect = np.linalg.norm(M @ J @ M.T - L @ J @ L.T)
     scale = (np.linalg.norm(M) + np.linalg.norm(L)) ** 2
-    return bool(defect <= tol * scale)
+    return bool(defect <= SYMPLECTIC_RTOL * scale)
 
 
-def ssf2_blocks(pencil: SymplecticPencil, rtol: float = 1e-10):
-    """Extract (A, Q, P) from a pencil that matches the SSF-2 layout.
+def ssf2_blocks(pencil: SymplecticPencil):
+    """Extract (A, Q, P) from a real pencil that matches the SSF-2 layout.
 
-    Raises ValueError when the fixed blocks (zeros, identities, the repeated
-    A block) deviate by more than ``rtol`` times the entry scale.
+    Raises ValueError for a complex pencil (see :class:`SymplecticPencil`),
+    and when the fixed blocks (zeros, identities, the repeated A block)
+    deviate by more than :data:`SSF2_RTOL` times the entry scale.
     """
     if pencil.dim % 2 != 0:
         raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     n = pencil.half
     M, L = pencil.M, pencil.L
-    scale = max(np.max(np.abs(M)), np.max(np.abs(L)), 1.0)
-    tol = rtol * scale
-    if max(np.max(np.abs(M.imag)), np.max(np.abs(L.imag))) > tol:
+    if np.iscomplexobj(M) or np.iscomplexobj(L):
         raise ValueError("pencil has non-negligible imaginary parts")
-    Mr, Lr = M.real, L.real
     eye = np.eye(n)
-    checks = [
-        np.max(np.abs(Mr[:n, n:])),
-        np.max(np.abs(Mr[n:, n:] + eye)),
-        np.max(np.abs(Lr[:n, n:] - eye)),
-        np.max(np.abs(Lr[n:, n:])),
-        np.max(np.abs(Lr[n:, :n] - Mr[:n, :n].T)),
-    ]
-    if max(checks) > tol:
+    fixed = (M[:n, n:], M[n:, n:] + eye, L[:n, n:] - eye, L[n:, n:], L[n:, :n] - M[:n, :n].T)
+    scale = max(np.max(np.abs(M)), np.max(np.abs(L)), 1.0)
+    if max(np.max(np.abs(B)) for B in fixed) > SSF2_RTOL * scale:
         raise ValueError("pencil does not match the SSF-2 block pattern")
-    A = Mr[:n, :n].copy()
-    Q = Mr[n:, :n].copy()
-    P = -Lr[:n, :n].copy()
-    return A, Q, P
+    return M[:n, :n].copy(), M[n:, :n].copy(), -L[:n, :n].copy()
 
 
 def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
@@ -311,7 +313,7 @@ def _golden_min(f, a: float, b: float, xtol: float) -> float:
     return min(fc, fd)
 
 
-def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10) -> SolvabilityVerdict:
+def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     """Decide whether the maximal solution X+ exists, from the pencil.
 
     X+ exists iff psi(e^{i theta}) is positive semidefinite on the whole
@@ -323,20 +325,18 @@ def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10
     critical angles; psi(e^{-i theta}) = conj psi(e^{i theta}), so they fold
     into [0, pi].  lambda_min(psi) is then evaluated at
 
-    * the angles 2 pi j / ``samples`` in [0, pi] (a coarse grid),
+    * the angles 2 pi j / SOLVABILITY_SAMPLES in [0, pi] (a coarse grid),
     * each critical angle and one midpoint of each arc between them,
     * a golden-section search to 1e-7 rad around the best grid point,
 
     and ``min_eig_on_circle`` is the smallest value found.  NOT_SOLVABLE
-    when some value is below -tol; otherwise SOLVABLE when the pencil is
-    regular (no eigenvalue pair (alpha, beta) with both entries negligible),
-    INCONCLUSIVE when it is not.  A and Q are first divided by the smallest
-    power of two above their largest entry, so ``tol`` is relative to that
-    scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and scales the
-    minimum by 2^k.
+    when some value is below -SOLVABILITY_TOL; otherwise SOLVABLE when the
+    pencil is regular (no eigenvalue pair (alpha, beta) with both entries
+    negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
+    the smallest power of two above their largest entry, so the tolerance is
+    relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
+    scales the minimum by 2^k.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
     scale = math.ldexp(1.0, math.frexp(max(np.max(np.abs(problem.A)),
                                            np.max(np.abs(problem.Q))))[1])
     A, Q = problem.A / scale, problem.Q / scale
@@ -351,8 +351,8 @@ def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10
     # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
     critical = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
     edges = np.concatenate(([0.0], critical, [math.pi]))
-    chunk = samples // 2 + 1
-    step = 2.0 * math.pi / samples
+    chunk = SOLVABILITY_SAMPLES // 2 + 1
+    step = 2.0 * math.pi / SOLVABILITY_SAMPLES
     grid = step * np.arange(chunk)
     on_grid = _min_eigs_on_circle(A, Q, grid, chunk)
     on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
@@ -361,14 +361,14 @@ def solvability_check(problem: NmeProblem, samples: int = 64, tol: float = 1e-10
     refined = _golden_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
                           best - step, best + step, 1e-7)
     min_eig = min(float(on_grid.min()), float(on_arcs.min()), refined)
-    if min_eig < -tol:
+    if min_eig < -SOLVABILITY_TOL:
         verdict = Verdict.NOT_SOLVABLE
     elif regular:
         verdict = Verdict.SOLVABLE
     else:
         verdict = Verdict.INCONCLUSIVE
     return SolvabilityVerdict(regular=regular, min_eig_on_circle=scale * min_eig,
-                              samples=samples, verdict=verdict)
+                              verdict=verdict)
 
 
 def spectral_radius(W: np.ndarray) -> float:

@@ -75,6 +75,9 @@ EIGENPAIR_RTOL = 1e-8
 #: Tolerance for the R1/R2 coupling identities.
 FACTOR_RTOL = 1e-10
 
+#: Relative tolerance of the reciprocal and conjugate closure tests of targets.
+CLOSURE_RTOL = 1e-8
+
 #: Computed eigenvalues closer than this are treated as one (possibly
 #: defective) eigenvalue when hunting for unimodular values.
 CLUSTER_TOL = 1e-6
@@ -98,10 +101,6 @@ class ShiftSpec:
     lam_hat: np.ndarray
     R1: np.ndarray
     R2: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.V.shape[1]
 
 
 @dataclass(frozen=True)
@@ -143,21 +142,13 @@ def _check_eigenpair(M, L, v, lam, index=None):
             f"residual {resid:.3e} exceeds {EIGENPAIR_RTOL:g} * {scale:.3e}{where}")
 
 
-def _trim_imag(M: np.ndarray) -> np.ndarray:
-    """Drop the imaginary part when it is negligible against the matrix scale,
-    so a pencil that stays real keeps its real QZ."""
-    scale = float(np.linalg.norm(M))
-    if scale == 0.0 or float(np.max(np.abs(M.imag))) <= 1e-10 * scale:
-        return M.real
-    return M
-
-
 def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> SymplecticPencil:
     """Replace the eigenvalue lambda0 (eigenvector v) by lambda1.
 
     Requires M v = lambda0 L v to roundoff accuracy and r^T v = 1 (plain
     transpose, no conjugation).  Returns (M + (lambda1 - lambda0) L v r^T, L),
-    real when the update leaves only a negligible imaginary part.
+    which :class:`SymplecticPencil` stores real when the update leaves only a
+    negligible imaginary part.
     """
     M, L = pencil.M, pencil.L
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -170,30 +161,29 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     rv = complex(np.dot(r, v))
     if abs(rv - 1.0) > 1e-10 * max(1.0, float(np.linalg.norm(r) * np.linalg.norm(v))):
         raise NotNormalized(f"r^T v = {rv!r}, expected 1")
-    Mn = M + (lambda1 - lambda0) * np.outer(L @ v, r)
-    return SymplecticPencil(M=_trim_imag(Mn), L=L.copy())
+    return SymplecticPencil(M=M + (lambda1 - lambda0) * np.outer(L @ v, r), L=L.copy())
 
 
-def _reciprocal_closed(values: np.ndarray, rtol: float = 1e-8) -> bool:
+def _reciprocal_closed(values: np.ndarray) -> bool:
     vals = list(values)
     for lam in vals:
         if lam == 0:
             return False
         target = 1.0 / lam
-        if not any(abs(mu - target) <= rtol * max(1.0, abs(target)) for mu in vals):
+        if not any(abs(mu - target) <= CLOSURE_RTOL * max(1.0, abs(target)) for mu in vals):
             return False
     return True
 
 
-def _conjugate_closed(lam: np.ndarray, lam_hat: np.ndarray, rtol: float = 1e-8) -> bool:
+def _conjugate_closed(lam: np.ndarray, lam_hat: np.ndarray) -> bool:
     pairs = list(zip(lam, lam_hat))
     unused = list(range(len(pairs)))
     for a, b in pairs:
         hit = None
         for j in unused:
             c, d = pairs[j]
-            if (abs(c - a.conjugate()) <= rtol * max(1.0, abs(a))
-                    and abs(d - b.conjugate()) <= rtol * max(1.0, abs(b))):
+            if (abs(c - a.conjugate()) <= CLOSURE_RTOL * max(1.0, abs(a))
+                    and abs(d - b.conjugate()) <= CLOSURE_RTOL * max(1.0, abs(b))):
                 hit = j
                 break
         if hit is None:
@@ -208,9 +198,10 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     Validates that every column of V is an eigenvector for its entry of
     ``lam`` (entries must be pairwise distinct), that the coupling
     identities R1^T V = diag(lam_hat - lam) and R2^T V = 0 hold, and -- for a
-    real pencil -- that (lam, lam_hat) is conjugate closed so the updated
-    pencil stays real.  Emits :class:`ReciprocalPairingWarning` when the
-    targets are not closed under lambda -> 1/lambda.
+    real pencil, one with real arrays (see :class:`SymplecticPencil`) -- that
+    (lam, lam_hat) is conjugate closed so the updated pencil stays real.
+    Emits :class:`ReciprocalPairingWarning` when the targets are not closed
+    under lambda -> 1/lambda.
     """
     M, L = pencil.M, pencil.L
     V = _as_complex_matrix(spec.V, "V")
@@ -229,9 +220,7 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
             if abs(lam[i] - lam[j]) <= FACTOR_RTOL * lam_scale:
                 raise RepeatedEigenvalue(
                     f"lam[{i}] and lam[{j}] coincide; simultaneous shifts need distinct values")
-    pencil_real = (float(np.max(np.abs(M.imag)) if M.size else 0.0) <= 1e-12 * max(1.0, np.linalg.norm(M))
-                   and float(np.max(np.abs(L.imag)) if L.size else 0.0) <= 1e-12 * max(1.0, np.linalg.norm(L)))
-    if pencil_real and not _conjugate_closed(lam, lam_hat):
+    if not (np.iscomplexobj(M) or np.iscomplexobj(L)) and not _conjugate_closed(lam, lam_hat):
         raise ConjugateClosureViolated(
             "shifting a real pencil needs conjugate-closed (lam, lam_hat) pairs")
     for i in range(k):
@@ -253,9 +242,7 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
             ReciprocalPairingWarning,
             stacklevel=2,
         )
-    Mn = M + L @ V @ R1.T
-    Ln = L + M @ V @ R2.T
-    return SymplecticPencil(M=_trim_imag(Mn), L=_trim_imag(Ln))
+    return SymplecticPencil(M=M + L @ V @ R1.T, L=L + M @ V @ R2.T)
 
 
 def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
@@ -270,6 +257,8 @@ def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
     lam_hat = np.asarray(lam_hat, dtype=complex).reshape(-1)
     if lam.size != V.shape[1] or lam_hat.size != V.shape[1]:
         raise DimensionMismatch("lam/lam_hat length must match the column count of V")
+    if V.shape[1] == 0:
+        raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
     sv = np.linalg.svd(V, compute_uv=False)
     if sv.size == 0 or sv[-1] < 1e-10 * sv[0]:
         raise RankDeficientV(f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}")
@@ -459,13 +448,11 @@ def load_shift_spec(path, dim: int) -> ShiftSpec:
     lam_hat = _from_interleaved(data["lambda_hat"], (k,), "lambda_hat")
     if "R1" in data:
         R1 = _from_interleaved(data["R1"], (dim, k), "R1")
-        R2 = (_from_interleaved(data["R2"], (dim, k), "R2")
-              if "R2" in data else np.zeros((dim, k), dtype=complex))
-        return ShiftSpec(V=V, lam=lam, lam_hat=lam_hat, R1=R1, R2=R2)
-    spec = build_shift_factors(V, lam, lam_hat)
+        spec = ShiftSpec(V=V, lam=lam, lam_hat=lam_hat, R1=R1, R2=np.zeros((dim, k), dtype=complex))
+    else:
+        spec = build_shift_factors(V, lam, lam_hat)
     if "R2" in data:
-        spec = ShiftSpec(V=spec.V, lam=spec.lam, lam_hat=spec.lam_hat, R1=spec.R1,
-                         R2=_from_interleaved(data["R2"], (dim, k), "R2"))
+        spec = replace(spec, R2=_from_interleaved(data["R2"], (dim, k), "R2"))
     return spec
 
 

@@ -57,7 +57,7 @@ from .exceptions import (
     SingularSteinOperator,
     Stagnated,
 )
-from .problem import NmeProblem, fro_norm, residual_from, spectral_radius, symmetric_part
+from .problem import NmeProblem, _cholesky, fro_norm, residual_from, spectral_radius, symmetric_part
 
 __all__ = [
     "Algorithm",
@@ -65,7 +65,6 @@ __all__ = [
     "HistoryRecord",
     "RateEstimate",
     "SolveReport",
-    "SteinProblem",
     "solve_fixed_point",
     "solve_inversion_free",
     "solve_stein",
@@ -181,14 +180,6 @@ class SolveReport:
             return math.nan
 
 
-@dataclass(frozen=True)
-class SteinProblem:
-    """Data of the linear equation X - L^T X L = C with symmetric C."""
-
-    L: np.ndarray
-    C: np.ndarray
-
-
 class _Run:
     """One solve: the iteration loop with its stopping rule, history and
     iterate capture, the divergence watch and the failure reports."""
@@ -281,6 +272,10 @@ class _Run:
             res = residual_from(self.A, self.Q, X, W, self.q_fro).rel_norm
         return res if math.isfinite(res) else math.inf
 
+    def start_at_q(self) -> tuple[np.ndarray, np.ndarray]:
+        """X_0 = Q and W_0 = Q^{-1} A; a Q that is not SPD raises NotPositiveDefinite."""
+        return self.Q.copy(), scipy.linalg.cho_solve((_cholesky(self.Q, "Q"), True), self.A)
+
     def solve_spd(self, X: np.ndarray) -> np.ndarray:
         """W = X^{-1} A by Cholesky; X_k must stay positive definite."""
         try:
@@ -319,14 +314,14 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
     The iterate sequence descends monotonically in the semidefinite order on
     solvable problems.  Raises :class:`LostPositiveDefiniteness` when an
     iterate stops being SPD and :class:`MaxIterationsExceeded` when the
-    budget runs out (both carry the partial report).
+    budget runs out (both carry the partial report), and
+    :class:`NotPositiveDefinite` when Q itself is not SPD.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "fixed-point")
 
     def steps():
-        X = Q.copy()
-        W = scipy.linalg.cho_solve((np.linalg.cholesky(X), True), A)
+        X, W = run.start_at_q()
         yield X, None, None, False
         while True:
             X = symmetric_part(Q - A.T @ W)
@@ -360,7 +355,7 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     return run.drive(steps())
 
 
-def solve_stein(stein: SteinProblem) -> np.ndarray:
+def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X by the Schur method.
 
     With the complex Schur form L^T = U T U^H (Kitagawa 1977; Barraud 1977;
@@ -376,8 +371,8 @@ def solve_stein(stein: SteinProblem) -> np.ndarray:
     one), and :class:`NonFiniteInput` when L or C holds NaN/Inf.  Time is
     O(n^3) and memory O(n^2).
     """
-    L = np.asarray(stein.L, dtype=float)
-    C = symmetric_part(np.asarray(stein.C, dtype=float))
+    L = np.asarray(L, dtype=float)
+    C = symmetric_part(np.asarray(C, dtype=float))
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
         raise NonFiniteInput("Stein data L or C contains NaN/Inf")
     n = L.shape[0]
@@ -418,15 +413,14 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     tr_q = float(np.sum(np.diag(Q) / q_max))
 
     def steps():
-        X = Q.copy()
-        W = scipy.linalg.cho_solve((np.linalg.cholesky(X), True), A)
+        X, W = run.start_at_q()
         yield X, None, None, False
         while True:
             # L_k = X_{k-1}^{-1} A is the W of the previous iterate
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
             C = symmetric_part(Q - 2.0 * W.T @ A)
             try:
-                X = solve_stein(SteinProblem(L=W, C=C))
+                X = solve_stein(W, C)
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc

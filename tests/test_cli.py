@@ -154,6 +154,19 @@ class TestVerifyShift:
         moved_to = [float(r[0]) for r in after if r[2] == "1"]
         assert moved_to[0] == pytest.approx(0.9, abs=1e-7)
 
+    def test_real_pencil_file_spectrum_is_real(self, tmp_path, capsys):
+        # a real pencil file gets a real QZ: its defective pair at 1 reads 1 + 0i
+        pen_path = tmp_path / "pen.json"
+        spec_path = tmp_path / "spec.json"
+        nme.save_pencil(nme.build_pencil(nme.new_problem([[1.0]], [[2.0]])), pen_path)
+        serialize.dump_json({"V": [1.0, 0.0, 1.0, 0.0], "lambda": [1.0, 0.0],
+                             "lambda_hat": [0.9, 0.0]}, spec_path)
+        code, out, _ = run_cli(capsys, "verify-shift", str(pen_path), str(spec_path))
+        assert code == 0
+        before = [line.split(",") for line in out.splitlines()[1:3]]
+        assert [float(r[1]) for r in before] == [0.0, 0.0]
+        assert [float(r[0]) for r in before] == pytest.approx([1.0, 1.0], abs=1e-7)
+
     def test_bad_pencil_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{}")

@@ -110,7 +110,7 @@ class TestBuildPencil:
     def test_always_symplectic(self, seed, n, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
         pen = nme.build_pencil(rec.problem)
-        assert nme.is_symplectic_pencil(pen, tol=1e-13)
+        assert nme.is_symplectic_pencil(pen)
 
     def test_ssf2_blocks_roundtrip(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=11))
@@ -120,6 +120,20 @@ class TestBuildPencil:
         assert np.allclose(P, 0.0)
 
 
+class TestSymplecticPencil:
+    def test_zero_imaginary_part_stored_real(self):
+        pen = nme.SymplecticPencil(M=np.eye(2, dtype=complex),
+                                   L=np.array([[0.0, 1.0], [1.0, 1e-12j]]))
+        assert pen.M.dtype == np.float64 and pen.L.dtype == np.float64
+        assert np.array_equal(pen.L, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_imaginary_part_above_tolerance_kept(self):
+        pen = nme.SymplecticPencil(M=np.eye(2), L=np.array([[0.0, 1.0], [1.0, 1e-8j]]))
+        assert pen.M.dtype == np.float64 and pen.L.dtype == np.complex128
+        with pytest.raises(ValueError, match="imaginary"):
+            nme.ssf2_blocks(pen)
+
+
 class TestIsSymplecticPencil:
     def test_scalar_pencil_true(self):
         assert nme.is_symplectic_pencil(nme.build_pencil(nme.new_problem([[1.0]], [[2.0]])))
@@ -127,7 +141,7 @@ class TestIsSymplecticPencil:
     def test_mismatched_factors_false(self):
         pen = nme.SymplecticPencil(M=np.eye(2, dtype=complex),
                                    L=np.diag([1.0, 2.0]).astype(complex))
-        assert not nme.is_symplectic_pencil(pen, tol=1e-13)
+        assert not nme.is_symplectic_pencil(pen)
 
     def test_identity_pair_true(self):
         pen = nme.SymplecticPencil(M=np.eye(2, dtype=complex), L=np.eye(2, dtype=complex))
@@ -169,7 +183,7 @@ class TestPsi:
 
 class TestSolvabilityCheck:
     def test_critical_case_solvable(self):
-        v = nme.solvability_check(nme.new_problem([[1.0]], [[2.0]]), samples=512)
+        v = nme.solvability_check(nme.new_problem([[1.0]], [[2.0]]))
         assert v.verdict is nme.Verdict.SOLVABLE
         assert v.min_eig_on_circle == pytest.approx(0.0, abs=1e-14)
         assert v.regular
@@ -183,23 +197,18 @@ class TestSolvabilityCheck:
         v = nme.solvability_check(nme.new_problem(np.zeros((2, 2)), np.eye(2)))
         assert v.verdict is nme.Verdict.SOLVABLE
 
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            nme.solvability_check(nme.new_problem([[1.0]], [[2.0]]), samples=4)
-
     @pytest.mark.parametrize("seed,rho", [(4, 0.3), (5, 1.0)])
     def test_generated_problems_solvable(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
         assert nme.solvability_check(rec.problem).verdict is nme.Verdict.SOLVABLE
 
-    @pytest.mark.parametrize("samples", [64, 512])
-    def test_dip_between_samples(self, samples):
+    def test_dip_between_samples(self):
         # A = R(phi): lambda_min(psi(e^{i theta})) = q + 2 cos(theta + phi) dips
         # to q - 2 = -1e-6 on an arc about 2e-3 wide around pi - phi, which
-        # falls between the 512 sample angles
+        # falls between the sample angles
         phi = math.pi / 512
         A = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        v = nme.solvability_check(nme.new_problem(A, (2.0 - 1e-6) * np.eye(2)), samples=samples)
+        v = nme.solvability_check(nme.new_problem(A, (2.0 - 1e-6) * np.eye(2)))
         assert v.verdict is nme.Verdict.NOT_SOLVABLE
         assert v.min_eig_on_circle == pytest.approx(-1e-6, abs=1e-12)
 

@@ -109,7 +109,7 @@ class TestShiftMulti:
         q_hat = a * (r + 1.0 / r)
         assert np.allclose(stage2.M.real, [[a, 0.0], [q_hat, -1.0]], atol=1e-14)
         assert np.allclose(stage2.L.real, [[0.0, 1.0], [a, 0.0]], atol=1e-14)
-        assert nme.is_symplectic_pencil(stage2, tol=1e-13)
+        assert nme.is_symplectic_pencil(stage2)
         # the shifted pencil is exactly the pencil of x + a^2/x = a(r + 1/r)
         target = nme.build_pencil(nme.new_problem([[a]], [[q_hat]]))
         assert np.max(np.abs(stage2.M - target.M)) <= 1e-14 * max(1.0, q_hat)
@@ -260,6 +260,11 @@ class TestBuildShiftFactors:
         with pytest.raises(RankDeficientV):
             nme.build_shift_factors(V, [1.0, 2.0], [0.5, 0.7])
 
+    def test_empty_v_names_missing_eigenvalue(self):
+        # the report of a rho = 1 problem whose unimodular pair was missed
+        with pytest.raises(RankDeficientV, match="no columns: there is no eigenvalue to shift"):
+            nme.build_shift_factors(np.zeros((4, 0), dtype=complex), [], [])
+
 
 class TestDetectUnimodular:
     def test_defective_critical_eigenvalue(self):
@@ -397,6 +402,13 @@ class TestPencilFiles:
         loaded = nme.load_pencil(path)
         assert np.array_equal(loaded.M, shifted.M)
         assert np.array_equal(loaded.L, shifted.L)
+
+    def test_real_pencil_loads_real(self, tmp_path):
+        path = tmp_path / "pen.json"
+        nme.save_pencil(critical_pencil(), path)
+        loaded = nme.load_pencil(path)
+        assert loaded.M.dtype == np.float64 and loaded.L.dtype == np.float64
+        assert np.array_equal(loaded.M, critical_pencil().M)
 
     def test_rejects_odd_dim(self, tmp_path):
         path = tmp_path / "pen.json"

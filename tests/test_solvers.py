@@ -147,22 +147,22 @@ class TestInversionFree:
 class TestStein:
     def test_zero_l(self):
         C = np.array([[1.0, 2.0], [2.0, 5.0]])
-        X = nme.solve_stein(nme.SteinProblem(L=np.zeros((2, 2)), C=C))
+        X = nme.solve_stein(np.zeros((2, 2)), C)
         assert np.array_equal(X, C)
 
     def test_scalar(self):
-        X = nme.solve_stein(nme.SteinProblem(L=scalar(0.5), C=scalar(3.0)))
+        X = nme.solve_stein(scalar(0.5), scalar(3.0))
         assert X[0, 0] == pytest.approx(4.0, abs=1e-14)
 
     def test_diagonal_decoupling(self):
-        X = nme.solve_stein(nme.SteinProblem(L=np.diag([0.5, 0.2]), C=np.eye(2)))
+        X = nme.solve_stein(np.diag([0.5, 0.2]), np.eye(2))
         assert np.allclose(np.diag(X), [4.0 / 3.0, 25.0 / 24.0], atol=1e-14)
         assert X[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_singular_operator(self):
         # eigenvalue pair 2 * 0.5 = 1 makes the operator singular
         with pytest.raises(SingularSteinOperator):
-            nme.solve_stein(nme.SteinProblem(L=np.diag([2.0, 0.5]), C=np.eye(2)))
+            nme.solve_stein(np.diag([2.0, 0.5]), np.eye(2))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_against_discrete_lyapunov_oracle(self, seed):
@@ -170,7 +170,7 @@ class TestStein:
         L = 0.6 * rng.standard_normal((4, 4)) / 2.0
         W = rng.standard_normal((4, 4))
         C = (W + W.T) / 2.0
-        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        X = nme.solve_stein(L, C)
         oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C)
         assert np.allclose(X, oracle, atol=1e-10)
         assert np.allclose(X - L.T @ X @ L, C, atol=1e-12)
@@ -196,7 +196,7 @@ class TestStein:
         L = V @ D @ np.linalg.inv(V)
         assert np.abs(np.linalg.eigvals(L).imag).max() > 0.1
         C = self._random_symmetric(rng, n)
-        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        X = nme.solve_stein(L, C)
         oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C, method="direct")
         assert np.linalg.norm(X - oracle) <= 1e-11 * np.linalg.norm(oracle)
         assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-13 * np.linalg.norm(X)
@@ -211,7 +211,7 @@ class TestStein:
         V = np.eye(n) + 0.2 * rng.standard_normal((n, n))
         L = V @ np.diag(d) @ np.linalg.inv(V)
         C = self._random_symmetric(rng, n)
-        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        X = nme.solve_stein(L, C)
         oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C, method="direct")
         assert np.linalg.norm(X - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-13 * np.linalg.norm(X)
@@ -220,12 +220,12 @@ class TestStein:
         # the eigenvalues exp(+-0.7i) of a rotation have lambda conj(lambda) = 1
         c, s = np.cos(0.7), np.sin(0.7)
         with pytest.raises(SingularSteinOperator):
-            nme.solve_stein(nme.SteinProblem(L=np.array([[c, -s], [s, c]]), C=np.eye(2)))
+            nme.solve_stein(np.array([[c, -s], [s, c]]), np.eye(2))
 
     @pytest.mark.parametrize("L,C", [([[math.nan]], [[1.0]]), ([[0.5]], [[math.inf]])])
     def test_non_finite_input(self, L, C):
         with pytest.raises(NonFiniteInput):
-            nme.solve_stein(nme.SteinProblem(L=np.array(L), C=np.array(C)))
+            nme.solve_stein(np.array(L), np.array(C))
 
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
@@ -233,7 +233,7 @@ class TestStein:
         n = 200
         L = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
         C = self._random_symmetric(rng, n)
-        X = nme.solve_stein(nme.SteinProblem(L=L, C=C))
+        X = nme.solve_stein(L, C)
         assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-12 * np.linalg.norm(C)
 
 
@@ -553,6 +553,14 @@ class TestReports:
             nme.solve_fixed_point(p, nme.SolverConfig(record_history=record_history))
         assert info.value.iteration == 3
         assert info.value.report.iterations == 2
+
+    @pytest.mark.parametrize("solver", [nme.solve_fixed_point, nme.solve_newton])
+    def test_hand_built_indefinite_q(self, solver):
+        # NmeProblem skips new_problem's validation, as solve_sda_scalar does
+        p = nme.NmeProblem(A=scalar(0.5), Q=scalar(-1.0))
+        with pytest.raises(NotPositiveDefinite) as info:
+            solver(p)
+        assert info.value.name == "Q"
 
     def test_non_finite_iterate_message(self):
         with pytest.raises(Diverged) as info, np.errstate(all="ignore"):

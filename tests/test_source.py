@@ -1,0 +1,31 @@
+"""Checks on the package source itself."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import nmesolve
+
+SRC = Path(nmesolve.__file__).parent
+
+
+def module_level_names(tree: ast.Module):
+    """Names bound at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def test_every_module_level_name_is_referenced():
+    # a def, class or constant whose name occurs only at its definition is dead
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    counts = Counter(re.findall(r"\w+", "\n".join(texts.values())))
+    unreferenced = [f"{module}:{name}" for module, text in texts.items()
+                    for name in module_level_names(ast.parse(text))
+                    if not name.startswith("__") and counts[name] < 2]
+    assert unreferenced == []
