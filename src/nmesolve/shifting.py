@@ -213,6 +213,8 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     if V.shape[0] != pencil.dim or lam.size != k or lam_hat.size != k \
             or R1.shape != V.shape or R2.shape != V.shape:
         raise DimensionMismatch("shift spec shapes are inconsistent with the pencil")
+    if k == 0:
+        raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
 
     lam_scale = max(1.0, float(np.max(np.abs(lam))))
     for i in range(k):

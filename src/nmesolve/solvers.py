@@ -15,8 +15,11 @@ Four algorithms share one reporting contract:
 
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
-    equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A,
-    by the complex Schur method of ``solve_stein`` in O(n^3).  Quadratic
+    equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
+    ``solve_stein`` writes it as the generalized Sylvester pair
+    L^T R - Z = 0, R - Z L = C (R = X, Z = L^T X); one real Schur form of
+    L^T puts both coefficient pairs into LAPACK's generalized Schur form,
+    and ``dtgsyl`` solves them in O(n^3) time and O(n^2) memory.  Quadratic
     when rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.
     Iterates descend monotonically from X_0 = Q.
 
@@ -355,44 +358,69 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     return run.drive(steps())
 
 
-def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve X - L^T X L = C for symmetric X by the Schur method.
+def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real Schur factor T, read from its 1x1 and 2x2 diagonal
+    blocks (a 2x2 block starts at each nonzero subdiagonal entry)."""
+    lam = np.diag(T).astype(complex)
+    k = np.flatnonzero(np.diag(T, -1))
+    a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
+    half_trace = (a + d) / 2.0
+    im = np.sqrt(np.maximum(-(((a - d) / 2.0) ** 2 + b * c), 0.0))
+    lam[k] = half_trace + 1j * im
+    lam[k + 1] = half_trace - 1j * im
+    return lam
 
-    With the complex Schur form L^T = U T U^H (Kitagawa 1977; Barraud 1977;
-    in the style of Bartels-Stewart), Y = U^H X U solves the triangular
-    equation Y - T Y T^H = U^H C U.  Its columns follow from the last one
-    back, each by one upper-triangular solve:
-    (I - conj(t_jj) T) y_j = c_j + T Y[:, j+1:] conj(T[j, j+1:]).
+
+def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve X - L^T X L = C for symmetric X as a generalized Sylvester equation.
+
+    With R = X and Z = L^T X the equation is the pair
+    L^T R - Z I = 0,  I R - Z L = C,
+    whose left coefficient pair is (L^T, I) and right pair is (I, L).  One
+    real Schur form L^T = U T U^T turns the left pair into (T, I).  The same
+    form gives L = W S W^T with W = U[:, ::-1] and S = T^T[::-1, ::-1], which
+    is upper quasi-triangular; a block-diagonal Givens matrix G, one rotation
+    per 2x2 block of S, makes G S upper triangular, so the right pair becomes
+    (G, G S).  Both pairs are then in generalized real Schur form, and
+    LAPACK's ``dtgsyl`` (Kagstrom & Poromaa 1996; Jonsson & Kagstrom 2002)
+    solves T R' - Z' G = 0, R' - Z' G S = scale U^T C W, giving
+    X = U R' W^T / scale.
+
     L is real, so its spectrum is closed under conjugation and the
     operator's eigenvalues are 1 - lambda_i conj(lambda_j) over the
-    eigenvalues lambda of L, read off the diagonal of T.  Raises
+    eigenvalues lambda of L, read off the diagonal blocks of T.  Raises
     :class:`SingularSteinOperator` when the smallest of their moduli is at
     most 1e-10 times the largest (some pair of eigenvalues of L has product
-    one), and :class:`NonFiniteInput` when L or C holds NaN/Inf.  Time is
-    O(n^3) and memory O(n^2).
+    one) or when ``dtgsyl`` reports close eigenvalues, and
+    :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is exactly
+    symmetric.  Time is O(n^3) and memory O(n^2).
     """
     L = np.asarray(L, dtype=float)
     C = symmetric_part(np.asarray(C, dtype=float))
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
         raise NonFiniteInput("Stein data L or C contains NaN/Inf")
     n = L.shape[0]
-    T, U = scipy.linalg.schur(L.T, output="complex")
-    lam = np.diag(T)
+    T, U = scipy.linalg.schur(L.T, check_finite=False)
+    lam = _quasi_triangular_eigenvalues(T)
     gaps = np.abs(1.0 - np.outer(lam, lam.conj()))
+    singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
     if gaps.min() <= 1e-10 * gaps.max():
-        raise SingularSteinOperator(
-            "Stein operator is rank deficient (an eigenvalue pair of L has product one)")
-    Ct = U.conj().T @ C @ U
-    Y = np.empty((n, n), dtype=complex)
-    M = np.empty_like(T)
-    diag = np.arange(n)
-    for j in range(n - 1, -1, -1):
-        # M = I - conj(t_jj) T in one buffer: temporaries dominate at large n
-        np.multiply(T, -lam[j].conj(), out=M)
-        M[diag, diag] += 1.0
-        rhs = Ct[:, j] + T @ (Y[:, j + 1:] @ T[j, j + 1:].conj())
-        Y[:, j] = scipy.linalg.solve_triangular(M, rhs, check_finite=False)
-    return symmetric_part((U @ Y @ U.conj().T).real)
+        raise SingularSteinOperator(singular)
+    W = U[:, ::-1]
+    S = T.T[::-1, ::-1]
+    # rotate rows (j, j+1) of each 2x2 block of S to zero S[j+1, j]
+    j = np.flatnonzero(np.diag(S, -1))
+    r = np.hypot(S[j, j], S[j + 1, j])
+    cos, sin = S[j, j] / r, S[j + 1, j] / r
+    G = np.eye(n)
+    G[j, j] = G[j + 1, j + 1] = cos
+    G[j, j + 1] = sin
+    G[j + 1, j] = -sin
+    R, _, scale, _, info = scipy.linalg.lapack.dtgsyl(
+        T, G, np.zeros((n, n)), np.eye(n), np.triu(G @ S), U.T @ C @ W)
+    if info > 0:
+        raise SingularSteinOperator(singular)
+    return symmetric_part(U @ R @ W.T / scale)
 
 
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:

@@ -167,6 +167,15 @@ class TestVerifyShift:
         assert [float(r[1]) for r in before] == [0.0, 0.0]
         assert [float(r[0]) for r in before] == pytest.approx([1.0, 1.0], abs=1e-7)
 
+    def test_empty_spec_is_typed_failure(self, tmp_path, capsys):
+        pen_path = tmp_path / "pen.json"
+        spec_path = tmp_path / "spec.json"
+        nme.save_pencil(nme.build_pencil(nme.new_problem([[1.0]], [[2.0]])), pen_path)
+        serialize.dump_json({"V": [], "lambda": [], "lambda_hat": [], "R1": []}, spec_path)
+        code, _, err = run_cli(capsys, "verify-shift", str(pen_path), str(spec_path))
+        assert code == 1
+        assert "V has no columns: there is no eigenvalue to shift" in err
+
     def test_bad_pencil_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{}")

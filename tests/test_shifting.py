@@ -202,6 +202,14 @@ class TestShiftMulti:
         with pytest.raises(ConjugateClosureViolated):
             nme.shift_multi(pen, spec)
 
+    def test_empty_spec_names_missing_eigenvalue(self):
+        pen = critical_pencil()
+        empty = np.zeros((2, 0), dtype=complex)
+        spec = nme.ShiftSpec(V=empty, lam=np.zeros(0, dtype=complex),
+                             lam_hat=np.zeros(0, dtype=complex), R1=empty, R2=empty)
+        with pytest.raises(RankDeficientV, match="no columns: there is no eigenvalue to shift"):
+            nme.shift_multi(pen, spec)
+
     def test_repeated_eigenvalues_rejected(self):
         pen = critical_pencil()
         V = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)

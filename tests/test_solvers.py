@@ -227,6 +227,65 @@ class TestStein:
         with pytest.raises(NonFiniteInput):
             nme.solve_stein(np.array(L), np.array(C))
 
+    @staticmethod
+    def _check_structure_case(L, C):
+        """X is exactly symmetric, has residual <= 1e-13 ||X||, and for n <= 8
+        matches the Kronecker-product oracle."""
+        X = nme.solve_stein(L, C)
+        assert np.array_equal(X, X.T)
+        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-13 * np.linalg.norm(X)
+        if L.shape[0] <= 8:
+            oracle = scipy.linalg.solve_discrete_lyapunov(L.T, C, method="direct")
+            assert np.linalg.norm(X - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        return X
+
+    @pytest.mark.parametrize("n,seed,first,last", [
+        (3, 1, True, False), (3, 2, False, True), (5, 10, True, True), (33, 1, True, True)])
+    def test_odd_n_with_edge_blocks(self, n, seed, first, last):
+        # 2x2 blocks of the real Schur form in the first and last rows become
+        # Givens rotations at the other end of the reversed factor
+        rng = np.random.default_rng(seed)
+        L = 0.9 * rng.standard_normal((n, n)) / np.sqrt(n)
+        T = scipy.linalg.schur(L.T)[0]
+        assert (T[1, 0] != 0, T[-1, -2] != 0) == (first, last)
+        self._check_structure_case(L, self._random_symmetric(rng, n))
+
+    def test_defective_jordan_block(self):
+        rng = np.random.default_rng(7)
+        J = 0.9 * np.eye(3) + np.diag([1.0, 1.0], 1)
+        V = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        for L in (J, V @ J @ np.linalg.inv(V)):
+            self._check_structure_case(L, self._random_symmetric(rng, 3))
+
+    def test_nonnormal_mixed_spectrum_n33(self):
+        # 8 rotation blocks and 17 real eigenvalues under a strictly upper
+        # triangular part of the size of the diagonal, in a random basis
+        rng = np.random.default_rng(33)
+        n = 33
+        D = np.zeros((n, n))
+        for i in range(0, 16, 2):
+            r, th = rng.uniform(0.3, 0.95), rng.uniform(0.2, 3.0)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                [np.sin(th), np.cos(th)]])
+        D[np.arange(16, n), np.arange(16, n)] = rng.uniform(-0.95, 0.95, n - 16)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        L = U @ (D + np.triu(rng.standard_normal((n, n)), 2)) @ U.T
+        lam = np.linalg.eigvals(L)
+        assert np.count_nonzero(np.abs(lam.imag) > 1e-8) == 16
+        assert np.linalg.norm(L @ L.T - L.T @ L) >= 0.1 * np.linalg.norm(L) ** 2
+        self._check_structure_case(L, self._random_symmetric(rng, n))
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_scale_of_c(self, k):
+        # dtgsyl may return scale < 1 to avoid overflow; X is divided by it
+        rng = np.random.default_rng(5)
+        L = 0.9 * rng.standard_normal((8, 8)) / np.sqrt(8)
+        C = self._random_symmetric(rng, 8)
+        X = nme.solve_stein(L, C)
+        X_k = nme.solve_stein(L, 2.0 ** k * C)
+        assert np.all(np.isfinite(X_k))
+        assert np.linalg.norm(2.0 ** -k * X_k - X) <= 1e-13 * np.linalg.norm(X)
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)
