@@ -24,7 +24,6 @@ from .problem import (
     symmetric_part,
 )
 from .shifting import (
-    DEFAULT_R_SCHEDULE,
     ScalarShiftStep,
     ShiftedScalarResult,
     ShiftSpec,
@@ -39,6 +38,7 @@ from .shifting import (
     shift_single,
     shifted_scalar_problem,
     solve_scalar_shifted,
+    write_spectra_csv,
 )
 from .solvers import (
     Algorithm,

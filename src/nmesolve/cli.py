@@ -23,7 +23,6 @@ import numpy as np
 from . import serialize
 from .exceptions import (
     DimensionMismatch,
-    InvalidR,
     MaxIterationsExceeded,
     NmeError,
     NonFiniteInput,
@@ -37,7 +36,6 @@ from .exceptions import (
 from .harness import ExperimentRecord, GeneratorSpec, generate_problem, run_experiment
 from .problem import load_problem, problem_payload, residual
 from .shifting import (
-    DEFAULT_R_SCHEDULE,
     generalized_eigenvalues,
     load_pencil,
     load_shift_spec,
@@ -55,7 +53,7 @@ from .solvers import (
 logger = logging.getLogger(__name__)
 
 _INPUT_ERRORS = (ProblemFileError, OSError, ValueError, DimensionMismatch, NonFiniteInput,
-                 NotSymmetric, NotPositiveDefinite, ZeroLambda, InvalidR)
+                 NotSymmetric, NotPositiveDefinite, ZeroLambda)
 
 #: Error threshold reported by scalar-critical for the plain doubling run.
 SCALAR_ERROR_TARGET = 1e-12
@@ -216,10 +214,9 @@ def _cmd_scalar_critical(args) -> int:
         print(f"plain-sda stopped-at={plain.iterations} converged={int(plain.converged)} "
               f"(no real solution: q^2 - 4a^2 < 0)")
 
-    schedule = tuple(args.schedule) if args.schedule else DEFAULT_R_SCHEDULE
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     try:
-        result = solve_scalar_shifted(a, q, schedule, cfg)
+        result = solve_scalar_shifted(a, q, cfg)
     except NotCriticalCase as exc:
         print(f"shifted not-applicable reason={exc}")
         return 0
@@ -278,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plain vs shift-accelerated doubling on x + a^2/x = q")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--schedule", type=_float_list,
-                   help="comma-separated r values increasing toward 1")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(handler=_cmd_scalar_critical)

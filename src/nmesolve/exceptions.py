@@ -125,7 +125,7 @@ class EigensolverFailure(ShiftError):
 
 
 class InvalidR(ShiftError):
-    """A shift ratio is outside (0, 1) or the schedule is not increasing."""
+    """A shift ratio is outside (0, 1), or the coefficient a is zero."""
 
 
 class NotCriticalCase(ShiftError):

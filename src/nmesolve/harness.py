@@ -38,8 +38,8 @@ class GeneratorSpec:
             raise ValueError("n must be positive")
         if not 0.0 <= self.rho_target <= 1.0:
             raise ValueError("rho_target must lie in [0, 1]")
-        if self.conditioning < 1.0:
-            raise ValueError("conditioning must be >= 1")
+        if not 1.0 <= self.conditioning < np.inf:
+            raise ValueError("conditioning must be finite and >= 1")
 
 
 @dataclass

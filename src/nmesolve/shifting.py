@@ -18,8 +18,9 @@ The scalar pipeline applies this to the critical equation x + a^2/x = 2|a|,
 whose pencil carries a defective unit eigenvalue that slows every solver to
 linear rate 1/2.  Relocating the eigenvalue pair {1, 1} to {r, 1/r} restores
 an SSF-2 pencil belonging to x + a^2/x = a(r + 1/r), whose maximal solution
-a/r is found quadratically; driving r -> 1 from below recovers the original
-solution |a|.
+a/r is found quadratically; as r * (a/r) = a for every r in (0, 1), one
+relocation with a fixed, well-conditioned r recovers the original solution
+|a| exactly.
 """
 
 import logging
@@ -36,6 +37,7 @@ from .exceptions import (
     DimensionMismatch,
     EigensolverFailure,
     InvalidR,
+    NonFiniteInput,
     NotAnEigenpair,
     NotCriticalCase,
     NotNormalized,
@@ -53,7 +55,6 @@ __all__ = [
     "UnimodularReport",
     "ScalarShiftStep",
     "ShiftedScalarResult",
-    "DEFAULT_R_SCHEDULE",
     "shift_single",
     "shift_multi",
     "build_shift_factors",
@@ -85,7 +86,10 @@ CLUSTER_TOL = 1e-6
 #: Computed eigenvalues with |1 - |lambda|| at most this count as unimodular.
 UNIMODULAR_TOL = 1e-6
 
-DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
+#: Ratio r of the scalar relocation {1, 1} -> {r, 1/r}: the relocated
+#: problem converges at rate r (about 5 doubling steps) with conditioning
+#: 1/(1 - r^2) = 4/3, so a single solve is accurate to roundoff.
+SCALAR_SHIFT_R = 0.5
 
 
 @dataclass(frozen=True)
@@ -336,57 +340,32 @@ def shifted_scalar_problem(a: float, r: float) -> tuple[float, float]:
     return a, a * (r + 1.0 / r)
 
 
-def solve_scalar_shifted(a: float, q: float, r_schedule=None,
+def solve_scalar_shifted(a: float, q: float,
                          config: SolverConfig | None = None) -> ShiftedScalarResult:
     """Shift-accelerated solve of the critical scalar equation x + a^2/x = q.
 
     Applies only when q = 2|a| to within 1e-8 relative (the critical case,
     where the plain doubling iteration degrades to linear rate 1/2); other
-    inputs raise :class:`NotCriticalCase` and should go to a direct solver.
-    For every r in the schedule the relocated problem x + a^2/x = |a|(r+1/r)
-    is solved quadratically; since r * x_hat(r) = |a| identically, the final
-    value is recovered by extrapolating r * x_hat(r) to r = 1 over the last
-    two schedule points, which only has to cancel roundoff.
+    finite inputs raise :class:`NotCriticalCase` and should go to a direct
+    solver, and a non-finite a or q raises :class:`NonFiniteInput`.  The
+    relocated problem x + a^2/x = |a|(r + 1/r) with r = ``SCALAR_SHIFT_R``
+    is solved once, quadratically, and since r * x_hat(r) = |a| for every
+    r in (0, 1) the answer is r * x_hat.
     """
     a = float(a)
     q = float(q)
-    schedule = tuple(float(r) for r in (DEFAULT_R_SCHEDULE if r_schedule is None else r_schedule))
-    if not schedule:
-        raise InvalidR("empty r schedule")
-    for r in schedule:
-        if not 0.0 < r < 1.0:
-            raise InvalidR(f"r = {r!r} is not in (0, 1)")
-    if any(r2 <= r1 for r1, r2 in zip(schedule, schedule[1:])):
-        raise InvalidR("r schedule must be strictly increasing")
+    if not (math.isfinite(a) and math.isfinite(q)):
+        raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
     if a == 0.0:
         raise NotCriticalCase("a = 0: the equation is already linear")
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):
         raise NotCriticalCase(
             f"q - 2|a| = {q - 2.0 * abs(a):.3e}; shifted pipeline applies only at the critical case")
-    cfg = config or SolverConfig()
-    mag = abs(a)
-    steps = []
-    for r in schedule:
-        a_hat, q_hat = shifted_scalar_problem(mag, r)
-        rep = solve_sda_scalar(a_hat, q_hat, cfg)
-        if rep.converged and rep.iterations > 0:
-            # residual-based stopping leaves x_hat errors up to
-            # tol * q_hat / (1 - r^2), which the extrapolation cannot cancel;
-            # two extra doubling steps square the error away
-            polish = replace(cfg, min_iter=rep.iterations + 2,
-                             max_iter=max(cfg.max_iter, rep.iterations + 2))
-            rep = solve_sda_scalar(a_hat, q_hat, polish)
-        steps.append(ScalarShiftStep(r=r, x_hat=float(rep.X[0, 0]), iterations=rep.iterations))
-        logger.debug("shifted solve r=%s x_hat=%.17g iterations=%d", r, steps[-1].x_hat,
-                     steps[-1].iterations)
-    products = [s.r * s.x_hat for s in steps]
-    if len(steps) == 1:
-        x_plus = products[0]
-    else:
-        r1, r2 = steps[-2].r, steps[-1].r
-        g1, g2 = products[-2], products[-1]
-        x_plus = g2 + (g2 - g1) * (1.0 - r2) / (r2 - r1)
-    return ShiftedScalarResult(x_plus=float(x_plus), per_r=tuple(steps))
+    r = SCALAR_SHIFT_R
+    rep = solve_sda_scalar(*shifted_scalar_problem(abs(a), r), config)
+    step = ScalarShiftStep(r=r, x_hat=float(rep.X[0, 0]), iterations=rep.iterations)
+    logger.debug("shifted solve r=%s x_hat=%.17g iterations=%d", r, step.x_hat, step.iterations)
+    return ShiftedScalarResult(x_plus=r * step.x_hat, per_r=(step,))
 
 
 # ---------------------------------------------------------------------------

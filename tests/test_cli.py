@@ -37,6 +37,14 @@ class TestGenerate:
         code, _, _ = run_cli(capsys, "generate", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_conditioning(self, capsys, value):
+        code, out, err = run_cli(capsys, "generate", "--n", "2", "--rho", "0.5",
+                                 "--conditioning", value)
+        assert code == 2
+        assert out == ""
+        assert "conditioning must be finite" in err
+
 
 class TestSolve:
     def test_report_and_history(self, tmp_path, capsys):
@@ -212,12 +220,6 @@ class TestScalarCritical:
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "0.5", "--q", "2")
         assert code == 0
         assert "not-applicable" in out
-
-    def test_custom_schedule(self, capsys):
-        code, out, _ = run_cli(capsys, "scalar-critical", "--a", "2", "--q", "4",
-                               "--schedule", "0.9,0.99")
-        assert code == 0
-        assert out.count("shifted r=") == 2
 
 
 def child_env(**extra):

@@ -15,6 +15,13 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             nme.GeneratorSpec(n=2, rho_target=0.5, conditioning=0.5)
 
+    @pytest.mark.parametrize("conditioning", [math.nan, math.inf])
+    def test_non_finite_conditioning_rejected(self, conditioning):
+        # NaN passes a plain >= 1 test and would plant a unit spectrum; inf
+        # overflows inside the generator
+        with pytest.raises(ValueError, match="conditioning"):
+            nme.GeneratorSpec(n=2, rho_target=0.5, conditioning=conditioning)
+
 
 class TestGenerateProblem:
     def test_scalar_construction_relations(self):

@@ -40,6 +40,12 @@ class TestNewProblem:
         with pytest.raises(DimensionMismatch):
             nme.new_problem(np.ones((2, 3)), np.eye(2))
 
+    def test_empty_rejected(self):
+        # an empty problem would reach the solvers and fail there with a raw
+        # ZeroDivisionError or ValueError
+        with pytest.raises(DimensionMismatch):
+            nme.new_problem(np.zeros((0, 0)), np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteInput):

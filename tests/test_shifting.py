@@ -11,6 +11,7 @@ from nmesolve.shifting import UNIMODULAR_TOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
     InvalidR,
+    NonFiniteInput,
     NotAnEigenpair,
     NotCriticalCase,
     NotNormalized,
@@ -361,10 +362,10 @@ class TestShiftedScalarProblem:
 
 
 class TestSolveScalarShifted:
-    def test_default_schedule(self):
+    def test_one_relocation(self):
         result = nme.solve_scalar_shifted(1.0, 2.0)
         assert abs(result.x_plus - 1.0) <= 1e-10
-        assert len(result.per_r) == 4
+        assert len(result.per_r) == 1
         for step in result.per_r:
             assert step.iterations <= 18
             assert abs(step.x_hat - 1.0 / step.r) <= 1e-10
@@ -383,13 +384,11 @@ class TestSolveScalarShifted:
         with pytest.raises(NotCriticalCase):
             nme.solve_scalar_shifted(1.0, 2.001)
 
-    def test_schedule_validation(self):
-        with pytest.raises(InvalidR):
-            nme.solve_scalar_shifted(1.0, 2.0, r_schedule=[0.9, 0.5])
-        with pytest.raises(InvalidR):
-            nme.solve_scalar_shifted(1.0, 2.0, r_schedule=[1.5])
-        with pytest.raises(InvalidR):
-            nme.solve_scalar_shifted(1.0, 2.0, r_schedule=[])
+    @pytest.mark.parametrize("a, q", [(math.inf, math.inf), (math.nan, math.nan),
+                                      (1.0, math.inf), (-math.inf, 2.0)])
+    def test_non_finite_rejected(self, a, q):
+        with pytest.raises(NonFiniteInput):
+            nme.solve_scalar_shifted(a, q)
 
     @pytest.mark.parametrize("a", [1e-200, -1e-200, 1e200])
     def test_extreme_scale(self, a):
@@ -399,6 +398,18 @@ class TestSolveScalarShifted:
     def test_scaled_coefficient(self):
         result = nme.solve_scalar_shifted(3.0, 6.0)
         assert abs(result.x_plus - 3.0) <= 3e-10
+
+    def test_fixed_set_to_roundoff(self):
+        # seeded magnitudes over four decades, both signs, and the ends of
+        # the exponent range up to the subnormal 2e-323
+        rng = np.random.default_rng(0)
+        signs = rng.choice((-1.0, 1.0), 200)
+        values = list(signs * 10.0 ** rng.uniform(-2.0, 2.0, 200))
+        values += [1.0, -1.0, 1e-200, -1e-200, 1e200, 2.0 ** 600, 2e-323]
+        for a in values:
+            result = nme.solve_scalar_shifted(a, 2.0 * abs(a))
+            assert abs(result.x_plus - abs(a)) <= 1e-14 * abs(a), a
+            assert result.per_r[0].iterations <= 8, a
 
 
 class TestPencilFiles:

@@ -286,6 +286,20 @@ class TestStein:
         assert np.all(np.isfinite(X_k))
         assert np.linalg.norm(2.0 ** -k * X_k - X) <= 1e-13 * np.linalg.norm(X)
 
+    def test_symmetric_part_near_overflow(self):
+        # (M + M^T) / 2 overflows once entries pass ~9e307 although the mean
+        # fits; the largest entry of this X is 1.48e308
+        rng = np.random.default_rng(5)
+        L = 0.9 * rng.standard_normal((8, 8)) / np.sqrt(8)
+        C = self._random_symmetric(rng, 8)
+        X_k = nme.solve_stein(L, 2.0 ** 1022 * C)
+        assert np.all(np.isfinite(X_k))
+        assert np.linalg.norm(2.0 ** -1022 * X_k - nme.solve_stein(L, C)) \
+            <= 1e-13 * np.linalg.norm(X_k * 2.0 ** -1022)
+        Q = np.array([[1.7e308, 1.6e308], [1.6e308, 1.7e308]])
+        p = nme.new_problem(np.zeros((2, 2)), Q)
+        assert np.array_equal(p.Q, Q)
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)

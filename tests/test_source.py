@@ -29,3 +29,13 @@ def test_every_module_level_name_is_referenced():
                     for name in module_level_names(ast.parse(text))
                     if not name.startswith("__") and counts[name] < 2]
     assert unreferenced == []
+
+
+def test_public_names_are_exported():
+    # a name in a module's __all__ that the package does not re-export is
+    # public in one list only, and can outlive its deletion from the other
+    missing = [f"{module}:{name}"
+               for module in ("problem", "shifting", "solvers", "harness")
+               for name in getattr(nmesolve, module).__all__
+               if not hasattr(nmesolve, name)]
+    assert missing == []
