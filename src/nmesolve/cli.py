@@ -184,6 +184,8 @@ def _scalar_error_iteration(report, x_ref: float, target: float):
 
 def _cmd_scalar_critical(args) -> int:
     a, q = args.a, args.q
+    if not (math.isfinite(a) and math.isfinite(q)):
+        raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
     print(f"scalar-critical a={serialize.format_float(a)} q={serialize.format_float(q)}")
     # x+ = (q + sqrt(q^2 - 4a^2)) / 2, with a and q divided by s first so
     # that the squares neither overflow nor underflow

@@ -14,7 +14,9 @@ solution exists iff psi is positive semidefinite on the unit circle, and the
 pencil's unimodular eigenvalues locate the points where psi is singular.
 
 All symmetric intermediates are re-symmetrized as (X + X^T)/2: roundoff
-destroys exact symmetry and downstream factorizations assume it.
+destroys exact symmetry and downstream factorizations assume it.  The
+residual needs no such step: ``cholesky_residual`` forms it exactly
+symmetric.
 """
 
 import math
@@ -24,6 +26,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrsm
 
 from . import serialize
 from .exceptions import (
@@ -124,9 +127,9 @@ class SymplecticPencil:
 
 @dataclass(frozen=True)
 class Residual:
-    """R(X) = Q - X - A^T X^{-1} A (symmetrized) with its norms."""
+    """R(X) = Q - X - A^T X^{-1} A with its norms (see :func:`cholesky_residual`)."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     fro_norm: float
     rel_norm: float
 
@@ -204,28 +207,47 @@ def new_problem(A, Q) -> NmeProblem:
     return NmeProblem(A=A.copy(), Q=Qs)
 
 
-def _candidate(problem: NmeProblem, X):
-    """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A."""
+def _candidate(problem: NmeProblem, X) -> np.ndarray:
+    """Validate the shape of a candidate X; returns Xs = (X + X^T)/2."""
     X = _square_real(X, "X")
     if X.shape != problem.A.shape:
         raise DimensionMismatch(f"X is {X.shape}, problem is {problem.A.shape}")
-    Xs = symmetric_part(X)
-    return Xs, cho_solve((_cholesky(Xs, "X"), True), problem.A)
+    return symmetric_part(X)
 
 
-def residual_from(A: np.ndarray, Q: np.ndarray, X: np.ndarray, W: np.ndarray,
-                  q_fro: float) -> Residual:
-    """R(X) = Q - X - A^T W (symmetrized) for a given W = X^{-1} A and
-    q_fro = ||Q||_F; how W is obtained is the caller's choice."""
-    R = symmetric_part(Q - X - A.T @ W)
-    fro = fro_norm(R)
-    return Residual(matrix=R, fro_norm=fro, rel_norm=fro / q_fro)
+def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float):
+    """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
+
+    With X = C C^T and Y = C^{-1} A (one triangular solve), A^T X^{-1} A is
+    Y^T Y, which numpy forms as a symmetric rank-k update, so R is exactly
+    symmetric when Q and X are.  ``q_fro`` is ||Q||_F.  Returns
+    ``(residual, C, Y)``, C in Fortran order, so W = X^{-1} A is one more
+    solve C^T W = Y, the pair of solves ``cho_solve`` makes.  An X without a
+    Cholesky factor (not positive definite) gives norms inf and None for R,
+    C and Y; a residual that overflows or is NaN gives norms inf.
+    """
+    try:
+        C = np.asfortranarray(np.linalg.cholesky(X))
+    except np.linalg.LinAlgError:
+        return Residual(matrix=None, fro_norm=math.inf, rel_norm=math.inf), None, None
+    Y = dtrsm(1.0, C, A, lower=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        R = Q - X - Y.T @ Y
+        fro = fro_norm(R)
+        rel = fro / q_fro
+    if not math.isfinite(rel):
+        fro = rel = math.inf
+    return Residual(matrix=R, fro_norm=fro, rel_norm=rel), C, Y
 
 
 def residual(problem: NmeProblem, X) -> Residual:
-    """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X."""
-    Xs, W = _candidate(problem, X)
-    return residual_from(problem.A, problem.Q, Xs, W, fro_norm(problem.Q))
+    """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X; raises
+    :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
+    Xs = _candidate(problem, X)
+    res, C, _ = cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))
+    if C is None:
+        raise NotPositiveDefinite("X", "X has no Cholesky factor")
+    return res
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
@@ -386,12 +408,14 @@ def spectral_radius(W: np.ndarray) -> float:
 
 def spectral_radius_ratio(problem: NmeProblem, X) -> float:
     """rho(X^{-1} A) for an SPD candidate X."""
-    return spectral_radius(_candidate(problem, X)[1])
+    Xs = _candidate(problem, X)
+    return spectral_radius(cho_solve((_cholesky(Xs, "X"), True), problem.A))
 
 
 def invariant_subspace_defect(problem: NmeProblem, X) -> float:
     """|| M [I; X] - L [I; X] X^{-1} A ||_F; zero exactly when X solves the equation."""
-    Xs, W = _candidate(problem, X)
+    Xs = _candidate(problem, X)
+    W = cho_solve((_cholesky(Xs, "X"), True), problem.A)
     pen = build_pencil(problem)
     U = np.vstack([np.eye(problem.n), Xs])
     D = pen.M @ U - pen.L @ (U @ W)

@@ -350,7 +350,10 @@ def solve_scalar_shifted(a: float, q: float,
     solver, and a non-finite a or q raises :class:`NonFiniteInput`.  The
     relocated problem x + a^2/x = |a|(r + 1/r) with r = ``SCALAR_SHIFT_R``
     is solved once, quadratically, and since r * x_hat(r) = |a| for every
-    r in (0, 1) the answer is r * x_hat.
+    r in (0, 1) the answer is r * x_hat.  The equation is homogeneous, so a
+    and q are first divided by the power of two s with |a|/s in [1, 2) and
+    x_plus is scaled back by s; both steps are exact, and |a|(r + 1/r)
+    cannot overflow.
     """
     a = float(a)
     q = float(q)
@@ -358,14 +361,18 @@ def solve_scalar_shifted(a: float, q: float,
         raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
     if a == 0.0:
         raise NotCriticalCase("a = 0: the equation is already linear")
+    s = math.ldexp(1.0, math.frexp(a)[1] - 1)
+    a, q = a / s, q / s
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):
         raise NotCriticalCase(
-            f"q - 2|a| = {q - 2.0 * abs(a):.3e}; shifted pipeline applies only at the critical case")
+            f"q - 2|a| = {s * (q - 2.0 * abs(a)):.3e}; shifted pipeline applies only at the "
+            f"critical case")
     r = SCALAR_SHIFT_R
     rep = solve_sda_scalar(*shifted_scalar_problem(abs(a), r), config)
-    step = ScalarShiftStep(r=r, x_hat=float(rep.X[0, 0]), iterations=rep.iterations)
+    x_hat = float(rep.X[0, 0])
+    step = ScalarShiftStep(r=r, x_hat=s * x_hat, iterations=rep.iterations)
     logger.debug("shifted solve r=%s x_hat=%.17g iterations=%d", r, step.x_hat, step.iterations)
-    return ShiftedScalarResult(x_plus=r * step.x_hat, per_r=(step,))
+    return ShiftedScalarResult(x_plus=s * (r * x_hat), per_r=(step,))
 
 
 # ---------------------------------------------------------------------------

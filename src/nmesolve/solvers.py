@@ -31,7 +31,12 @@ Four algorithms share one reporting contract:
 
 Each solver supplies only its update; one loop (``_Run.drive``) runs them
 all, so the stopping rule is shared, for fair benchmarking: relative residual
-||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Doubling's own test
+||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Every solver takes it from
+``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A and
+R = Q - X_k - Y^T Y.  An X_k without a Cholesky factor has residual inf, so
+``converged=True`` means a finite X that has a Cholesky factor.  The
+fixed-point and Newton solvers also need W = X_k^{-1} A; they get it from
+the same factor with one more triangular solve.  Doubling's own test
 ||A_k||_F <= tol * ||A||_F also ends the run, but when it passes alone the
 run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and
 runs whose X is not finite, raise a
@@ -47,6 +52,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from . import serialize
 from .exceptions import (
@@ -60,7 +66,14 @@ from .exceptions import (
     SingularSteinOperator,
     Stagnated,
 )
-from .problem import NmeProblem, _cholesky, fro_norm, residual_from, spectral_radius, symmetric_part
+from .problem import (
+    NmeProblem,
+    _cholesky,
+    cholesky_residual,
+    fro_norm,
+    spectral_radius,
+    symmetric_part,
+)
 
 __all__ = [
     "Algorithm",
@@ -232,8 +245,8 @@ class _Run:
             if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
                 return self.stopped(res)
             if nonfinite_fatal and not math.isfinite(res):
-                detail = f"has residual {res:.3e}" if np.all(np.isfinite(self.X)) \
-                    else "is not finite"
+                detail = ("is not positive definite or its residual overflows"
+                          if np.all(np.isfinite(self.X)) else "is not finite")
                 raise self.failure(Diverged, f"iterate {self.k} {detail}")
             if (math.isfinite(res) and 0 < self.best_res < math.inf
                     and res > DIVERGENCE_FACTOR * self.best_res):
@@ -265,28 +278,22 @@ class _Run:
         logger.info("%s converged in %d iterations", self.name, self.k)
         return self.report(self.k, True)
 
-    def lu_residual(self, X: np.ndarray) -> float:
-        """Relative residual with W by LU; inf when X is singular or it overflows."""
-        try:
-            W = np.linalg.solve(X, self.A)
-        except np.linalg.LinAlgError:
-            return math.inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = residual_from(self.A, self.Q, X, W, self.q_fro).rel_norm
-        return res if math.isfinite(res) else math.inf
+    def residual(self, X: np.ndarray) -> float:
+        """Relative residual of X; inf when X is not positive definite or it overflows."""
+        return cholesky_residual(self.A, self.Q, X, self.q_fro)[0].rel_norm
 
     def start_at_q(self) -> tuple[np.ndarray, np.ndarray]:
         """X_0 = Q and W_0 = Q^{-1} A; a Q that is not SPD raises NotPositiveDefinite."""
         return self.Q.copy(), scipy.linalg.cho_solve((_cholesky(self.Q, "Q"), True), self.A)
 
-    def solve_spd(self, X: np.ndarray) -> np.ndarray:
-        """W = X^{-1} A by Cholesky; X_k must stay positive definite."""
-        try:
-            chol = np.linalg.cholesky(X)
-        except np.linalg.LinAlgError:
+    def residual_and_w(self, X: np.ndarray) -> tuple[float, np.ndarray]:
+        """Relative residual of X and W = X^{-1} A from one Cholesky factor;
+        X_k must stay positive definite."""
+        res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro)
+        if C is None:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite")
-        return scipy.linalg.cho_solve((chol, True), self.A)
+        return res.rel_norm, dtrsm(1.0, C, Y, lower=1, trans_a=1)
 
     def report(self, iterations: int, converged: bool) -> SolveReport:
         X = np.array(self.X, dtype=float)
@@ -328,8 +335,8 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
         yield X, None, None, False
         while True:
             X = symmetric_part(Q - A.T @ W)
-            W = run.solve_spd(X)
-            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, 0.0, 0.0, None, False
+            res, W = run.residual_and_w(X)
+            yield X, res, 0.0, 0.0, None, False
 
     return run.drive(steps())
 
@@ -339,7 +346,9 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
 
     Y_{k+1} = Y_k (2I - X_k Y_k);  X_{k+1} = Q - A^T Y_k A, exactly in this
     form (the X-update consumes the previous Y).  X_0 = Q, Y_0 = I/||Q||_inf.
-    On solvable problems X_0 >= X_1 >= ... and Y_0 <= Y_1 <= ... .
+    On solvable problems X_0 >= X_1 >= ... and Y_0 <= Y_1 <= ... , so an
+    iterate that is not positive definite ends the run as
+    :class:`~nmesolve.exceptions.Diverged`.
     """
     A, Q = problem.A, problem.Q
     n = problem.n
@@ -353,7 +362,7 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
         while True:
             # the X-update consumes the previous Y
             X, Y = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y))
-            yield X, run.lu_residual(X), 0.0, 0.0, {"Y": Y}, False
+            yield X, run.residual(X), 0.0, 0.0, {"Y": Y}, False
 
     return run.drive(steps())
 
@@ -459,8 +468,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
-            W = run.solve_spd(X)
-            yield X, residual_from(A, Q, X, W, run.q_fro).rel_norm, rho_L, 0.0, None, False
+            res, W = run.residual_and_w(X)
+            yield X, res, rho_L, 0.0, None, False
 
     return run.drive(steps())
 
@@ -483,7 +492,7 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
     def steps():
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
         a_scale = fro_norm(A)
-        yield Qk, run.lu_residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
+        yield Qk, run.residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
         while True:
             D = symmetric_part(Qk - Pk)
             try:
@@ -491,15 +500,17 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             except np.linalg.LinAlgError:
                 raise run.failure(DoublingBreakdown,
                                   f"Q_k - P_k lost positive definiteness at iteration {run.k}")
-            # LU for the arithmetic: a Cholesky solve routes through sqrt(D),
-            # whose rounding gets amplified by 2^k as Q_k - P_k collapses in the
-            # critical case
+            # LU, not Cholesky, for the step: LU is sqrt-free, so the 1x1
+            # critical closed forms with dyadic data stay exact (a Cholesky step
+            # misses them by 1.1e-8); on the matrices of the sda-dense and
+            # critical-shift benchmarks (seeds 1-5) both gave the same iteration
+            # counts and forward errors to three digits
             lu = scipy.linalg.lu_factor(D, check_finite=False)
             WA = scipy.linalg.lu_solve(lu, Ak, check_finite=False)
             WAT = scipy.linalg.lu_solve(lu, Ak.T, check_finite=False)
             Ak, Qk, Pk = (Ak @ WA, symmetric_part(Qk - Ak.T @ WA),
                           symmetric_part(Pk + Ak @ WAT))
-            res = run.lu_residual(Qk)
+            res = run.residual(Qk)
             gap_min = (float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
                        if run.config.record_history else 0.0)
             a_norm = fro_norm(Ak)

@@ -216,6 +216,13 @@ class TestScalarCritical:
         err = float(re.search(r"final-error=(\S+)", out).group(1))
         assert err <= 1e-15 * 2.618 * 10.0 ** exp
 
+    @pytest.mark.parametrize("a, q", [("inf", "inf"), ("nan", "nan"), ("1", "inf")])
+    def test_non_finite_input(self, capsys, a, q):
+        code, out, err = run_cli(capsys, "scalar-critical", "--a", a, "--q", q)
+        assert code == 2
+        assert out == ""
+        assert f"error: a = {float(a)!r}, q = {float(q)!r}" in err
+
     def test_noncritical_skips_shifted(self, capsys):
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "0.5", "--q", "2")
         assert code == 0

@@ -18,6 +18,7 @@ from nmesolve.exceptions import (
     ProblemFileError,
     ZeroLambda,
 )
+from nmesolve.problem import cholesky_residual
 
 
 class TestNewProblem:
@@ -88,6 +89,31 @@ class TestResidual:
         p = nme.new_problem([[1.0]], [[2.0]])
         with pytest.raises(NotPositiveDefinite):
             nme.residual(p, [[-1.0]])
+
+    def test_indefinite_x_has_infinite_residual(self):
+        p = nme.new_problem(0.3 * np.eye(3), 2.0 * np.eye(3))
+        res, C, Y = cholesky_residual(p.A, p.Q, np.diag([1.0, -1.0, 1.0]), 2.0 * math.sqrt(3.0))
+        assert res.rel_norm == math.inf and res.fro_norm == math.inf
+        assert res.matrix is None and C is None and Y is None
+
+    def test_exactly_symmetric(self):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=0.9, seed=3))
+        rng = np.random.default_rng(3)
+        E = rng.standard_normal((32, 32))
+        R = nme.residual(rec.problem, rec.known_solution + 1e-3 * (E + E.T)).matrix
+        assert np.array_equal(R, R.T)
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_matches_lu_formula(self, n):
+        # the reference: W = X^{-1} A by LU, R = sym(Q - X - A^T W)
+        for seed in range(4):
+            for rho in (0.5, 0.9, 0.999, 1.0):
+                rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+                A, Q = rec.problem.A, rec.problem.Q
+                for X in (rec.known_solution, Q):
+                    R_lu = nme.symmetric_part(Q - X - A.T @ np.linalg.solve(X, A))
+                    ref = np.linalg.norm(R_lu) / np.linalg.norm(Q)
+                    assert abs(nme.residual(rec.problem, X).rel_norm - ref) <= 1e-14, (seed, rho)
 
 
 class TestCandidateShape:

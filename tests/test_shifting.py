@@ -395,6 +395,12 @@ class TestSolveScalarShifted:
         res = nme.solve_scalar_shifted(a, 2.0 * abs(a))
         assert abs(res.x_plus - abs(a)) <= 1e-10 * abs(a)
 
+    @pytest.mark.parametrize("a", [7.2e307, -8e307, np.finfo(float).max / 2.0])
+    def test_near_overflow(self, a):
+        # |a|(r + 1/r) overflows unless a is scaled down first
+        res = nme.solve_scalar_shifted(a, 2.0 * abs(a))
+        assert abs(res.x_plus - abs(a)) <= 1e-14 * abs(a)
+
     def test_scaled_coefficient(self):
         result = nme.solve_scalar_shifted(3.0, 6.0)
         assert abs(result.x_plus - 3.0) <= 3e-10

@@ -655,6 +655,16 @@ class TestReports:
         assert rep.converged
         assert rep.history == [] and rep.iterates == [] and rep.aux_iterates == {}
 
+    @pytest.mark.parametrize("solver", [nme.solve_sda, nme.solve_inversion_free])
+    def test_default_solve_calls_no_lu_solve(self, solver, monkeypatch):
+        # the residual monitor works from a Cholesky factor
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.5, seed=19))
+        assert solver(rec.problem).converged
+
     @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
     def test_history_does_not_change_the_arithmetic(self, solver):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=20))
