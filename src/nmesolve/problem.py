@@ -129,7 +129,7 @@ class SymplecticPencil:
 class Residual:
     """R(X) = Q - X - A^T X^{-1} A with its norms (see :func:`cholesky_residual`)."""
 
-    matrix: np.ndarray | None
+    matrix: np.ndarray
     fro_norm: float
     rel_norm: float
 
@@ -215,7 +215,14 @@ def _candidate(problem: NmeProblem, X) -> np.ndarray:
     return symmetric_part(X)
 
 
-def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float):
+def _candidate_w(problem: NmeProblem, X) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A."""
+    Xs = _candidate(problem, X)
+    return Xs, cho_solve((_cholesky(Xs, "X"), True), problem.A)
+
+
+def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray,
+                      q_fro: float) -> tuple[Residual, np.ndarray, np.ndarray]:
     """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
 
     With X = C C^T and Y = C^{-1} A (one triangular solve), A^T X^{-1} A is
@@ -223,13 +230,10 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float)
     symmetric when Q and X are.  ``q_fro`` is ||Q||_F.  Returns
     ``(residual, C, Y)``, C in Fortran order, so W = X^{-1} A is one more
     solve C^T W = Y, the pair of solves ``cho_solve`` makes.  An X without a
-    Cholesky factor (not positive definite) gives norms inf and None for R,
-    C and Y; a residual that overflows or is NaN gives norms inf.
+    Cholesky factor raises :class:`NotPositiveDefinite`; a residual that
+    overflows or is NaN gives norms inf.
     """
-    try:
-        C = np.asfortranarray(np.linalg.cholesky(X))
-    except np.linalg.LinAlgError:
-        return Residual(matrix=None, fro_norm=math.inf, rel_norm=math.inf), None, None
+    C = np.asfortranarray(_cholesky(X, "X"))
     Y = dtrsm(1.0, C, A, lower=1)
     with np.errstate(invalid="ignore", over="ignore"):
         R = Q - X - Y.T @ Y
@@ -244,10 +248,7 @@ def residual(problem: NmeProblem, X) -> Residual:
     """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X; raises
     :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
     Xs = _candidate(problem, X)
-    res, C, _ = cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))
-    if C is None:
-        raise NotPositiveDefinite("X", "X has no Cholesky factor")
-    return res
+    return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))[0]
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
@@ -408,14 +409,12 @@ def spectral_radius(W: np.ndarray) -> float:
 
 def spectral_radius_ratio(problem: NmeProblem, X) -> float:
     """rho(X^{-1} A) for an SPD candidate X."""
-    Xs = _candidate(problem, X)
-    return spectral_radius(cho_solve((_cholesky(Xs, "X"), True), problem.A))
+    return spectral_radius(_candidate_w(problem, X)[1])
 
 
 def invariant_subspace_defect(problem: NmeProblem, X) -> float:
     """|| M [I; X] - L [I; X] X^{-1} A ||_F; zero exactly when X solves the equation."""
-    Xs = _candidate(problem, X)
-    W = cho_solve((_cholesky(Xs, "X"), True), problem.A)
+    Xs, W = _candidate_w(problem, X)
     pen = build_pencil(problem)
     U = np.vstack([np.eye(problem.n), Xs])
     D = pen.M @ U - pen.L @ (U @ W)

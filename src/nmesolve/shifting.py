@@ -350,10 +350,10 @@ def solve_scalar_shifted(a: float, q: float,
     solver, and a non-finite a or q raises :class:`NonFiniteInput`.  The
     relocated problem x + a^2/x = |a|(r + 1/r) with r = ``SCALAR_SHIFT_R``
     is solved once, quadratically, and since r * x_hat(r) = |a| for every
-    r in (0, 1) the answer is r * x_hat.  The equation is homogeneous, so a
-    and q are first divided by the power of two s with |a|/s in [1, 2) and
-    x_plus is scaled back by s; both steps are exact, and |a|(r + 1/r)
-    cannot overflow.
+    r in (0, 1) the answer is r * x_hat.  The criticality test runs on the
+    given a and q.  The equation is homogeneous, so a is then divided by the
+    power of two s with |a|/s in [1, 2) and x_plus is scaled back by s; both
+    steps are exact, and |a|(r + 1/r) cannot overflow.
     """
     a = float(a)
     q = float(q)
@@ -361,12 +361,11 @@ def solve_scalar_shifted(a: float, q: float,
         raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
     if a == 0.0:
         raise NotCriticalCase("a = 0: the equation is already linear")
-    s = math.ldexp(1.0, math.frexp(a)[1] - 1)
-    a, q = a / s, q / s
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):
         raise NotCriticalCase(
-            f"q - 2|a| = {s * (q - 2.0 * abs(a)):.3e}; shifted pipeline applies only at the "
-            f"critical case")
+            f"q - 2|a| = {q - 2.0 * abs(a):.3e}; shifted pipeline applies only at the critical case")
+    s = math.ldexp(1.0, math.frexp(a)[1] - 1)
+    a = a / s
     r = SCALAR_SHIFT_R
     rep = solve_sda_scalar(*shifted_scalar_problem(abs(a), r), config)
     x_hat = float(rep.X[0, 0])

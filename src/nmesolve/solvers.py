@@ -280,7 +280,10 @@ class _Run:
 
     def residual(self, X: np.ndarray) -> float:
         """Relative residual of X; inf when X is not positive definite or it overflows."""
-        return cholesky_residual(self.A, self.Q, X, self.q_fro)[0].rel_norm
+        try:
+            return cholesky_residual(self.A, self.Q, X, self.q_fro)[0].rel_norm
+        except NotPositiveDefinite:
+            return math.inf
 
     def start_at_q(self) -> tuple[np.ndarray, np.ndarray]:
         """X_0 = Q and W_0 = Q^{-1} A; a Q that is not SPD raises NotPositiveDefinite."""
@@ -289,10 +292,11 @@ class _Run:
     def residual_and_w(self, X: np.ndarray) -> tuple[float, np.ndarray]:
         """Relative residual of X and W = X^{-1} A from one Cholesky factor;
         X_k must stay positive definite."""
-        res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro)
-        if C is None:
+        try:
+            res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro)
+        except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
-                               f"iterate {self.k} is not positive definite")
+                               f"iterate {self.k} is not positive definite") from exc
         return res.rel_norm, dtrsm(1.0, C, Y, lower=1, trans_a=1)
 
     def report(self, iterations: int, converged: bool) -> SolveReport:

@@ -228,6 +228,11 @@ class TestScalarCritical:
         assert code == 0
         assert "not-applicable" in out
 
+    def test_tiny_a_with_large_q_skips_shifted(self, capsys):
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1e-300", "--q", "1e10")
+        assert code == 0
+        assert "not-applicable" in out
+
 
 def child_env(**extra):
     """Environment for a child interpreter that imports this copy of nmesolve."""

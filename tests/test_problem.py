@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nmesolve as nme
 from helpers import match_distance, scalar_x_plus
+from nmesolve import solvers
 from nmesolve.exceptions import (
     DimensionMismatch,
     NonFiniteInput,
@@ -91,10 +92,12 @@ class TestResidual:
             nme.residual(p, [[-1.0]])
 
     def test_indefinite_x_has_infinite_residual(self):
+        # the kernel refuses X; the solvers' monitor reads that as residual inf
         p = nme.new_problem(0.3 * np.eye(3), 2.0 * np.eye(3))
-        res, C, Y = cholesky_residual(p.A, p.Q, np.diag([1.0, -1.0, 1.0]), 2.0 * math.sqrt(3.0))
-        assert res.rel_norm == math.inf and res.fro_norm == math.inf
-        assert res.matrix is None and C is None and Y is None
+        X = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_residual(p.A, p.Q, X, 2.0 * math.sqrt(3.0))
+        assert solvers._Run(p.A, p.Q, None, "monitor").residual(X) == math.inf
 
     def test_exactly_symmetric(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=0.9, seed=3))

@@ -384,6 +384,11 @@ class TestSolveScalarShifted:
         with pytest.raises(NotCriticalCase):
             nme.solve_scalar_shifted(1.0, 2.001)
 
+    def test_tiny_a_with_large_q_rejected(self):
+        # q / 2^e overflows when the exponent of a small a scales q
+        with pytest.raises(NotCriticalCase):
+            nme.solve_scalar_shifted(1e-300, 1e10)
+
     @pytest.mark.parametrize("a, q", [(math.inf, math.inf), (math.nan, math.nan),
                                       (1.0, math.inf), (-math.inf, 2.0)])
     def test_non_finite_rejected(self, a, q):
