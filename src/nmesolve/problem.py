@@ -208,10 +208,12 @@ def new_problem(A, Q) -> NmeProblem:
 
 
 def _candidate(problem: NmeProblem, X) -> np.ndarray:
-    """Validate the shape of a candidate X; returns Xs = (X + X^T)/2."""
+    """Validate the shape and finiteness of a candidate X; returns Xs = (X + X^T)/2."""
     X = _square_real(X, "X")
     if X.shape != problem.A.shape:
         raise DimensionMismatch(f"X is {X.shape}, problem is {problem.A.shape}")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("X contains NaN/Inf")
     return symmetric_part(X)
 
 
@@ -246,6 +248,7 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray,
 
 def residual(problem: NmeProblem, X) -> Residual:
     """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X; raises
+    :class:`NonFiniteInput` when X holds NaN/Inf and
     :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
     Xs = _candidate(problem, X)
     return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))[0]
@@ -326,21 +329,63 @@ def _min_eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas, chunk: int) -> np.
     return out
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Smallest value of f met by a golden-section search on [a, b]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
+def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
+               step: float, xtol: float) -> float:
+    """Smallest value of f met by Brent's minimization (Brent 1973, ch. 5)
+    on [x - step, x + step], seeded with fx = f(x), f_before = f(x - step)
+    and f_after = f(x + step).
+
+    Each step fits a parabola through x (the best point so far), w (the
+    second best) and v (the previous w) and moves to its vertex when that
+    lies inside the bracket and moves less than half the step before last;
+    otherwise it takes a golden-section step into the larger part of the
+    bracket.  A move shorter than xtol / 2, or a vertex within xtol of an
+    end, becomes a probe xtol / 2 from x toward the larger part, which
+    shrinks the bracket most.  Stops when the bracket lies within xtol of x.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    tol = xtol / 2.0
+    a, b = x - step, x + step
+    (fw, w), (fv, v) = sorted(((f_before, a), (f_after, b)))
+    d = e = step  # as if x had been reached from its neighbours
+    while True:
+        mid = (a + b) / 2.0
+        if abs(x - mid) <= xtol - (b - a) / 2.0:
+            return fx
+        last, e = e, d
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        if abs(last) > tol and abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < xtol:
+                d = math.copysign(tol, mid - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        if abs(d) < tol:
+            d = math.copysign(tol, mid - x)
+        u = x + d
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
@@ -357,7 +402,10 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
 
     * the angles 2 pi j / SOLVABILITY_SAMPLES in [0, pi] (a coarse grid),
     * each critical angle and one midpoint of each arc between them,
-    * a golden-section search to 1e-7 rad around the best grid point,
+    * the steps of a Brent search (``_brent_min``) within one grid step of
+      the best grid point, seeded with the values of that point and its two
+      grid neighbours and run until it locates a minimizer to 1e-7 rad; when
+      the minimum lies on the grid, two steps confirm it,
 
     and ``min_eig_on_circle`` is the smallest value found.  NOT_SOLVABLE
     when some value is below -SOLVABILITY_TOL; otherwise SOLVABLE when the
@@ -387,9 +435,12 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     on_grid = _min_eigs_on_circle(A, Q, grid, chunk)
     on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
                                   chunk)
-    best = grid[np.argmin(on_grid)]
-    refined = _golden_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
-                          best - step, best + step, 1e-7)
+    # lambda_min is even about 0 and pi, so a missing outer neighbour of the
+    # best grid point has the value of its inner one
+    i = int(np.argmin(on_grid))
+    refined = _brent_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
+                         grid[i], on_grid[i], on_grid[abs(i - 1)],
+                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7)
     min_eig = min(float(on_grid.min()), float(on_arcs.min()), refined)
     if min_eig < -SOLVABILITY_TOL:
         verdict = Verdict.NOT_SOLVABLE

@@ -56,6 +56,7 @@ from scipy.linalg.blas import dtrsm
 
 from . import serialize
 from .exceptions import (
+    DimensionMismatch,
     Diverged,
     DoublingBreakdown,
     InsufficientHistory,
@@ -371,17 +372,16 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     return run.drive(steps())
 
 
-def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur factor T, read from its 1x1 and 2x2 diagonal
-    blocks (a 2x2 block starts at each nonzero subdiagonal entry)."""
-    lam = np.diag(T).astype(complex)
-    k = np.flatnonzero(np.diag(T, -1))
-    a, b, c, d = T[k, k], T[k, k + 1], T[k + 1, k], T[k + 1, k + 1]
-    half_trace = (a + d) / 2.0
-    im = np.sqrt(np.maximum(-(((a - d) / 2.0) ** 2 + b * c), 0.0))
-    lam[k] = half_trace + 1j * im
-    lam[k + 1] = half_trace - 1j * im
-    return lam
+@functools.lru_cache(maxsize=None)
+def _dgees_lwork(n: int) -> int:
+    """Optimal workspace of ``dgees`` for an n-by-n matrix, from a workspace
+    query (it depends on n alone); the same size ``scipy.linalg.schur``
+    queries, so the Schur form is the one it returns."""
+    return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _no_sort(wr, wi):
+    return None
 
 
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -401,20 +401,27 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     L is real, so its spectrum is closed under conjugation and the
     operator's eigenvalues are 1 - lambda_i conj(lambda_j) over the
-    eigenvalues lambda of L, read off the diagonal blocks of T.  Raises
+    eigenvalues lambda of L, which ``dgees`` returns with T.  Raises
     :class:`SingularSteinOperator` when the smallest of their moduli is at
     most 1e-10 times the largest (some pair of eigenvalues of L has product
-    one) or when ``dtgsyl`` reports close eigenvalues, and
-    :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is exactly
+    one) or when ``dtgsyl`` reports close eigenvalues,
+    :class:`DimensionMismatch` when L is not square or C not of its shape,
+    and :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is exactly
     symmetric.  Time is O(n^3) and memory O(n^2).
     """
     L = np.asarray(L, dtype=float)
-    C = symmetric_part(np.asarray(C, dtype=float))
+    C = np.asarray(C, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or C.shape != L.shape:
+        raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}; "
+                                "they must be square and of one shape")
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
         raise NonFiniteInput("Stein data L or C contains NaN/Inf")
+    C = symmetric_part(C)
     n = L.shape[0]
-    T, U = scipy.linalg.schur(L.T, check_finite=False)
-    lam = _quasi_triangular_eigenvalues(T)
+    T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
+    if info:
+        raise np.linalg.LinAlgError(f"dgees found no Schur form of L (info {info})")
+    lam = wr + 1j * wi
     gaps = np.abs(1.0 - np.outer(lam, lam.conj()))
     singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
     if gaps.min() <= 1e-10 * gaps.max():
@@ -528,9 +535,12 @@ def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> 
     """Doubling for the scalar equation x + a^2/x = q (q > 0): the 1-by-1
     call of :func:`solve_sda`, so the report holds q_k in ``iterates`` and
     a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  The problem is
-    not validated beyond q > 0, so q = inf ends in a solver failure."""
+    not validated beyond a finite a and q > 0, so q = inf ends in a solver
+    failure."""
     a = float(a)
     q = float(q)
+    if not math.isfinite(a):
+        raise NonFiniteInput(f"a = {a!r}")
     if not q > 0:
         raise NotPositiveDefinite("q", f"q = {q!r}")
     return solve_sda(NmeProblem(A=np.array([[a]]), Q=np.array([[q]])), config)

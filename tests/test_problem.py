@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import match_distance, scalar_x_plus
+from helpers import match_distance, nonnormal_planted, scalar_x_plus
+from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
     DimensionMismatch,
@@ -128,6 +129,14 @@ class TestCandidateShape:
             diagnostic(p, np.eye(3))
         with pytest.raises(DimensionMismatch):
             diagnostic(p, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("diagnostic", [nme.residual, nme.spectral_radius_ratio,
+                                            nme.invariant_subspace_defect])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_x(self, diagnostic, bad):
+        p = nme.new_problem([[0.3]], [[2.0]])
+        with pytest.raises(NonFiniteInput):
+            diagnostic(p, [[bad]])
 
 
 class TestBuildPencil:
@@ -276,6 +285,65 @@ class TestSolvabilityCheck:
             assert scaled.regular == base.regular
             assert math.ldexp(scaled.min_eig_on_circle, -k) == pytest.approx(
                 base.min_eig_on_circle, rel=1e-12, abs=0.0)
+
+
+    @staticmethod
+    def _planted_variants(seed, n, rho):
+        p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
+        return p, nme.new_problem(p.A, p.Q / 2.0), nme.new_problem(-p.A, p.Q)
+
+    @staticmethod
+    def _count_refinement(monkeypatch, p):
+        # the grid and the arcs are one call each; every later call is one
+        # step of the minimizer, at one angle
+        sizes = []
+        real = problem_module._min_eigs_on_circle
+
+        def counted(A, Q, thetas, chunk):
+            sizes.append(len(thetas))
+            return real(A, Q, thetas, chunk)
+
+        monkeypatch.setattr(problem_module, "_min_eigs_on_circle", counted)
+        verdict = nme.solvability_check(p)
+        monkeypatch.undo()
+        assert all(size == 1 for size in sizes[2:])
+        return verdict, len(sizes) - 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    @pytest.mark.parametrize("rho", [0.3, 0.999, 1.0])
+    def test_refinement_evaluations(self, monkeypatch, seed, n, rho):
+        for p in self._planted_variants(seed, n, rho):
+            assert self._count_refinement(monkeypatch, p)[1] <= 6
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_against_dense_sample(self, seed, n):
+        # lambda_min of a planted problem is least at 0 or pi, which the
+        # dense sample holds; the check may only go below it by roundoff
+        thetas = np.linspace(0.0, math.pi, 4097)
+        for rho in (0.3, 0.9, 0.999, 1.0):
+            for p in self._planted_variants(seed, n, rho):
+                dense = float(problem_module._min_eigs_on_circle(p.A, p.Q, thetas, 256).min())
+                v = nme.solvability_check(p)
+                scale = 2.0 ** math.frexp(max(np.max(np.abs(p.A)), np.max(np.abs(p.Q))))[1]
+                assert dense - 1e-13 * scale <= v.min_eig_on_circle <= dense
+                expected = (nme.Verdict.NOT_SOLVABLE
+                            if dense < -problem_module.SOLVABILITY_TOL * scale
+                            else nme.Verdict.SOLVABLE)
+                assert v.verdict is expected
+
+    def test_interior_minimum_found(self, monkeypatch):
+        # S = X^{-1} A is not normal here, and lambda_min is least between
+        # two grid angles, about 0.0224 rad above the grid angle 31 pi / 32
+        p, _ = nonnormal_planted(n=8, rho=0.9, eta=1.0, seed=2)
+        v, evaluations = self._count_refinement(monkeypatch, p)
+        step = math.pi / 32
+        thetas = np.linspace(30 * step, 32 * step, 4097)
+        dense = float(problem_module._min_eigs_on_circle(p.A, p.Q, thetas, 256).min())
+        # the sample misses the minimum by about 2e-8 of its value
+        assert dense * (1.0 - 1e-6) <= v.min_eig_on_circle <= dense
+        assert evaluations <= 8
 
 
 class TestSpectralRadiusRatio:

@@ -10,6 +10,7 @@ import nmesolve as nme
 from helpers import min_eig, nonnormal_planted, scalar_x_plus
 from nmesolve import solvers
 from nmesolve.exceptions import (
+    DimensionMismatch,
     Diverged,
     DoublingBreakdown,
     InsufficientHistory,
@@ -226,6 +227,12 @@ class TestStein:
     def test_non_finite_input(self, L, C):
         with pytest.raises(NonFiniteInput):
             nme.solve_stein(np.array(L), np.array(C))
+
+    @pytest.mark.parametrize("L,C", [(0.5 * np.eye(3), np.eye(2)),
+                                     (np.ones((2, 3)), np.eye(2))])
+    def test_shape_mismatch(self, L, C):
+        with pytest.raises(DimensionMismatch):
+            nme.solve_stein(L, C)
 
     @staticmethod
     def _check_structure_case(L, C):
@@ -479,6 +486,11 @@ class TestSdaScalar:
         rep = nme.solve_sda_scalar(1.0, r + 1.0 / r)
         assert rep.converged and rep.iterations <= 9
         assert rep.X[0, 0] == pytest.approx(1.0 / r, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(NonFiniteInput):
+            nme.solve_sda_scalar(a, 2.0)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(NotPositiveDefinite):

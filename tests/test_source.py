@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -39,3 +42,11 @@ def test_public_names_are_exported():
                for name in getattr(nmesolve, module).__all__
                if not hasattr(nmesolve, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s of import time
+    code = "import sys, nmesolve; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"
