@@ -372,16 +372,16 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     return run.drive(steps())
 
 
+def _no_sort(wr, wi):
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _dgees_lwork(n: int) -> int:
     """Optimal workspace of ``dgees`` for an n-by-n matrix, from a workspace
     query (it depends on n alone); the same size ``scipy.linalg.schur``
     queries, so the Schur form is the one it returns."""
     return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
-
-
-def _no_sort(wr, wi):
-    return None
 
 
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
