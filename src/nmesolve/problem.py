@@ -330,7 +330,7 @@ def _min_eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas, chunk: int) -> np.
 
 
 def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
-               step: float, xtol: float) -> float:
+               step: float, xtol: float, ftol: float, even: bool) -> float:
     """Smallest value of f met by Brent's minimization (Brent 1973, ch. 5)
     on [x - step, x + step], seeded with fx = f(x), f_before = f(x - step)
     and f_after = f(x + step).
@@ -341,16 +341,24 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
     otherwise it takes a golden-section step into the larger part of the
     bracket.  A move shorter than xtol / 2, or a vertex within xtol of an
     end, becomes a probe xtol / 2 from x toward the larger part, which
-    shrinks the bracket most.  Stops when the bracket lies within xtol of x.
+    shrinks the bracket most.  Stops when the bracket lies within xtol of x,
+    or when f at x, w and v differs by at most ftol, f's own error, so that
+    the parabola is noise.
+
+    ``even`` says f is even about the seed x.  The seed parabola is then
+    symmetric and its vertex is x itself, so the first step is a
+    golden-section one; and while x is the seed, a probe that rises cuts the
+    bracket on both sides of it.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     tol = xtol / 2.0
+    centre = x
     a, b = x - step, x + step
     (fw, w), (fv, v) = sorted(((f_before, a), (f_after, b)))
-    d = e = step  # as if x had been reached from its neighbours
+    d = e = 0.0 if even else step  # step: as if x had been reached from its neighbours
     while True:
         mid = (a + b) / 2.0
-        if abs(x - mid) <= xtol - (b - a) / 2.0:
+        if abs(x - mid) <= xtol - (b - a) / 2.0 or max(fw, fv) - fx <= ftol:
             return fx
         last, e = e, d
         r = (x - w) * (fx - fv)
@@ -382,6 +390,8 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
                 a = u
             else:
                 b = u
+            if even and x == centre:
+                a, b = max(a, 2.0 * x - b), min(b, 2.0 * x - a)
             if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
@@ -404,8 +414,10 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     * each critical angle and one midpoint of each arc between them,
     * the steps of a Brent search (``_brent_min``) within one grid step of
       the best grid point, seeded with the values of that point and its two
-      grid neighbours and run until it locates a minimizer to 1e-7 rad; when
-      the minimum lies on the grid, two steps confirm it,
+      grid neighbours and run until it locates a minimizer to 1e-7 rad or
+      its values agree to eigvalsh's error; at 0 and pi, where lambda_min is
+      even, it starts with a golden-section step, so that a minimum off the
+      grid angle on either side is searched too,
 
     and ``min_eig_on_circle`` is the smallest value found.  NOT_SOLVABLE
     when some value is below -SOLVABILITY_TOL; otherwise SOLVABLE when the
@@ -435,12 +447,15 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     on_grid = _min_eigs_on_circle(A, Q, grid, chunk)
     on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
                                   chunk)
-    # lambda_min is even about 0 and pi, so a missing outer neighbour of the
-    # best grid point has the value of its inner one
+    # lambda_min is even about 0 and pi, so there the missing outer neighbour
+    # of the best grid point has the value of its inner one; eigvalsh's
+    # error in it is about n eps ||psi||
     i = int(np.argmin(on_grid))
+    even = i in (0, chunk - 1)
+    ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))
     refined = _brent_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
                          grid[i], on_grid[i], on_grid[abs(i - 1)],
-                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7)
+                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7, ftol, even)
     min_eig = min(float(on_grid.min()), float(on_arcs.min()), refined)
     if min_eig < -SOLVABILITY_TOL:
         verdict = Verdict.NOT_SOLVABLE
