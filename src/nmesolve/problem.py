@@ -343,12 +343,14 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
     end, becomes a probe xtol / 2 from x toward the larger part, which
     shrinks the bracket most.  Stops when the bracket lies within xtol of x,
     or when f at x, w and v differs by at most ftol, f's own error, so that
-    the parabola is noise.
+    a parabola would fit noise.
 
-    ``even`` says f is even about the seed x.  The seed parabola is then
-    symmetric and its vertex is x itself, so the first step is a
-    golden-section one; and while x is the seed, a probe that rises cuts the
-    bracket on both sides of it.
+    ``even`` says f is even about the seed x.  A parabola through the seeds
+    then has its vertex at x and says nothing, so the first step is a
+    golden-section one.  While x is still the seed, the model is a parabola
+    in (theta - x)^2 through x, w and v: the step goes to its minimum when x
+    is a maximum of the model, and is a probe xtol / 2 from x otherwise; and
+    a probe that rises cuts the bracket on both sides of x.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     tol = xtol / 2.0
@@ -368,7 +370,16 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
         if q > 0.0:
             p = -p
         q = abs(q)
-        if abs(last) > tol and abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+        sw, sv = (w - x) ** 2, (v - x) ** 2
+        if even and x == centre and sw != sv:
+            # f = fx + k s + m s^2 in s = (theta - x)^2 through w and v
+            k = ((fw - fx) * sv * sv - (fv - fx) * sw * sw) / (sw * sv * (sv - sw))
+            m = ((fv - fx) * sw - (fw - fx) * sv) / (sw * sv * (sv - sw))
+            d = -math.sqrt(-k / (2.0 * m)) if k < 0.0 < m else 0.0
+            if x + d <= a:
+                e = a - x
+                d = golden * e
+        elif abs(last) > tol and abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
             d = p / q
             if min(x + d - a, b - x - d) < xtol:
                 d = math.copysign(tol, mid - x)
