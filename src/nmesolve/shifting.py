@@ -316,11 +316,10 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     for cluster in sorted(clusters, key=lambda c: (np.mean(c).real, np.mean(c).imag)):
         rep = complex(np.mean(cluster))
         count = (len(cluster) + 1) // 2
-        # a real mean of a real pencil gives a real matrix: take its real SVD
-        vh = np.linalg.svd(M - (rep.real if rep.imag == 0.0 else rep) * L)[2]
+        vh = np.linalg.svd(M - rep * L)[2]
         values += [rep] * count
         vectors.append(vh[-count:].conj().T)
-    eigenvectors = (np.hstack(vectors, dtype=complex) if vectors
+    eigenvectors = (np.hstack(vectors) if vectors
                     else np.zeros((pencil.dim, 0), dtype=complex))
     return UnimodularReport(eigenvalues=np.asarray(values, dtype=complex),
                             eigenvectors=eigenvectors)

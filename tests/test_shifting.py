@@ -283,26 +283,6 @@ class TestDetectUnimodular:
         v = rep.eigenvectors[:, 0]
         assert abs(v[1] / v[0] - 1.0) <= 1e-7  # direction [1, 1]
 
-    def test_real_eigenvalue_takes_a_real_svd(self, monkeypatch):
-        # at lambda = 1, M - lambda L of a real pencil is a real matrix
-        pen = critical_pencil()
-        svd = np.linalg.svd
-        complex_inputs = []
-
-        def spy(a, *args, **kwargs):
-            complex_inputs.append(np.iscomplexobj(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        rep = nme.detect_unimodular(pen)
-        monkeypatch.undo()
-        assert complex_inputs == [False]
-        assert rep.eigenvectors.dtype == complex
-        # shift_multi raises NotAnEigenpair unless each vector passes its check
-        spec = nme.build_shift_factors(rep.eigenvectors, rep.eigenvalues,
-                                       0.9 * rep.eigenvalues)
-        nme.shift_multi(pen, spec)
-
     def test_subcritical_pencil_empty(self):
         pen = nme.build_pencil(nme.new_problem([[0.5]], [[2.0]]))
         rep = nme.detect_unimodular(pen)
