@@ -459,8 +459,8 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
                                   chunk)
     # lambda_min is even about 0 and pi, so there the missing outer neighbour
-    # of the best grid point has the value of its inner one; eigvalsh's
-    # error in it is about n eps ||psi||
+    # of the best grid point has the value of its inner one.  eigvalsh's
+    # error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
     i = int(np.argmin(on_grid))
     even = i in (0, chunk - 1)
     ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))

@@ -313,7 +313,22 @@ class TestSolvabilityCheck:
     @pytest.mark.parametrize("rho", [0.3, 0.999, 1.0])
     def test_refinement_evaluations(self, monkeypatch, seed, n, rho):
         for p in self._planted_variants(seed, n, rho):
-            assert self._count_refinement(monkeypatch, p)[1] <= 6
+            assert self._count_refinement(monkeypatch, p)[1] <= 3
+
+    def test_even_minimum_on_the_seed_takes_two_steps(self):
+        # a golden-section step and one probe next to pi, whose rise also
+        # cuts the bracket on the other side of pi
+        probes = []
+
+        def f(t):
+            probes.append(t)
+            return (t - math.pi) ** 2
+
+        step = math.pi / 32
+        value = problem_module._brent_min(f, math.pi, 0.0, step ** 2, step ** 2, step,
+                                          1e-7, 0.0, True)
+        assert value == 0.0
+        assert len(probes) == 2
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
