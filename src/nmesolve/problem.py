@@ -26,7 +26,6 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dtrsm
 
 from . import serialize
 from .exceptions import (
@@ -178,11 +177,15 @@ def _square_real(M, name: str) -> np.ndarray:
 
 
 def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor; failure is the SPD test."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(name, str(exc)) from exc
+    """Lower Cholesky factor of M, in Fortran order, from LAPACK ``dpotrf``
+    (called directly: ``np.linalg.cholesky`` spends most of its time at small
+    n in dispatch).  Failure is the SPD test: a nonpositive pivot raises
+    :class:`NotPositiveDefinite` naming M.  As with ``np.linalg.cholesky``,
+    NaN and inf pass ``dpotrf`` unflagged and show in the factor."""
+    C, info = scipy.linalg.lapack.dpotrf(M, lower=1)
+    if info:
+        raise NotPositiveDefinite(name, f"the leading minor of order {info} is not positive")
+    return C
 
 
 def new_problem(A, Q) -> NmeProblem:
@@ -230,13 +233,14 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray,
     With X = C C^T and Y = C^{-1} A (one triangular solve), A^T X^{-1} A is
     Y^T Y, which numpy forms as a symmetric rank-k update, so R is exactly
     symmetric when Q and X are.  ``q_fro`` is ||Q||_F.  Returns
-    ``(residual, C, Y)``, C in Fortran order, so W = X^{-1} A is one more
-    solve C^T W = Y, the pair of solves ``cho_solve`` makes.  An X without a
-    Cholesky factor raises :class:`NotPositiveDefinite`; a residual that
-    overflows or is NaN gives norms inf.
+    ``(residual, C, Y)``, C in Fortran order as ``_cholesky`` returns it, so
+    W = X^{-1} A is one more solve C^T W = Y, the pair of solves
+    ``cho_solve`` makes.  An X without a Cholesky factor raises
+    :class:`NotPositiveDefinite`; a residual that overflows or is NaN gives
+    norms inf.
     """
-    C = np.asfortranarray(_cholesky(X, "X"))
-    Y = dtrsm(1.0, C, A, lower=1)
+    C = _cholesky(X, "X")
+    Y = scipy.linalg.blas.dtrsm(1.0, C, A, lower=1)
     with np.errstate(invalid="ignore", over="ignore"):
         R = Q - X - Y.T @ Y
         fro = fro_norm(R)

@@ -42,6 +42,16 @@ run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and
 runs whose X is not finite, raise a
 :class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
 report.
+
+The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
+``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
+triangular solves, ``dgetrf`` and ``dgetrs`` for the doubling step, and
+``dgees`` and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
+n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
+``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each
+routine is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
+when it is called, never bound at import, so a tracer that wraps the
+module attribute sees it.
 """
 
 import functools
@@ -52,7 +62,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm
 
 from . import serialize
 from .exceptions import (
@@ -298,7 +307,7 @@ class _Run:
         except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite") from exc
-        return res.rel_norm, dtrsm(1.0, C, Y, lower=1, trans_a=1)
+        return res.rel_norm, scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
 
     def report(self, iterations: int, converged: bool) -> SolveReport:
         X = np.array(self.X, dtype=float)
@@ -429,15 +438,18 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     W = U[:, ::-1]
     S = T.T[::-1, ::-1]
     # rotate rows (j, j+1) of each 2x2 block of S to zero S[j+1, j]
+    # (with no 2x2 block, G = I and S is already upper triangular)
     j = np.flatnonzero(np.diag(S, -1))
-    r = np.hypot(S[j, j], S[j + 1, j])
-    cos, sin = S[j, j] / r, S[j + 1, j] / r
     G = np.eye(n)
-    G[j, j] = G[j + 1, j + 1] = cos
-    G[j, j + 1] = sin
-    G[j + 1, j] = -sin
+    if j.size:
+        r = np.hypot(S[j, j], S[j + 1, j])
+        cos, sin = S[j, j] / r, S[j + 1, j] / r
+        G[j, j] = G[j + 1, j + 1] = cos
+        G[j, j + 1] = sin
+        G[j + 1, j] = -sin
+        S = np.triu(G @ S)
     R, _, scale, _, info = scipy.linalg.lapack.dtgsyl(
-        T, G, np.zeros((n, n)), np.eye(n), np.triu(G @ S), U.T @ C @ W)
+        T, G, np.zeros((n, n)), np.eye(n), S, U.T @ C @ W)
     if info > 0:
         raise SingularSteinOperator(singular)
     return symmetric_part(U @ R @ W.T / scale)
@@ -507,18 +519,26 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         while True:
             D = symmetric_part(Qk - Pk)
             try:
-                np.linalg.cholesky(D)
-            except np.linalg.LinAlgError:
-                raise run.failure(DoublingBreakdown,
-                                  f"Q_k - P_k lost positive definiteness at iteration {run.k}")
+                _cholesky(D, "Q_k - P_k")
+            except NotPositiveDefinite as exc:
+                raise run.failure(
+                    DoublingBreakdown,
+                    f"Q_k - P_k lost positive definiteness at iteration {run.k}") from exc
             # LU, not Cholesky, for the step: LU is sqrt-free, so the 1x1
             # critical closed forms with dyadic data stay exact (a Cholesky step
             # misses them by 1.1e-8); on the matrices of the sda-dense and
             # critical-shift benchmarks (seeds 1-5) both gave the same iteration
-            # counts and forward errors to three digits
-            lu = scipy.linalg.lu_factor(D, check_finite=False)
-            WA = scipy.linalg.lu_solve(lu, Ak, check_finite=False)
-            WAT = scipy.linalg.lu_solve(lu, Ak.T, check_finite=False)
+            # counts and forward errors to three digits.  dgetrf and dgetrs are
+            # the calls lu_factor and lu_solve make, with the same arguments,
+            # without their dispatch
+            lu, piv, info = scipy.linalg.lapack.dgetrf(D)
+            WA, info_a = scipy.linalg.lapack.dgetrs(lu, piv, Ak)
+            WAT, info_at = scipy.linalg.lapack.dgetrs(lu, piv, Ak.T)
+            if info or info_a or info_at:
+                raise run.failure(
+                    DoublingBreakdown,
+                    f"LU solve with Q_k - P_k failed at iteration {run.k} "
+                    f"(dgetrf info {info}, dgetrs info {info_a}, {info_at})")
             Ak, Qk, Pk = (Ak @ WA, symmetric_part(Qk - Ak.T @ WA),
                           symmetric_part(Pk + Ak @ WAT))
             res = run.residual(Qk)

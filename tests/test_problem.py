@@ -20,7 +20,7 @@ from nmesolve.exceptions import (
     ProblemFileError,
     ZeroLambda,
 )
-from nmesolve.problem import cholesky_residual
+from nmesolve.problem import _cholesky, cholesky_residual
 
 
 class TestNewProblem:
@@ -118,6 +118,26 @@ class TestResidual:
                     R_lu = nme.symmetric_part(Q - X - A.T @ np.linalg.solve(X, A))
                     ref = np.linalg.norm(R_lu) / np.linalg.norm(Q)
                     assert abs(nme.residual(rec.problem, X).rel_norm - ref) <= 1e-14, (seed, rho)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    def test_matches_numpy_in_fortran_order(self, n):
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, n))
+        M = nme.symmetric_part(B @ B.T + n * np.eye(n))
+        C = _cholesky(M, "M")
+        ref = np.linalg.cholesky(M)
+        assert C.flags.f_contiguous
+        assert np.array_equal(C, np.tril(C))
+        assert np.max(np.abs(C - ref)) <= 10 * n * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))],
+                             ids=["indefinite", "zero"])
+    def test_not_positive_definite_names_the_matrix(self, M):
+        with pytest.raises(NotPositiveDefinite, match="^Q_k - P_k is not positive definite") as info:
+            _cholesky(M, "Q_k - P_k")
+        assert info.value.name == "Q_k - P_k"
 
 
 class TestCandidateShape:

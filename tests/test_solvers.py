@@ -439,6 +439,45 @@ class TestSda:
         with pytest.raises(DoublingBreakdown):
             nme.solve_sda(p)
 
+    def test_dgetrs_is_lu_solve_bitwise(self):
+        # the doubling step calls dgetrf/dgetrs in place of lu_factor/lu_solve
+        # and must give the same bytes, for A_k (C order) and A_k^T (F order)
+        rng = np.random.default_rng(31)
+        D = rng.standard_normal((24, 24)) + 24 * np.eye(24)
+        B = rng.standard_normal((24, 24))
+        for rhs in (B, B.T):
+            lu, piv, info = scipy.linalg.lapack.dgetrf(D)
+            X, info_s = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+            assert info == info_s == 0
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(D, check_finite=False), rhs,
+                                        check_finite=False)
+            assert X.tobytes() == ref.tobytes() and X.dtype == ref.dtype
+
+    def test_default_solve_calls_lapack_directly(self, monkeypatch):
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden("scipy.linalg.lu_factor"))
+        monkeypatch.setattr(scipy.linalg, "lu_solve", forbidden("scipy.linalg.lu_solve"))
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden("numpy.linalg.cholesky"))
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
+        assert nme.solve_sda(rec.problem).converged
+
+    def test_lu_failure_is_breakdown(self, monkeypatch):
+        dgetrf = scipy.linalg.lapack.dgetrf
+
+        def singular(D):
+            lu, piv, _ = dgetrf(D)
+            return lu, piv, 2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", singular)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
+        with pytest.raises(DoublingBreakdown, match="dgetrf info 2") as info:
+            nme.solve_sda(rec.problem)
+        assert info.value.iteration == 1 and info.value.report.iterations == 0
+
     @pytest.mark.parametrize("seed,rho", [(9, 0.5), (10, 0.9)])
     def test_order_relations_and_norm_bounds(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))

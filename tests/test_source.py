@@ -6,7 +6,10 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
+
+import scipy.linalg
 
 import nmesolve
 
@@ -50,3 +53,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_no_lapack_or_blas_routine_is_bound_at_import():
+    # the solvers look LAPACK and BLAS routines up on their scipy module at
+    # call time, so that wrapping the module attribute (as a tracer does)
+    # reaches every call
+    routines = {id(v): f"{mod.__name__}.{k}"
+                for mod in (scipy.linalg.lapack, scipy.linalg.blas)
+                for k, v in vars(mod).items() if callable(v) and not isinstance(v, type)}
+    bound = [f"{path.stem}:{name} is {routines[id(value)]}"
+             for path in sorted(SRC.glob("*.py"))
+             for name, value in vars(import_module(f"nmesolve.{path.stem}")).items()
+             if id(value) in routines]
+    assert bound == []
