@@ -45,8 +45,9 @@ report.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
-triangular solves, ``dgetrf`` and ``dgetrs`` for the doubling step, and
-``dgees`` and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
+triangular solves, one Bunch-Kaufman ``dsytrf`` with ``dsyconv``,
+``dtrtri``, ``dlaswp`` and ``dtrmm`` for the doubling step, and ``dgees``
+and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
 n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
 ``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each
 routine is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
@@ -74,6 +75,7 @@ from .exceptions import (
     NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
+    SolverFailure,
     Stagnated,
 )
 from .problem import (
@@ -414,9 +416,10 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     :class:`SingularSteinOperator` when the smallest of their moduli is at
     most 1e-10 times the largest (some pair of eigenvalues of L has product
     one) or when ``dtgsyl`` reports close eigenvalues,
-    :class:`DimensionMismatch` when L is not square or C not of its shape,
-    and :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is exactly
-    symmetric.  Time is O(n^3) and memory O(n^2).
+    :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
+    Schur form, :class:`DimensionMismatch` when L is not square or C not of
+    its shape, and :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is
+    exactly symmetric.  Time is O(n^3) and memory O(n^2).
     """
     L = np.asarray(L, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -429,7 +432,7 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     n = L.shape[0]
     T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
     if info:
-        raise np.linalg.LinAlgError(f"dgees found no Schur form of L (info {info})")
+        raise SolverFailure(f"dgees found no Schur form of L (info {info})")
     lam = wr + 1j * wi
     gaps = np.abs(1.0 - np.outer(lam, lam.conj()))
     singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
@@ -486,6 +489,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                                   f"Stein operator singular at iteration {run.k}") from exc
             except NonFiniteInput as exc:
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
+            except SolverFailure as exc:
+                raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc
             with np.errstate(over="ignore"):
                 rise = float(np.sum(np.diag(X) / q_max)) / tr_q
             if rise > 1.0 + NEWTON_TRACE_RTOL:
@@ -497,6 +502,43 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     return run.drive(steps())
 
 
+@functools.lru_cache(maxsize=None)
+def _dsytrf_lwork(n: int) -> int:
+    """Optimal workspace of the lower ``dsytrf`` for an n-by-n matrix, from a
+    workspace query; the default workspace of n runs it unblocked."""
+    return max(int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0]), 1)
+
+
+def _spd_solve(D: np.ndarray, B: np.ndarray, name: str) -> np.ndarray:
+    """D^{-1} B for a symmetric D that must be SPD, from one Bunch-Kaufman
+    factorization D = P L Lam L^T P^T (``dsytrf`` of the lower triangle); a
+    Fortran-ordered B is overwritten.
+
+    It is also the SPD test: a Bunch-Kaufman 2x2 pivot has a negative
+    determinant, so by Sylvester's law of inertia D is SPD exactly when every
+    pivot is 1x1 and positive.  Otherwise it raises
+    :class:`NotPositiveDefinite` naming D, before ``dsyconv`` or ``dlaswp``
+    sees the pivots.  The solve is sqrt-free, so 1-by-1 dyadic data give
+    b / d exactly.  L^{-1} is one ``dtrtri``, applied by ``dtrmm``: at
+    n = 256 (scipy's OpenBLAS 0.3.30, one Xeon thread) ``dtrmm`` takes
+    0.21 ms where ``dtrsm`` takes 0.70 ms.
+    """
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1, lwork=_dsytrf_lwork(D.shape[0]))
+    d = ldu.diagonal().copy()
+    if info or ipiv.min() <= 0 or not d.min() > 0:
+        raise NotPositiveDefinite(
+            name, f"dsytrf info {info}" if info else
+            "a 2x2 pivot" if ipiv.min() <= 0 else f"a pivot is {float(d.min())}")
+    L, _, _ = scipy.linalg.lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
+    L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, unitdiag=1, overwrite_c=1)
+    piv = ipiv - 1  # scipy's dlaswp takes 0-based pivots
+    W = scipy.linalg.lapack.dlaswp(B, piv, overwrite_a=1)
+    W = scipy.linalg.blas.dtrmm(1.0, L_inv, W, lower=1, diag=1, overwrite_b=1)
+    W /= d[:, None]
+    W = scipy.linalg.blas.dtrmm(1.0, L_inv, W, lower=1, trans_a=1, diag=1, overwrite_b=1)
+    return scipy.linalg.lapack.dlaswp(W, piv, inc=-1, overwrite_a=1)
+
+
 def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
     """Structure-preserving doubling from A_0 = A, Q_0 = Q, P_0 = 0.
 
@@ -504,9 +546,11 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         Q_{k+1} = Q_k - A_k^T (Q_k - P_k)^{-1} A_k
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
-    The solution is the limit of Q_k.  With history on, each record stores
-    ||A_k||_F (aux1) and the minimum eigenvalue of Q_k - P_k (aux2); the
-    latter stays positive whenever a solution exists.  Raises
+    The solution is the limit of Q_k.  Each step factors D = Q_k - P_k once
+    (see :func:`_spd_solve`); that factorization is both the test that D is
+    SPD and the solve for D^{-1} A_k and D^{-1} A_k^T.  With history on, each
+    record stores ||A_k||_F (aux1) and the minimum eigenvalue of Q_k - P_k
+    (aux2); the latter stays positive whenever a solution exists.  Raises
     :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
     """
     A, Q = problem.A, problem.Q
@@ -516,29 +560,19 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
         a_scale = fro_norm(A)
         yield Qk, run.residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
+        n = A.shape[0]
         while True:
-            D = symmetric_part(Qk - Pk)
+            # LDL^T, not Cholesky: it is sqrt-free, so the 1x1 critical closed
+            # forms with dyadic data stay exact (a Cholesky step misses them by
+            # 1.1e-8).  Q_k and P_k are exactly symmetric, so Q_k - P_k is too;
+            # [A_k, A_k^T] is built in Fortran order for _spd_solve to overwrite
             try:
-                _cholesky(D, "Q_k - P_k")
+                W = _spd_solve(Qk - Pk, np.concatenate((Ak.T, Ak)).T, "Q_k - P_k")
             except NotPositiveDefinite as exc:
                 raise run.failure(
                     DoublingBreakdown,
                     f"Q_k - P_k lost positive definiteness at iteration {run.k}") from exc
-            # LU, not Cholesky, for the step: LU is sqrt-free, so the 1x1
-            # critical closed forms with dyadic data stay exact (a Cholesky step
-            # misses them by 1.1e-8); on the matrices of the sda-dense and
-            # critical-shift benchmarks (seeds 1-5) both gave the same iteration
-            # counts and forward errors to three digits.  dgetrf and dgetrs are
-            # the calls lu_factor and lu_solve make, with the same arguments,
-            # without their dispatch
-            lu, piv, info = scipy.linalg.lapack.dgetrf(D)
-            WA, info_a = scipy.linalg.lapack.dgetrs(lu, piv, Ak)
-            WAT, info_at = scipy.linalg.lapack.dgetrs(lu, piv, Ak.T)
-            if info or info_a or info_at:
-                raise run.failure(
-                    DoublingBreakdown,
-                    f"LU solve with Q_k - P_k failed at iteration {run.k} "
-                    f"(dgetrf info {info}, dgetrs info {info_a}, {info_at})")
+            WA, WAT = W[:, :n], W[:, n:]
             Ak, Qk, Pk = (Ak @ WA, symmetric_part(Qk - Ak.T @ WA),
                           symmetric_part(Pk + Ak @ WAT))
             res = run.residual(Qk)

@@ -20,6 +20,7 @@ from nmesolve.exceptions import (
     NonFiniteInput,
     NotPositiveDefinite,
     SingularSteinOperator,
+    SolverFailure,
     Stagnated,
 )
 from nmesolve.problem import spectral_radius
@@ -391,6 +392,25 @@ class TestNewton:
         assert info.value.iteration == 1
         assert info.value.report is not None
 
+    def test_schur_failure_is_typed(self, monkeypatch):
+        # dgees info > 0 (no QR convergence) is a SolverFailure with Newton's
+        # partial report, never a raw LinAlgError
+        dgees = scipy.linalg.lapack.dgees
+
+        def failing(*args, **kwargs):
+            *out, _ = dgees(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        with pytest.raises(SolverFailure, match="info 1") as info:
+            nme.solve_stein(np.diag([0.5, 0.2]), np.eye(2))
+        assert type(info.value) is SolverFailure
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
+        with pytest.raises(SolverFailure, match="at iteration 1") as info:
+            nme.solve_newton(rec.problem)
+        assert type(info.value) is SolverFailure
+        assert info.value.iteration == 1 and info.value.report.iterations == 0
+
 
 class TestSda:
     def test_zero_a_converges_at_zero(self):
@@ -439,20 +459,6 @@ class TestSda:
         with pytest.raises(DoublingBreakdown):
             nme.solve_sda(p)
 
-    def test_dgetrs_is_lu_solve_bitwise(self):
-        # the doubling step calls dgetrf/dgetrs in place of lu_factor/lu_solve
-        # and must give the same bytes, for A_k (C order) and A_k^T (F order)
-        rng = np.random.default_rng(31)
-        D = rng.standard_normal((24, 24)) + 24 * np.eye(24)
-        B = rng.standard_normal((24, 24))
-        for rhs in (B, B.T):
-            lu, piv, info = scipy.linalg.lapack.dgetrf(D)
-            X, info_s = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
-            assert info == info_s == 0
-            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(D, check_finite=False), rhs,
-                                        check_finite=False)
-            assert X.tobytes() == ref.tobytes() and X.dtype == ref.dtype
-
     def test_default_solve_calls_lapack_directly(self, monkeypatch):
         def forbidden(name):
             def call(*args, **kwargs):
@@ -465,18 +471,60 @@ class TestSda:
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
         assert nme.solve_sda(rec.problem).converged
 
-    def test_lu_failure_is_breakdown(self, monkeypatch):
-        dgetrf = scipy.linalg.lapack.dgetrf
+    @pytest.mark.parametrize("fault,detail", [
+        ("info", "dsytrf info 2"),
+        ("2x2-pivot", "a 2x2 pivot"),
+        ("nonpositive-pivot", "a pivot is -1.0"),
+    ], ids=["info", "2x2-pivot", "nonpositive-pivot"])
+    def test_factorization_failure_is_breakdown(self, monkeypatch, fault, detail):
+        # each stub reports a D that is not SPD; the pivot check must run
+        # before dsyconv or dlaswp sees a negative (2x2) pivot
+        dsytrf = scipy.linalg.lapack.dsytrf
 
-        def singular(D):
-            lu, piv, _ = dgetrf(D)
-            return lu, piv, 2
+        def failing(D, **kwargs):
+            ldu, ipiv, info = dsytrf(D, **kwargs)
+            if fault == "info":
+                info = 2
+            elif fault == "2x2-pivot":
+                ipiv[:2] = -2
+            else:
+                ldu[1, 1] = -1.0
+            return ldu, ipiv, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", failing)
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
-        with pytest.raises(DoublingBreakdown, match="dgetrf info 2") as info:
+        with pytest.raises(DoublingBreakdown) as info:
             nme.solve_sda(rec.problem)
         assert info.value.iteration == 1 and info.value.report.iterations == 0
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+        assert str(info.value.__cause__) == f"Q_k - P_k is not positive definite: {detail}"
+
+    def test_factors_d_once_per_step(self, monkeypatch):
+        # one dsytrf of D = Q_k - P_k per step, and dpotrf only in the
+        # residual of each iterate Q_k; no LU
+        calls = {name: [] for name in ("dsytrf", "dpotrf", "dgetrf", "dgetrs")}
+
+        def recorded(name):
+            routine = getattr(scipy.linalg.lapack, name)
+
+            def call(M, *args, **kwargs):
+                calls[name].append(np.array(M))
+                return routine(M, *args, **kwargs)
+            return call
+
+        rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.9, seed=19))
+        for name in calls:
+            monkeypatch.setattr(scipy.linalg.lapack, name, recorded(name))
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
+        assert rep.converged and rep.iterations >= 4
+        assert len(calls["dgetrf"]) == len(calls["dgetrs"]) == 0
+        qs, ps = rep.iterates, rep.aux_iterates["P"]
+        assert len(calls["dsytrf"]) == rep.iterations
+        for D, Qk, Pk in zip(calls["dsytrf"], qs, ps):
+            assert np.array_equal(D, Qk - Pk)
+        assert len(calls["dpotrf"]) == rep.iterations + 1
+        for M, Qk in zip(calls["dpotrf"], qs):
+            assert np.array_equal(M, Qk)
 
     @pytest.mark.parametrize("seed,rho", [(9, 0.5), (10, 0.9)])
     def test_order_relations_and_norm_bounds(self, seed, rho):
@@ -504,6 +552,69 @@ class TestSda:
             s_norm = np.linalg.norm(np.linalg.matrix_power(S, 2 ** k), 2)
             assert np.linalg.norm(a_s[k], 2) <= x_norm * s_norm + eps
             assert np.linalg.norm(qs[k] - X, 2) <= x_norm * s_norm ** 2 + eps
+
+
+class TestSpdSolve:
+    """The doubling step's kernel: D^{-1} B from one Bunch-Kaufman LDL^T."""
+
+    @staticmethod
+    def spd_with_interchanges(n, seed):
+        # SPD blocks [[1e-3, 1], [1, 1e4]], for which Bunch-Kaufman takes the
+        # 1e4 pivot first, plus a PSD coupling so that later interchanges
+        # move rows of earlier columns of L, in a random symmetric order
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n))
+        D = 1e-2 * M @ M.T / n
+        D += scipy.linalg.block_diag(*[[[1e-3, 1.0], [1.0, 1e4]]] * (n // 2), np.eye(n % 2))
+        order = rng.permutation(n)
+        return D[order][:, order], rng.standard_normal((n, n))
+
+    @pytest.mark.parametrize("n,swaps", [(1, 0), (8, 1), (64, 10)])
+    def test_matches_dense_solve(self, n, swaps):
+        D, A = self.spd_with_interchanges(n, seed=n)
+        _, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1)
+        assert info == 0 and np.all(ipiv > 0)
+        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) >= swaps
+        B = np.concatenate((A, A.T), axis=1)
+        W = solvers._spd_solve(D, B.copy(), "D")
+        ref = np.linalg.solve(D, B)
+        assert np.linalg.norm(W - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+
+    def test_chained_interchanges(self):
+        # D = S (0.9 J + 0.1 I) S swaps row 4 in at steps 1 and 2 (ipiv
+        # [4, 4, 3, 4]), so P^T and P must apply the swaps in opposite orders
+        s = np.array([1.0, 0.3, 0.1, 3.0])
+        D = s[:, None] * (0.9 + 0.1 * np.eye(4)) * s[None, :]
+        assert scipy.linalg.lapack.dsytrf(D, lower=1)[1].tolist() == [4, 4, 3, 4]
+        B = np.arange(8.0).reshape(4, 2)
+        W = solvers._spd_solve(D, B.copy(), "D")
+        ref = np.linalg.solve(D, B)
+        assert np.linalg.norm(W - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+
+    def test_fortran_right_hand_side_is_overwritten(self):
+        D, A = self.spd_with_interchanges(8, seed=3)
+        B = np.concatenate((A.T, A)).T
+        W = solvers._spd_solve(D, B, "D")
+        assert np.shares_memory(W, B)
+        assert np.allclose(W, np.linalg.solve(D, np.concatenate((A, A.T), axis=1)),
+                           rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("a,d", [(1.0, 2.0), (0.375, 1.25), (-3.0, 0.75), (1.0, 3.0)])
+    def test_scalar_is_one_division(self, a, d):
+        W = solvers._spd_solve(scalar(d), np.array([[a, a]]), "D")
+        assert W[0, 0] == W[0, 1] == a / d
+
+    @pytest.mark.parametrize("D,detail", [
+        ([[0.1, 1.0], [1.0, 0.1]], "a 2x2 pivot"),
+        ([[1.0, 0.0], [0.0, -1.0]], "a pivot is -1.0"),
+        ([[math.nan]], "dsytrf info 1"),
+        ([[0.0, 0.0], [0.0, 0.0]], "dsytrf info 1"),
+    ], ids=["2x2-pivot", "negative-pivot", "nan", "zero"])
+    def test_not_spd_raises(self, D, detail):
+        D = np.array(D)
+        with pytest.raises(NotPositiveDefinite) as info:
+            solvers._spd_solve(D, np.ones((D.shape[0], 2)), "D")
+        assert str(info.value) == f"D is not positive definite: {detail}"
 
 
 class TestSdaScalar:
