@@ -30,6 +30,7 @@ from scipy.linalg import cho_solve
 from . import serialize
 from .exceptions import (
     DimensionMismatch,
+    EigensolverFailure,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
@@ -63,10 +64,10 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 #: How far |alpha| and |beta| of a pencil eigenvalue may differ, relative to
-#: the larger, for ``solvability_check`` to treat it as unimodular.  Loose on
+#: the larger, for its angle to be critical (``_critical_angles``).  Loose on
 #: purpose: rounding moves a defective unimodular pair off the circle by about
 #: sqrt(eps * condition), and an extra critical angle costs one evaluation of
-#: psi but cannot change a correct verdict.
+#: psi but cannot change a correct verdict or a null vector of psi.
 UNIMODULAR_RTOL = 1e-4
 
 #: A pencil factor F with max |Im F| <= REAL_RTOL * ||F||_F is stored real.
@@ -258,14 +259,14 @@ def residual(problem: NmeProblem, X) -> Residual:
     return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))[0]
 
 
+def _pencil(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    eye, zero = np.eye(A.shape[0]), np.zeros(A.shape)
+    return np.block([[A, zero], [Q, -eye]]), np.block([[zero, eye], [A.T, zero]])
+
+
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
     """Assemble the SSF-2 pencil of the problem (with P = 0), in real arrays."""
-    n = problem.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    M = np.block([[problem.A, zero], [problem.Q, -eye]])
-    L = np.block([[zero, eye], [problem.A.T, zero]])
-    return SymplecticPencil(M=M, L=L)
+    return SymplecticPencil(*_pencil(problem.A, problem.Q))
 
 
 def canonical_skew(n: int) -> np.ndarray:
@@ -413,6 +414,26 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
                 v, fv = u, fu
 
 
+def _critical_angles(A: np.ndarray, Q: np.ndarray):
+    """``(scale, A / scale, Q / scale, regular, angles)``, scale the least power of
+    two above max |A|, |Q|, the rest from one real QZ of the scaled pencil (see
+    :func:`solvability_check`); a failed QZ raises :class:`EigensolverFailure`."""
+    scale = math.ldexp(1.0, math.frexp(max(np.max(np.abs(A)), np.max(np.abs(Q))))[1])
+    A, Q = A / scale, Q / scale
+    M, L = _pencil(A, Q)
+    try:
+        alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    mod_a, mod_b = np.abs(alpha), np.abs(beta)
+    tiny = M.shape[0] * np.finfo(float).eps
+    negligible = (mod_a <= tiny * np.linalg.norm(M)) & (mod_b <= tiny * np.linalg.norm(L))
+    unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
+    # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
+    angles = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
+    return scale, A, Q, not np.any(negligible), angles
+
+
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     """Decide whether the maximal solution X+ exists, from the pencil.
 
@@ -440,21 +461,8 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
     the smallest power of two above their largest entry, so the tolerance is
     relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
-    scales the minimum by 2^k.
-    """
-    scale = math.ldexp(1.0, math.frexp(max(np.max(np.abs(problem.A)),
-                                           np.max(np.abs(problem.Q))))[1])
-    A, Q = problem.A / scale, problem.Q / scale
-    pen = build_pencil(NmeProblem(A=A, Q=Q))
-    M, L = pen.M, pen.L
-    alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
-    mod_a, mod_b = np.abs(alpha), np.abs(beta)
-    tiny = pen.dim * np.finfo(float).eps
-    negligible = (mod_a <= tiny * np.linalg.norm(M)) & (mod_b <= tiny * np.linalg.norm(L))
-    regular = not np.any(negligible)
-    unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
-    # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
-    critical = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
+    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure."""
+    scale, A, Q, regular, critical = _critical_angles(problem.A, problem.Q)
     edges = np.concatenate(([0.0], critical, [math.pi]))
     chunk = SOLVABILITY_SAMPLES // 2 + 1
     step = 2.0 * math.pi / SOLVABILITY_SAMPLES

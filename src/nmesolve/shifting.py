@@ -12,7 +12,9 @@ satisfying R1^T V = LambdaHat - Lambda and R2^T V = 0,
 
     (M + L V R1^T) - lambda (L + M V R2^T)
 
-moves exactly the designated eigenvalues and keeps the rest.
+moves exactly the designated eigenvalues and keeps the rest.  The unimodular
+eigenvalues of an SSF-2 pencil and their eigenvectors come from the null
+vectors of psi at the critical angles of one QZ (``detect_unimodular``).
 
 The scalar pipeline applies this to the critical equation x + a^2/x = 2|a|,
 whose pencil carries a defective unit eigenvalue that slows every solver to
@@ -47,7 +49,7 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import SymplecticPencil
+from .problem import SymplecticPencil, _critical_angles, ssf2_blocks
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
@@ -79,12 +81,9 @@ FACTOR_RTOL = 1e-10
 #: Relative tolerance of the reciprocal and conjugate closure tests of targets.
 CLOSURE_RTOL = 1e-8
 
-#: Computed eigenvalues closer than this are treated as one (possibly
-#: defective) eigenvalue when hunting for unimodular values.
-CLUSTER_TOL = 1e-6
-
-#: Computed eigenvalues with |1 - |lambda|| at most this count as unimodular.
-UNIMODULAR_TOL = 1e-6
+#: Eigenvalues of psi within this of zero, relative to ||Q - P||_F + 2 ||A||_F,
+#: give null vectors; planted rho_2 = 0.9998 leaves about 1e-9 on that scale.
+NULL_RTOL = 1e-12
 
 #: Ratio r of the scalar relocation {1, 1} -> {r, 1/r}: the relocated
 #: problem converges at rate r (about 5 doubling steps) with conditioning
@@ -109,9 +108,8 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class UnimodularReport:
-    """Generalized eigenvalues with |1 - |lambda|| <= UNIMODULAR_TOL, each
-    cluster of k computed values reported ceil(k/2) times (a defective pair
-    appears once), with one eigenvector column per entry."""
+    """Unimodular generalized eigenvalues, one entry per null vector of psi
+    (see :func:`detect_unimodular`), with one eigenvector column per entry."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -286,43 +284,38 @@ def generalized_eigenvalues(pencil: SymplecticPencil) -> np.ndarray:
 
 
 def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
-    """Find generalized eigenvalues on (or near) the unit circle.
+    """The unimodular eigenvalues of an SSF-2 pencil, each with an eigenvector.
 
-    Computed eigenvalues within :data:`UNIMODULAR_TOL` of the circle are
-    selected, and those within :data:`CLUSTER_TOL` of each other are merged
-    and represented by their mean, which recovers a defective eigenvalue to
-    roundoff.  A cluster of k computed values reports ceil(k/2) copies of
-    its mean: when the maximal solution exists, [I; X+] spans exactly half
-    of each unimodular root subspace (Lancaster & Rodman, Algebraic Riccati
-    Equations, 1995), so a defective pair at lambda = 1 is reported once.
-    The vectors are the right singular vectors of M - lambda L for its
-    smallest singular values.
-    """
-    M, L = pencil.M, pencil.L
-    eigs = generalized_eigenvalues(pencil)
-    finite = eigs[np.isfinite(eigs)]
-    selected = [complex(w) for w in finite if abs(1.0 - abs(w)) <= UNIMODULAR_TOL]
-    # merge computed values that belong to one (possibly defective) eigenvalue
-    clusters: list[list[complex]] = []
-    for w in sorted(selected, key=lambda z: (z.real, z.imag)):
-        for cluster in clusters:
-            if any(abs(w - u) <= CLUSTER_TOL for u in cluster):
-                cluster.append(w)
-                break
-        else:
-            clusters.append([w])
-    values: list[complex] = []
-    vectors: list[np.ndarray] = []
-    for cluster in sorted(clusters, key=lambda c: (np.mean(c).real, np.mean(c).imag)):
-        rep = complex(np.mean(cluster))
-        count = (len(cluster) + 1) // 2
-        vh = np.linalg.svd(M - rep * L)[2]
-        values += [rep] * count
-        vectors.append(vh[-count:].conj().T)
-    eigenvectors = (np.hstack(vectors) if vectors
-                    else np.zeros((pencil.dim, 0), dtype=complex))
-    return UnimodularReport(eigenvalues=np.asarray(values, dtype=complex),
-                            eigenvectors=eigenvectors)
+    With (A, Q, P) = ``ssf2_blocks(pencil)``, M v = lambda L v for v = [x;
+    A x / lambda + P x] exactly when psi(mu) x = 0, with mu = -1/lambda and
+    psi(mu) = Q - P + mu A + mu^{-1} A^T.  The points searched are 0, pi and
+    the critical angles of ``solvability_check``'s QZ; adjacent points are one
+    when psi is singular half way between them (a defective pair's two
+    computed values), and a point that reaches 0 or pi is that end, where
+    lambda is real.  At each point the eigenvectors x of psi for eigenvalues
+    within :data:`NULL_RTOL` * (||Q - P||_F + 2 ||A||_F) of zero give lambda,
+    and inside (0, pi) conj(x) gives conj(lambda).  A defective pair counts
+    once, as its null space is a line.  The analysis runs on (A, Q - P) scaled
+    by a power of two, so it is homogeneous.  A non-SSF-2 pencil raises
+    ValueError."""
+    A, Q, P = ssf2_blocks(pencil)
+    _, As, Qs, _, angles = _critical_angles(A, Q - P)
+    tol = NULL_RTOL * (np.linalg.norm(Qs) + 2.0 * np.linalg.norm(As))
+    points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
+    z = np.exp(0.5j * (points[:-1] + points[1:]))[:, None, None]
+    apart = np.min(np.abs(np.linalg.eigvalsh(Qs + z * As + z.conj() * As.T)), axis=1) > tol
+    lams, vecs = [], []
+    for group in np.split(points, np.flatnonzero(apart) + 1):
+        mu = (-1.0 if group[-1] == math.pi else 1.0 if group[0] == 0.0
+              else np.exp(0.5j * (group[0] + group[-1])))
+        w, X = np.linalg.eigh(Qs + mu * As + np.conj(mu) * As.T)
+        x = X[:, np.abs(w) <= tol]
+        lam = np.full(x.shape[1], -1.0 / mu)
+        if mu.imag:
+            x, lam = np.hstack((x, x.conj())), np.concatenate((lam, lam.conj()))
+        lams.append(lam)
+        vecs.append(np.vstack((x, A @ x / lam + P @ x)))
+    return UnimodularReport(np.concatenate(lams).astype(complex), np.hstack(vecs).astype(complex))
 
 
 def shifted_scalar_problem(a: float, r: float) -> tuple[float, float]:
