@@ -46,8 +46,8 @@ report.
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
 triangular solves, one Bunch-Kaufman ``dsytrf`` with ``dsyconv``,
-``dtrtri``, ``dlaswp`` and ``dtrmm`` for the doubling step, and ``dgees``
-and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
+``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for the doubling step, and
+``dgees`` and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
 n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
 ``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each
 routine is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
@@ -200,7 +200,7 @@ class SolveReport:
     @functools.cached_property
     def rho_ratio(self) -> float:
         """rho(X^{-1} A); NaN when X is singular or not finite, or A is unknown."""
-        if self.A is None:
+        if self.A is None or not np.all(np.isfinite(self.X)):
             return math.nan
         try:
             return spectral_radius(np.linalg.solve(self.X, self.A))
@@ -509,19 +509,18 @@ def _dsytrf_lwork(n: int) -> int:
     return max(int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0]), 1)
 
 
-def _spd_solve(D: np.ndarray, B: np.ndarray, name: str) -> np.ndarray:
-    """D^{-1} B for a symmetric D that must be SPD, from one Bunch-Kaufman
-    factorization D = P L Lam L^T P^T (``dsytrf`` of the lower triangle); a
-    Fortran-ordered B is overwritten.
+def _spd_half_solve(D: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """V = L^{-1} P^T B and d = diag(Lam) from one Bunch-Kaufman factorization
+    D = P L Lam L^T P^T (``dsytrf`` of the lower triangle) of a symmetric D
+    that must be SPD, so that C^T D^{-1} B = (L^{-1} P^T C)^T Lam^{-1} V; a
+    Fortran-ordered B is overwritten by V.
 
     It is also the SPD test: a Bunch-Kaufman 2x2 pivot has a negative
     determinant, so by Sylvester's law of inertia D is SPD exactly when every
     pivot is 1x1 and positive.  Otherwise it raises
     :class:`NotPositiveDefinite` naming D, before ``dsyconv`` or ``dlaswp``
-    sees the pivots.  The solve is sqrt-free, so 1-by-1 dyadic data give
-    b / d exactly.  L^{-1} is one ``dtrtri``, applied by ``dtrmm``: at
-    n = 256 (scipy's OpenBLAS 0.3.30, one Xeon thread) ``dtrmm`` takes
-    0.21 ms where ``dtrsm`` takes 0.70 ms.
+    sees the pivots.  It is sqrt-free, so a 1-by-1 D leaves V = B and d = D.
+    L^{-1} is one ``dtrtri``, applied by one ``dtrmm`` after one ``dlaswp``.
     """
     ldu, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1, lwork=_dsytrf_lwork(D.shape[0]))
     d = ldu.diagonal().copy()
@@ -531,12 +530,8 @@ def _spd_solve(D: np.ndarray, B: np.ndarray, name: str) -> np.ndarray:
             "a 2x2 pivot" if ipiv.min() <= 0 else f"a pivot is {float(d.min())}")
     L, _, _ = scipy.linalg.lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
     L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, unitdiag=1, overwrite_c=1)
-    piv = ipiv - 1  # scipy's dlaswp takes 0-based pivots
-    W = scipy.linalg.lapack.dlaswp(B, piv, overwrite_a=1)
-    W = scipy.linalg.blas.dtrmm(1.0, L_inv, W, lower=1, diag=1, overwrite_b=1)
-    W /= d[:, None]
-    W = scipy.linalg.blas.dtrmm(1.0, L_inv, W, lower=1, trans_a=1, diag=1, overwrite_b=1)
-    return scipy.linalg.lapack.dlaswp(W, piv, inc=-1, overwrite_a=1)
+    V = scipy.linalg.lapack.dlaswp(B, ipiv - 1, overwrite_a=1)  # scipy's dlaswp is 0-based
+    return scipy.linalg.blas.dtrmm(1.0, L_inv, V, lower=1, diag=1, overwrite_b=1), d
 
 
 def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -546,9 +541,10 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         Q_{k+1} = Q_k - A_k^T (Q_k - P_k)^{-1} A_k
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
-    The solution is the limit of Q_k.  Each step factors D = Q_k - P_k once
-    (see :func:`_spd_solve`); that factorization is both the test that D is
-    SPD and the solve for D^{-1} A_k and D^{-1} A_k^T.  With history on, each
+    The solution is the limit of Q_k.  Each step factors D = Q_k - P_k =
+    P L Lam L^T P^T once (also the test that D is SPD) and forms each update
+    as U_i^T Lam^{-1} U_j from [U_1, U_2] = L^{-1} P^T [A_k, A_k^T] (see
+    :func:`_spd_half_solve`).  With history on, each
     record stores ||A_k||_F (aux1) and the minimum eigenvalue of Q_k - P_k
     (aux2); the latter stays positive whenever a solution exists.  Raises
     :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
@@ -565,16 +561,16 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             # LDL^T, not Cholesky: it is sqrt-free, so the 1x1 critical closed
             # forms with dyadic data stay exact (a Cholesky step misses them by
             # 1.1e-8).  Q_k and P_k are exactly symmetric, so Q_k - P_k is too;
-            # [A_k, A_k^T] is built in Fortran order for _spd_solve to overwrite
+            # [A_k, A_k^T] is built in Fortran order for the kernel to overwrite
             try:
-                W = _spd_solve(Qk - Pk, np.concatenate((Ak.T, Ak)).T, "Q_k - P_k")
+                V, d = _spd_half_solve(Qk - Pk, np.concatenate((Ak.T, Ak)).T, "Q_k - P_k")
             except NotPositiveDefinite as exc:
                 raise run.failure(
                     DoublingBreakdown,
                     f"Q_k - P_k lost positive definiteness at iteration {run.k}") from exc
-            WA, WAT = W[:, :n], W[:, n:]
-            Ak, Qk, Pk = (Ak @ WA, symmetric_part(Qk - Ak.T @ WA),
-                          symmetric_part(Pk + Ak @ WAT))
+            U1, U2, S = V[:, :n], V[:, n:], V / d[:, None]
+            Ak, Qk, Pk = (U2.T @ S[:, :n], symmetric_part(Qk - U1.T @ S[:, :n]),
+                          symmetric_part(Pk + U2.T @ S[:, n:]))
             res = run.residual(Qk)
             gap_min = (float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
                        if run.config.record_history else 0.0)

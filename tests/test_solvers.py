@@ -444,15 +444,17 @@ class TestSda:
         assert all(h.aux2 > 0.0 for h in rep.history)
 
     def test_small_a_k_alone_is_stagnation(self):
-        # non-normal S: ||A_k|| falls below tol ||A|| at step 10 while the
-        # residual stays at 3e-7 (forward error 2e-4), and stays there
+        # non-normal S: ||A_k|| falls below tol ||A|| while the residual is
+        # still far above tol; the step it stops at depends on rounding
+        # (about step 10, with a residual near 1e-9 to 1e-7), so only the
+        # outcome is pinned
         problem, _ = nonnormal_planted(n=32, rho=0.9, eta=3.0, seed=3)
         with pytest.raises(Stagnated) as info:
             nme.solve_sda(problem)
         report = info.value.report
         assert report is not None and not report.converged
-        assert info.value.iteration == report.iterations == 10
-        assert nme.residual(problem, report.X).rel_norm > 1e-8
+        assert info.value.iteration == report.iterations
+        assert nme.residual(problem, report.X).rel_norm > nme.SolverConfig().tol
 
     def test_breakdown_on_unsolvable(self):
         p = nme.new_problem(scalar(1.0), scalar(1.0))
@@ -526,6 +528,46 @@ class TestSda:
         for M, Qk in zip(calls["dpotrf"], qs):
             assert np.array_equal(M, Qk)
 
+    def test_one_dtrmm_and_dlaswp_per_step(self, monkeypatch):
+        # the step applies half of D's factor: one row permutation and one
+        # triangular product, no transposed product and no back-permutation
+        calls = {"dsytrf": 0, "dlaswp": 0, "dtrmm": 0}
+
+        def counted(module, name):
+            routine = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return call
+
+        rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.9, seed=19))
+        lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+        for module, name in ((lapack, "dsytrf"), (lapack, "dlaswp"), (blas, "dtrmm")):
+            monkeypatch.setattr(module, name, counted(module, name))
+        rep = nme.solve_sda(rec.problem)
+        assert rep.converged and rep.iterations >= 4
+        assert calls == dict.fromkeys(calls, rep.iterations)
+
+    @pytest.mark.parametrize("seed,rho", [(23, 0.9), (24, 1.0)])
+    def test_steps_match_explicit_formulas(self, seed, rho):
+        # every step against the doubling formulas with np.linalg.solve, and
+        # Q_k, P_k exactly symmetric
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=rho, seed=seed))
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
+        qs, ps, a_s = rep.iterates, rep.aux_iterates["P"], rep.aux_iterates["A"]
+        assert len(qs) == rep.iterations + 1 >= 5
+        for Qk, Pk in zip(qs, ps):
+            assert np.array_equal(Qk, Qk.T) and np.array_equal(Pk, Pk.T)
+        for Ak, Qk, Pk, An, Qn, Pn in zip(a_s, qs, ps, a_s[1:], qs[1:], ps[1:]):
+            D = Qk - Pk
+            WA, WAT = np.linalg.solve(D, Ak), np.linalg.solve(D, Ak.T)
+            tol = 1e-14 * (np.linalg.norm(Qk) + np.linalg.cond(D) * np.linalg.norm(Ak) ** 2
+                           * np.linalg.norm(np.linalg.inv(D)))
+            assert np.linalg.norm(An - Ak @ WA) <= tol
+            assert np.linalg.norm(Qn - (Qk - Ak.T @ WA)) <= tol
+            assert np.linalg.norm(Pn - (Pk + Ak @ WAT)) <= tol
+
     @pytest.mark.parametrize("seed,rho", [(9, 0.5), (10, 0.9)])
     def test_order_relations_and_norm_bounds(self, seed, rho):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=seed))
@@ -555,7 +597,8 @@ class TestSda:
 
 
 class TestSpdSolve:
-    """The doubling step's kernel: D^{-1} B from one Bunch-Kaufman LDL^T."""
+    """The doubling step's kernel: V = L^{-1} P^T B and the pivots d of one
+    Bunch-Kaufman D = P L Lam L^T P^T, so that B^T D^{-1} B = V^T Lam^{-1} V."""
 
     @staticmethod
     def spd_with_interchanges(n, seed):
@@ -569,6 +612,12 @@ class TestSpdSolve:
         order = rng.permutation(n)
         return D[order][:, order], rng.standard_normal((n, n))
 
+    @staticmethod
+    def assert_form_matches(D, B, V, d):
+        ref = B.T @ np.linalg.solve(D, B)
+        form = V.T @ (V / d[:, None])
+        assert np.linalg.norm(form - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("n,swaps", [(1, 0), (8, 1), (64, 10)])
     def test_matches_dense_solve(self, n, swaps):
         D, A = self.spd_with_interchanges(n, seed=n)
@@ -576,33 +625,31 @@ class TestSpdSolve:
         assert info == 0 and np.all(ipiv > 0)
         assert np.count_nonzero(ipiv != np.arange(1, n + 1)) >= swaps
         B = np.concatenate((A, A.T), axis=1)
-        W = solvers._spd_solve(D, B.copy(), "D")
-        ref = np.linalg.solve(D, B)
-        assert np.linalg.norm(W - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+        V, d = solvers._spd_half_solve(D, B.copy(), "D")
+        self.assert_form_matches(D, B, V, d)
 
     def test_chained_interchanges(self):
         # D = S (0.9 J + 0.1 I) S swaps row 4 in at steps 1 and 2 (ipiv
-        # [4, 4, 3, 4]), so P^T and P must apply the swaps in opposite orders
+        # [4, 4, 3, 4]), so P^T must apply the swaps in order
         s = np.array([1.0, 0.3, 0.1, 3.0])
         D = s[:, None] * (0.9 + 0.1 * np.eye(4)) * s[None, :]
         assert scipy.linalg.lapack.dsytrf(D, lower=1)[1].tolist() == [4, 4, 3, 4]
         B = np.arange(8.0).reshape(4, 2)
-        W = solvers._spd_solve(D, B.copy(), "D")
-        ref = np.linalg.solve(D, B)
-        assert np.linalg.norm(W - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+        V, d = solvers._spd_half_solve(D, B.copy(), "D")
+        self.assert_form_matches(D, B, V, d)
 
     def test_fortran_right_hand_side_is_overwritten(self):
         D, A = self.spd_with_interchanges(8, seed=3)
         B = np.concatenate((A.T, A)).T
-        W = solvers._spd_solve(D, B, "D")
-        assert np.shares_memory(W, B)
-        assert np.allclose(W, np.linalg.solve(D, np.concatenate((A, A.T), axis=1)),
-                           rtol=0.0, atol=1e-10)
+        V, d = solvers._spd_half_solve(D, B, "D")
+        assert np.shares_memory(V, B)
+        self.assert_form_matches(D, np.concatenate((A, A.T), axis=1), V, d)
 
     @pytest.mark.parametrize("a,d", [(1.0, 2.0), (0.375, 1.25), (-3.0, 0.75), (1.0, 3.0)])
     def test_scalar_is_one_division(self, a, d):
-        W = solvers._spd_solve(scalar(d), np.array([[a, a]]), "D")
-        assert W[0, 0] == W[0, 1] == a / d
+        V, piv = solvers._spd_half_solve(scalar(d), np.array([[a, a]]), "D")
+        assert V.tolist() == [[a, a]] and piv.tolist() == [d]
+        assert (V.T @ (V / piv[:, None])).tolist() == [[a * (a / d)] * 2] * 2
 
     @pytest.mark.parametrize("D,detail", [
         ([[0.1, 1.0], [1.0, 0.1]], "a 2x2 pivot"),
@@ -613,7 +660,7 @@ class TestSpdSolve:
     def test_not_spd_raises(self, D, detail):
         D = np.array(D)
         with pytest.raises(NotPositiveDefinite) as info:
-            solvers._spd_solve(D, np.ones((D.shape[0], 2)), "D")
+            solvers._spd_half_solve(D, np.ones((D.shape[0], 2)), "D")
         assert str(info.value) == f"D is not positive definite: {detail}"
 
 
@@ -625,6 +672,18 @@ class TestSdaScalar:
         for k in range(41):
             two_k = 2.0 ** k
             assert abs(qs[k] - (two_k + 1.0) / two_k) <= 1e-13
+
+    def test_critical_closed_forms_are_exact(self):
+        # the step is sqrt-free, so on dyadic data it is exact: q_k, p_k and
+        # a_k equal their closed forms bit for bit
+        rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(max_iter=45, min_iter=40,
+                                                             record_history=True))
+        for k, (q, p, a) in enumerate(zip(rep.iterates, rep.aux_iterates["P"],
+                                          rep.aux_iterates["A"])):
+            two_k = 2.0 ** k
+            assert (q[0, 0], p[0, 0], a[0, 0]) == ((two_k + 1.0) / two_k,
+                                                   (two_k - 1.0) / two_k, 1.0 / two_k)
+        assert len(rep.iterates) == 41
 
     def test_zero_a_immediate(self):
         rep = nme.solve_sda_scalar(0.0, 5.0)
@@ -853,6 +912,12 @@ class TestReports:
 
     def test_rho_ratio_singular_x_is_nan(self):
         rep = nme.SolveReport(X=np.zeros((2, 2)), iterations=0, converged=False, A=np.eye(2))
+        assert math.isnan(rep.rho_ratio)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rho_ratio_non_finite_x_is_nan(self, x):
+        # np.linalg.solve(diag(inf, 1), I) is finite, with spectral radius 1
+        rep = nme.SolveReport(X=np.diag([x, 1.0]), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)
 
     def test_rho_ratio_of_partial_report(self):
