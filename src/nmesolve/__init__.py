@@ -36,7 +36,6 @@ from .shifting import (
     save_pencil,
     shift_multi,
     shift_single,
-    shifted_scalar_problem,
     solve_scalar_shifted,
     write_spectra_csv,
 )

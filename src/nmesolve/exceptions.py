@@ -124,10 +124,6 @@ class EigensolverFailure(ShiftError):
     """The generalized eigenvalue computation did not converge."""
 
 
-class InvalidR(ShiftError):
-    """A shift ratio is outside (0, 1), or the coefficient a is zero."""
-
-
 class NotCriticalCase(ShiftError):
     """The shifted scalar pipeline only applies when q = 2|a| (to 1e-8)."""
 

@@ -113,7 +113,7 @@ class SymplecticPencil:
             raise DimensionMismatch("pencil factors must be square and equally sized")
         for name, F in (("M", M), ("L", L)):
             if np.iscomplexobj(F) and (np.max(np.abs(F.imag), initial=0.0)
-                                       <= REAL_RTOL * np.linalg.norm(F)):
+                                       <= REAL_RTOL * fro_norm(F)):
                 object.__setattr__(self, name, F.real)
 
     @property
@@ -152,22 +152,27 @@ def symmetric_part(M: np.ndarray) -> np.ndarray:
         return M / 2.0 + M.T / 2.0
 
 
+def _pow2_scale(m: float) -> float:
+    """The power of two s with m / s in [1, 2) for a finite m > 0 (1/2 for
+    m = 0).  Unlike the next power of two above m, s cannot overflow."""
+    return math.ldexp(1.0, math.frexp(m)[1] - 1)
+
+
 def fro_norm(M) -> float:
-    """||M||_F, also where the sum of squares overflows or underflows.
+    """||M||_F of a real or complex M, also where the sum of squares
+    overflows or underflows.
 
     The value is ``np.linalg.norm(M)`` whenever that is positive and finite.
     Only when it reads 0 or inf for a finite, nonzero M is M first divided by
-    max|M|, so the solvers stay homogeneous over the whole exponent range.
+    ``_pow2_scale(max|M|)``, so norms stay homogeneous over the whole
+    exponent range.
     """
     with np.errstate(over="ignore"):
         val = float(np.linalg.norm(M))
-    if 0.0 < val < math.inf:
-        return val
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        return val
-    scale = float(np.max(np.abs(M), initial=0.0))
-    return scale * float(np.linalg.norm(M / scale)) if scale > 0.0 else val
+        if 0.0 < val < math.inf or not np.all(np.isfinite(M)):
+            return val
+        scale = _pow2_scale(np.max(np.abs(M), initial=0.0))
+        return scale * float(np.linalg.norm(M / scale))
 
 
 def _square_real(M, name: str) -> np.ndarray:
@@ -277,11 +282,15 @@ def canonical_skew(n: int) -> np.ndarray:
 
 
 def is_symplectic_pencil(pencil: SymplecticPencil) -> bool:
-    """True iff ||M J M^T - L J L^T||_F <= SYMPLECTIC_RTOL * (||M||_F + ||L||_F)^2."""
+    """True iff ||M J M^T - L J L^T||_F <= SYMPLECTIC_RTOL * (||M||_F + ||L||_F)^2,
+    tested on (M, L) divided by the ``_pow2_scale`` of their largest entry,
+    so that the test is homogeneous."""
     if pencil.dim % 2 != 0:
         raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     J = canonical_skew(pencil.half)
     M, L = pencil.M, pencil.L
+    s = _pow2_scale(max(np.max(np.abs(M), initial=0.0), np.max(np.abs(L), initial=0.0)))
+    M, L = M / s, L / s
     defect = np.linalg.norm(M @ J @ M.T - L @ J @ L.T)
     scale = (np.linalg.norm(M) + np.linalg.norm(L)) ** 2
     return bool(defect <= SYMPLECTIC_RTOL * scale)
@@ -415,10 +424,11 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
 
 
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
-    """``(scale, A / scale, Q / scale, regular, angles)``, scale the least power of
-    two above max |A|, |Q|, the rest from one real QZ of the scaled pencil (see
-    :func:`solvability_check`); a failed QZ raises :class:`EigensolverFailure`."""
-    scale = math.ldexp(1.0, math.frexp(max(np.max(np.abs(A)), np.max(np.abs(Q))))[1])
+    """``(scale, A / scale, Q / scale, regular, angles)``, scale the
+    ``_pow2_scale`` of max |A|, |Q|, the rest from one real QZ of the scaled
+    pencil (see :func:`solvability_check`); a failed QZ raises
+    :class:`EigensolverFailure`."""
+    scale = _pow2_scale(max(np.max(np.abs(A)), np.max(np.abs(Q))))
     A, Q = A / scale, Q / scale
     M, L = _pencil(A, Q)
     try:
@@ -459,7 +469,7 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     when some value is below -SOLVABILITY_TOL; otherwise SOLVABLE when the
     pencil is regular (no eigenvalue pair (alpha, beta) with both entries
     negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
-    the smallest power of two above their largest entry, so the tolerance is
+    the power of two s with max |A|, |Q| / s in [1, 2), so the tolerance is
     relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
     scales the minimum by 2^k.  A failed QZ raises EigensolverFailure."""
     scale, A, Q, regular, critical = _critical_angles(problem.A, problem.Q)
@@ -507,7 +517,7 @@ def invariant_subspace_defect(problem: NmeProblem, X) -> float:
     pen = build_pencil(problem)
     U = np.vstack([np.eye(problem.n), Xs])
     D = pen.M @ U - pen.L @ (U @ W)
-    return float(np.linalg.norm(D))
+    return fro_norm(D)
 
 
 def load_problem(path) -> NmeProblem:

@@ -38,7 +38,6 @@ from .exceptions import (
     ConjugateClosureViolated,
     DimensionMismatch,
     EigensolverFailure,
-    InvalidR,
     NonFiniteInput,
     NotAnEigenpair,
     NotCriticalCase,
@@ -49,7 +48,7 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import SymplecticPencil, _critical_angles, ssf2_blocks
+from .problem import SymplecticPencil, _critical_angles, _pow2_scale, fro_norm, ssf2_blocks
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "build_shift_factors",
     "detect_unimodular",
     "generalized_eigenvalues",
-    "shifted_scalar_problem",
     "solve_scalar_shifted",
     "load_pencil",
     "save_pencil",
@@ -136,9 +134,9 @@ def _as_complex_matrix(M, name: str) -> np.ndarray:
 
 
 def _check_eigenpair(M, L, v, lam, index=None):
-    resid = float(np.linalg.norm(M @ v - lam * L @ v))
-    scale = (np.linalg.norm(M) + abs(lam) * np.linalg.norm(L)) * np.linalg.norm(v)
-    if resid > EIGENPAIR_RTOL * max(scale, 1e-300):
+    resid = fro_norm(M @ v - lam * L @ v)
+    scale = (fro_norm(M) + abs(lam) * fro_norm(L)) * fro_norm(v)
+    if resid > EIGENPAIR_RTOL * scale:
         where = "" if index is None else f" (column {index})"
         raise NotAnEigenpair(
             f"residual {resid:.3e} exceeds {EIGENPAIR_RTOL:g} * {scale:.3e}{where}")
@@ -161,7 +159,7 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     lambda1 = complex(lambda1)
     _check_eigenpair(M, L, v, lambda0)
     rv = complex(np.dot(r, v))
-    if abs(rv - 1.0) > 1e-10 * max(1.0, float(np.linalg.norm(r) * np.linalg.norm(v))):
+    if abs(rv - 1.0) > 1e-10 * max(1.0, fro_norm(r) * fro_norm(v)):
         raise NotNormalized(f"r^T v = {rv!r}, expected 1")
     return SymplecticPencil(M=M + (lambda1 - lambda0) * np.outer(L @ v, r), L=L.copy())
 
@@ -231,12 +229,11 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
         _check_eigenpair(M, L, V[:, i], lam[i], index=i)
 
     D = np.diag(lam_hat - lam)
-    defect1 = float(np.linalg.norm(R1.T @ V - D))
-    if defect1 > FACTOR_RTOL * (1.0 + float(np.linalg.norm(D))):
+    defect1 = fro_norm(R1.T @ V - D)
+    if defect1 > FACTOR_RTOL * (1.0 + fro_norm(D)):
         raise SpecInvariantViolated(f"||R1^T V - (target - current)|| = {defect1:.3e}")
-    defect2 = float(np.linalg.norm(R2.T @ V))
-    bound2 = FACTOR_RTOL * float(np.linalg.norm(R2)) * float(np.linalg.norm(V))
-    if defect2 > max(bound2, 1e-300):
+    defect2 = fro_norm(R2.T @ V)
+    if defect2 > FACTOR_RTOL * fro_norm(R2) * fro_norm(V):
         raise SpecInvariantViolated(f"||R2^T V|| = {defect2:.3e}")
 
     if not _reciprocal_closed(lam_hat):
@@ -300,7 +297,7 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     ValueError."""
     A, Q, P = ssf2_blocks(pencil)
     _, As, Qs, _, angles = _critical_angles(A, Q - P)
-    tol = NULL_RTOL * (np.linalg.norm(Qs) + 2.0 * np.linalg.norm(As))
+    tol = NULL_RTOL * (fro_norm(Qs) + 2.0 * fro_norm(As))
     points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
     z = np.exp(0.5j * (points[:-1] + points[1:]))[:, None, None]
     apart = np.min(np.abs(np.linalg.eigvalsh(Qs + z * As + z.conj() * As.T)), axis=1) > tol
@@ -316,21 +313,6 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
         lams.append(lam)
         vecs.append(np.vstack((x, A @ x / lam + P @ x)))
     return UnimodularReport(np.concatenate(lams).astype(complex), np.hstack(vecs).astype(complex))
-
-
-def shifted_scalar_problem(a: float, r: float) -> tuple[float, float]:
-    """The scalar equation whose pencil is the double-shifted critical pencil.
-
-    For a != 0 and 0 < r < 1 returns (a, a*(r + 1/r)); its maximal solution
-    is a/r, with spectral ratio r < 1.
-    """
-    a = float(a)
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise InvalidR(f"r = {r!r} is not in (0, 1)")
-    if a == 0.0:
-        raise InvalidR("a must be nonzero")
-    return a, a * (r + 1.0 / r)
 
 
 def solve_scalar_shifted(a: float, q: float,
@@ -357,10 +339,10 @@ def solve_scalar_shifted(a: float, q: float,
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):
         raise NotCriticalCase(
             f"q - 2|a| = {q - 2.0 * abs(a):.3e}; shifted pipeline applies only at the critical case")
-    s = math.ldexp(1.0, math.frexp(a)[1] - 1)
-    a = a / s
+    s = _pow2_scale(abs(a))
+    a = abs(a) / s
     r = SCALAR_SHIFT_R
-    rep = solve_sda_scalar(*shifted_scalar_problem(abs(a), r), config)
+    rep = solve_sda_scalar(a, a * (r + 1.0 / r), config)
     x_hat = float(rep.X[0, 0])
     step = ScalarShiftStep(r=r, x_hat=s * x_hat, iterations=rep.iterations)
     logger.debug("shifted solve r=%s x_hat=%.17g iterations=%d", r, step.x_hat, step.iterations)

@@ -197,6 +197,12 @@ class TestSymplecticPencil:
         with pytest.raises(ValueError, match="imaginary"):
             nme.ssf2_blocks(pen)
 
+    def test_imaginary_part_kept_at_large_scale(self):
+        # ||M||_F overflows in a plain sum of squares; a 10% imaginary part stays
+        pen = nme.SymplecticPencil(M=np.array([[1e200, 1e199j], [0.0, 1e200]]), L=np.eye(2))
+        assert pen.M.dtype == np.complex128
+        assert pen.M[0, 1] == 1e199j
+
 
 class TestIsSymplecticPencil:
     def test_scalar_pencil_true(self):
@@ -215,6 +221,12 @@ class TestIsSymplecticPencil:
         pen = nme.SymplecticPencil(M=np.eye(3, dtype=complex), L=np.eye(3, dtype=complex))
         with pytest.raises(OddDimension):
             nme.is_symplectic_pencil(pen)
+
+    def test_large_scale(self):
+        # M J M^T overflows in the entries' own scale; the test is homogeneous
+        p = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.9, seed=1)).problem
+        pen = nme.build_pencil(p)
+        assert nme.is_symplectic_pencil(nme.SymplecticPencil(M=1e100 * pen.M, L=1e100 * pen.L))
 
 
 class TestPsi:
@@ -257,6 +269,12 @@ class TestSolvabilityCheck:
         assert v.verdict is nme.Verdict.NOT_SOLVABLE
         assert v.min_eig_on_circle == pytest.approx(-1.0, abs=1e-12)
 
+    def test_near_overflow(self):
+        # the power of two of an entry in [2^1023, 2^1024) is at most 2^1023
+        v = nme.solvability_check(nme.new_problem(0.25e308 * np.eye(2), 1e308 * np.eye(2)))
+        assert v.verdict is nme.Verdict.SOLVABLE
+        assert v.min_eig_on_circle == pytest.approx(0.5e308, rel=1e-14)
+
     def test_zero_a_solvable(self):
         v = nme.solvability_check(nme.new_problem(np.zeros((2, 2)), np.eye(2)))
         assert v.verdict is nme.Verdict.SOLVABLE
@@ -294,6 +312,7 @@ class TestSolvabilityCheck:
            rho=st.sampled_from([0.3, 0.9, 1.0]))
     @example(k=-1000, n=1, seed=0, rho=1.0)
     @example(k=1000, n=4, seed=3, rho=0.9)
+    @example(k=1021, n=4, seed=0, rho=1.0)  # largest entry in [2^1023, 2^1024)
     def test_homogeneity(self, k, n, seed, rho):
         # (A, Q) -> (2^k A, 2^k Q) keeps the verdict and scales the minimum by 2^k
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))

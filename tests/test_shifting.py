@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import match_distance, nonnormal_planted, pencil_with_spectrum, scalar_x_plus
+from helpers import match_distance, nonnormal_planted, pencil_with_spectrum
 from nmesolve.shifting import EIGENPAIR_RTOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
     EigensolverFailure,
-    InvalidR,
     NonFiniteInput,
     NotAnEigenpair,
     NotCriticalCase,
@@ -51,6 +50,12 @@ class TestShiftSingle:
         pen = critical_pencil()
         with pytest.raises(NotAnEigenpair):
             nme.shift_single(pen, [1.0, 0.0], 1.0, 0.9, [1.0, 0.0])
+
+    def test_rejects_non_eigenpair_at_large_scale(self):
+        # the bound (||M|| + |lambda| ||L||) ||v|| must not overflow to inf
+        pen = nme.build_pencil(nme.new_problem([[1e200]], [[3e200]]))
+        with pytest.raises(NotAnEigenpair):
+            nme.shift_single(pen, [1.0, 0.0], 5.0, 0.5, [1.0, 0.0])
 
     def test_rejects_unnormalized_r(self):
         pen = critical_pencil()
@@ -286,6 +291,10 @@ class TestDetectUnimodular:
         v = rep.eigenvectors[:, 0]
         assert abs(v[1] / v[0] - 1.0) <= 1e-7  # direction [1, 1]
 
+    def test_near_overflow(self):
+        rep = nme.detect_unimodular(nme.build_pencil(nme.new_problem([[0.5e308]], [[1e308]])))
+        assert rep.eigenvalues.tolist() == [1.0]
+
     def test_subcritical_pencil_empty(self):
         pen = nme.build_pencil(nme.new_problem([[0.5]], [[2.0]]))
         rep = nme.detect_unimodular(pen)
@@ -344,6 +353,7 @@ class TestDetectUnimodular:
            rho=st.sampled_from([0.3, 0.9, 1.0]))
     @example(k=-600, n=1, seed=0, rho=1.0)
     @example(k=600, n=4, seed=3, rho=1.0)
+    @example(k=1021, n=2, seed=1, rho=1.0)  # largest entry in [2^1023, 2^1024)
     def test_homogeneity(self, k, n, seed, rho):
         # (A, Q) -> (2^k A, 2^k Q) keeps lambda and x to the bit and scales
         # the lower half A x / lambda + P x by 2^k
@@ -419,30 +429,6 @@ class TestDetectUnimodular:
                                        0.9 * rep.eigenvalues)
         shifted = nme.shift_multi(pen, spec)
         assert not np.iscomplexobj(shifted.M) and not np.iscomplexobj(shifted.L)
-
-
-class TestShiftedScalarProblem:
-    def test_values(self):
-        a_hat, q_hat = nme.shifted_scalar_problem(1.0, 0.9)
-        assert a_hat == 1.0
-        assert q_hat == pytest.approx(0.9 + 1.0 / 0.9, abs=1e-15)
-
-    def test_limit_recovers_critical(self):
-        _, q_hat = nme.shifted_scalar_problem(1.0, 1.0 - 1e-8)
-        assert q_hat == pytest.approx(2.0, abs=1e-15)
-
-    def test_solution_is_a_over_r(self):
-        a_hat, q_hat = nme.shifted_scalar_problem(2.0, 0.5)
-        assert (a_hat, q_hat) == (2.0, 5.0)
-        assert scalar_x_plus(a_hat, q_hat) == pytest.approx(4.0, abs=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidR):
-            nme.shifted_scalar_problem(1.0, 1.0)
-        with pytest.raises(InvalidR):
-            nme.shifted_scalar_problem(1.0, 0.0)
-        with pytest.raises(InvalidR):
-            nme.shifted_scalar_problem(0.0, 0.5)
 
 
 class TestSolveScalarShifted:

@@ -67,3 +67,11 @@ def test_no_lapack_or_blas_routine_is_bound_at_import():
              for name, value in vars(import_module(f"nmesolve.{path.stem}")).items()
              if id(value) in routines]
     assert bound == []
+
+
+def test_one_power_of_two_scale_and_one_safe_norm():
+    # the magnitude decision lives in problem._pow2_scale and problem.fro_norm;
+    # a second frexp or a raw norm in the shifting checks would fork it again
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sum(text.count("math.frexp") for text in texts.values()) == 1
+    assert "np.linalg.norm" not in texts["shifting.py"]
