@@ -158,6 +158,13 @@ def _pow2_scale(m: float) -> float:
     return math.ldexp(1.0, math.frexp(m)[1] - 1)
 
 
+def _unit_scaled(*Ms):
+    """``(s, M_1 / s, M_2 / s, ...)``, s the ``_pow2_scale`` of the largest
+    |entry| of the M_i: a test on them in these units cannot overflow."""
+    s = _pow2_scale(max(np.max(np.abs(M), initial=0.0) for M in Ms))
+    return (s, *(M / s for M in Ms))
+
+
 def fro_norm(M) -> float:
     """||M||_F of a real or complex M, also where the sum of squares
     overflows or underflows.
@@ -171,8 +178,8 @@ def fro_norm(M) -> float:
         val = float(np.linalg.norm(M))
         if 0.0 < val < math.inf or not np.all(np.isfinite(M)):
             return val
-        scale = _pow2_scale(np.max(np.abs(M), initial=0.0))
-        return scale * float(np.linalg.norm(M / scale))
+        scale, Mu = _unit_scaled(M)
+        return scale * float(np.linalg.norm(Mu))
 
 
 def _square_real(M, name: str) -> np.ndarray:
@@ -198,7 +205,8 @@ def new_problem(A, Q) -> NmeProblem:
     """Validate and pack the data of X + A^T X^{-1} A = Q.
 
     A and Q must be finite.  Q is checked for symmetry (max-abs asymmetry at
-    most 1e-12 * ||Q||_F), symmetrized, and then required to admit a
+    most 1e-12 * ||Q||_F, both taken of Q / s for s = ``_pow2_scale(max|Q|)``
+    so that neither overflows), symmetrized, and then required to admit a
     Cholesky factorization.
     """
     A = _square_real(A, "A")
@@ -208,9 +216,10 @@ def new_problem(A, Q) -> NmeProblem:
     for name, M in (("A", A), ("Q", Q)):
         if not np.all(np.isfinite(M)):
             raise NonFiniteInput(f"{name} contains NaN/Inf")
-    asym = np.max(np.abs(Q - Q.T))
-    if asym > SYMMETRY_RTOL * fro_norm(Q):
-        raise NotSymmetric(f"Q asymmetry {asym:.3e} exceeds tolerance")
+    _, Qu = _unit_scaled(Q)
+    asym, q_fro = np.max(np.abs(Qu - Qu.T)), fro_norm(Qu)
+    if asym > SYMMETRY_RTOL * q_fro:
+        raise NotSymmetric(f"Q asymmetry {asym / q_fro:.3e} of ||Q||_F exceeds tolerance")
     Qs = symmetric_part(Q)
     _cholesky(Qs, "Q")
     return NmeProblem(A=A.copy(), Q=Qs)
@@ -232,13 +241,15 @@ def _candidate_w(problem: NmeProblem, X) -> tuple[np.ndarray, np.ndarray]:
     return Xs, cho_solve((_cholesky(Xs, "X"), True), problem.A)
 
 
-def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray,
-                      q_fro: float) -> tuple[Residual, np.ndarray, np.ndarray]:
+def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
+                      q_scale: float = 1.0) -> tuple[Residual, np.ndarray, np.ndarray]:
     """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
 
     With X = C C^T and Y = C^{-1} A (one triangular solve), A^T X^{-1} A is
     Y^T Y, which numpy forms as a symmetric rank-k update, so R is exactly
-    symmetric when Q and X are.  ``q_fro`` is ||Q||_F.  Returns
+    symmetric when Q and X are.  ``q_fro`` is ||Q / q_scale||_F for a power
+    of two ``q_scale``, and the relative norm is (||R||_F / q_scale) / q_fro,
+    which stays finite when ||Q||_F overflows.  Returns
     ``(residual, C, Y)``, C in Fortran order as ``_cholesky`` returns it, so
     W = X^{-1} A is one more solve C^T W = Y, the pair of solves
     ``cho_solve`` makes.  An X without a Cholesky factor raises
@@ -250,7 +261,7 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray,
     with np.errstate(invalid="ignore", over="ignore"):
         R = Q - X - Y.T @ Y
         fro = fro_norm(R)
-        rel = fro / q_fro
+        rel = fro / q_scale / q_fro
     if not math.isfinite(rel):
         fro = rel = math.inf
     return Residual(matrix=R, fro_norm=fro, rel_norm=rel), C, Y
@@ -261,7 +272,8 @@ def residual(problem: NmeProblem, X) -> Residual:
     :class:`NonFiniteInput` when X holds NaN/Inf and
     :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
     Xs = _candidate(problem, X)
-    return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(problem.Q))[0]
+    s, Qu = _unit_scaled(problem.Q)
+    return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(Qu), s)[0]
 
 
 def _pencil(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +300,7 @@ def is_symplectic_pencil(pencil: SymplecticPencil) -> bool:
     if pencil.dim % 2 != 0:
         raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     J = canonical_skew(pencil.half)
-    M, L = pencil.M, pencil.L
-    s = _pow2_scale(max(np.max(np.abs(M), initial=0.0), np.max(np.abs(L), initial=0.0)))
-    M, L = M / s, L / s
+    _, M, L = _unit_scaled(pencil.M, pencil.L)
     defect = np.linalg.norm(M @ J @ M.T - L @ J @ L.T)
     scale = (np.linalg.norm(M) + np.linalg.norm(L)) ** 2
     return bool(defect <= SYMPLECTIC_RTOL * scale)
@@ -428,8 +438,7 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     ``_pow2_scale`` of max |A|, |Q|, the rest from one real QZ of the scaled
     pencil (see :func:`solvability_check`); a failed QZ raises
     :class:`EigensolverFailure`."""
-    scale = _pow2_scale(max(np.max(np.abs(A)), np.max(np.abs(Q))))
-    A, Q = A / scale, Q / scale
+    scale, A, Q = _unit_scaled(A, Q)
     M, L = _pencil(A, Q)
     try:
         alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
@@ -523,27 +532,14 @@ def invariant_subspace_defect(problem: NmeProblem, X) -> float:
 def load_problem(path) -> NmeProblem:
     """Read a problem file: {"n": int, "A": [n*n row-major], "Q": [n*n row-major]}.
 
-    NaN/Inf entries are rejected.
+    Entries must be finite JSON numbers (see ``serialize.read_numbers``).
     """
-    data = serialize.load_json(path)
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{path}: expected a JSON object")
-    for key in ("n", "A", "Q"):
-        if key not in data:
-            raise ProblemFileError(f"{path}: missing key {key!r}")
+    data = serialize.load_json(path, ("n", "A", "Q"))
     n = data["n"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ProblemFileError(f"{path}: n must be a positive integer")
-    mats = {}
-    for key in ("A", "Q"):
-        entries = data[key]
-        if not isinstance(entries, list) or len(entries) != n * n:
-            raise ProblemFileError(f"{path}: {key} must hold {n * n} numbers")
-        arr = np.asarray(entries, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ProblemFileError(f"{path}: {key} contains NaN/Inf")
-        mats[key] = arr.reshape(n, n)
-    return new_problem(mats["A"], mats["Q"])
+    return new_problem(*(serialize.read_numbers(data[key], n * n, f"{path}: {key}").reshape(n, n)
+                         for key in ("A", "Q")))
 
 
 def problem_payload(problem: NmeProblem) -> dict:

@@ -9,9 +9,11 @@ plain JSON/CSV and must stay parseable everywhere.
 import json
 import math
 
+import numpy as np
+
 from .exceptions import ProblemFileError
 
-__all__ = ["format_float", "dumps_json", "dump_json", "write_csv", "load_json"]
+__all__ = ["format_float", "dumps_json", "dump_json", "write_csv", "load_json", "read_numbers"]
 
 
 def format_float(x: float) -> str:
@@ -73,9 +75,32 @@ def write_csv(fh, header, rows) -> None:
         fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def load_json(path):
+def load_json(path, keys=()) -> dict:
+    """The JSON object in ``path``, which must hold each of ``keys``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ProblemFileError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ProblemFileError(f"{path}: missing key {key!r}")
+    return data
+
+
+def read_numbers(values, count: int, name: str) -> np.ndarray:
+    """``values`` as a float array, when it is a list of exactly ``count``
+    finite JSON numbers: booleans, strings, lists, objects and integers
+    beyond the float range raise ProblemFileError, as ``load_json`` does."""
+    if (not isinstance(values, list) or len(values) != count
+            or not all(type(v) in (int, float) for v in values)):
+        raise ProblemFileError(f"{name} must be a list of {count} JSON numbers")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ProblemFileError(f"{name} holds an integer beyond the float range") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFileError(f"{name} contains NaN/Inf")
+    return arr

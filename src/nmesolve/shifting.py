@@ -48,7 +48,7 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import SymplecticPencil, _critical_angles, _pow2_scale, fro_norm, ssf2_blocks
+from .problem import SymplecticPencil, _critical_angles, _unit_scaled, fro_norm, ssf2_blocks
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
@@ -134,6 +134,7 @@ def _as_complex_matrix(M, name: str) -> np.ndarray:
 
 
 def _check_eigenpair(M, L, v, lam, index=None):
+    """M v = lam L v to :data:`EIGENPAIR_RTOL`; (M, L) come from ``_unit_scaled``."""
     resid = fro_norm(M @ v - lam * L @ v)
     scale = (fro_norm(M) + abs(lam) * fro_norm(L)) * fro_norm(v)
     if resid > EIGENPAIR_RTOL * scale:
@@ -157,7 +158,7 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
         raise DimensionMismatch("v and r must have the pencil dimension")
     lambda0 = complex(lambda0)
     lambda1 = complex(lambda1)
-    _check_eigenpair(M, L, v, lambda0)
+    _check_eigenpair(*_unit_scaled(M, L)[1:], v, lambda0)
     rv = complex(np.dot(r, v))
     if abs(rv - 1.0) > 1e-10 * max(1.0, fro_norm(r) * fro_norm(v)):
         raise NotNormalized(f"r^T v = {rv!r}, expected 1")
@@ -225,8 +226,9 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     if not (np.iscomplexobj(M) or np.iscomplexobj(L)) and not _conjugate_closed(lam, lam_hat):
         raise ConjugateClosureViolated(
             "shifting a real pencil needs conjugate-closed (lam, lam_hat) pairs")
+    _, Mu, Lu = _unit_scaled(M, L)
     for i in range(k):
-        _check_eigenpair(M, L, V[:, i], lam[i], index=i)
+        _check_eigenpair(Mu, Lu, V[:, i], lam[i], index=i)
 
     D = np.diag(lam_hat - lam)
     defect1 = fro_norm(R1.T @ V - D)
@@ -339,8 +341,7 @@ def solve_scalar_shifted(a: float, q: float,
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):
         raise NotCriticalCase(
             f"q - 2|a| = {q - 2.0 * abs(a):.3e}; shifted pipeline applies only at the critical case")
-    s = _pow2_scale(abs(a))
-    a = abs(a) / s
+    s, a = _unit_scaled(abs(a))
     r = SCALAR_SHIFT_R
     rep = solve_sda_scalar(a, a * (r + 1.0 / r), config)
     x_hat = float(rep.X[0, 0])
@@ -360,13 +361,8 @@ def _interleaved(M: np.ndarray) -> list[float]:
     return [float(v) for v in out]
 
 
-def _from_interleaved(values, shape, name: str) -> np.ndarray:
-    count = 2 * int(np.prod(shape))
-    if not isinstance(values, list) or len(values) != count:
-        raise ProblemFileError(f"{name} must hold {count} interleaved numbers")
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ProblemFileError(f"{name} contains NaN/Inf")
+def _from_interleaved(data: dict, key: str, shape, path) -> np.ndarray:
+    arr = serialize.read_numbers(data[key], 2 * int(np.prod(shape)), f"{path}: {key}")
     return (arr[0::2] + 1j * arr[1::2]).reshape(shape)
 
 
@@ -379,14 +375,12 @@ def save_pencil(pencil: SymplecticPencil, path) -> None:
 
 def load_pencil(path) -> SymplecticPencil:
     """Read {"dim": 2n, "M": [...], "L": [...]} with interleaved re/im arrays."""
-    data = serialize.load_json(path)
-    if not isinstance(data, dict) or any(k not in data for k in ("dim", "M", "L")):
-        raise ProblemFileError(f"{path}: expected keys dim, M, L")
+    data = serialize.load_json(path, ("dim", "M", "L"))
     dim = data["dim"]
-    if not isinstance(dim, int) or dim <= 0 or dim % 2 != 0:
+    if type(dim) is not int or dim <= 0 or dim % 2 != 0:
         raise ProblemFileError(f"{path}: dim must be a positive even integer")
-    M = _from_interleaved(data["M"], (dim, dim), "M")
-    L = _from_interleaved(data["L"], (dim, dim), "L")
+    M = _from_interleaved(data, "M", (dim, dim), path)
+    L = _from_interleaved(data, "L", (dim, dim), path)
     return SymplecticPencil(M=M, L=L)
 
 
@@ -396,25 +390,18 @@ def load_shift_spec(path, dim: int) -> ShiftSpec:
     When R1 is absent the factors are constructed via
     :func:`build_shift_factors`; a supplied R2 overrides the zero default.
     """
-    data = serialize.load_json(path)
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{path}: expected a JSON object")
-    for key in ("V", "lambda", "lambda_hat"):
-        if key not in data:
-            raise ProblemFileError(f"{path}: missing key {key!r}")
-    if not isinstance(data["lambda"], list):
-        raise ProblemFileError(f"{path}: lambda must be a list of interleaved numbers")
-    lam = _from_interleaved(data["lambda"], (len(data["lambda"]) // 2,), "lambda")
-    k = lam.size
-    V = _from_interleaved(data["V"], (dim, k), "V")
-    lam_hat = _from_interleaved(data["lambda_hat"], (k,), "lambda_hat")
+    data = serialize.load_json(path, ("V", "lambda", "lambda_hat"))
+    k = len(data["lambda"]) // 2 if isinstance(data["lambda"], list) else 0
+    lam = _from_interleaved(data, "lambda", (k,), path)
+    V = _from_interleaved(data, "V", (dim, k), path)
+    lam_hat = _from_interleaved(data, "lambda_hat", (k,), path)
     if "R1" in data:
-        R1 = _from_interleaved(data["R1"], (dim, k), "R1")
+        R1 = _from_interleaved(data, "R1", (dim, k), path)
         spec = ShiftSpec(V=V, lam=lam, lam_hat=lam_hat, R1=R1, R2=np.zeros((dim, k), dtype=complex))
     else:
         spec = build_shift_factors(V, lam, lam_hat)
     if "R2" in data:
-        spec = replace(spec, R2=_from_interleaved(data["R2"], (dim, k), "R2"))
+        spec = replace(spec, R2=_from_interleaved(data, "R2", (dim, k), path))
     return spec
 
 

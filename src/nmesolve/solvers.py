@@ -33,15 +33,15 @@ Each solver supplies only its update; one loop (``_Run.drive``) runs them
 all, so the stopping rule is shared, for fair benchmarking: relative residual
 ||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Every solver takes it from
 ``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A and
-R = Q - X_k - Y^T Y.  An X_k without a Cholesky factor has residual inf, so
+R = Q - X_k - Y^T Y.  Its norms, and those of doubling's own test
+||A_k||_F <= tol * ||A||_F, are taken over the power of two s of max |Q|, so
+none overflows.  An X_k without a Cholesky factor has residual inf, so
 ``converged=True`` means a finite X that has a Cholesky factor.  The
-fixed-point and Newton solvers also need W = X_k^{-1} A; they get it from
-the same factor with one more triangular solve.  Doubling's own test
-||A_k||_F <= tol * ||A||_F also ends the run, but when it passes alone the
-run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and
-runs whose X is not finite, raise a
-:class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
-report.
+fixed-point and Newton solvers get W = X_k^{-1} A from the same factor with
+one more triangular solve.  When doubling's test passes alone the run raises
+:class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and runs whose
+X is not finite, raise a :class:`~nmesolve.exceptions.SolverFailure`
+subclass carrying the partial report.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
@@ -81,6 +81,7 @@ from .exceptions import (
 from .problem import (
     NmeProblem,
     _cholesky,
+    _unit_scaled,
     cholesky_residual,
     fro_norm,
     spectral_radius,
@@ -215,44 +216,40 @@ class _Run:
     def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig | None, name: str):
         self.A = A
         self.Q = Q
-        self.q_fro = fro_norm(Q)
+        self.q_scale, Qu = _unit_scaled(Q)
+        self.q_fro = fro_norm(Qu)
         self.config = config or SolverConfig()
         self.name = name
         self.history: list[HistoryRecord] = []
         self.iterates: list[np.ndarray] = []
         self.aux_iterates: dict[str, list[np.ndarray]] = {}
         self.best_res = math.inf
-        self.k = 0
         #: iterations whose X was accepted; lags k while X_k is being computed
         self.accepted = 0
         self.X = None
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
-        """Run the update generator ``steps``: it yields (X_0, res_0 or None
-        when X_0 is not tested, aux_0, stop_0), then one (X_k, res_k, aux1,
-        aux2, aux_k, stop_k) per iteration, with ``aux`` the companion
-        iterates by name (or None) and ``stop`` the solver's own stopping test
-        besides res <= tol.  The step norm ||X_k - X_{k-1}||_F is taken here,
-        and only when history or DEBUG logging wants it."""
+        """Run the update generator ``steps``: it yields one (X_k, res_k,
+        aux1, aux2, aux_k, stop_k) for each k from 0, with res_0 None when X_0
+        is not tested (aux1 and aux2 of X_0 are 0 and unused), ``aux`` the
+        companion iterates by name (or None) and ``stop`` the solver's own
+        stopping test besides res <= tol.  The step norm ||X_k - X_{k-1}||_F
+        is taken here, and only when history or DEBUG logging wants it."""
         cfg = self.config
         track_step = cfg.record_history or logger.isEnabledFor(logging.DEBUG)
-        self.X, res, aux, stop = next(steps)
-        self.capture(aux)
-        if res is not None:
-            if cfg.min_iter == 0 and (res <= cfg.tol or stop):
-                return self.stopped(res)
-            self.best_res = min(self.best_res, res)
-        for self.k in range(1, cfg.max_iter + 1):
+        for self.k in range(cfg.max_iter + 1):
             prev = self.X
             self.X, res, aux1, aux2, aux, stop = next(steps)
             self.accepted = self.k
-            if track_step:
+            if track_step and self.k:
                 step = fro_norm(self.X - prev)
                 logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
                 if cfg.record_history:
                     self.history.append(
                         HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
             self.capture(aux)
+            if res is None:
+                continue
             self.best_res = min(self.best_res, res)
             if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
                 return self.stopped(res)
@@ -293,7 +290,7 @@ class _Run:
     def residual(self, X: np.ndarray) -> float:
         """Relative residual of X; inf when X is not positive definite or it overflows."""
         try:
-            return cholesky_residual(self.A, self.Q, X, self.q_fro)[0].rel_norm
+            return cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)[0].rel_norm
         except NotPositiveDefinite:
             return math.inf
 
@@ -305,7 +302,7 @@ class _Run:
         """Relative residual of X and W = X^{-1} A from one Cholesky factor;
         X_k must stay positive definite."""
         try:
-            res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro)
+            res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
         except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite") from exc
@@ -348,7 +345,7 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
 
     def steps():
         X, W = run.start_at_q()
-        yield X, None, None, False
+        yield X, None, 0.0, 0.0, None, False
         while True:
             X = symmetric_part(Q - A.T @ W)
             res, W = run.residual_and_w(X)
@@ -372,8 +369,9 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
 
     def steps():
         X = Q.copy()
-        Y = np.eye(n) / float(np.linalg.norm(Q, np.inf))
-        yield X, None, {"Y": Y}, False
+        # (I / s) / ||Q / s||_inf is I / ||Q||_inf, also where ||Q||_inf overflows
+        Y = np.eye(n) / run.q_scale / float(np.linalg.norm(Q / run.q_scale, np.inf))
+        yield X, None, 0.0, 0.0, {"Y": Y}, False
         two_eye = 2.0 * np.eye(n)
         while True:
             # the X-update consumes the previous Y
@@ -477,7 +475,7 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
 
     def steps():
         X, W = run.start_at_q()
-        yield X, None, None, False
+        yield X, None, 0.0, 0.0, None, False
         while True:
             # L_k = X_{k-1}^{-1} A is the W of the previous iterate
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
@@ -554,8 +552,8 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
 
     def steps():
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
-        a_scale = fro_norm(A)
-        yield Qk, run.residual(Qk), {"A": Ak, "P": Pk}, a_scale == 0.0
+        a_scale = fro_norm(A / run.q_scale)
+        yield Qk, run.residual(Qk), 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
         n = A.shape[0]
         while True:
             # LDL^T, not Cholesky: it is sqrt-free, so the 1x1 critical closed
@@ -576,7 +574,7 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                        if run.config.record_history else 0.0)
             a_norm = fro_norm(Ak)
             yield (Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk},
-                   a_norm <= run.config.tol * a_scale)
+                   a_norm / run.q_scale <= run.config.tol * a_scale)
 
     return run.drive(steps(), nonfinite_fatal=False)
 

@@ -101,3 +101,16 @@ def nonnormal_planted(n: int, rho: float, eta: float, seed: int):
     S = u2 @ T @ u2.T
     A = X @ S
     return new_problem(A, symmetric_part(X + S.T @ X @ S)), X
+
+
+#: Problem files that parse as JSON but do not hold a problem: each must end
+#: in ProblemFileError, not in a raw TypeError, OverflowError, ValueError or
+#: RecursionError, nor load a string as a number
+MALFORMED_PROBLEMS = {
+    "object-entry": '{"n": 1, "A": [{"x": 1}], "Q": [1.0]}',
+    "boolean-n": '{"n": true, "A": [0.5], "Q": [1.0]}',
+    "huge-integer": '{"n": 1, "A": [' + "1" * 400 + '], "Q": [1.0]}',
+    "nested-list": '{"n": 1, "A": [[0.5, 1]], "Q": [1.0]}',
+    "string-entry": '{"n": 1, "A": ["0.5"], "Q": [1.0]}',
+    "deep-nesting": '{"n": 1, "A": ' + "[" * 100000 + "]" * 100000 + ', "Q": [1.0]}',
+}

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import nmesolve as nme
+from helpers import MALFORMED_PROBLEMS
 from nmesolve import serialize
 from nmesolve.cli import cli_main
 
@@ -86,6 +87,15 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/p.json")
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PROBLEMS))
+    def test_malformed_file_exit_code(self, tmp_path, capsys, name):
+        problem = tmp_path / "bad.json"
+        problem.write_text(MALFORMED_PROBLEMS[name])
+        code, out, err = run_cli(capsys, "solve", str(problem))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(problem) in err
 
     def test_nan_rejected(self, tmp_path, capsys):
         problem = tmp_path / "nan.json"
@@ -183,6 +193,20 @@ class TestVerifyShift:
         code, _, err = run_cli(capsys, "verify-shift", str(pen_path), str(spec_path))
         assert code == 1
         assert "V has no columns: there is no eigenvalue to shift" in err
+
+    @pytest.mark.parametrize("field", ["V", "M"])
+    def test_object_entry_exit_code(self, tmp_path, capsys, field):
+        pen_path = tmp_path / "pen.json"
+        spec_path = tmp_path / "spec.json"
+        nme.save_pencil(nme.build_pencil(nme.new_problem([[1.0]], [[2.0]])), pen_path)
+        spec = {"V": [1.0, 0.0, 1.0, 0.0], "lambda": [1.0, 0.0], "lambda_hat": [0.9, 0.0]}
+        pencil = json.loads(pen_path.read_text())
+        (spec if field == "V" else pencil)[field][0] = {"x": 1}
+        pen_path.write_text(json.dumps(pencil))
+        spec_path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "verify-shift", str(pen_path), str(spec_path))
+        assert code == 2
+        assert err.startswith(f"error: {spec_path if field == 'V' else pen_path}: {field} ")
 
     def test_bad_pencil_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import match_distance, nonnormal_planted, scalar_x_plus
+from helpers import MALFORMED_PROBLEMS, match_distance, nonnormal_planted, scalar_x_plus
 from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
@@ -61,6 +61,12 @@ class TestNewProblem:
         with pytest.raises(NotSymmetric):
             nme.new_problem(np.zeros((2, 2)), Q)
 
+    def test_asymmetry_rejected_where_norm_of_q_overflows(self):
+        # ||Q||_F and Q - Q^T overflow here, which once made the tolerance inf
+        Q = 1.2e308 * np.array([[1.0, 0.9], [-0.9, 1.0]])
+        with pytest.raises(NotSymmetric):
+            nme.new_problem(np.zeros((2, 2)), Q)
+
     def test_tiny_asymmetry_symmetrized(self):
         Q = np.array([[2.0, 1e-14], [0.0, 2.0]])
         p = nme.new_problem(np.zeros((2, 2)), Q)
@@ -86,6 +92,17 @@ class TestResidual:
         assert r.matrix[0, 0] == pytest.approx(-0.5, abs=1e-15)
         assert r.fro_norm == pytest.approx(0.5, abs=1e-15)
         assert r.rel_norm == pytest.approx(0.25, abs=1e-15)
+
+    def test_rel_norm_where_norm_of_q_overflows(self):
+        # ||Q||_F is above finfo.max while every entry is below it; the
+        # relative residual once read 0 here
+        p = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.6, seed=1)).problem
+        big = nme.new_problem(np.ldexp(p.A, 1022), np.ldexp(p.Q, 1022))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(big.Q) == math.inf
+        unit = nme.residual(p, p.Q).rel_norm
+        assert unit > 0.1
+        assert nme.residual(big, big.Q).rel_norm == pytest.approx(unit, rel=1e-15)
 
     def test_requires_spd(self):
         p = nme.new_problem([[1.0]], [[2.0]])
@@ -369,6 +386,36 @@ class TestSolvabilityCheck:
         assert value == 0.0
         assert len(probes) == 2
 
+    def test_even_model_minimum_beyond_a_cut_bracket(self):
+        # f is even about pi.  The golden-section probe at distance 0.38 step
+        # is kept as w; the model's minimum at 0.26 step rises to 20 and,
+        # kept neither as w nor as v, cuts the bracket there.  The model
+        # still points at that end, so the next step is a golden-section
+        # one into the cut bracket, which finds the dip at 0.1 step
+        golden = (3.0 - math.sqrt(5.0)) / 2.0
+        step = math.pi / 32
+
+        def h(r):
+            r /= step
+            if r < 0.2:
+                return (r - 0.1) ** 2 - 0.01
+            if r < 0.33:
+                return 20.0
+            return 0.01 * (r / golden) ** 2 if r < 0.9 else 10.0
+
+        probes = []
+
+        def f(t):
+            probes.append(t)
+            return h(abs(t - math.pi))
+
+        value = problem_module._brent_min(f, math.pi, h(0.0), h(step), h(step), step,
+                                          1e-7, 0.0, True)
+        assert h(abs(probes[1] - math.pi)) == 20.0
+        assert probes[2] == math.pi + golden * (probes[1] - math.pi)
+        assert value == min(h(abs(t - math.pi)) for t in probes)
+        assert value == pytest.approx(-0.01, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_against_dense_sample(self, seed, n):
@@ -500,6 +547,13 @@ class TestProblemFiles:
     def test_rejects_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 1, "A": [0.0]}))
+        with pytest.raises(ProblemFileError):
+            nme.load_problem(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PROBLEMS))
+    def test_rejects_malformed_file(self, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_PROBLEMS[name])
         with pytest.raises(ProblemFileError):
             nme.load_problem(path)
 

@@ -57,6 +57,13 @@ class TestShiftSingle:
         with pytest.raises(NotAnEigenpair):
             nme.shift_single(pen, [1.0, 0.0], 5.0, 0.5, [1.0, 0.0])
 
+    def test_rejects_non_eigenpair_where_the_bound_overflows(self):
+        # |lambda| ||L||_F is above finfo.max, so the bound is taken of
+        # (M, L) divided by a power of two
+        pen = nme.build_pencil(nme.new_problem([[0.5e308]], [[1.5e308]]))
+        with pytest.raises(NotAnEigenpair):
+            nme.shift_single(pen, [1.0, 0.0], 5.0, 0.5, [1.0, 0.0])
+
     def test_rejects_unnormalized_r(self):
         pen = critical_pencil()
         with pytest.raises(NotNormalized):
@@ -515,6 +522,22 @@ class TestPencilFiles:
         path.write_text('{"dim": 3, "M": [], "L": []}')
         with pytest.raises(ProblemFileError):
             nme.load_pencil(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "M": [{"x": 1}, 0, 0, 0, 0, 0, 0, 0], "L": [0, 0, 0, 0, 0, 0, 0, 0]}',
+        '[2, [], []]',
+    ])
+    def test_rejects_malformed_pencil(self, tmp_path, text):
+        path = tmp_path / "pen.json"
+        path.write_text(text)
+        with pytest.raises(ProblemFileError):
+            nme.load_pencil(path)
+
+    def test_spec_rejects_object_entry(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"V": [1,0,{"x":1},0], "lambda": [1,0], "lambda_hat": [0.9,0]}')
+        with pytest.raises(ProblemFileError):
+            nme.load_shift_spec(path, 2)
 
     def test_spec_with_factors(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -775,6 +775,11 @@ class TestCrossSolverProperties:
     @example(k=900, n=4, seed=1, rho=0.9, solver=nme.solve_sda)
     @example(k=-1000, n=4, seed=2, rho=0.6, solver=nme.solve_sda)
     @example(k=1000, n=3, seed=3, rho=0.9, solver=nme.solve_newton)
+    @example(k=1022, n=4, seed=1, rho=0.6, solver=nme.solve_fixed_point)
+    @example(k=1022, n=4, seed=1, rho=0.6, solver=nme.solve_inversion_free)
+    @example(k=1022, n=4, seed=1, rho=0.6, solver=nme.solve_newton)
+    @example(k=1022, n=4, seed=1, rho=0.6, solver=nme.solve_sda)
+    @example(k=1022, n=4, seed=1, rho=0.9, solver=nme.solve_inversion_free)
     def test_homogeneity(self, k, n, seed, rho, solver):
         # (A, Q) -> (2^k A, 2^k Q) maps X to 2^k X, whether or not the
         # squared entries overflow or underflow
@@ -787,6 +792,17 @@ class TestCrossSolverProperties:
         assert scaled.iterations == base.iterations
         X = np.ldexp(scaled.X, -k)
         assert np.linalg.norm(X - base.X) <= 1e-12 * np.linalg.norm(base.X)
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_norms_of_a_and_q_overflow(self, solver):
+        # every entry is finite, but ||Q||_F and ||A||_F are above finfo.max:
+        # the residual, the Schulz start and doubling's ||A_k|| test must
+        # not read them as inf
+        eye = np.eye(64)
+        base = solver(nme.new_problem(0.4 * eye, eye))
+        big = solver(nme.new_problem(0.4e308 * eye, 1e308 * eye))
+        assert big.converged and big.iterations == base.iterations
+        assert np.linalg.norm(big.X / 1e308 - base.X) <= 1e-12 * np.linalg.norm(base.X)
 
     def test_scalar_non_finite_never_converges(self):
         with pytest.raises(Diverged) as info:

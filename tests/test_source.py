@@ -47,6 +47,16 @@ def test_public_names_are_exported():
     assert missing == []
 
 
+def test_package_republishes_each_modules_all():
+    # one list per module: __init__ imports * from each, never a name list
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    listed = [f"{node.module}: {alias.name}" for node in tree.body
+              if isinstance(node, ast.ImportFrom)
+              and node.module in ("harness", "problem", "shifting", "solvers")
+              for alias in node.names if alias.name != "*"]
+    assert listed == []
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s of import time
     code = "import sys, nmesolve; print('scipy.optimize' in sys.modules)"
