@@ -39,6 +39,10 @@ class OddDimension(NmeError):
     """A pencil operation needs an even-dimensional matrix pair."""
 
 
+class NotSSF2Pencil(NmeError, ValueError):
+    """A pencil is complex or does not match the SSF-2 block layout."""
+
+
 class ZeroLambda(NmeError):
     """The rational matrix function is undefined at lambda = 0."""
 

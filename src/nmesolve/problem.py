@@ -33,6 +33,7 @@ from .exceptions import (
     EigensolverFailure,
     NonFiniteInput,
     NotPositiveDefinite,
+    NotSSF2Pencil,
     NotSymmetric,
     OddDimension,
     ProblemFileError,
@@ -309,21 +310,21 @@ def is_symplectic_pencil(pencil: SymplecticPencil) -> bool:
 def ssf2_blocks(pencil: SymplecticPencil):
     """Extract (A, Q, P) from a real pencil that matches the SSF-2 layout.
 
-    Raises ValueError for a complex pencil (see :class:`SymplecticPencil`),
-    and when the fixed blocks (zeros, identities, the repeated A block)
-    deviate by more than :data:`SSF2_RTOL` times the entry scale.
+    Raises :class:`NotSSF2Pencil` (a ``ValueError``) for a complex pencil, and
+    when the fixed blocks (zeros, identities, the repeated A block) deviate
+    by more than :data:`SSF2_RTOL` times the entry scale.
     """
     if pencil.dim % 2 != 0:
         raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     n = pencil.half
     M, L = pencil.M, pencil.L
     if np.iscomplexobj(M) or np.iscomplexobj(L):
-        raise ValueError("pencil has non-negligible imaginary parts")
+        raise NotSSF2Pencil("pencil has non-negligible imaginary parts")
     eye = np.eye(n)
     fixed = (M[:n, n:], M[n:, n:] + eye, L[:n, n:] - eye, L[n:, n:], L[n:, :n] - M[:n, :n].T)
     scale = max(np.max(np.abs(M)), np.max(np.abs(L)), 1.0)
     if max(np.max(np.abs(B)) for B in fixed) > SSF2_RTOL * scale:
-        raise ValueError("pencil does not match the SSF-2 block pattern")
+        raise NotSSF2Pencil("pencil does not match the SSF-2 block pattern")
     return M[:n, :n].copy(), M[n:, :n].copy(), -L[:n, :n].copy()
 
 
@@ -433,12 +434,25 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
                 v, fv = u, fu
 
 
+#: The last ``_critical_angles`` result, read-only.  One entry: enough for
+#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share a QZ.
+_last_qz = None
+
+
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
     """``(scale, A / scale, Q / scale, regular, angles)``, scale the
     ``_pow2_scale`` of max |A|, |Q|, the rest from one real QZ of the scaled
     pencil (see :func:`solvability_check`); a failed QZ raises
-    :class:`EigensolverFailure`."""
+    :class:`EigensolverFailure`.  The last result is remembered: when the
+    scale and the bits of the scaled pair equal it, it is returned as it is,
+    which is what the QZ would give again.  Its arrays are read-only."""
+    global _last_qz
     scale, A, Q = _unit_scaled(A, Q)
+    last = _last_qz
+    # bits, not values: -0.0 == 0.0, but the QZ may tell them apart
+    if (last is not None and last[0] == scale and last[1].tobytes() == A.tobytes()
+            and last[2].tobytes() == Q.tobytes()):
+        return last
     M, L = _pencil(A, Q)
     try:
         alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
@@ -450,7 +464,10 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
     # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
     angles = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
-    return scale, A, Q, not np.any(negligible), angles
+    for F in (A, Q, angles):
+        F.flags.writeable = False
+    _last_qz = scale, A, Q, not np.any(negligible), angles
+    return _last_qz
 
 
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
@@ -480,7 +497,8 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
     the power of two s with max |A|, |Q| / s in [1, 2), so the tolerance is
     relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
-    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure."""
+    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure; a
+    later ``detect_unimodular`` of this (A, Q) reuses the QZ (``_critical_angles``)."""
     scale, A, Q, regular, critical = _critical_angles(problem.A, problem.Q)
     edges = np.concatenate(([0.0], critical, [math.pi]))
     chunk = SOLVABILITY_SAMPLES // 2 + 1

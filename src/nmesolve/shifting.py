@@ -295,8 +295,10 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     within :data:`NULL_RTOL` * (||Q - P||_F + 2 ||A||_F) of zero give lambda,
     and inside (0, pi) conj(x) gives conj(lambda).  A defective pair counts
     once, as its null space is a line.  The analysis runs on (A, Q - P) scaled
-    by a power of two, so it is homogeneous.  A non-SSF-2 pencil raises
-    ValueError."""
+    by a power of two, so it is homogeneous.  The QZ runs once per scaled
+    (A, Q - P): right after ``solvability_check`` of the same (A, Q) the
+    remembered one is reused (see ``problem._critical_angles``).  A complex
+    or non-SSF-2 pencil raises :class:`NotSSF2Pencil`."""
     A, Q, P = ssf2_blocks(pencil)
     _, As, Qs, _, angles = _critical_angles(A, Q - P)
     tol = NULL_RTOL * (fro_norm(Qs) + 2.0 * fro_norm(As))

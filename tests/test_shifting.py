@@ -336,6 +336,14 @@ class TestDetectUnimodular:
         with pytest.raises(ValueError, match="SSF-2"):
             nme.detect_unimodular(pen)
 
+    def test_shifted_pencil_rejected_typed(self):
+        pen = critical_pencil()
+        rep = nme.detect_unimodular(pen)
+        shifted = nme.shift_multi(pen, nme.build_shift_factors(
+            rep.eigenvectors, rep.eigenvalues, 0.9 * rep.eigenvalues))
+        with pytest.raises(nme.NmeError, match="SSF-2"):
+            nme.detect_unimodular(shifted)
+
     @pytest.mark.parametrize("n,seed", [(32, 2001), (64, 3002)])
     def test_defective_pair_near_other_eigenvalue_reported_once(self, n, seed):
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed))
@@ -380,6 +388,7 @@ class TestDetectUnimodular:
             raise np.linalg.LinAlgError("generalized eig algorithm did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvals", failing_eigvals)
+        monkeypatch.setattr(nme.problem, "_last_qz", None)  # no remembered QZ of this pair
         p = nme.new_problem([[1.0]], [[2.0]])
         with pytest.raises(EigensolverFailure, match="did not converge"):
             nme.solvability_check(p)
@@ -436,6 +445,64 @@ class TestDetectUnimodular:
                                        0.9 * rep.eigenvalues)
         shifted = nme.shift_multi(pen, spec)
         assert not np.iscomplexobj(shifted.M) and not np.iscomplexobj(shifted.L)
+
+
+def planted_critical(n, seed):
+    return nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed)).problem
+
+
+class TestOneQZ:
+    """``solvability_check`` and ``detect_unimodular`` of one (A, Q) share
+    the QZ that ``problem._critical_angles`` remembers."""
+
+    def test_one_qz_per_pair(self, monkeypatch):
+        calls = []
+        eigvals = scipy.linalg.eigvals
+
+        def counting_eigvals(*args, **kwargs):
+            calls.append(1)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        p = planted_critical(8, 4242)
+        pen = nme.build_pencil(p)
+        nme.solvability_check(p)
+        nme.detect_unimodular(pen)
+        assert len(calls) == 1
+        # one ulp in one entry of Q is another pair
+        Q = p.Q.copy()
+        Q[0, 0] = np.nextafter(Q[0, 0], math.inf)
+        nme.solvability_check(nme.new_problem(p.A, Q))
+        assert len(calls) == 2
+        # P != 0 changes Q - P
+        n = p.n
+        L = pen.L.copy()
+        L[:n, :n] = -1e-3 * np.eye(n)
+        nme.detect_unimodular(nme.SymplecticPencil(pen.M, L))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n,normal", [(8, True), (32, True), (8, False)])
+    def test_hit_is_exact(self, n, normal, monkeypatch):
+        p = planted_critical(n, 17) if normal else nonnormal_planted(n, 1.0, 1.0, 1)[0]
+        pen = nme.build_pencil(p)
+        warm_verdict = nme.solvability_check(p)
+        warm = nme.detect_unimodular(pen)
+        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        cold = nme.detect_unimodular(pen)
+        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        assert nme.solvability_check(p) == warm_verdict
+        for field in ("eigenvalues", "eigenvectors"):
+            a, b = getattr(warm, field), getattr(cold, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_returned_arrays_are_read_only(self):
+        p = planted_critical(8, 17)
+        _, A, Q, _, angles = nme.problem._critical_angles(p.A, p.Q)
+        assert angles.size
+        for F in (A, Q, angles):
+            with pytest.raises(ValueError):
+                F[0] = 0.0
 
 
 class TestSolveScalarShifted:
