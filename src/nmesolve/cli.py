@@ -111,7 +111,7 @@ def _report_payload(report, algorithm, problem):
         "rate_kind": rate.kind if rate else None,
         "rate": _num(rate.rate) if rate else None,
         "failure": report.failure,
-        "X": [float(v) for v in report.X.ravel()],
+        "X": report.X.ravel().tolist(),
     }
 
 
@@ -186,7 +186,7 @@ def _cmd_scalar_critical(args) -> int:
     a, q = args.a, args.q
     if not (math.isfinite(a) and math.isfinite(q)):
         raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
-    print(f"scalar-critical a={serialize.format_float(a)} q={serialize.format_float(q)}")
+    print(f"scalar-critical a={a!r} q={q!r}")
     # x+ = (q + sqrt(q^2 - 4a^2)) / 2, with a and q divided by s first so
     # that the squares neither overflow nor underflow
     s = max(abs(a), abs(q)) or 1.0
@@ -210,7 +210,7 @@ def _cmd_scalar_critical(args) -> int:
         hit = _scalar_error_iteration(plain, x_ref, target)
         hit_text = "not-reached" if hit is None else str(hit)
         print(f"plain-sda iterations-to-error-{SCALAR_ERROR_TARGET:g}={hit_text} "
-              f"final-error={serialize.format_float(abs(plain_x - x_ref))} "
+              f"final-error={abs(plain_x - x_ref)!r} "
               f"stopped-at={plain.iterations} converged={int(plain.converged)}")
     else:
         print(f"plain-sda stopped-at={plain.iterations} converged={int(plain.converged)} "
@@ -223,11 +223,9 @@ def _cmd_scalar_critical(args) -> int:
         print(f"shifted not-applicable reason={exc}")
         return 0
     for step in result.per_r:
-        print(f"shifted r={serialize.format_float(step.r)} "
-              f"x-hat={serialize.format_float(step.x_hat)} iterations={step.iterations}")
+        print(f"shifted r={step.r!r} x-hat={step.x_hat!r} iterations={step.iterations}")
     err = abs(result.x_plus - abs(a))
-    print(f"shifted x-plus={serialize.format_float(result.x_plus)} "
-          f"error={serialize.format_float(err)}")
+    print(f"shifted x-plus={result.x_plus!r} error={err!r}")
     return 0
 
 

@@ -564,8 +564,8 @@ def problem_payload(problem: NmeProblem) -> dict:
     """The JSON object of a problem file (see :func:`load_problem`)."""
     return {
         "n": problem.n,
-        "A": [float(v) for v in problem.A.ravel()],
-        "Q": [float(v) for v in problem.Q.ravel()],
+        "A": problem.A.ravel().tolist(),
+        "Q": problem.Q.ravel().tolist(),
     }
 
 

@@ -1,50 +1,24 @@
-"""Deterministic JSON/CSV rendering.
+"""Deterministic JSON/CSV rendering through the standard library.
 
-All floating-point values are written with 17 significant digits, which
-round-trips IEEE doubles exactly and makes file output byte-identical across
-runs with the same inputs.  NaN and Inf are rejected: the file formats are
-plain JSON/CSV and must stay parseable everywhere.
+Every float is written as its ``repr``: the shortest decimal that reads back
+as the same IEEE double, so problem, pencil and shift-spec files round-trip
+bit for bit, -0.0 included, and file output is byte-identical across runs
+with the same inputs.  JSON rejects NaN and Inf, so the files stay parseable
+everywhere; CSV cells may record non-finite diagnostics of failed runs and
+write them as ``nan``, ``inf`` and ``-inf``.
 """
 
 import json
-import math
 
 import numpy as np
 
 from .exceptions import ProblemFileError
 
-__all__ = ["format_float", "dumps_json", "dump_json", "write_csv", "load_json", "read_numbers"]
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("NaN/Inf cannot be serialized")
-    return format(float(x), ".17g")
-
-
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+__all__ = ["dumps_json", "dump_json", "write_csv", "load_json", "read_numbers"]
 
 
 def dumps_json(obj) -> str:
-    return _render(obj) + "\n"
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def dump_json(obj, path) -> None:
@@ -57,12 +31,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        # CSV cells may record non-finite diagnostics from failed runs
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format_float(value)
+        return float.__repr__(value)
     if value is None:
         return ""
     return str(value)

@@ -348,7 +348,7 @@ def solve_scalar_shifted(a: float, q: float,
     rep = solve_sda_scalar(a, a * (r + 1.0 / r), config)
     x_hat = float(rep.X[0, 0])
     step = ScalarShiftStep(r=r, x_hat=s * x_hat, iterations=rep.iterations)
-    logger.debug("shifted solve r=%s x_hat=%.17g iterations=%d", r, step.x_hat, step.iterations)
+    logger.debug("shifted solve r=%r x_hat=%r iterations=%d", r, step.x_hat, step.iterations)
     return ShiftedScalarResult(x_plus=s * (r * x_hat), per_r=(step,))
 
 
@@ -356,16 +356,12 @@ def solve_scalar_shifted(a: float, q: float,
 # file formats (pencil JSON with interleaved real/imag entries, spectra CSV)
 
 def _interleaved(M: np.ndarray) -> list[float]:
-    flat = np.asarray(M, dtype=complex).ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return [float(v) for v in out]
+    return np.ascontiguousarray(M, dtype=complex).ravel().view(float).tolist()
 
 
 def _from_interleaved(data: dict, key: str, shape, path) -> np.ndarray:
     arr = serialize.read_numbers(data[key], 2 * int(np.prod(shape)), f"{path}: {key}")
-    return (arr[0::2] + 1j * arr[1::2]).reshape(shape)
+    return arr.view(complex).reshape(shape)
 
 
 def save_pencil(pencil: SymplecticPencil, path) -> None:

@@ -17,6 +17,12 @@ def scalar_x_plus(a: float, q: float) -> float:
     return (q + math.sqrt(disc)) / 2.0
 
 
+def same_bits(x, y) -> bool:
+    """x and y have one dtype and shape and the same bytes: -0.0 differs from 0.0."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def min_eig(M) -> float:
     M = np.asarray(M, dtype=float)
     return float(np.linalg.eigvalsh((M + M.T) / 2.0).min())

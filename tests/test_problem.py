@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import MALFORMED_PROBLEMS, match_distance, nonnormal_planted, scalar_x_plus
+from helpers import (MALFORMED_PROBLEMS, match_distance, nonnormal_planted, same_bits,
+                     scalar_x_plus)
 from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
@@ -523,6 +524,15 @@ class TestReciprocalSpectrum:
         assert match_distance(finite, recip) <= 1e-8 * max(1.0, np.max(np.abs(finite)))
 
 
+# finite doubles for a problem file: the edges of the exponent range, both
+# zeros, subnormals and integral values, then any finite double
+FILE_ENTRY = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 3.0,
+                     -1024.0, 2.0 ** 53, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
 class TestProblemFiles:
     def test_round_trip(self, tmp_path):
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.4, seed=2))
@@ -556,6 +566,28 @@ class TestProblemFiles:
         path.write_text(MALFORMED_PROBLEMS[name])
         with pytest.raises(ProblemFileError):
             nme.load_problem(path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.lists(FILE_ENTRY, min_size=n * n, max_size=n * n),
+               st.lists(st.floats(2.0 ** -400, 2.0 ** 400), min_size=n, max_size=n))),
+           negative_zeros=st.booleans())
+    @example(case=([-0.0, 5e-324, -0.0, 1.7976931348623157e308], [1.0, 0.1]),
+             negative_zeros=True)
+    def test_bitwise_round_trip(self, tmp_path_factory, case, negative_zeros):
+        # every finite double, -0.0 and subnormals included, reads back as
+        # the bits that were written; Q is SPD diagonal, its zeros of either sign
+        entries, diag = case
+        n = len(diag)
+        Q = np.diag(diag)
+        if negative_zeros:
+            Q[Q == 0.0] = -0.0
+        p = nme.new_problem(np.reshape(entries, (n, n)), Q)
+        path = tmp_path_factory.mktemp("problem") / "p.json"
+        nme.save_problem(p, path)
+        loaded = nme.load_problem(path)
+        assert same_bits(loaded.A, p.A)
+        assert same_bits(loaded.Q, p.Q)
 
     def test_oracle_solution_survives_round_trip(self, tmp_path):
         a, q = 0.5, 2.0

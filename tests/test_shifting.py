@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import match_distance, nonnormal_planted, pencil_with_spectrum
+from helpers import match_distance, nonnormal_planted, pencil_with_spectrum, same_bits
 from nmesolve.shifting import EIGENPAIR_RTOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
@@ -248,6 +248,15 @@ class TestShiftMulti:
                 warnings.simplefilter("ignore")
                 nme.shift_multi(pen, spec)
 
+    def test_nonzero_r2_coupling_rejected(self):
+        # R1^T V = lam_hat - lam holds, but R2^T V = 1 != 0
+        pen = nme.SymplecticPencil(M=np.diag([2.0, 3.0]), L=np.eye(2))
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        spec = nme.ShiftSpec(V=e1, lam=np.array([2.0], dtype=complex),
+                             lam_hat=np.array([0.5], dtype=complex), R1=-1.5 * e1, R2=e1)
+        with pytest.raises(SpecInvariantViolated, match=r"R2\^T V"):
+            nme.shift_multi(pen, spec)
+
     def test_warns_when_pairing_breaks(self):
         pen = critical_pencil()
         spec = nme.build_shift_factors(np.array([[1.0], [1.0]], dtype=complex),
@@ -283,6 +292,11 @@ class TestBuildShiftFactors:
         V = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(RankDeficientV):
             nme.build_shift_factors(V, [1.0, 2.0], [0.5, 0.7])
+
+    def test_singular_gram_rejected(self):
+        # V has full rank, but the plain-transpose Gram V^T V = 1 + i^2 is 0
+        with pytest.raises(RankDeficientV, match=r"V\^T V is singular"):
+            nme.build_shift_factors([[1], [1j]], [1], [0.5])
 
     def test_empty_v_names_missing_eigenvalue(self):
         # the report of a rho = 1 problem whose unimodular pair was missed
@@ -577,6 +591,17 @@ class TestPencilFiles:
         assert np.array_equal(loaded.M, shifted.M)
         assert np.array_equal(loaded.L, shifted.L)
 
+    def test_bitwise_round_trip_keeps_negative_zeros(self, tmp_path):
+        # -0.0 in real and imaginary parts, of a complex and of a real factor
+        M = np.array([[-0.0 + 1j, 2.0 - 0.0j], [complex(-0.0, -0.0), 5e-324 + 0.5j]])
+        L = np.array([[1.0, -0.0], [-0.0, -1.0]])
+        pen = nme.SymplecticPencil(M=M, L=L)
+        path = tmp_path / "pen.json"
+        nme.save_pencil(pen, path)
+        loaded = nme.load_pencil(path)
+        assert same_bits(loaded.M, M)
+        assert same_bits(loaded.L, L)
+
     def test_real_pencil_loads_real(self, tmp_path):
         path = tmp_path / "pen.json"
         nme.save_pencil(critical_pencil(), path)
@@ -611,6 +636,14 @@ class TestPencilFiles:
         path.write_text('{"V": [1,0,1,0], "lambda": [1,0], "lambda_hat": [0.9,0],'
                         ' "R1": [-0.1,0,0,0]}')
         spec = nme.load_shift_spec(path, 2)
+        assert complex((spec.R1.T @ spec.V)[0, 0]) == pytest.approx(-0.1)
+
+    def test_spec_r2_overrides_zero_default(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"V": [1,0,1,0], "lambda": [1,0], "lambda_hat": [0.9,0],'
+                        ' "R2": [0.5,0,-0.5,0]}')
+        spec = nme.load_shift_spec(path, 2)
+        assert np.array_equal(spec.R2, [[0.5], [-0.5]])
         assert complex((spec.R1.T @ spec.V)[0, 0]) == pytest.approx(-0.1)
 
     def test_spec_builds_missing_factors(self, tmp_path):

@@ -85,3 +85,11 @@ def test_one_power_of_two_scale_and_one_safe_norm():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sum(text.count("math.frexp") for text in texts.values()) == 1
     assert "np.linalg.norm" not in texts["shifting.py"]
+
+
+def test_one_float_format():
+    # every file and text line writes floats as repr, through json.dumps in
+    # serialize or an !r / %r format; a .17g beside them would fork the format
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in texts.items() if ".17g" in text] == []
+    assert [name for name, text in texts.items() if "json.dumps" in text] == ["serialize.py"]
