@@ -147,10 +147,14 @@ def symmetric_part(M: np.ndarray) -> np.ndarray:
         with np.errstate(over="raise"):
             return (M + M.T) / 2.0
     except FloatingPointError:
-        # entries above ~9e307 whose mean fits: halve before adding.  Only
-        # here, because the extra temporary makes the call about 1.5x slower
-        # at n = 256, and halving first rounds odd subnormals
-        return M / 2.0 + M.T / 2.0
+        # entries above ~9e307 whose mean fits: halve those, and only those
+        # (halving rounds odd subnormals), before adding.  Only here: the
+        # extra temporaries make the call slower
+        with np.errstate(over="ignore"):
+            S = (M + M.T) / 2.0
+        big = np.isinf(S)
+        S[big] = M[big] / 2.0 + M.T[big] / 2.0
+        return S
 
 
 def _pow2_scale(m: float) -> float:

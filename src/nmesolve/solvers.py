@@ -16,12 +16,12 @@ Four algorithms share one reporting contract:
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
     equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
-    ``solve_stein`` writes it as the generalized Sylvester pair
-    L^T R - Z = 0, R - Z L = C (R = X, Z = L^T X); one real Schur form of
-    L^T puts both coefficient pairs into LAPACK's generalized Schur form,
-    and ``dtgsyl`` solves them in O(n^3) time and O(n^2) memory.  Quadratic
-    when rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.
-    Iterates descend monotonically from X_0 = Q.
+    ``solve_stein`` sums X = sum_i (L^T)^i C L^i by doubling and keeps the
+    sum when it certifies rho(L) < 1 and leaves a backward-stable residual;
+    otherwise one real Schur form of L^T and LAPACK's ``dtgsyl`` solve the
+    equation.  Both take O(n^3) time and O(n^2) memory.  Quadratic when
+    rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.  Iterates
+    descend monotonically from X_0 = Q.
 
 ``solve_sda``
     Structure-preserving doubling: each step squares the effective spectral
@@ -46,13 +46,13 @@ subclass carrying the partial report.
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
 triangular solves, one Bunch-Kaufman ``dsytrf`` with ``dsyconv``,
-``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for the doubling step, and
-``dgees`` and ``dtgsyl`` for the Stein solve.  At the sizes of a scalar or
-n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
-``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each
-routine is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
-when it is called, never bound at import, so a tracer that wraps the
-module attribute sees it.
+``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for the SDA step, three GEMMs
+a step for the Stein doubling, and ``dgees`` and ``dtgsyl`` for the Stein
+solves it gives up.  At the sizes of a scalar or n = 8 solve, the dispatch
+of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several times
+the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
+``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
+that wraps the module attribute sees it.
 """
 
 import functools
@@ -115,6 +115,9 @@ STALL_RATIO = 0.999
 
 #: Relative excess of tr(X_k) over tr(Q) at which Newton stops as diverged.
 NEWTON_TRACE_RTOL = 1e-8
+
+#: Doubling steps (2^16 terms of the series) before solve_stein takes the Schur path.
+STEIN_DOUBLINGS = 16
 
 
 class Algorithm(Enum):
@@ -393,10 +396,41 @@ def _dgees_lwork(n: int) -> int:
     return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve X - L^T X L = C for symmetric X as a generalized Sylvester equation.
+def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
+    """The doubling of :func:`solve_stein` (norms compared squared), or None."""
+    s, C = _unit_scaled(C)
+    eps = np.finfo(float).eps
+    X, M = C, L
+    with np.errstate(all="ignore"):
+        for _ in range(STEIN_DOUBLINGS):
+            T = M.T @ X @ M
+            X = X + T
+            t, x = np.vdot(T, T), np.vdot(X, X)
+            if not math.isfinite(t + x):
+                return None
+            if t <= eps * eps * x and np.vdot(M, M) < 1.0:
+                X = symmetric_part(X)
+                LXL = L.T @ X @ L
+                ok = np.linalg.norm(X - LXL - C) <= eps * (np.linalg.norm(X) + np.linalg.norm(LXL))
+                return X * s if ok else None
+            M = M @ M
+    return None
 
-    With R = X and Z = L^T X the equation is the pair
+
+def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
+
+    Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
+    C / s, s the power of two of max |C|, X_0 = C, M_0 = L, X_{j+1} = X_j +
+    M_j^T X_j M_j and M_{j+1} = M_j^2, until ||M_j^T X_j M_j||_F <= eps
+    ||X_{j+1}||_F.  X is accepted only when ||M_j||_F < 1, which bounds
+    rho(L)^(2^j) and so makes X unique, and ||X - L^T X L - C||_F <= eps
+    (||X||_F + ||L^T X L||_F), the residual of a backward-stable solve.  When
+    a test fails, a norm is not finite or the sum has not settled in
+    :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so rho(L) >= 1,
+    a singular operator and a strongly non-normal L reach it.
+
+    The Schur solve writes the equation, with R = X and Z = L^T X, as the pair
     L^T R - Z I = 0,  I R - Z L = C,
     whose left coefficient pair is (L^T, I) and right pair is (I, L).  One
     real Schur form L^T = U T U^T turns the left pair into (T, I).  The same
@@ -417,7 +451,7 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
     Schur form, :class:`DimensionMismatch` when L is not square or C not of
     its shape, and :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is
-    exactly symmetric.  Time is O(n^3) and memory O(n^2).
+    exactly symmetric.  Both solves take O(n^3) time and O(n^2) memory.
     """
     L = np.asarray(L, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -427,6 +461,8 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
         raise NonFiniteInput("Stein data L or C contains NaN/Inf")
     C = symmetric_part(C)
+    if (X := _stein_doubling(L, C)) is not None:
+        return X
     n = L.shape[0]
     T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
     if info:

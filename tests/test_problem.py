@@ -68,6 +68,14 @@ class TestNewProblem:
         with pytest.raises(NotSymmetric):
             nme.new_problem(np.zeros((2, 2)), Q)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1.5e-323])
+    def test_subnormal_kept_beside_near_overflow(self, tiny):
+        # the largest double makes Q + Q^T overflow; halving every entry
+        # before adding once rounded 5e-324 to 0 and 1.5e-323 to 2e-323
+        Q = np.diag([1.7976931348623157e308, tiny])
+        p = nme.new_problem(np.zeros((2, 2)), Q)
+        assert np.array_equal(p.Q, Q)
+
     def test_tiny_asymmetry_symmetrized(self):
         Q = np.array([[2.0, 1e-14], [0.0, 2.0]])
         p = nme.new_problem(np.zeros((2, 2)), Q)

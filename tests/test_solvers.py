@@ -166,6 +166,12 @@ class TestStein:
         with pytest.raises(SingularSteinOperator):
             nme.solve_stein(np.diag([2.0, 0.5]), np.eye(2))
 
+    def test_singular_operator_with_settling_sum(self):
+        # the doubling sum settles at the solution diag(0, 4/3), but one of
+        # many; ||L^(2^j)||_F stays above one, so the Schur solve gets the case
+        with pytest.raises(SingularSteinOperator):
+            nme.solve_stein(np.diag([2.0, 0.5]), np.diag([0.0, 1.0]))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_against_discrete_lyapunov_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -308,6 +314,29 @@ class TestStein:
         p = nme.new_problem(np.zeros((2, 2)), Q)
         assert np.array_equal(p.Q, Q)
 
+    def test_schur_solve_only_off_the_doubling_path(self, monkeypatch):
+        # a stable, near-normal L is summed by doubling with no dgees call;
+        # rho(L) = 1.46 and a non-normal L whose doubling residual is 8.6e-11
+        # go to the Schur solve
+        calls = []
+        dgees = scipy.linalg.lapack.dgees
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return dgees(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting)
+        self.test_diagonal_decoupling()
+        rec = nme.generate_problem(nme.GeneratorSpec(n=16, rho_target=0.9, seed=3))
+        L = np.linalg.solve(rec.known_solution, rec.problem.A)
+        X = nme.solve_stein(L, rec.problem.Q)
+        assert np.linalg.norm(X - L.T @ X @ L - rec.problem.Q) <= 1e-13 * np.linalg.norm(X)
+        assert calls == []
+        self.test_odd_n_with_edge_blocks(3, 2, False, True)
+        assert (3, 3) in calls
+        self.test_nonnormal_mixed_spectrum_n33()
+        assert (33, 33) in calls
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)
@@ -392,9 +421,20 @@ class TestNewton:
         assert info.value.iteration == 1
         assert info.value.report is not None
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonnormal_contraction_converges(self, seed):
+        # the doubling sum of these Stein equations settles, but its X leaves
+        # a residual far above a backward-stable solve's; accepted, it stalls
+        # Newton until the iteration budget runs out
+        problem, X_plus = nonnormal_planted(32, 0.5, 3.0, seed)
+        rep = nme.solve_newton(problem)
+        assert rep.converged
+        assert np.linalg.norm(rep.X - X_plus) <= 1e-8 * np.linalg.norm(X_plus)
+
     def test_schur_failure_is_typed(self, monkeypatch):
         # dgees info > 0 (no QR convergence) is a SolverFailure with Newton's
-        # partial report, never a raw LinAlgError
+        # partial report, never a raw LinAlgError.  A stable L is solved by
+        # doubling, so both inputs have rho(L) = 1 or more to reach dgees
         dgees = scipy.linalg.lapack.dgees
 
         def failing(*args, **kwargs):
@@ -403,11 +443,10 @@ class TestNewton:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
         with pytest.raises(SolverFailure, match="info 1") as info:
-            nme.solve_stein(np.diag([0.5, 0.2]), np.eye(2))
+            nme.solve_stein(np.diag([2.0, 0.5]), np.eye(2))
         assert type(info.value) is SolverFailure
-        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
         with pytest.raises(SolverFailure, match="at iteration 1") as info:
-            nme.solve_newton(rec.problem)
+            nme.solve_newton(nme.new_problem(scalar(1.0), scalar(1.0)))
         assert type(info.value) is SolverFailure
         assert info.value.iteration == 1 and info.value.report.iterations == 0
 
