@@ -110,8 +110,8 @@ class SymplecticPencil:
 
     def __post_init__(self):
         M, L = self.M, self.L
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != L.shape:
-            raise DimensionMismatch("pencil factors must be square and equally sized")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != L.shape or not M.size:
+            raise DimensionMismatch("pencil factors must be non-empty, square and equally sized")
         for name, F in (("M", M), ("L", L)):
             if np.iscomplexobj(F) and (np.max(np.abs(F.imag), initial=0.0)
                                        <= REAL_RTOL * fro_norm(F)):
@@ -343,18 +343,19 @@ def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
     return problem.Q.astype(complex) + lam * problem.A + (1.0 / lam) * problem.A.T
 
 
-def _min_eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas, chunk: int) -> np.ndarray:
-    """lambda_min(psi(e^{i theta})) for each theta, from stacked eigvalsh
-    calls of at most ``chunk`` matrices each (eigvalsh reads the lower
-    triangle, so psi need not be re-symmetrized)."""
+def _eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas) -> np.ndarray:
+    """Every eigenvalue of psi(e^{i theta}), ascending, one row per theta, by
+    stacked eigvalsh calls of SOLVABILITY_SAMPLES // 2 + 1 matrices at most
+    (eigvalsh reads the lower triangle, so psi need not be re-symmetrized)."""
     thetas = np.asarray(thetas, dtype=float)
-    out = np.empty(thetas.size)
+    out = np.empty((thetas.size, A.shape[0]))
+    chunk = SOLVABILITY_SAMPLES // 2 + 1
     for start in range(0, thetas.size, chunk):
         z = np.exp(1j * thetas[start:start + chunk])[:, None, None]
         H = z * A
         H += z.conj() * A.T
         H += Q
-        out[start:start + chunk] = np.linalg.eigvalsh(H)[:, 0]
+        out[start:start + chunk] = np.linalg.eigvalsh(H)
     return out
 
 
@@ -439,17 +440,18 @@ def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
 
 
 #: The last ``_critical_angles`` result, read-only.  One entry: enough for
-#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share a QZ.
+#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share it.
 _last_qz = None
 
 
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
-    """``(scale, A / scale, Q / scale, regular, angles)``, scale the
-    ``_pow2_scale`` of max |A|, |Q|, the rest from one real QZ of the scaled
-    pencil (see :func:`solvability_check`); a failed QZ raises
-    :class:`EigensolverFailure`.  The last result is remembered: when the
-    scale and the bits of the scaled pair equal it, it is returned as it is,
-    which is what the QZ would give again.  Its arrays are read-only."""
+    """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``:
+    scale the ``_pow2_scale`` of max |A|, |Q|, regular and the angles from one
+    real QZ of the scaled pencil (see :func:`solvability_check`; a failed QZ
+    raises :class:`EigensolverFailure`), points 0, the angles and pi, unique,
+    and spectra psi's eigenvalues at each angle, then at each arc midpoint of
+    points.  The last result is remembered and, when the scale and the bits of
+    the scaled pair equal it, returned as the QZ would give it again, read-only."""
     global _last_qz
     scale, A, Q = _unit_scaled(A, Q)
     last = _last_qz
@@ -468,9 +470,11 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
     # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
     angles = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
-    for F in (A, Q, angles):
+    points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
+    spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
+    for F in (A, Q, angles, points, spectra):
         F.flags.writeable = False
-    _last_qz = scale, A, Q, not np.any(negligible), angles
+    _last_qz = scale, A, Q, not np.any(negligible), angles, points, spectra
     return _last_qz
 
 
@@ -487,7 +491,7 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     into [0, pi].  lambda_min(psi) is then evaluated at
 
     * the angles 2 pi j / SOLVABILITY_SAMPLES in [0, pi] (a coarse grid),
-    * each critical angle and one midpoint of each arc between them,
+    * each critical angle and the midpoint of each arc between them,
     * the steps of a Brent search (``_brent_min``) within one grid step of
       the best grid point, seeded with the values of that point and its two
       grid neighbours and run until it locates a minimizer to 1e-7 rad or
@@ -501,26 +505,23 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
     the power of two s with max |A|, |Q| / s in [1, 2), so the tolerance is
     relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
-    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure; a
-    later ``detect_unimodular`` of this (A, Q) reuses the QZ (``_critical_angles``)."""
-    scale, A, Q, regular, critical = _critical_angles(problem.A, problem.Q)
-    edges = np.concatenate(([0.0], critical, [math.pi]))
+    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure; the QZ
+    and psi's spectra on the arcs come from ``_critical_angles``, as in ``detect_unimodular``."""
+    scale, A, Q, regular, _, _, spectra = _critical_angles(problem.A, problem.Q)
     chunk = SOLVABILITY_SAMPLES // 2 + 1
     step = 2.0 * math.pi / SOLVABILITY_SAMPLES
     grid = step * np.arange(chunk)
-    on_grid = _min_eigs_on_circle(A, Q, grid, chunk)
-    on_arcs = _min_eigs_on_circle(A, Q, np.concatenate((critical, (edges[:-1] + edges[1:]) / 2)),
-                                  chunk)
+    on_grid = _eigs_on_circle(A, Q, grid)[:, 0]
     # lambda_min is even about 0 and pi, so there the missing outer neighbour
     # of the best grid point has the value of its inner one.  eigvalsh's
     # error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
     i = int(np.argmin(on_grid))
     even = i in (0, chunk - 1)
     ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))
-    refined = _brent_min(lambda t: float(_min_eigs_on_circle(A, Q, [t], 1)[0]),
+    refined = _brent_min(lambda t: float(_eigs_on_circle(A, Q, [t])[0, 0]),
                          grid[i], on_grid[i], on_grid[abs(i - 1)],
                          on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7, ftol, even)
-    min_eig = min(float(on_grid.min()), float(on_arcs.min()), refined)
+    min_eig = min(float(on_grid.min()), float(spectra[:, 0].min()), refined)
     if min_eig < -SOLVABILITY_TOL:
         verdict = Verdict.NOT_SOLVABLE
     elif regular:

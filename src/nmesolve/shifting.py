@@ -130,6 +130,8 @@ def _as_complex_matrix(M, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix")
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteInput(f"{name} contains NaN/Inf")
     return M
 
 
@@ -137,7 +139,7 @@ def _check_eigenpair(M, L, v, lam, index=None):
     """M v = lam L v to :data:`EIGENPAIR_RTOL`; (M, L) come from ``_unit_scaled``."""
     resid = fro_norm(M @ v - lam * L @ v)
     scale = (fro_norm(M) + abs(lam) * fro_norm(L)) * fro_norm(v)
-    if resid > EIGENPAIR_RTOL * scale:
+    if not resid <= EIGENPAIR_RTOL * scale:
         where = "" if index is None else f" (column {index})"
         raise NotAnEigenpair(
             f"residual {resid:.3e} exceeds {EIGENPAIR_RTOL:g} * {scale:.3e}{where}")
@@ -152,15 +154,14 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     negligible imaginary part.
     """
     M, L = pencil.M, pencil.L
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    r = np.asarray(r, dtype=complex).reshape(-1)
+    v = _as_complex_matrix(np.reshape(v, (1, -1)), "v")[0]
+    r = _as_complex_matrix(np.reshape(r, (1, -1)), "r")[0]
     if v.size != pencil.dim or r.size != pencil.dim:
         raise DimensionMismatch("v and r must have the pencil dimension")
-    lambda0 = complex(lambda0)
-    lambda1 = complex(lambda1)
+    lambda0, lambda1 = _as_complex_matrix([[lambda0, lambda1]], "lambda0/lambda1")[0]
     _check_eigenpair(*_unit_scaled(M, L)[1:], v, lambda0)
     rv = complex(np.dot(r, v))
-    if abs(rv - 1.0) > 1e-10 * max(1.0, fro_norm(r) * fro_norm(v)):
+    if not abs(rv - 1.0) <= 1e-10 * max(1.0, fro_norm(r) * fro_norm(v)):
         raise NotNormalized(f"r^T v = {rv!r}, expected 1")
     return SymplecticPencil(M=M + (lambda1 - lambda0) * np.outer(L @ v, r), L=L.copy())
 
@@ -206,8 +207,8 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     """
     M, L = pencil.M, pencil.L
     V = _as_complex_matrix(spec.V, "V")
-    lam = np.asarray(spec.lam, dtype=complex).reshape(-1)
-    lam_hat = np.asarray(spec.lam_hat, dtype=complex).reshape(-1)
+    lam = _as_complex_matrix(np.reshape(spec.lam, (1, -1)), "lam")[0]
+    lam_hat = _as_complex_matrix(np.reshape(spec.lam_hat, (1, -1)), "lam_hat")[0]
     R1 = _as_complex_matrix(spec.R1, "R1")
     R2 = _as_complex_matrix(spec.R2, "R2")
     k = V.shape[1]
@@ -232,10 +233,10 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
 
     D = np.diag(lam_hat - lam)
     defect1 = fro_norm(R1.T @ V - D)
-    if defect1 > FACTOR_RTOL * (1.0 + fro_norm(D)):
+    if not defect1 <= FACTOR_RTOL * (1.0 + fro_norm(D)):
         raise SpecInvariantViolated(f"||R1^T V - (target - current)|| = {defect1:.3e}")
     defect2 = fro_norm(R2.T @ V)
-    if defect2 > FACTOR_RTOL * fro_norm(R2) * fro_norm(V):
+    if not defect2 <= FACTOR_RTOL * fro_norm(R2) * fro_norm(V):
         raise SpecInvariantViolated(f"||R2^T V|| = {defect2:.3e}")
 
     if not _reciprocal_closed(lam_hat):
@@ -256,14 +257,14 @@ def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
     L side).  V must have full column rank.
     """
     V = _as_complex_matrix(V, "V")
-    lam = np.asarray(lam, dtype=complex).reshape(-1)
-    lam_hat = np.asarray(lam_hat, dtype=complex).reshape(-1)
+    lam = _as_complex_matrix(np.reshape(lam, (1, -1)), "lam")[0]
+    lam_hat = _as_complex_matrix(np.reshape(lam_hat, (1, -1)), "lam_hat")[0]
     if lam.size != V.shape[1] or lam_hat.size != V.shape[1]:
         raise DimensionMismatch("lam/lam_hat length must match the column count of V")
     if V.shape[1] == 0:
         raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
     sv = np.linalg.svd(V, compute_uv=False)
-    if sv.size == 0 or sv[-1] < 1e-10 * sv[0]:
+    if sv.size == 0 or not sv[-1] >= 1e-10 * sv[0]:
         raise RankDeficientV(f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}")
     D = np.diag(lam_hat - lam)
     gram = V.T @ V  # plain transpose; complex symmetric
@@ -295,16 +296,14 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     within :data:`NULL_RTOL` * (||Q - P||_F + 2 ||A||_F) of zero give lambda,
     and inside (0, pi) conj(x) gives conj(lambda).  A defective pair counts
     once, as its null space is a line.  The analysis runs on (A, Q - P) scaled
-    by a power of two, so it is homogeneous.  The QZ runs once per scaled
-    (A, Q - P): right after ``solvability_check`` of the same (A, Q) the
-    remembered one is reused (see ``problem._critical_angles``).  A complex
-    or non-SSF-2 pencil raises :class:`NotSSF2Pencil`."""
+    by a power of two, so it is homogeneous.  The QZ, the points and psi's
+    spectra at the arc midpoints come from ``problem._critical_angles``: right
+    after ``solvability_check`` of the same (A, Q) they are read, not redone.
+    A complex or non-SSF-2 pencil raises :class:`NotSSF2Pencil`."""
     A, Q, P = ssf2_blocks(pencil)
-    _, As, Qs, _, angles = _critical_angles(A, Q - P)
+    _, As, Qs, _, angles, points, spectra = _critical_angles(A, Q - P)
     tol = NULL_RTOL * (fro_norm(Qs) + 2.0 * fro_norm(As))
-    points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
-    z = np.exp(0.5j * (points[:-1] + points[1:]))[:, None, None]
-    apart = np.min(np.abs(np.linalg.eigvalsh(Qs + z * As + z.conj() * As.T)), axis=1) > tol
+    apart = np.min(np.abs(spectra[angles.size:]), axis=1) > tol
     lams, vecs = [], []
     for group in np.split(points, np.flatnonzero(apart) + 1):
         mu = (-1.0 if group[-1] == math.pi else 1.0 if group[0] == 0.0

@@ -229,6 +229,11 @@ class TestSymplecticPencil:
         assert pen.M.dtype == np.complex128
         assert pen.M[0, 1] == 1e199j
 
+    def test_rejects_empty_factors(self):
+        # ssf2_blocks and detect_unimodular raised a raw ValueError on it
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            nme.SymplecticPencil(M=np.zeros((0, 0)), L=np.zeros((0, 0)))
+
 
 class TestIsSymplecticPencil:
     def test_scalar_pencil_true(self):
@@ -358,16 +363,17 @@ class TestSolvabilityCheck:
 
     @staticmethod
     def _count_refinement(monkeypatch, p):
-        # the grid and the arcs are one call each; every later call is one
-        # step of the minimizer, at one angle
+        # the arcs (with no remembered QZ of this pair) and the grid are one
+        # call each; every later call is one step of the minimizer, at one angle
         sizes = []
-        real = problem_module._min_eigs_on_circle
+        real = problem_module._eigs_on_circle
 
-        def counted(A, Q, thetas, chunk):
+        def counted(A, Q, thetas):
             sizes.append(len(thetas))
-            return real(A, Q, thetas, chunk)
+            return real(A, Q, thetas)
 
-        monkeypatch.setattr(problem_module, "_min_eigs_on_circle", counted)
+        monkeypatch.setattr(problem_module, "_last_qz", None)
+        monkeypatch.setattr(problem_module, "_eigs_on_circle", counted)
         verdict = nme.solvability_check(p)
         monkeypatch.undo()
         assert all(size == 1 for size in sizes[2:])
@@ -433,7 +439,7 @@ class TestSolvabilityCheck:
         thetas = np.linspace(0.0, math.pi, 4097)
         for rho in (0.3, 0.9, 0.999, 1.0):
             for p in self._planted_variants(seed, n, rho):
-                dense = float(problem_module._min_eigs_on_circle(p.A, p.Q, thetas, 256).min())
+                dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
                 v = nme.solvability_check(p)
                 scale = 2.0 ** math.frexp(max(np.max(np.abs(p.A)), np.max(np.abs(p.Q))))[1]
                 assert dense - 1e-13 * scale <= v.min_eig_on_circle <= dense
@@ -452,7 +458,7 @@ class TestSolvabilityCheck:
         thetas = np.linspace(0.0, math.pi, 4097)
         for rho in (0.3, 0.9, 0.999):
             p, _ = nonnormal_planted(n=n, rho=rho, eta=eta, seed=seed)
-            dense = float(problem_module._min_eigs_on_circle(p.A, p.Q, thetas, 256).min())
+            dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
             v, evaluations = self._count_refinement(monkeypatch, p)
             scale = 2.0 ** math.frexp(max(np.max(np.abs(p.A)), np.max(np.abs(p.Q))))[1]
             assert v.min_eig_on_circle <= dense + 1e-14 * scale
@@ -468,7 +474,7 @@ class TestSolvabilityCheck:
         v, evaluations = self._count_refinement(monkeypatch, p)
         step = math.pi / 32
         thetas = np.linspace(30 * step, 32 * step, 4097)
-        dense = float(problem_module._min_eigs_on_circle(p.A, p.Q, thetas, 256).min())
+        dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
         # the sample misses the minimum by at most about 4e-8 of its value
         assert dense * (1.0 - 1e-6) <= v.min_eig_on_circle <= dense
         assert evaluations <= 12

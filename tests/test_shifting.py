@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestShiftSingle:
         pen = critical_pencil()
         with pytest.raises(NotNormalized):
             nme.shift_single(pen, [1.0, 1.0], 1.0, 0.9, [0.5, 0.0])
+
+    @pytest.mark.parametrize("field", ["v", "lambda0", "lambda1", "r"])
+    def test_rejects_non_finite_input(self, field):
+        # NaN passes a test written resid > tol, so each input is checked
+        args = {"v": [1.0, 1.0], "lambda0": 1.0, "lambda1": 0.5, "r": [1.0, 0.0]}
+        args[field] = [math.nan, 1.0] if field in ("v", "r") else math.nan
+        with pytest.raises(NonFiniteInput, match=field):
+            nme.shift_single(critical_pencil(), **args)
+
+    def test_non_finite_pencil_is_no_eigenpair(self):
+        pen = critical_pencil()
+        pen = nme.SymplecticPencil(M=np.where(pen.M == 0.0, math.nan, pen.M), L=pen.L)
+        with pytest.raises(NotAnEigenpair):
+            nme.shift_single(pen, [1.0, 1.0], 1.0, 0.5, [1.0, 0.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_replaces_exactly_one_eigenvalue(self, seed):
@@ -264,6 +279,14 @@ class TestShiftMulti:
         with pytest.warns(ReciprocalPairingWarning):
             nme.shift_multi(pen, spec)
 
+    @pytest.mark.parametrize("field", ["V", "lam", "lam_hat", "R1", "R2"])
+    def test_rejects_non_finite_input(self, field):
+        spec = nme.build_shift_factors(np.array([[1.0], [1.0]]), [1.0], [0.9])
+        bad = getattr(spec, field).copy()
+        bad[0] = math.nan
+        with pytest.raises(NonFiniteInput, match=field):
+            nme.shift_multi(critical_pencil(), replace(spec, **{field: bad}))
+
 
 class TestBuildShiftFactors:
     def test_scalar_example(self):
@@ -302,6 +325,14 @@ class TestBuildShiftFactors:
         # the report of a rho = 1 problem whose unimodular pair was missed
         with pytest.raises(RankDeficientV, match="no columns: there is no eigenvalue to shift"):
             nme.build_shift_factors(np.zeros((4, 0), dtype=complex), [], [])
+
+    @pytest.mark.parametrize("V, lam, lam_hat", [([[math.nan], [1.0]], [1.0], [0.9]),
+                                                 ([[1.0], [1.0]], [math.nan], [0.9]),
+                                                 ([[1.0], [1.0]], [1.0], [math.inf])])
+    def test_rejects_non_finite_input(self, V, lam, lam_hat):
+        # a NaN in V reached np.linalg.svd, which raised a raw LinAlgError
+        with pytest.raises(NonFiniteInput):
+            nme.build_shift_factors(V, lam, lam_hat)
 
 
 class TestDetectUnimodular:
@@ -510,11 +541,31 @@ class TestOneQZ:
             a, b = getattr(warm, field), getattr(cold, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    def test_detect_after_check_runs_no_eigensolver(self, monkeypatch):
+        # the QZ and psi's spectra on the arcs are read from the remembered entry
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        p = planted_critical(32, 4242)
+        nme.solvability_check(p)
+        assert calls.count("eigvals") == 1 and "eigvalsh" in calls
+        calls.clear()
+        assert nme.detect_unimodular(nme.build_pencil(p)).eigenvalues.tolist() == [1.0]
+        assert calls == []
+
     def test_returned_arrays_are_read_only(self):
         p = planted_critical(8, 17)
-        _, A, Q, _, angles = nme.problem._critical_angles(p.A, p.Q)
+        _, A, Q, _, angles, points, spectra = nme.problem._critical_angles(p.A, p.Q)
         assert angles.size
-        for F in (A, Q, angles):
+        for F in (A, Q, angles, points, spectra):
             with pytest.raises(ValueError):
                 F[0] = 0.0
 

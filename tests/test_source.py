@@ -87,6 +87,14 @@ def test_one_power_of_two_scale_and_one_safe_norm():
     assert "np.linalg.norm" not in texts["shifting.py"]
 
 
+def test_one_spectrum_of_psi_on_the_circle():
+    # psi's eigenvalues on the unit circle come from problem._eigs_on_circle
+    # alone; a second stacked eigvalsh in shifting would fork the arcs again
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert "eigvalsh" not in texts["shifting.py"]
+    assert texts["problem.py"].count("np.linalg.eigvalsh(") == 1
+
+
 def test_one_float_format():
     # every file and text line writes floats as repr, through json.dumps in
     # serialize or an !r / %r format; a .17g beside them would fork the format
