@@ -13,7 +13,7 @@ class NmeError(Exception):
 
 
 class DimensionMismatch(NmeError):
-    """Input matrices are not square or their dimensions disagree."""
+    """Input is not a numeric matrix of the required kind or shape, or dimensions disagree."""
 
 
 class NonFiniteInput(NmeError):

@@ -101,21 +101,22 @@ class NmeProblem:
 
 @dataclass(frozen=True)
 class SymplecticPencil:
-    """A 2n-by-2n pair (M, L), real exactly when its arrays are real: a factor
-    whose imaginary part is negligible (:data:`REAL_RTOL`) is stored real, and
-    every other layer reads realness from the dtype."""
+    """A 2n-by-2n pair (M, L) as ``_matrix`` reads them, real exactly when its
+    arrays are real: a factor whose imaginary part is negligible
+    (:data:`REAL_RTOL`) is stored real; other layers read realness from dtype."""
 
     M: np.ndarray
     L: np.ndarray
 
     def __post_init__(self):
-        M, L = self.M, self.L
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != L.shape or not M.size:
+        M, L = _matrix(self.M, "M"), _matrix(self.L, "L")
+        if M.shape[0] != M.shape[1] or M.shape != L.shape or not M.size:
             raise DimensionMismatch("pencil factors must be non-empty, square and equally sized")
         for name, F in (("M", M), ("L", L)):
             if np.iscomplexobj(F) and (np.max(np.abs(F.imag), initial=0.0)
                                        <= REAL_RTOL * fro_norm(F)):
-                object.__setattr__(self, name, F.real)
+                F = F.real
+            object.__setattr__(self, name, F)
 
     @property
     def dim(self) -> int:
@@ -187,9 +188,26 @@ def fro_norm(M) -> float:
         return scale * float(np.linalg.norm(Mu))
 
 
+def _matrix(M, name: str, dtype=None) -> np.ndarray:
+    """Caller data M as a finite 2-d float64 array, or complex128 where dtype
+    is complex or (dtype None) M is complex; float64 data is not copied.
+    Complex data for dtype float, and non-numeric data, raise
+    :class:`DimensionMismatch`; NaN/Inf raise :class:`NonFiniteInput`."""
+    try:
+        M = np.asarray(M)
+        if M.ndim != 2 or M.dtype.kind not in ("biufO" if dtype is float else "biufcO"):
+            raise TypeError(f"{M.dtype} data of shape {M.shape}")
+        M = M.astype(dtype or (complex if M.dtype.kind == "c" else float), copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} is not a matrix of the required kind: {exc}") from exc
+    if not np.isfinite(M).all():
+        raise NonFiniteInput(f"{name} contains NaN/Inf")
+    return M
+
+
 def _square_real(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+    M = _matrix(M, name, float)
+    if M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be a non-empty square matrix, got shape {M.shape}")
     return M
 
@@ -209,18 +227,15 @@ def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
 def new_problem(A, Q) -> NmeProblem:
     """Validate and pack the data of X + A^T X^{-1} A = Q.
 
-    A and Q must be finite.  Q is checked for symmetry (max-abs asymmetry at
-    most 1e-12 * ||Q||_F, both taken of Q / s for s = ``_pow2_scale(max|Q|)``
-    so that neither overflows), symmetrized, and then required to admit a
-    Cholesky factorization.
+    A and Q must be real and finite (see ``_matrix``).  Q is checked for
+    symmetry (max-abs asymmetry at most 1e-12 * ||Q||_F, both taken of Q / s
+    for s = ``_pow2_scale(max|Q|)`` so that neither overflows), symmetrized,
+    and then required to admit a Cholesky factorization.
     """
     A = _square_real(A, "A")
     Q = _square_real(Q, "Q")
     if A.shape != Q.shape:
         raise DimensionMismatch(f"A is {A.shape}, Q is {Q.shape}")
-    for name, M in (("A", A), ("Q", Q)):
-        if not np.all(np.isfinite(M)):
-            raise NonFiniteInput(f"{name} contains NaN/Inf")
     _, Qu = _unit_scaled(Q)
     asym, q_fro = np.max(np.abs(Qu - Qu.T)), fro_norm(Qu)
     if asym > SYMMETRY_RTOL * q_fro:
@@ -235,8 +250,6 @@ def _candidate(problem: NmeProblem, X) -> np.ndarray:
     X = _square_real(X, "X")
     if X.shape != problem.A.shape:
         raise DimensionMismatch(f"X is {X.shape}, problem is {problem.A.shape}")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("X contains NaN/Inf")
     return symmetric_part(X)
 
 
@@ -335,9 +348,10 @@ def ssf2_blocks(pencil: SymplecticPencil):
 def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
     """Evaluate psi(lambda) = Q + lambda A + lambda^{-1} A^T (complex n-by-n).
 
-    Hermitian whenever |lambda| = 1, since A and Q are real.
+    Hermitian whenever |lambda| = 1, since A and Q are real.  lambda must be
+    a finite number (see ``_matrix``).
     """
-    lam = complex(lam)
+    lam = complex(_matrix([[lam]], "lambda", complex)[0, 0])
     if lam == 0:
         raise ZeroLambda("psi is undefined at lambda = 0")
     return problem.Q.astype(complex) + lam * problem.A + (1.0 / lam) * problem.A.T

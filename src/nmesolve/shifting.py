@@ -38,7 +38,6 @@ from .exceptions import (
     ConjugateClosureViolated,
     DimensionMismatch,
     EigensolverFailure,
-    NonFiniteInput,
     NotAnEigenpair,
     NotCriticalCase,
     NotNormalized,
@@ -48,7 +47,8 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import SymplecticPencil, _critical_angles, _unit_scaled, fro_norm, ssf2_blocks
+from .problem import (SymplecticPencil, _critical_angles, _matrix, _unit_scaled, fro_norm,
+                      ssf2_blocks)
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
@@ -126,15 +126,6 @@ class ShiftedScalarResult:
     per_r: tuple
 
 
-def _as_complex_matrix(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix")
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteInput(f"{name} contains NaN/Inf")
-    return M
-
-
 def _check_eigenpair(M, L, v, lam, index=None):
     """M v = lam L v to :data:`EIGENPAIR_RTOL`; (M, L) come from ``_unit_scaled``."""
     resid = fro_norm(M @ v - lam * L @ v)
@@ -154,11 +145,11 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     negligible imaginary part.
     """
     M, L = pencil.M, pencil.L
-    v = _as_complex_matrix(np.reshape(v, (1, -1)), "v")[0]
-    r = _as_complex_matrix(np.reshape(r, (1, -1)), "r")[0]
+    v = _matrix(np.reshape(v, (1, -1)), "v", complex)[0]
+    r = _matrix(np.reshape(r, (1, -1)), "r", complex)[0]
     if v.size != pencil.dim or r.size != pencil.dim:
         raise DimensionMismatch("v and r must have the pencil dimension")
-    lambda0, lambda1 = _as_complex_matrix([[lambda0, lambda1]], "lambda0/lambda1")[0]
+    lambda0, lambda1 = _matrix([[lambda0, lambda1]], "lambda0/lambda1", complex)[0]
     _check_eigenpair(*_unit_scaled(M, L)[1:], v, lambda0)
     rv = complex(np.dot(r, v))
     if not abs(rv - 1.0) <= 1e-10 * max(1.0, fro_norm(r) * fro_norm(v)):
@@ -206,11 +197,11 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     under lambda -> 1/lambda.
     """
     M, L = pencil.M, pencil.L
-    V = _as_complex_matrix(spec.V, "V")
-    lam = _as_complex_matrix(np.reshape(spec.lam, (1, -1)), "lam")[0]
-    lam_hat = _as_complex_matrix(np.reshape(spec.lam_hat, (1, -1)), "lam_hat")[0]
-    R1 = _as_complex_matrix(spec.R1, "R1")
-    R2 = _as_complex_matrix(spec.R2, "R2")
+    V = _matrix(spec.V, "V", complex)
+    lam = _matrix(np.reshape(spec.lam, (1, -1)), "lam", complex)[0]
+    lam_hat = _matrix(np.reshape(spec.lam_hat, (1, -1)), "lam_hat", complex)[0]
+    R1 = _matrix(spec.R1, "R1", complex)
+    R2 = _matrix(spec.R2, "R2", complex)
     k = V.shape[1]
     if V.shape[0] != pencil.dim or lam.size != k or lam_hat.size != k \
             or R1.shape != V.shape or R2.shape != V.shape:
@@ -256,9 +247,9 @@ def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
     diagonal eigenvalue displacement; R2 defaults to zero (no update on the
     L side).  V must have full column rank.
     """
-    V = _as_complex_matrix(V, "V")
-    lam = _as_complex_matrix(np.reshape(lam, (1, -1)), "lam")[0]
-    lam_hat = _as_complex_matrix(np.reshape(lam_hat, (1, -1)), "lam_hat")[0]
+    V = _matrix(V, "V", complex)
+    lam = _matrix(np.reshape(lam, (1, -1)), "lam", complex)[0]
+    lam_hat = _matrix(np.reshape(lam_hat, (1, -1)), "lam_hat", complex)[0]
     if lam.size != V.shape[1] or lam_hat.size != V.shape[1]:
         raise DimensionMismatch("lam/lam_hat length must match the column count of V")
     if V.shape[1] == 0:
@@ -325,7 +316,8 @@ def solve_scalar_shifted(a: float, q: float,
     Applies only when q = 2|a| to within 1e-8 relative (the critical case,
     where the plain doubling iteration degrades to linear rate 1/2); other
     finite inputs raise :class:`NotCriticalCase` and should go to a direct
-    solver, and a non-finite a or q raises :class:`NonFiniteInput`.  The
+    solver, a non-finite a or q raises :class:`NonFiniteInput`, and a complex
+    or non-numeric one :class:`DimensionMismatch`.  The
     relocated problem x + a^2/x = |a|(r + 1/r) with r = ``SCALAR_SHIFT_R``
     is solved once, quadratically, and since r * x_hat(r) = |a| for every
     r in (0, 1) the answer is r * x_hat.  The criticality test runs on the
@@ -333,10 +325,7 @@ def solve_scalar_shifted(a: float, q: float,
     power of two s with |a|/s in [1, 2) and x_plus is scaled back by s; both
     steps are exact, and |a|(r + 1/r) cannot overflow.
     """
-    a = float(a)
-    q = float(q)
-    if not (math.isfinite(a) and math.isfinite(q)):
-        raise NonFiniteInput(f"a = {a!r}, q = {q!r}")
+    a, q = _matrix([[a, q]], "a and q", float)[0].tolist()
     if a == 0.0:
         raise NotCriticalCase("a = 0: the equation is already linear")
     if abs(q - 2.0 * abs(a)) > 1e-8 * abs(q):

@@ -81,6 +81,8 @@ from .exceptions import (
 from .problem import (
     NmeProblem,
     _cholesky,
+    _matrix,
+    _square_real,
     _unit_scaled,
     cholesky_residual,
     fro_norm,
@@ -449,17 +451,13 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     most 1e-10 times the largest (some pair of eigenvalues of L has product
     one) or when ``dtgsyl`` reports close eigenvalues,
     :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
-    Schur form, :class:`DimensionMismatch` when L is not square or C not of
-    its shape, and :class:`NonFiniteInput` when L or C holds NaN/Inf.  X is
-    exactly symmetric.  Both solves take O(n^3) time and O(n^2) memory.
+    Schur form, :class:`DimensionMismatch` when L is not a non-empty square
+    real matrix or C not of its shape, and :class:`NonFiniteInput` when L or
+    C holds NaN/Inf.  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
     """
-    L = np.asarray(L, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or C.shape != L.shape:
-        raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}; "
-                                "they must be square and of one shape")
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(C))):
-        raise NonFiniteInput("Stein data L or C contains NaN/Inf")
+    L, C = _square_real(L, "L"), _square_real(C, "C")
+    if C.shape != L.shape:
+        raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
     C = symmetric_part(C)
     if (X := _stein_doubling(L, C)) is not None:
         return X
@@ -515,9 +513,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
         while True:
             # L_k = X_{k-1}^{-1} A is the W of the previous iterate
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
-            C = symmetric_part(Q - 2.0 * W.T @ A)
             try:
-                X = solve_stein(W, C)
+                X = solve_stein(W, Q - 2.0 * W.T @ A)  # it symmetrizes C
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
@@ -619,15 +616,12 @@ def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> 
     """Doubling for the scalar equation x + a^2/x = q (q > 0): the 1-by-1
     call of :func:`solve_sda`, so the report holds q_k in ``iterates`` and
     a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  The problem is
-    not validated beyond a finite a and q > 0, so q = inf ends in a solver
-    failure."""
-    a = float(a)
-    q = float(q)
-    if not math.isfinite(a):
-        raise NonFiniteInput(f"a = {a!r}")
+    not validated beyond a real, finite a (else :class:`DimensionMismatch` or
+    :class:`NonFiniteInput`) and q > 0, so q = inf ends in a solver failure."""
+    A, q = _matrix([[a]], "a", float), float(q)
     if not q > 0:
         raise NotPositiveDefinite("q", f"q = {q!r}")
-    return solve_sda(NmeProblem(A=np.array([[a]]), Q=np.array([[q]])), config)
+    return solve_sda(NmeProblem(A=A, Q=np.array([[q]])), config)
 
 
 _DISPATCH = {
@@ -657,13 +651,13 @@ def estimate_rate(history) -> RateEstimate:
 
     Fits the log of the tail half against k (linear model) and against 2^k
     (quadratic model) and reports the better fit; the linear rate is the
-    geometric mean of successive ratios over the tail.  Entries at or below
-    zero truncate the sequence (exact convergence carries no further
-    information).  Raises :class:`InsufficientHistory` for fewer than 4
-    usable entries.
+    geometric mean of successive ratios over the tail.  The sequence ends at
+    its first entry that is not finite and positive (exact convergence and an
+    overflow carry no information).  Raises :class:`InsufficientHistory` for
+    fewer than 4 usable entries.
     """
     vals = np.asarray([float(v) for v in history], dtype=float)
-    bad = np.nonzero(~(vals > 0))[0]
+    bad = np.nonzero(~((vals > 0) & (vals < math.inf)))[0]
     if bad.size:
         vals = vals[: bad[0]]
     if vals.size < 4:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,44 @@ class TestCandidateShape:
             diagnostic(p, [[bad]])
 
 
+def _pencil_with(x):
+    # x sits in the fixed -I block, whose tolerance test in ssf2_blocks NaN passes
+    return nme.SymplecticPencil(M=np.array([[1.0, 0.0], [2.0, x]]), L=[[0.0, 1.0], [1.0, 0.0]])
+
+
+# each entry point with x put into one caller array; x complex, non-finite or
+# non-numeric ends in the typed error (complex lambda and pencils are valid)
+CALLER_ARRAYS = {
+    "new_problem A": lambda x: nme.new_problem(np.array([[x]]), [[2.0]]),
+    "new_problem Q": lambda x: nme.new_problem([[0.3]], np.array([[x]])),
+    "residual": lambda x: nme.residual(nme.new_problem([[0.3]], [[2.0]]), np.array([[x]])),
+    "spectral_radius_ratio": lambda x: nme.spectral_radius_ratio(
+        nme.new_problem([[0.3]], [[2.0]]), np.array([[x]])),
+    "invariant_subspace_defect": lambda x: nme.invariant_subspace_defect(
+        nme.new_problem([[0.3]], [[2.0]]), np.array([[x]])),
+    "solve_stein L": lambda x: nme.solve_stein(np.array([[x]]), [[1.0]]),
+    "solve_stein C": lambda x: nme.solve_stein([[0.5]], np.array([[x]])),
+    "SymplecticPencil": _pencil_with,
+    "psi": lambda x: nme.psi(nme.new_problem([[0.3]], [[2.0]]), x),
+    "solve_sda_scalar a": lambda x: nme.solve_sda_scalar(x, 2.0),
+    "solve_scalar_shifted a": lambda x: nme.solve_scalar_shifted(x, 2.0),
+    "solve_scalar_shifted q": lambda x: nme.solve_scalar_shifted(1.0, x),
+}
+BAD_ENTRIES = {"complex": (0.5 + 1j, DimensionMismatch), "nan": (math.nan, NonFiniteInput),
+               "inf": (math.inf, NonFiniteInput), "text": ("a", DimensionMismatch)}
+
+
+@pytest.mark.parametrize("entry,kind", [
+    (entry, kind) for entry in sorted(CALLER_ARRAYS) for kind in BAD_ENTRIES
+    if not (kind == "complex" and entry in ("SymplecticPencil", "psi"))])
+def test_caller_arrays_end_in_typed_errors(entry, kind):
+    x, error = BAD_ENTRIES[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean a dropped imaginary part
+        with pytest.raises(error):
+            CALLER_ARRAYS[entry](x)
+
+
 class TestBuildPencil:
     def test_scalar_blocks(self):
         pen = nme.build_pencil(nme.new_problem([[1.0]], [[2.0]]))
@@ -228,6 +267,11 @@ class TestSymplecticPencil:
         pen = nme.SymplecticPencil(M=np.array([[1e200, 1e199j], [0.0, 1e200]]), L=np.eye(2))
         assert pen.M.dtype == np.complex128
         assert pen.M[0, 1] == 1e199j
+
+    def test_list_factors_read_as_float_arrays(self):
+        pen = nme.SymplecticPencil(M=[[1.0, 0.0], [2.0, -1.0]], L=[[0, 1], [1, 0]])
+        ref = nme.build_pencil(nme.new_problem([[1.0]], [[2.0]]))
+        assert same_bits(pen.M, ref.M) and same_bits(pen.L, ref.L)
 
     def test_rejects_empty_factors(self):
         # ssf2_blocks and detect_unimodular raised a raw ValueError on it

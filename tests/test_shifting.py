@@ -79,9 +79,10 @@ class TestShiftSingle:
             nme.shift_single(critical_pencil(), **args)
 
     def test_non_finite_pencil_is_no_eigenpair(self):
+        # a NaN pencil is refused when it is built, so no shift is made from it
         pen = critical_pencil()
-        pen = nme.SymplecticPencil(M=np.where(pen.M == 0.0, math.nan, pen.M), L=pen.L)
-        with pytest.raises(NotAnEigenpair):
+        with pytest.raises(NonFiniteInput):
+            pen = nme.SymplecticPencil(M=np.where(pen.M == 0.0, math.nan, pen.M), L=pen.L)
             nme.shift_single(pen, [1.0, 1.0], 1.0, 0.5, [1.0, 0.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

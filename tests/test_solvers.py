@@ -241,6 +241,10 @@ class TestStein:
         with pytest.raises(DimensionMismatch):
             nme.solve_stein(L, C)
 
+    def test_empty_data_rejected(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            nme.solve_stein(np.zeros((0, 0)), np.zeros((0, 0)))
+
     @staticmethod
     def _check_structure_case(L, C):
         """X is exactly symmetric, has residual <= 1e-13 ||X||, and for n <= 8
@@ -875,6 +879,14 @@ class TestEstimateRate:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
             nme.estimate_rate([1.0, 0.5, 0.25])
+
+    def test_overflowed_step_ends_the_sequence(self):
+        # a diverging run whose step norm overflows records inf; it is no sample
+        with pytest.raises(InsufficientHistory):
+            nme.estimate_rate([1.0, 0.5, math.inf, 0.1, 0.01])
+        est = nme.estimate_rate([1.0, 0.5, 0.25, 0.125, math.inf, 1e-3])
+        assert est.kind == "linear"
+        assert est.rate == pytest.approx(0.5)
 
 
 class TestReports:

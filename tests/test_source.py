@@ -87,6 +87,15 @@ def test_one_power_of_two_scale_and_one_safe_norm():
     assert "np.linalg.norm" not in texts["shifting.py"]
 
 
+def test_one_reader_for_caller_arrays():
+    # caller arrays are read by problem._matrix alone (the CLI checks its own
+    # scalar options); a second finiteness test would fork the rule again
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sum(text.count("raise NonFiniteInput(") for name, text in texts.items()
+               if name != "cli.py") == 1
+    assert [name for name, text in texts.items() if "_as_complex_matrix" in text] == []
+
+
 def test_one_spectrum_of_psi_on_the_circle():
     # psi's eigenvalues on the unit circle come from problem._eigs_on_circle
     # alone; a second stacked eigvalsh in shifting would fork the arcs again
