@@ -188,11 +188,11 @@ def fro_norm(M) -> float:
         return scale * float(np.linalg.norm(Mu))
 
 
-def _matrix(M, name: str, dtype=None) -> np.ndarray:
-    """Caller data M as a finite 2-d float64 array, or complex128 where dtype
-    is complex or (dtype None) M is complex; float64 data is not copied.
-    Complex data for dtype float, and non-numeric data, raise
-    :class:`DimensionMismatch`; NaN/Inf raise :class:`NonFiniteInput`."""
+def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
+    """Caller data M as a 2-d float64 array, or complex128 where dtype is
+    complex or (dtype None) M is complex; float64 data is not copied.  Complex
+    data for dtype float, and non-numeric data, raise :class:`DimensionMismatch`;
+    NaN/Inf raise :class:`NonFiniteInput` unless ``finite`` is False."""
     try:
         M = np.asarray(M)
         if M.ndim != 2 or M.dtype.kind not in ("biufO" if dtype is float else "biufcO"):
@@ -200,7 +200,7 @@ def _matrix(M, name: str, dtype=None) -> np.ndarray:
         M = M.astype(dtype or (complex if M.dtype.kind == "c" else float), copy=False)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} is not a matrix of the required kind: {exc}") from exc
-    if not np.isfinite(M).all():
+    if finite and not np.isfinite(M).all():
         raise NonFiniteInput(f"{name} contains NaN/Inf")
     return M
 
@@ -245,18 +245,19 @@ def new_problem(A, Q) -> NmeProblem:
     return NmeProblem(A=A.copy(), Q=Qs)
 
 
-def _candidate(problem: NmeProblem, X) -> np.ndarray:
-    """Validate the shape and finiteness of a candidate X; returns Xs = (X + X^T)/2."""
+def _candidate(A: np.ndarray, X) -> np.ndarray:
+    """Validate the shape (A's) and finiteness of a candidate X; returns Xs = (X + X^T)/2."""
     X = _square_real(X, "X")
-    if X.shape != problem.A.shape:
-        raise DimensionMismatch(f"X is {X.shape}, problem is {problem.A.shape}")
+    if X.shape != A.shape:
+        raise DimensionMismatch(f"X is {X.shape}, A is {A.shape}")
     return symmetric_part(X)
 
 
-def _candidate_w(problem: NmeProblem, X) -> tuple[np.ndarray, np.ndarray]:
-    """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A."""
-    Xs = _candidate(problem, X)
-    return Xs, cho_solve((_cholesky(Xs, "X"), True), problem.A)
+def _candidate_w(A: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A by
+    ``cho_solve`` (``dpotrs``) on the Cholesky factor that tests Xs."""
+    Xs = _candidate(A, X)
+    return Xs, cho_solve((_cholesky(Xs, "X"), True), A)
 
 
 def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
@@ -289,7 +290,7 @@ def residual(problem: NmeProblem, X) -> Residual:
     """Evaluate R(X) = Q - X - A^T X^{-1} A for an SPD candidate X; raises
     :class:`NonFiniteInput` when X holds NaN/Inf and
     :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
-    Xs = _candidate(problem, X)
+    Xs = _candidate(problem.A, X)
     s, Qu = _unit_scaled(problem.Q)
     return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(Qu), s)[0]
 
@@ -554,16 +555,13 @@ def spectral_radius(W: np.ndarray) -> float:
 
 def spectral_radius_ratio(problem: NmeProblem, X) -> float:
     """rho(X^{-1} A) for an SPD candidate X."""
-    return spectral_radius(_candidate_w(problem, X)[1])
+    return spectral_radius(_candidate_w(problem.A, X)[1])
 
 
 def invariant_subspace_defect(problem: NmeProblem, X) -> float:
-    """|| M [I; X] - L [I; X] X^{-1} A ||_F; zero exactly when X solves the equation."""
-    Xs, W = _candidate_w(problem, X)
-    pen = build_pencil(problem)
-    U = np.vstack([np.eye(problem.n), Xs])
-    D = pen.M @ U - pen.L @ (U @ W)
-    return fro_norm(D)
+    """|| M [I; X] - L [I; X] X^{-1} A ||_F, taken by blocks; zero exactly when X solves it."""
+    Xs, W = _candidate_w(problem.A, X)
+    return fro_norm(np.vstack((problem.A - Xs @ W, problem.Q - Xs - problem.A.T @ W)))
 
 
 def load_problem(path) -> NmeProblem:

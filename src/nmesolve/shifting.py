@@ -145,8 +145,8 @@ def shift_single(pencil: SymplecticPencil, v, lambda0, lambda1, r) -> Symplectic
     negligible imaginary part.
     """
     M, L = pencil.M, pencil.L
-    v = _matrix(np.reshape(v, (1, -1)), "v", complex)[0]
-    r = _matrix(np.reshape(r, (1, -1)), "r", complex)[0]
+    v = _matrix([v], "v", complex)[0]
+    r = _matrix([r], "r", complex)[0]
     if v.size != pencil.dim or r.size != pencil.dim:
         raise DimensionMismatch("v and r must have the pencil dimension")
     lambda0, lambda1 = _matrix([[lambda0, lambda1]], "lambda0/lambda1", complex)[0]
@@ -198,8 +198,8 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     """
     M, L = pencil.M, pencil.L
     V = _matrix(spec.V, "V", complex)
-    lam = _matrix(np.reshape(spec.lam, (1, -1)), "lam", complex)[0]
-    lam_hat = _matrix(np.reshape(spec.lam_hat, (1, -1)), "lam_hat", complex)[0]
+    lam = _matrix([spec.lam], "lam", complex)[0]
+    lam_hat = _matrix([spec.lam_hat], "lam_hat", complex)[0]
     R1 = _matrix(spec.R1, "R1", complex)
     R2 = _matrix(spec.R2, "R2", complex)
     k = V.shape[1]
@@ -248,8 +248,8 @@ def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
     L side).  V must have full column rank.
     """
     V = _matrix(V, "V", complex)
-    lam = _matrix(np.reshape(lam, (1, -1)), "lam", complex)[0]
-    lam_hat = _matrix(np.reshape(lam_hat, (1, -1)), "lam_hat", complex)[0]
+    lam = _matrix([lam], "lam", complex)[0]
+    lam_hat = _matrix([lam_hat], "lam_hat", complex)[0]
     if lam.size != V.shape[1] or lam_hat.size != V.shape[1]:
         raise DimensionMismatch("lam/lam_hat length must match the column count of V")
     if V.shape[1] == 0:

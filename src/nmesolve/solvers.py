@@ -44,15 +44,16 @@ X is not finite, raise a :class:`~nmesolve.exceptions.SolverFailure`
 subclass carrying the partial report.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
-``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the
-triangular solves, one Bunch-Kaufman ``dsytrf`` with ``dsyconv``,
-``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for the SDA step, three GEMMs
-a step for the Stein doubling, and ``dgees`` and ``dtgsyl`` for the Stein
-solves it gives up.  At the sizes of a scalar or n = 8 solve, the dispatch
-of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several times
-the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
-``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
-that wraps the module attribute sees it.
+``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
+solves, ``dpotrs`` (in ``cho_solve``) for W_0 = Q^{-1} A (``_Run.start_at_q``)
+and for the W of ``rho_ratio`` (``problem._candidate_w``), one Bunch-Kaufman
+``dsytrf`` with ``dsyconv``, ``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for
+the SDA step, three GEMMs a step for the Stein doubling, and ``dgees`` and
+``dtgsyl`` for the Stein solves it gives up.  At the sizes of a scalar or n = 8
+solve, the dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve``
+costs several times the arithmetic.  Each routine is looked up on
+``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is called, never bound
+at import, so a tracer that wraps the module attribute sees it.
 """
 
 import functools
@@ -80,6 +81,7 @@ from .exceptions import (
 )
 from .problem import (
     NmeProblem,
+    _candidate_w,
     _cholesky,
     _matrix,
     _square_real,
@@ -189,7 +191,7 @@ class SolveReport:
     sequences ("Y" for the inversion-free solver, "A" and "P" for doubling).
     ``estimated_rate`` is fit to the step-size sequence ||X_k - X_{k-1}||_F,
     whose decay tracks the error decay for both linear and quadratic runs.
-    ``rho_ratio`` is computed from X and the problem's ``A`` when first read.
+    ``rho_ratio`` is ``spectral_radius_ratio`` of X and A, computed when first read.
     """
 
     X: np.ndarray
@@ -205,12 +207,12 @@ class SolveReport:
 
     @functools.cached_property
     def rho_ratio(self) -> float:
-        """rho(X^{-1} A); NaN when X is singular or not finite, or A is unknown."""
-        if self.A is None or not np.all(np.isfinite(self.X)):
+        """rho(X^{-1} A); NaN when X is not finite or not SPD, or A is unknown."""
+        if self.A is None:
             return math.nan
         try:
-            return spectral_radius(np.linalg.solve(self.X, self.A))
-        except np.linalg.LinAlgError:
+            return spectral_radius(_candidate_w(self.A, self.X)[1])
+        except (NonFiniteInput, NotPositiveDefinite):
             return math.nan
 
 
@@ -615,13 +617,13 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
 def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> SolveReport:
     """Doubling for the scalar equation x + a^2/x = q (q > 0): the 1-by-1
     call of :func:`solve_sda`, so the report holds q_k in ``iterates`` and
-    a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  The problem is
-    not validated beyond a real, finite a (else :class:`DimensionMismatch` or
-    :class:`NonFiniteInput`) and q > 0, so q = inf ends in a solver failure."""
-    A, q = _matrix([[a]], "a", float), float(q)
-    if not q > 0:
-        raise NotPositiveDefinite("q", f"q = {q!r}")
-    return solve_sda(NmeProblem(A=A, Q=np.array([[q]])), config)
+    a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  Only a and q are
+    checked: real numbers, a finite and q > 0 (else :class:`DimensionMismatch`,
+    :class:`NonFiniteInput`, :class:`NotPositiveDefinite`), so q = inf ends in a solver failure."""
+    A, Q = _matrix([[a]], "a", float), _matrix([[q]], "q", float, finite=False)
+    if not Q[0, 0] > 0:
+        raise NotPositiveDefinite("q", f"q = {Q.item()!r}")
+    return solve_sda(NmeProblem(A=A, Q=Q), config)
 
 
 _DISPATCH = {

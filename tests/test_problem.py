@@ -188,11 +188,21 @@ class TestCandidateShape:
 
 def _pencil_with(x):
     # x sits in the fixed -I block, whose tolerance test in ssf2_blocks NaN passes
-    return nme.SymplecticPencil(M=np.array([[1.0, 0.0], [2.0, x]]), L=[[0.0, 1.0], [1.0, 0.0]])
+    return nme.SymplecticPencil(M=[[1.0, 0.0], [2.0, x]], L=[[0.0, 1.0], [1.0, 0.0]])
 
 
-# each entry point with x put into one caller array; x complex, non-finite or
-# non-numeric ends in the typed error (complex lambda and pencils are valid)
+def _critical_pencil():
+    return nme.build_pencil(nme.new_problem([[1.0]], [[2.0]]))
+
+
+def _spec(lam=(1.0,), lam_hat=(0.9,)):
+    return nme.ShiftSpec(V=[[1.0], [1.0]], lam=lam, lam_hat=lam_hat, R1=[[1.0], [1.0]],
+                         R2=[[0.0], [0.0]])
+
+
+# each entry point with x put into one caller array; x complex, non-finite,
+# non-numeric or a sequence ends in the typed error.  In a vector x sits
+# beside a number, so a sequence x makes it ragged
 CALLER_ARRAYS = {
     "new_problem A": lambda x: nme.new_problem(np.array([[x]]), [[2.0]]),
     "new_problem Q": lambda x: nme.new_problem([[0.3]], np.array([[x]])),
@@ -208,14 +218,30 @@ CALLER_ARRAYS = {
     "solve_sda_scalar a": lambda x: nme.solve_sda_scalar(x, 2.0),
     "solve_scalar_shifted a": lambda x: nme.solve_scalar_shifted(x, 2.0),
     "solve_scalar_shifted q": lambda x: nme.solve_scalar_shifted(1.0, x),
+    "shift_single v": lambda x: nme.shift_single(_critical_pencil(), [1.0, x], 1.0, 0.9,
+                                                 [1.0, 0.0]),
+    "shift_single r": lambda x: nme.shift_single(_critical_pencil(), [1.0, 1.0], 1.0, 0.9,
+                                                 [1.0, x]),
+    "shift_multi lam": lambda x: nme.shift_multi(_critical_pencil(), _spec(lam=[1.0, x])),
+    "shift_multi lam_hat": lambda x: nme.shift_multi(_critical_pencil(),
+                                                     _spec(lam_hat=[0.9, x])),
+    "build_shift_factors lam": lambda x: nme.build_shift_factors([[1.0], [1.0]], [1.0, x],
+                                                                 [0.9]),
+    "build_shift_factors lam_hat": lambda x: nme.build_shift_factors([[1.0], [1.0]], [1.0],
+                                                                     [0.9, x]),
 }
 BAD_ENTRIES = {"complex": (0.5 + 1j, DimensionMismatch), "nan": (math.nan, NonFiniteInput),
-               "inf": (math.inf, NonFiniteInput), "text": ("a", DimensionMismatch)}
+               "inf": (math.inf, NonFiniteInput), "text": ("a", DimensionMismatch),
+               "sequence": ([1.0], DimensionMismatch)}
+#: entries where complex data is valid: lambda, pencils and the shifting vectors
+COMPLEX_VALID = ("SymplecticPencil", "psi", "shift_single v", "shift_single r",
+                 "shift_multi lam", "shift_multi lam_hat", "build_shift_factors lam",
+                 "build_shift_factors lam_hat")
 
 
 @pytest.mark.parametrize("entry,kind", [
     (entry, kind) for entry in sorted(CALLER_ARRAYS) for kind in BAD_ENTRIES
-    if not (kind == "complex" and entry in ("SymplecticPencil", "psi"))])
+    if not (kind == "complex" and entry in COMPLEX_VALID)])
 def test_caller_arrays_end_in_typed_errors(entry, kind):
     x, error = BAD_ENTRIES[kind]
     with warnings.catch_warnings():
@@ -568,6 +594,24 @@ class TestInvariantSubspaceDefect:
             X = W @ W.T + np.eye(4)
             assert nme.residual(p, X).fro_norm > tol
             assert nme.invariant_subspace_defect(p, X) > tol
+
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_matches_pencil_reference(self, n, rho):
+        # the defect as written with the pencil, M U - L U W for U = [I; X],
+        # at the planted solution and at random SPD non-solutions
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=n))
+        p, pen = rec.problem, nme.build_pencil(rec.problem)
+        rng = np.random.default_rng(n)
+        G = [rng.standard_normal((n, n)) for _ in range(3)]
+        for X in [rec.known_solution] + [g @ g.T + np.eye(n) for g in G]:
+            Xs, W = problem_module._candidate_w(p.A, X)
+            U = np.vstack([np.eye(n), Xs])
+            MU, LUW = pen.M @ U, pen.L @ (U @ W)
+            ref = np.linalg.norm(MU - LUW)
+            scale = np.linalg.norm(MU) + np.linalg.norm(LUW)
+            assert abs(nme.invariant_subspace_defect(p, X) - ref) <= 1e-13 * scale
 
 
 class TestReciprocalSpectrum:

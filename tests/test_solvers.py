@@ -748,6 +748,19 @@ class TestSdaScalar:
         with pytest.raises(NotPositiveDefinite):
             nme.solve_sda_scalar(1.0, 0.0)
 
+    @pytest.mark.parametrize("q", [math.nan, -math.inf])
+    def test_rejects_non_finite_q_that_is_not_positive(self, q):
+        # q is read for realness only, so q = inf reaches the solver (see
+        # test_scalar_non_finite_never_converges) and these fail q > 0
+        with pytest.raises(NotPositiveDefinite, match="^q is not positive definite"):
+            nme.solve_sda_scalar(1.0, q)
+
+    @pytest.mark.parametrize("q", [2.0 + 1j, "a", [2.0, 3.0], [[2.0]]],
+                             ids=["complex", "text", "vector", "matrix"])
+    def test_q_must_be_a_real_number(self, q):
+        with pytest.raises(DimensionMismatch):
+            nme.solve_sda_scalar(1.0, q)
+
     def test_breakdown(self):
         with pytest.raises(DoublingBreakdown):
             nme.solve_sda_scalar(1.0, 1.0)
@@ -971,7 +984,7 @@ class TestReports:
             return spectral_radius(W)
 
         monkeypatch.setattr(solvers, "spectral_radius", counting)
-        expected = spectral_radius(np.linalg.solve(rep.X, rec.problem.A))
+        expected = nme.spectral_radius_ratio(rec.problem, rep.X)
         assert rep.rho_ratio == expected
         assert rep.rho_ratio == expected
         assert len(calls) == 1
@@ -981,9 +994,21 @@ class TestReports:
         rep = nme.SolveReport(X=np.zeros((2, 2)), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)
 
+    def test_rho_ratio_of_indefinite_x_is_nan(self):
+        # an LU solve gives rho 1 here, which says nothing of a maximal solution
+        rep = nme.SolveReport(X=np.diag([1.0, -1.0]), iterations=0, converged=False, A=np.eye(2))
+        assert math.isnan(rep.rho_ratio)
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_rho_ratio_is_spectral_radius_ratio(self, solver):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.8, seed=22))
+        rep = solver(rec.problem, nme.SolverConfig(max_iter=1000))
+        assert rep.rho_ratio == nme.spectral_radius_ratio(rec.problem, rep.X)
+
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_rho_ratio_non_finite_x_is_nan(self, x):
-        # np.linalg.solve(diag(inf, 1), I) is finite, with spectral radius 1
+        # dpotrf passes NaN and inf unflagged, so the candidate's finiteness
+        # test is what makes these NaN
         rep = nme.SolveReport(X=np.diag([x, 1.0]), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)
 
@@ -992,7 +1017,7 @@ class TestReports:
         with pytest.raises(MaxIterationsExceeded) as info:
             nme.solve_fixed_point(p, nme.SolverConfig(max_iter=5))
         rep = info.value.report
-        assert rep.rho_ratio == spectral_radius(np.linalg.solve(rep.X, p.A))
+        assert rep.rho_ratio == nme.spectral_radius_ratio(p, rep.X)
         assert 0.0 < rep.rho_ratio < 1.0
 
     def test_dispatch(self):

@@ -110,3 +110,14 @@ def test_one_float_format():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert [name for name, text in texts.items() if ".17g" in text] == []
     assert [name for name, text in texts.items() if "json.dumps" in text] == ["serialize.py"]
+
+
+def test_one_spectral_ratio_route():
+    # X^{-1} A of a candidate X comes from problem._candidate_w, whose Cholesky
+    # factor is also the SPD test; an LU solve beside it gives a second rho in
+    # the last bits, and the invariant-subspace defect needs no 2n-by-2n pencil
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name in ("problem.py", "solvers.py")
+            if "np.linalg.solve" in texts[name]] == []
+    assert texts["problem.py"].count("build_pencil(") == 1
+    assert "def build_pencil(" in texts["problem.py"]
