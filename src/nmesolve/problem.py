@@ -197,6 +197,8 @@ def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
         M = np.asarray(M)
         if M.ndim != 2 or M.dtype.kind not in ("biufO" if dtype is float else "biufcO"):
             raise TypeError(f"{M.dtype} data of shape {M.shape}")
+        if M.dtype.kind == "O" and any(v is None for v in M.flat):
+            raise TypeError("None is not a number")  # astype would read it as NaN
         M = M.astype(dtype or (complex if M.dtype.kind == "c" else float), copy=False)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} is not a matrix of the required kind: {exc}") from exc

@@ -232,7 +232,7 @@ CALLER_ARRAYS = {
 }
 BAD_ENTRIES = {"complex": (0.5 + 1j, DimensionMismatch), "nan": (math.nan, NonFiniteInput),
                "inf": (math.inf, NonFiniteInput), "text": ("a", DimensionMismatch),
-               "sequence": ([1.0], DimensionMismatch)}
+               "sequence": ([1.0], DimensionMismatch), "none": (None, DimensionMismatch)}
 #: entries where complex data is valid: lambda, pencils and the shifting vectors
 COMPLEX_VALID = ("SymplecticPencil", "psi", "shift_single v", "shift_single r",
                  "shift_multi lam", "shift_multi lam_hat", "build_shift_factors lam",

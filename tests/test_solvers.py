@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nmesolve.exceptions import (
     SolverFailure,
     Stagnated,
 )
-from nmesolve.problem import spectral_radius
+from nmesolve.problem import cholesky_residual, spectral_radius
 
 MATRIX_SOLVERS = [nme.solve_fixed_point, nme.solve_inversion_free,
                   nme.solve_newton, nme.solve_sda]
@@ -592,6 +593,33 @@ class TestSda:
         assert rep.converged and rep.iterations >= 4
         assert calls == dict.fromkeys(calls, rep.iterations)
 
+    def test_residual_only_where_it_can_end_the_run(self, monkeypatch):
+        # the early steps of a quadratic run skip the residual; history
+        # takes one per iterate
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cholesky_residual(*args)
+
+        monkeypatch.setattr(solvers, "cholesky_residual", counted)
+        problem = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.5, seed=0)).problem
+        rep = nme.solve_sda(problem)
+        assert rep.converged and len(calls) < rep.iterations + 1
+        calls.clear()
+        rep = nme.solve_sda(problem, nme.SolverConfig(record_history=True))
+        assert len(calls) == rep.iterations + 1
+
+    def test_budget_end_reports_a_residual(self):
+        # the last step of the budget takes its residual, so the report
+        # names the best one and not inf
+        problem = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.999, seed=0)).problem
+        with pytest.raises(MaxIterationsExceeded) as info:
+            nme.solve_sda(problem, nme.SolverConfig(max_iter=3))
+        best = float(re.search(r"best relative residual (\S+)\)", str(info.value)).group(1))
+        assert math.isfinite(best)
+        assert best == float(f"{nme.residual(problem, info.value.report.X).rel_norm:.3e}")
+
     @pytest.mark.parametrize("seed,rho", [(23, 0.9), (24, 1.0)])
     def test_steps_match_explicit_formulas(self, seed, rho):
         # every step against the doubling formulas with np.linalg.solve, and
@@ -755,8 +783,8 @@ class TestSdaScalar:
         with pytest.raises(NotPositiveDefinite, match="^q is not positive definite"):
             nme.solve_sda_scalar(1.0, q)
 
-    @pytest.mark.parametrize("q", [2.0 + 1j, "a", [2.0, 3.0], [[2.0]]],
-                             ids=["complex", "text", "vector", "matrix"])
+    @pytest.mark.parametrize("q", [2.0 + 1j, "a", [2.0, 3.0], [[2.0]], None],
+                             ids=["complex", "text", "vector", "matrix", "none"])
     def test_q_must_be_a_real_number(self, q):
         with pytest.raises(DimensionMismatch):
             nme.solve_sda_scalar(1.0, q)
@@ -973,6 +1001,32 @@ class TestReports:
         on = solver(rec.problem, nme.SolverConfig(max_iter=1000, record_history=True))
         assert off.iterations == on.iterations
         assert np.array_equal(off.X, on.X)
+
+    @pytest.mark.parametrize("cell", [*((n, rho, None) for n in (1, 2, 8, 32, 128)
+                                        for rho in (0.5, 0.9, 0.999, 1.0)),
+                                      *((n, rho, eta) for n in (8, 32) for eta in (1.0, 3.0)
+                                        for rho in (0.5, 0.9, 0.999, 1.0))],
+                             ids=str)
+    def test_history_does_not_change_the_doubling_arithmetic(self, cell):
+        # a default solve_sda skips the residuals that cannot end the run,
+        # history takes every one; the gate may not move a stop on the
+        # planted grid (eta None) nor on the non-normal cells
+        n, rho, eta = cell
+
+        def outcome(problem, config):
+            try:
+                rep, exc = nme.solve_sda(problem, config), None
+            except NmeError as err:
+                rep, exc = err.report, type(err)
+            return exc, rep.iterations, rep.X
+
+        for seed in range(5 if eta is None else 4):
+            problem = (nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+                       .problem if eta is None else nonnormal_planted(n, rho, eta, seed)[0])
+            off = outcome(problem, nme.SolverConfig())
+            on = outcome(problem, nme.SolverConfig(record_history=True))
+            assert off[:2] == on[:2], seed
+            assert np.array_equal(off[2], on[2], equal_nan=True), seed
 
     def test_rho_ratio_computed_once_on_read(self, monkeypatch):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=21))
