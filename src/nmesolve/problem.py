@@ -192,7 +192,9 @@ def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
     """Caller data M as a 2-d float64 array, or complex128 where dtype is
     complex or (dtype None) M is complex; float64 data is not copied.  Complex
     data for dtype float, and non-numeric data, raise :class:`DimensionMismatch`;
-    NaN/Inf raise :class:`NonFiniteInput` unless ``finite`` is False."""
+    NaN/Inf raise :class:`NonFiniteInput` unless ``finite`` is False; an
+    integer beyond the float range raises it always."""
+    overflow = ""
     try:
         M = np.asarray(M)
         if M.ndim != 2 or M.dtype.kind not in ("biufO" if dtype is float else "biufcO"):
@@ -202,8 +204,10 @@ def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
         M = M.astype(dtype or (complex if M.dtype.kind == "c" else float), copy=False)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} is not a matrix of the required kind: {exc}") from exc
-    if finite and not np.isfinite(M).all():
-        raise NonFiniteInput(f"{name} contains NaN/Inf")
+    except OverflowError as exc:  # a Python integer beyond the float range
+        overflow = f" ({exc})"
+    if overflow or (finite and not np.isfinite(M).all()):
+        raise NonFiniteInput(f"{name} contains NaN/Inf{overflow}")
     return M
 
 

@@ -42,18 +42,18 @@ one more triangular solve.  When doubling's test passes alone the run raises
 :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and runs whose
 X is not finite, raise a :class:`~nmesolve.exceptions.SolverFailure`
 subclass carrying the partial report.  Doubling takes the residual of Q_k
-only at k = 0 and k = max_iter, when its own test passes, when history or
-DEBUG logging is on, and once ||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol)
-||Q||_F (or is not finite): the error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is
-large before that.  No residual feeds an iterate, so the gate can only delay
+only at k = max_iter, when its own test passes, when history or DEBUG
+logging is on, and once ||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol) ||Q||_F
+(or is not finite): the error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is large
+before that.  No residual feeds an iterate, so the gate can only delay
 a stop; X and every Q_k keep their bits.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
 solves, ``dpotrs`` (in ``cho_solve``) for W_0 = Q^{-1} A (``_Run.start_at_q``)
 and for the W of ``rho_ratio`` (``problem._candidate_w``), one Bunch-Kaufman
-``dsytrf`` with ``dsyconv``, ``dtrtri``, one ``dlaswp`` and one ``dtrmm`` for
-the SDA step, three GEMMs a step for the Stein doubling, and ``dgees`` and
+``dsytrf`` with ``dtrtri`` and one ``dtrmm`` for the SDA step (``dsyconv`` and
+``dlaswp`` only after a row interchange), three GEMMs a step for the Stein doubling, and ``dgees`` and
 ``dtgsyl`` for the Stein solves it gives up.  At the sizes of a scalar or n = 8
 solve, the dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve``
 costs several times the arithmetic.  Each routine is looked up on
@@ -255,32 +255,34 @@ class _Run:
         stopping test besides res <= tol.  The step norm ||X_k - X_{k-1}||_F
         is taken here, and only when history or DEBUG logging wants it."""
         cfg = self.config
-        for self.k in range(cfg.max_iter + 1):
-            prev = self.X
-            self.X, res, aux1, aux2, aux, stop = next(steps)
-            self.accepted = self.k
-            if self.every_step and self.k:
-                step = fro_norm(self.X - prev)
-                logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
-                if cfg.record_history:
-                    self.history.append(
-                        HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
-            self.capture(aux)
-            if res is None:
-                continue
-            self.best_res = min(self.best_res, res)
-            if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
-                return self.stopped(res)
-            if nonfinite_fatal and not math.isfinite(res):
-                detail = ("is not positive definite or its residual overflows"
-                          if np.all(np.isfinite(self.X)) else "is not finite")
-                raise self.failure(Diverged, f"iterate {self.k} {detail}")
-            if (math.isfinite(res) and 0 < self.best_res < math.inf
-                    and res > DIVERGENCE_FACTOR * self.best_res):
-                raise self.failure(
-                    Diverged,
-                    f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
-                    f"minimum {self.best_res:.3e} at iteration {self.k}")
+        # one context per solve: an overflow ends in a typed failure, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for self.k in range(cfg.max_iter + 1):
+                prev = self.X
+                self.X, res, aux1, aux2, aux, stop = next(steps)
+                self.accepted = self.k
+                if self.every_step and self.k:
+                    step = fro_norm(self.X - prev)
+                    logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
+                    if cfg.record_history:
+                        self.history.append(
+                            HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
+                self.capture(aux)
+                if res is None:
+                    continue
+                self.best_res = min(self.best_res, res)
+                if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
+                    return self.stopped(res)
+                if nonfinite_fatal and not math.isfinite(res):
+                    detail = ("is not positive definite or its residual overflows"
+                              if np.all(np.isfinite(self.X)) else "is not finite")
+                    raise self.failure(Diverged, f"iterate {self.k} {detail}")
+                if (math.isfinite(res) and 0 < self.best_res < math.inf
+                        and res > DIVERGENCE_FACTOR * self.best_res):
+                    raise self.failure(
+                        Diverged,
+                        f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
+                        f"minimum {self.best_res:.3e} at iteration {self.k}")
         raise self.failure(
             MaxIterationsExceeded,
             f"no convergence within {cfg.max_iter} iterations "
@@ -535,8 +537,7 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             except SolverFailure as exc:
                 raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc
-            with np.errstate(over="ignore"):
-                rise = float(np.sum(np.diag(X) / q_max)) / tr_q
+            rise = float(np.sum(np.diag(X) / q_max)) / tr_q  # drive ignores its overflow
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
@@ -564,7 +565,9 @@ def _spd_half_solve(D: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray
     pivot is 1x1 and positive.  Otherwise it raises
     :class:`NotPositiveDefinite` naming D, before ``dsyconv`` or ``dlaswp``
     sees the pivots.  It is sqrt-free, so a 1-by-1 D leaves V = B and d = D.
-    L^{-1} is one ``dtrtri``, applied by one ``dtrmm`` after one ``dlaswp``.
+    L^{-1} is one ``dtrtri``, applied by one ``dtrmm``; ``dsyconv`` and
+    ``dlaswp`` run only after a row interchange, as without one the factor's
+    strict lower triangle already is the unit L, and P = I.
     """
     ldu, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1, lwork=_dsytrf_lwork(D.shape[0]))
     d = ldu.diagonal().copy()
@@ -572,10 +575,11 @@ def _spd_half_solve(D: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray
         raise NotPositiveDefinite(
             name, f"dsytrf info {info}" if info else
             "a 2x2 pivot" if ipiv.min() <= 0 else f"a pivot is {float(d.min())}")
-    L, _, _ = scipy.linalg.lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
-    L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, unitdiag=1, overwrite_c=1)
-    V = scipy.linalg.lapack.dlaswp(B, ipiv - 1, overwrite_a=1)  # scipy's dlaswp is 0-based
-    return scipy.linalg.blas.dtrmm(1.0, L_inv, V, lower=1, diag=1, overwrite_b=1), d
+    if not np.array_equal(ipiv, np.arange(1, ipiv.size + 1)):
+        ldu, _, _ = scipy.linalg.lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
+        B = scipy.linalg.lapack.dlaswp(B, ipiv - 1, overwrite_a=1)  # scipy's dlaswp is 0-based
+    L_inv, _ = scipy.linalg.lapack.dtrtri(ldu, lower=1, unitdiag=1, overwrite_c=1)
+    return scipy.linalg.blas.dtrmm(1.0, L_inv, B, lower=1, diag=1, overwrite_b=1), d
 
 
 def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -598,10 +602,12 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
 
     def steps():
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
-        a_scale = fro_norm(A / run.q_scale)
-        yield Qk, run.residual(Qk), 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
         n, cfg = A.shape[0], run.config
+        a_scale = fro_norm(A / run.q_scale)
         a_gate = RESIDUAL_GATE * math.sqrt(cfg.tol) * run.q_fro
+        # the residual is taken only where it can end the run (RESIDUAL_GATE)
+        res = None if math.inf > a_scale > a_gate and not run.every_step else run.residual(Qk)
+        yield Qk, res, 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
         while True:
             # LDL^T, not Cholesky: it is sqrt-free, so the 1x1 critical closed
             # forms with dyadic data stay exact (a Cholesky step misses them by
@@ -620,7 +626,6 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                        if cfg.record_history else 0.0)
             a_norm = fro_norm(Ak)
             stop = a_norm / run.q_scale <= cfg.tol * a_scale
-            # the residual is taken only where it can end the run (RESIDUAL_GATE)
             far = math.inf > a_norm / run.q_scale > a_gate
             res = (None if far and not (stop or run.every_step or run.k == cfg.max_iter)
                    else run.residual(Qk))

@@ -58,6 +58,17 @@ class TestNewProblem:
         with pytest.raises(NonFiniteInput):
             nme.new_problem([[1.0]], [[bad]])
 
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_integer_beyond_float_range_is_non_finite(self, big):
+        # astype raises OverflowError for it; the reader types it, also where
+        # NaN/Inf are allowed (the q of solve_sda_scalar)
+        with pytest.raises(NonFiniteInput, match="^A contains NaN/Inf"):
+            nme.new_problem([[big]], [[2.0]])
+        with pytest.raises(NonFiniteInput):
+            nme.new_problem([[1.0]], [[big]])
+        with pytest.raises(NonFiniteInput):
+            nme.solve_sda_scalar(1.0, big)
+
     def test_gross_asymmetry_rejected(self):
         Q = np.array([[2.0, 0.5], [0.0, 2.0]])
         with pytest.raises(NotSymmetric):

@@ -34,6 +34,20 @@ def scalar(value):
     return np.array([[float(value)]])
 
 
+def count_calls(monkeypatch, *names):
+    """Calls made, by name, to the named ``scipy.linalg.lapack`` or
+    ``scipy.linalg.blas`` routines from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        module = scipy.linalg.blas if name == "dtrmm" else scipy.linalg.lapack
+
+        def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+    return calls
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -572,26 +586,16 @@ class TestSda:
         for M, Qk in zip(calls["dpotrf"], qs):
             assert np.array_equal(M, Qk)
 
-    def test_one_dtrmm_and_dlaswp_per_step(self, monkeypatch):
-        # the step applies half of D's factor: one row permutation and one
-        # triangular product, no transposed product and no back-permutation
-        calls = {"dsytrf": 0, "dlaswp": 0, "dtrmm": 0}
-
-        def counted(module, name):
-            routine = getattr(module, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return routine(*args, **kwargs)
-            return call
-
+    def test_one_dsytrf_and_dtrmm_per_step(self, monkeypatch):
+        # the step applies half of D's factor: one triangular product, no
+        # transposed product and no back-permutation; Bunch-Kaufman makes no
+        # interchange on this problem, so dsyconv and dlaswp never run
         rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.9, seed=19))
-        lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-        for module, name in ((lapack, "dsytrf"), (lapack, "dlaswp"), (blas, "dtrmm")):
-            monkeypatch.setattr(module, name, counted(module, name))
+        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm")
         rep = nme.solve_sda(rec.problem)
         assert rep.converged and rep.iterations >= 4
-        assert calls == dict.fromkeys(calls, rep.iterations)
+        assert calls == {"dsytrf": rep.iterations, "dsyconv": 0, "dlaswp": 0,
+                         "dtrmm": rep.iterations}
 
     def test_residual_only_where_it_can_end_the_run(self, monkeypatch):
         # the early steps of a quadratic run skip the residual; history
@@ -609,6 +613,29 @@ class TestSda:
         calls.clear()
         rep = nme.solve_sda(problem, nme.SolverConfig(record_history=True))
         assert len(calls) == rep.iterations + 1
+
+    def test_no_residual_of_q0_above_the_gate(self, monkeypatch):
+        # ||A||_F is far above RESIDUAL_GATE sqrt(tol) ||Q||_F, so Q_0 = Q
+        # cannot end the run and its residual is skipped; A = 0 (the k = 0
+        # stop) and history still take it
+        tested = []
+
+        def recorded(A, Q, X, *args):
+            tested.append(np.array(X))
+            return cholesky_residual(A, Q, X, *args)
+
+        monkeypatch.setattr(solvers, "cholesky_residual", recorded)
+        problem = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=0)).problem
+        rep = nme.solve_sda(problem)
+        assert rep.converged and tested
+        assert not any(np.array_equal(X, problem.Q) for X in tested)
+        tested.clear()
+        nme.solve_sda(problem, nme.SolverConfig(record_history=True))
+        assert np.array_equal(tested[0], problem.Q)
+        tested.clear()
+        zero = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
+        assert nme.solve_sda(zero).iterations == 0
+        assert len(tested) == 1 and np.array_equal(tested[0], zero.Q)
 
     def test_budget_end_reports_a_residual(self):
         # the last step of the budget takes its residual, so the report
@@ -714,6 +741,30 @@ class TestSpdSolve:
         B = np.concatenate((A.T, A)).T
         V, d = solvers._spd_half_solve(D, B, "D")
         assert np.shares_memory(V, B)
+        self.assert_form_matches(D, np.concatenate((A, A.T), axis=1), V, d)
+
+    def test_identity_pivots_match_the_explicit_chain(self):
+        # a diagonally dominant D takes no interchange, so the kernel skips
+        # dsyconv and dlaswp and must equal the full chain bit for bit
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((16, 16))
+        D, A = M @ M.T + 16.0 * np.eye(16), rng.standard_normal((16, 16))
+        lapack = scipy.linalg.lapack
+        ldu, ipiv, info = lapack.dsytrf(D, lower=1, lwork=solvers._dsytrf_lwork(16))
+        assert info == 0 and ipiv.tolist() == list(range(1, 17))
+        L, _, _ = lapack.dsyconv(ldu, ipiv, lower=1)
+        L_inv, _ = lapack.dtrtri(L, lower=1, unitdiag=1)
+        B = np.concatenate((A.T, A)).T
+        ref = scipy.linalg.blas.dtrmm(1.0, L_inv, lapack.dlaswp(B, ipiv - 1), lower=1, diag=1)
+        V, d = solvers._spd_half_solve(D, B, "D")
+        assert np.shares_memory(V, B)
+        assert np.array_equal(V, ref) and np.array_equal(d, ldu.diagonal())
+
+    def test_interchanges_gather_l_and_permute_once(self, monkeypatch):
+        D, A = self.spd_with_interchanges(8, seed=3)
+        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm")
+        V, d = solvers._spd_half_solve(D, np.concatenate((A.T, A)).T, "D")
+        assert calls == dict.fromkeys(calls, 1)
         self.assert_form_matches(D, np.concatenate((A, A.T), axis=1), V, d)
 
     @pytest.mark.parametrize("a,d", [(1.0, 2.0), (0.375, 1.25), (-3.0, 0.75), (1.0, 3.0)])
@@ -840,8 +891,9 @@ class TestCrossSolverProperties:
                                         nme.solve_newton, nme.solve_sda])
     def test_overflow_never_converges(self, solver):
         # ||A||_F overflows to inf, so doubling's ||A_k|| <= tol ||A|| test
-        # passes as inf <= inf on an iterate X_1 = -inf
-        with pytest.raises(nme.exceptions.SolverFailure) as info, np.errstate(all="ignore"):
+        # passes as inf <= inf on an iterate X_1 = -inf; with no errstate
+        # here, the overflow in the updates must not escape as a warning
+        with pytest.raises(nme.exceptions.SolverFailure) as info:
             solver(nme.new_problem(scalar(1e200), scalar(1.0)))
         assert info.value.report is not None and not info.value.report.converged
 
@@ -849,7 +901,7 @@ class TestCrossSolverProperties:
     def test_underflow_ends_typed(self, solver):
         # ||Q||_F underflows to 0 unless it is rescaled; the problem has no
         # solution, so every solver must fail with a report
-        with pytest.raises(NmeError) as info, np.errstate(all="ignore"):
+        with pytest.raises(NmeError) as info:
             solver(nme.new_problem(scalar(1e-170), scalar(1e-300)))
         assert info.value.report is not None and not info.value.report.converged
 
@@ -965,7 +1017,7 @@ class TestReports:
         assert info.value.name == "Q"
 
     def test_non_finite_iterate_message(self):
-        with pytest.raises(Diverged) as info, np.errstate(all="ignore"):
+        with pytest.raises(Diverged) as info:
             nme.solve_inversion_free(nme.new_problem(scalar(1e200), scalar(1.0)))
         assert info.value.iteration == 1
         assert "iterate 1 is not finite" in str(info.value)
