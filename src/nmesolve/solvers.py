@@ -16,8 +16,9 @@ Four algorithms share one reporting contract:
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
     equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
-    ``solve_stein`` sums X = sum_i (L^T)^i C L^i by doubling and keeps the
-    sum when it certifies rho(L) < 1 and leaves a backward-stable residual;
+    ``solve_stein`` sums X = sum_i (L^T)^i C L^i by doubling, stops once the
+    power L^(2^j) it forms is small enough to bound the remainder, and keeps
+    the sum when it leaves a backward-stable residual;
     otherwise one real Schur form of L^T and LAPACK's ``dtgsyl`` solve the
     equation.  Both take O(n^3) time and O(n^2) memory.  Quadratic when
     rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.  Iterates
@@ -50,15 +51,16 @@ a stop; X and every Q_k keep their bits.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
-solves, ``dpotrs`` (in ``cho_solve``) for W_0 = Q^{-1} A (``_Run.start_at_q``)
-and for the W of ``rho_ratio`` (``problem._candidate_w``), one Bunch-Kaufman
-``dsytrf`` with ``dtrtri`` and one ``dtrmm`` for the SDA step (``dsyconv`` and
-``dlaswp`` only after a row interchange), three GEMMs a step for the Stein doubling, and ``dgees`` and
-``dtgsyl`` for the Stein solves it gives up.  At the sizes of a scalar or n = 8
-solve, the dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve``
-costs several times the arithmetic.  Each routine is looked up on
-``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is called, never bound
-at import, so a tracer that wraps the module attribute sees it.
+solves (two for W_0 = Q^{-1} A in ``_Run.start_at_q``), ``dpotrs`` (in
+``cho_solve``) for the W of ``rho_ratio`` (``problem._candidate_w``), one
+Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and one ``dtrmm`` for the SDA step
+(``dsyconv`` and ``dlaswp`` only after a row interchange), three GEMMs and one
+dot product a step for the Stein doubling, and ``dgees`` and ``dtgsyl`` for
+the Stein solves it gives up.  At the sizes of a scalar or n = 8 solve, the
+dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several
+times the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
+``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
+that wraps the module attribute sees it.
 """
 
 import functools
@@ -125,8 +127,9 @@ STALL_RATIO = 0.999
 #: Relative excess of tr(X_k) over tr(Q) at which Newton stops as diverged.
 NEWTON_TRACE_RTOL = 1e-8
 
-#: Doubling steps (2^16 terms of the series) before solve_stein takes the Schur path.
-STEIN_DOUBLINGS = 16
+#: Doubling steps (2^15 terms of the series) before solve_stein takes the Schur path; with
+#: the stop on ||L^(2^j)||_F, 15 steps accept the same sums as 16 of a stop on the last term.
+STEIN_DOUBLINGS = 15
 
 #: solve_sda takes the residual of Q_k only once ||A_k||_F <= RESIDUAL_GATE sqrt(tol) ||Q||_F
 #: (or where Q_k can end the run otherwise); where the residual first passed on the
@@ -316,7 +319,8 @@ class _Run:
 
     def start_at_q(self) -> tuple[np.ndarray, np.ndarray]:
         """X_0 = Q and W_0 = Q^{-1} A; a Q that is not SPD raises NotPositiveDefinite."""
-        return self.Q.copy(), scipy.linalg.cho_solve((_cholesky(self.Q, "Q"), True), self.A)
+        C, trsm = _cholesky(self.Q, "Q"), scipy.linalg.blas.dtrsm  # the two of dpotrs
+        return self.Q.copy(), trsm(1.0, C, trsm(1.0, C, self.A, lower=1), lower=1, trans_a=1)
 
     def residual_and_w(self, X: np.ndarray) -> tuple[float, np.ndarray]:
         """Relative residual of X and W = X^{-1} A from one Cholesky factor;
@@ -331,7 +335,7 @@ class _Run:
     def report(self, iterations: int, converged: bool) -> SolveReport:
         X = np.array(self.X, dtype=float)
         try:
-            rate = estimate_rate([h.step_norm for h in self.history])
+            rate = estimate_rate([h.step_norm for h in self.history]) if self.history else None
         except InsufficientHistory:
             rate = None
         return SolveReport(
@@ -414,23 +418,23 @@ def _dgees_lwork(n: int) -> int:
 
 
 def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
-    """The doubling of :func:`solve_stein` (norms compared squared), or None."""
+    """The doubling of :func:`solve_stein`, or None."""
     s, C = _unit_scaled(C)
     eps = np.finfo(float).eps
+    bound = eps / (4.0 * (1.0 + np.vdot(L, L)))
     X, M = C, L
     with np.errstate(all="ignore"):
         for _ in range(STEIN_DOUBLINGS):
-            T = M.T @ X @ M
-            X = X + T
-            t, x = np.vdot(T, T), np.vdot(X, X)
-            if not math.isfinite(t + x):
+            X = X + M.T @ X @ M
+            M = M @ M
+            m = np.vdot(M, M)
+            if not math.isfinite(m):
                 return None
-            if t <= eps * eps * x and np.vdot(M, M) < 1.0:
+            if m <= bound:
                 X = symmetric_part(X)
                 LXL = L.T @ X @ L
                 ok = np.linalg.norm(X - LXL - C) <= eps * (np.linalg.norm(X) + np.linalg.norm(LXL))
                 return X * s if ok else None
-            M = M @ M
     return None
 
 
@@ -439,13 +443,17 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
     C / s, s the power of two of max |C|, X_0 = C, M_0 = L, X_{j+1} = X_j +
-    M_j^T X_j M_j and M_{j+1} = M_j^2, until ||M_j^T X_j M_j||_F <= eps
-    ||X_{j+1}||_F.  X is accepted only when ||M_j||_F < 1, which bounds
-    rho(L)^(2^j) and so makes X unique, and ||X - L^T X L - C||_F <= eps
-    (||X||_F + ||L^T X L||_F), the residual of a backward-stable solve.  When
-    a test fails, a norm is not finite or the sum has not settled in
-    :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so rho(L) >= 1,
-    a singular operator and a strongly non-normal L reach it.
+    M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)), until ||M_{j+1}||_F^2 <=
+    eps / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what
+    is left: X_inf - X_{j+1} = M_{j+1}^T X_inf M_{j+1}, the residual of
+    X_{j+1} is -M_{j+1}^T C M_{j+1} and ||C||_F <= (1 + ||L||_F^2) ||X||_F,
+    so both are below about eps ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds
+    rho(L)^(2^(j+1)) and so makes X unique.  X is accepted only when also
+    ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
+    backward-stable solve.  When that test fails, the norm is not finite or
+    the power is still large after :data:`STEIN_DOUBLINGS` steps, the Schur
+    solve below runs; so rho(L) >= 1, a singular operator and a strongly
+    non-normal L reach it.
 
     The Schur solve writes the equation, with R = X and Z = L^T X, as the pair
     L^T R - Z I = 0,  I R - Z L = C,

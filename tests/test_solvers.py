@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import min_eig, nonnormal_planted, scalar_x_plus
+from helpers import min_eig, nonnormal_planted, same_bits, scalar_x_plus
 from nmesolve import solvers
 from nmesolve.exceptions import (
     DimensionMismatch,
@@ -356,6 +356,28 @@ class TestStein:
         self.test_nonnormal_mixed_spectrum_n33()
         assert (33, 33) in calls
 
+    def test_doubling_accepts_the_same_scalars(self, monkeypatch):
+        # the stop on ||L^(2^j)||_F within STEIN_DOUBLINGS = 15 steps sums
+        # l = 1 - 2^-k for k <= 10 and leaves k >= 11 to the Schur solve, as
+        # 16 steps of the stop on the last term did
+        calls = []
+        dgees = scipy.linalg.lapack.dgees
+
+        def counting(*args, **kwargs):
+            if kwargs.get("lwork") != -1:  # not _dgees_lwork's workspace query
+                calls.append(1)
+            return dgees(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting)
+        for k in range(1, 16):
+            calls.clear()
+            ell = 1.0 - 2.0 ** -k
+            x = nme.solve_stein([[ell]], [[1.0]])[0, 0]
+            assert len(calls) == (k >= 11), k
+            if k <= 10:
+                exact = 1.0 / (1.0 - ell * ell)
+                assert abs(x - exact) <= 3e-15 * exact, k
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)
@@ -449,6 +471,32 @@ class TestNewton:
         rep = nme.solve_newton(problem)
         assert rep.converged
         assert np.linalg.norm(rep.X - X_plus) <= 1e-8 * np.linalg.norm(X_plus)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+    def test_no_schur_solve_on_bench_sized_cells(self, n, rho, monkeypatch):
+        calls = count_calls(monkeypatch, "dgees")
+        for seed in range(3):
+            rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+            rep = nme.solve_newton(rec.problem)
+            X_plus = rec.known_solution
+            assert rep.converged
+            assert np.linalg.norm(rep.X - X_plus) <= 1e-9 * np.linalg.norm(X_plus)
+        assert calls["dgees"] == 0
+
+    def test_stein_solves_go_through_the_module_global(self, monkeypatch):
+        # a tracer that wraps solvers.solve_stein sees every Stein solve
+        calls = []
+        stein = solvers.solve_stein
+
+        def counting(L, C):
+            calls.append(L.shape)
+            return stein(L, C)
+
+        monkeypatch.setattr(solvers, "solve_stein", counting)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=4))
+        rep = nme.solve_newton(rec.problem)
+        assert rep.converged and calls == [(8, 8)] * rep.iterations
 
     def test_schur_failure_is_typed(self, monkeypatch):
         # dgees info > 0 (no QR convergence) is a SolverFailure with Newton's
@@ -998,6 +1046,23 @@ class TestReports:
         rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=False))
         assert rep.history == [] and rep.iterates == []
         assert rep.estimated_rate is None
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_default_solve_fits_no_rate(self, solver, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solvers, "estimate_rate", calls.append)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=16))
+        rep = solver(rec.problem)
+        assert rep.converged and rep.estimated_rate is None and calls == []
+
+    @pytest.mark.parametrize("n", [1, 8, 33])
+    def test_w0_is_the_cho_solve_of_q(self, n):
+        # start_at_q applies dpotrs's two triangular solves to the factor of Q
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
+        A, Q = rec.problem.A, rec.problem.Q
+        X0, W0 = solvers._Run(A, Q, None, "test").start_at_q()
+        assert same_bits(X0, Q)
+        assert same_bits(W0, scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q, lower=True), A))
 
     @pytest.mark.parametrize("record_history", [False, True])
     def test_failure_report_counts_accepted_iterates(self, record_history):
