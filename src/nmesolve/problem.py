@@ -167,7 +167,7 @@ def _pow2_scale(m: float) -> float:
 def _unit_scaled(*Ms):
     """``(s, M_1 / s, M_2 / s, ...)``, s the ``_pow2_scale`` of the largest
     |entry| of the M_i: a test on them in these units cannot overflow."""
-    s = _pow2_scale(max(np.max(np.abs(M), initial=0.0) for M in Ms))
+    s = _pow2_scale(max(np.abs(M).max(initial=0.0) for M in Ms))
     return (s, *(M / s for M in Ms))
 
 
@@ -175,17 +175,17 @@ def fro_norm(M) -> float:
     """||M||_F of a real or complex M, also where the sum of squares
     overflows or underflows.
 
-    The value is ``np.linalg.norm(M)`` whenever that is positive and finite.
-    Only when it reads 0 or inf for a finite, nonzero M is M first divided by
-    ``_pow2_scale(max|M|)``, so norms stay homogeneous over the whole
-    exponent range.
+    It is sqrt |vdot(M, M)| over M in memory order (``np.vdot`` does not warn
+    on overflow), for a real M ``np.linalg.norm(M)`` bit for bit.  Only when it
+    reads 0, inf or NaN for a finite, nonzero M is M first divided by
+    ``_pow2_scale(max|M|)``, so norms stay homogeneous at every exponent.
     """
-    with np.errstate(over="ignore"):
-        val = float(np.linalg.norm(M))
-        if 0.0 < val < math.inf or not np.all(np.isfinite(M)):
-            return val
-        scale, Mu = _unit_scaled(M)
-        return scale * float(np.linalg.norm(Mu))
+    m = M.ravel("K")
+    val = math.sqrt(abs(np.vdot(m, m)))
+    if 0.0 < val < math.inf or not np.isfinite(m).all():
+        return val
+    scale, mu = _unit_scaled(m)
+    return scale * math.sqrt(abs(np.vdot(mu, mu)))
 
 
 def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
@@ -206,7 +206,9 @@ def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
         raise DimensionMismatch(f"{name} is not a matrix of the required kind: {exc}") from exc
     except OverflowError as exc:  # a Python integer beyond the float range
         overflow = f" ({exc})"
-    if overflow or (finite and not np.isfinite(M).all()):
+    # a finite vdot(M, M) shows M finite; only where it is not is M scanned
+    if overflow or (finite and not math.isfinite(abs(np.vdot(m := M.ravel("K"), m)))
+                    and not np.isfinite(m).all()):
         raise NonFiniteInput(f"{name} contains NaN/Inf{overflow}")
     return M
 
@@ -267,16 +269,17 @@ def _candidate_w(A: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
-                      q_scale: float = 1.0) -> tuple[Residual, np.ndarray, np.ndarray]:
+                      q_scale: float = 1.0
+                      ) -> tuple[Residual, np.ndarray, np.ndarray, np.ndarray]:
     """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
 
-    With X = C C^T and Y = C^{-1} A (one triangular solve), A^T X^{-1} A is
-    Y^T Y, which numpy forms as a symmetric rank-k update, so R is exactly
-    symmetric when Q and X are.  ``q_fro`` is ||Q / q_scale||_F for a power
-    of two ``q_scale``, and the relative norm is (||R||_F / q_scale) / q_fro,
-    which stays finite when ||Q||_F overflows.  Returns
-    ``(residual, C, Y)``, C in Fortran order as ``_cholesky`` returns it, so
-    W = X^{-1} A is one more solve C^T W = Y, the pair of solves
+    With X = C C^T and Y = C^{-1} A (one triangular solve), G = A^T X^{-1} A
+    is Y^T Y, which numpy forms as a symmetric rank-k update, so G is exactly
+    symmetric, and so is R when Q and X are.  ``q_fro`` is ||Q / q_scale||_F
+    for a power of two ``q_scale``, and the relative norm is (||R||_F /
+    q_scale) / q_fro, which stays finite when ||Q||_F overflows.  Returns
+    ``(residual, C, Y, G)``, C in Fortran order as ``_cholesky`` returns it,
+    so W = X^{-1} A is one more solve C^T W = Y, the pair of solves
     ``cho_solve`` makes.  An X without a Cholesky factor raises
     :class:`NotPositiveDefinite`; a residual that overflows or is NaN gives
     norms inf.
@@ -284,12 +287,13 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
     C = _cholesky(X, "X")
     Y = scipy.linalg.blas.dtrsm(1.0, C, A, lower=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        R = Q - X - Y.T @ Y
+        G = Y.T @ Y
+        R = Q - X - G
         fro = fro_norm(R)
         rel = fro / q_scale / q_fro
     if not math.isfinite(rel):
         fro = rel = math.inf
-    return Residual(matrix=R, fro_norm=fro, rel_norm=rel), C, Y
+    return Residual(matrix=R, fro_norm=fro, rel_norm=rel), C, Y, G
 
 
 def residual(problem: NmeProblem, X) -> Residual:

@@ -33,34 +33,35 @@ Four algorithms share one reporting contract:
 Each solver supplies only its update; one loop (``_Run.drive``) runs them
 all, so the stopping rule is shared, for fair benchmarking: relative residual
 ||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Every solver takes it from
-``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A and
-R = Q - X_k - Y^T Y.  Its norms, and those of doubling's own test
+``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A, G = Y^T Y and
+R = Q - X_k - G.  Its norms, and those of doubling's own test
 ||A_k||_F <= tol * ||A||_F, are taken over the power of two s of max |Q|, so
 none overflows.  An X_k without a Cholesky factor has residual inf, so
-``converged=True`` means a finite X that has a Cholesky factor.  The
-fixed-point and Newton solvers get W = X_k^{-1} A from the same factor with
-one more triangular solve.  When doubling's test passes alone the run raises
-:class:`~nmesolve.exceptions.Stagnated`.  Non-convergent runs, and runs whose
-X is not finite, raise a :class:`~nmesolve.exceptions.SolverFailure`
-subclass carrying the partial report.  Doubling takes the residual of Q_k
-only at k = max_iter, when its own test passes, when history or DEBUG
-logging is on, and once ||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol) ||Q||_F
-(or is not finite): the error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is large
-before that.  No residual feeds an iterate, so the gate can only delay
-a stop; X and every Q_k keep their bits.
+``converged=True`` means a finite X that has a Cholesky factor.  Fixed point
+and Newton take A^T X_k^{-1} A as that exactly symmetric G; Newton's
+L = X_k^{-1} A is one more triangular solve.  When doubling's test passes
+alone the run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent
+runs, and runs whose X is not finite, raise a
+:class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
+report.  Doubling takes the residual of Q_k only at k = max_iter, when its own
+test passes, when history or DEBUG logging is on, and once
+||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol) ||Q||_F (or is not finite): the
+error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is large before that.  No residual
+feeds an iterate, so the gate can only delay a stop; X and every Q_k keep
+their bits.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
-solves (two for W_0 = Q^{-1} A in ``_Run.start_at_q``), ``dpotrs`` (in
-``cho_solve``) for the W of ``rho_ratio`` (``problem._candidate_w``), one
-Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and one ``dtrmm`` for the SDA step
-(``dsyconv`` and ``dlaswp`` only after a row interchange), three GEMMs and one
-dot product a step for the Stein doubling, and ``dgees`` and ``dtgsyl`` for
-the Stein solves it gives up.  At the sizes of a scalar or n = 8 solve, the
-dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several
-times the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
-``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
-that wraps the module attribute sees it.
+solves, ``dpotrs`` (in ``cho_solve``) for the W of ``rho_ratio``
+(``problem._candidate_w``), one Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and
+one ``dtrmm`` for the SDA step (``dsyconv`` and ``dlaswp`` only after a row
+interchange), three ``dgemm`` and one dot product a step for the Stein
+doubling, and ``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At
+the sizes of a scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky``
+or ``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each routine
+is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is
+called, never bound at import, so a tracer that wraps the module attribute
+sees it.
 """
 
 import functools
@@ -135,6 +136,8 @@ STEIN_DOUBLINGS = 15
 #: (or where Q_k can end the run otherwise); where the residual first passed on the
 #: planted grid, normal and non-normal, ||A_k||_F was at most 0.53 sqrt(tol) ||Q||_F.
 RESIDUAL_GATE = 10.0
+
+_EPS = np.finfo(float).eps
 
 
 class Algorithm(Enum):
@@ -317,20 +320,22 @@ class _Run:
         except NotPositiveDefinite:
             return math.inf
 
-    def start_at_q(self) -> tuple[np.ndarray, np.ndarray]:
-        """X_0 = Q and W_0 = Q^{-1} A; a Q that is not SPD raises NotPositiveDefinite."""
-        C, trsm = _cholesky(self.Q, "Q"), scipy.linalg.blas.dtrsm  # the two of dpotrs
-        return self.Q.copy(), trsm(1.0, C, trsm(1.0, C, self.A, lower=1), lower=1, trans_a=1)
+    def start_at_q(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """X_0 = Q with its G, C and Y (see :meth:`factored_residual`); a Q
+        that is not SPD raises NotPositiveDefinite."""
+        C = _cholesky(self.Q, "Q")
+        Y = scipy.linalg.blas.dtrsm(1.0, C, self.A, lower=1)
+        return self.Q.copy(), Y.T @ Y, C, Y
 
-    def residual_and_w(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        """Relative residual of X and W = X^{-1} A from one Cholesky factor;
-        X_k must stay positive definite."""
+    def factored_residual(self, X: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Relative residual of X with G = A^T X^{-1} A, X = C C^T and Y = C^{-1} A
+        (``cholesky_residual``); X_k must stay positive definite."""
         try:
-            res, C, Y = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
+            res, C, Y, G = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
         except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite") from exc
-        return res.rel_norm, scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
+        return res.rel_norm, G, C, Y
 
     def report(self, iterations: int, converged: bool) -> SolveReport:
         X = np.array(self.X, dtype=float)
@@ -368,11 +373,11 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
     run = _Run(A, Q, config, "fixed-point")
 
     def steps():
-        X, W = run.start_at_q()
+        X, G, _, _ = run.start_at_q()
         yield X, None, 0.0, 0.0, None, False
         while True:
-            X = symmetric_part(Q - A.T @ W)
-            res, W = run.residual_and_w(X)
+            X = Q - G  # exactly symmetric, as Q and G are
+            res, G, _, _ = run.factored_residual(X)
             yield X, res, 0.0, 0.0, None, False
 
     return run.drive(steps())
@@ -418,24 +423,25 @@ def _dgees_lwork(n: int) -> int:
 
 
 def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
-    """The doubling of :func:`solve_stein`, or None."""
+    """The doubling of :func:`solve_stein`, or None.  A step is T = M^T X,
+    X <- T M + X in place (X starts as a copy of C / s) and M <- M M, three
+    ``dgemm`` on Fortran-ordered arrays, and one dot product for ||M||_F^2."""
     s, C = _unit_scaled(C)
-    eps = np.finfo(float).eps
-    bound = eps / (4.0 * (1.0 + np.vdot(L, L)))
-    X, M = C, L
+    bound = _EPS / (4.0 * (1.0 + np.vdot(L, L)))
+    X, M, gemm = np.array(C, order="F"), np.asfortranarray(L), scipy.linalg.blas.dgemm
+    for _ in range(STEIN_DOUBLINGS):
+        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=1)
+        M = gemm(1.0, M, M)
+        m = np.vdot(M, M)
+        if m <= bound or not math.isfinite(m):
+            break
+    if not m <= bound:
+        return None
     with np.errstate(all="ignore"):
-        for _ in range(STEIN_DOUBLINGS):
-            X = X + M.T @ X @ M
-            M = M @ M
-            m = np.vdot(M, M)
-            if not math.isfinite(m):
-                return None
-            if m <= bound:
-                X = symmetric_part(X)
-                LXL = L.T @ X @ L
-                ok = np.linalg.norm(X - LXL - C) <= eps * (np.linalg.norm(X) + np.linalg.norm(LXL))
-                return X * s if ok else None
-    return None
+        X = symmetric_part(X)
+        LXL = L.T @ X @ L
+        ok = fro_norm(X - LXL - C) <= _EPS * (fro_norm(X) + fro_norm(LXL))
+    return X * s if ok else None
 
 
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -443,9 +449,10 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
     C / s, s the power of two of max |C|, X_0 = C, M_0 = L, X_{j+1} = X_j +
-    M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)), until ||M_{j+1}||_F^2 <=
-    eps / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what
-    is left: X_inf - X_{j+1} = M_{j+1}^T X_inf M_{j+1}, the residual of
+    M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)), three ``dgemm`` that
+    write only a copy of C / s, until ||M_{j+1}||_F^2 <= eps / (4 (1 +
+    ||L||_F^2)).  The power the step forms anyway bounds what is left:
+    X_inf - X_{j+1} = M_{j+1}^T X_inf M_{j+1}, the residual of
     X_{j+1} is -M_{j+1}^T C M_{j+1} and ||C||_F <= (1 + ||L||_F^2) ||X||_F,
     so both are below about eps ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds
     rho(L)^(2^(j+1)) and so makes X unique.  X is accepted only when also
@@ -527,17 +534,18 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     # when X+ exists, Q >= X_k >= X+ for every k, so a trace above Q's
     # (beyond roundoff) means there is no X+ to descend to; traces are taken
     # of X / max diag(Q) and Q / max diag(Q), which cannot overflow for Q
-    q_max = float(np.max(np.diag(Q)))
-    tr_q = float(np.sum(np.diag(Q) / q_max))
+    q_max = float(Q.diagonal().max())
+    tr_q = float((Q.diagonal() / q_max).sum())
 
     def steps():
-        X, W = run.start_at_q()
+        X, G, C, Y = run.start_at_q()
         yield X, None, 0.0, 0.0, None, False
         while True:
-            # L_k = X_{k-1}^{-1} A is the W of the previous iterate
+            # L_k = X_{k-1}^{-1} A = C^{-T} Y; the right side Q - 2 G is exactly symmetric
+            W = scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
             try:
-                X = solve_stein(W, Q - 2.0 * W.T @ A)  # it symmetrizes C
+                X = solve_stein(W, Q - 2.0 * G)
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
@@ -545,11 +553,11 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             except SolverFailure as exc:
                 raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc
-            rise = float(np.sum(np.diag(X) / q_max)) / tr_q  # drive ignores its overflow
+            rise = float((X.diagonal() / q_max).sum()) / tr_q  # drive ignores its overflow
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
-            res, W = run.residual_and_w(X)
+            res, G, C, Y = run.factored_residual(X)
             yield X, res, rho_L, 0.0, None, False
 
     return run.drive(steps())

@@ -158,6 +158,32 @@ class TestResidual:
                     assert abs(nme.residual(rec.problem, X).rel_norm - ref) <= 1e-14, (seed, rho)
 
 
+class TestMatrixAndNorm:
+    @pytest.mark.parametrize("big", [1e200, 1e200 + 1e200j], ids=["real", "complex"])
+    def test_sum_of_squares_overflow_is_finite(self, big):
+        # vdot(M, M) overflows here; the reader scans M and accepts it, and
+        # fro_norm rescales, with no RuntimeWarning
+        M = np.full((3, 3), big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert problem_module._matrix(M, "M") is M
+            assert problem_module.fro_norm(M) == pytest.approx(3.0 * abs(big), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf)], ids=["last-nan", "inf-imag"])
+    def test_one_non_finite_entry_is_refused(self, bad):
+        for scale in (1.0, 1e200):
+            M = np.full((16, 16), scale, dtype=type(bad))
+            M[-1, -1] = bad
+            with pytest.raises(NonFiniteInput):
+                problem_module._matrix(M, "M")
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 64, 256])
+    def test_fro_norm_is_numpy_norm_bit_for_bit(self, n):
+        M = np.random.default_rng(n).standard_normal((n, n))
+        for F in (M, np.asfortranarray(M), M[:, ::2]):
+            assert problem_module.fro_norm(F) == np.linalg.norm(F)
+
+
 class TestCholesky:
     @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
     def test_matches_numpy_in_fortran_order(self, n):

@@ -24,7 +24,7 @@ from nmesolve.exceptions import (
     SolverFailure,
     Stagnated,
 )
-from nmesolve.problem import cholesky_residual, spectral_radius
+from nmesolve.problem import _cholesky, cholesky_residual, spectral_radius
 
 MATRIX_SOLVERS = [nme.solve_fixed_point, nme.solve_inversion_free,
                   nme.solve_newton, nme.solve_sda]
@@ -39,7 +39,7 @@ def count_calls(monkeypatch, *names):
     ``scipy.linalg.blas`` routines from now on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        module = scipy.linalg.blas if name == "dtrmm" else scipy.linalg.lapack
+        module = scipy.linalg.blas if name in ("dtrmm", "dgemm") else scipy.linalg.lapack
 
         def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -378,6 +378,24 @@ class TestStein:
                 exact = 1.0 / (1.0 - ell * ell)
                 assert abs(x - exact) <= 3e-15 * exact, k
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_doubling_is_three_dgemm_a_step_in_place(self, order, monkeypatch):
+        # X accumulates through dgemm's overwrite_c, in a copy: the arrays
+        # the caller passed keep their bits, in either memory order
+        rng = np.random.default_rng(7)
+        L = np.asarray(0.6 * rng.standard_normal((8, 8)) / np.sqrt(8.0), order=order)
+        C = np.asarray(self._random_symmetric(rng, 8), order=order)
+        L0, C0 = L.copy(), C.copy()
+        steps, M = 0, L
+        bound = np.finfo(float).eps / (4.0 * (1.0 + np.vdot(L, L)))
+        while steps == 0 or np.vdot(M, M) > bound:
+            M, steps = M @ M, steps + 1
+        calls = count_calls(monkeypatch, "dgemm")
+        X = solvers._stein_doubling(L, C)
+        assert calls["dgemm"] == 3 * steps and 2 <= steps < solvers.STEIN_DOUBLINGS
+        assert same_bits(L, L0) and same_bits(C, C0)
+        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)
@@ -497,6 +515,16 @@ class TestNewton:
         rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=4))
         rep = nme.solve_newton(rec.problem)
         assert rep.converged and calls == [(8, 8)] * rep.iterations
+
+    def test_stein_c_is_exactly_symmetric(self, monkeypatch):
+        # C_k = Q - 2 G with G = Y^T Y from the residual's Cholesky factor
+        seen = []
+        stein = solvers.solve_stein
+        monkeypatch.setattr(solvers, "solve_stein", lambda L, C: seen.append(C) or stein(L, C))
+        rec = nme.generate_problem(nme.GeneratorSpec(n=16, rho_target=0.99, seed=2))
+        rep = nme.solve_newton(rec.problem)
+        assert rep.converged and len(seen) == rep.iterations > 2
+        assert all(np.array_equal(C, C.T) for C in seen)
 
     def test_schur_failure_is_typed(self, monkeypatch):
         # dgees info > 0 (no QR convergence) is a SolverFailure with Newton's
@@ -1056,13 +1084,21 @@ class TestReports:
         assert rep.converged and rep.estimated_rate is None and calls == []
 
     @pytest.mark.parametrize("n", [1, 8, 33])
-    def test_w0_is_the_cho_solve_of_q(self, n):
-        # start_at_q applies dpotrs's two triangular solves to the factor of Q
+    def test_w0_is_the_cho_solve_of_q(self, n, monkeypatch):
+        # Newton's L_1 = W_0 is dpotrs's two triangular solves on the factor
+        # of Q, whose first solve Y gives G_0 = Y^T Y
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
         A, Q = rec.problem.A, rec.problem.Q
-        X0, W0 = solvers._Run(A, Q, None, "test").start_at_q()
-        assert same_bits(X0, Q)
-        assert same_bits(W0, scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q, lower=True), A))
+        X0, G0, C, Y = solvers._Run(A, Q, None, "test").start_at_q()
+        assert same_bits(X0, Q) and same_bits(C, _cholesky(Q, "Q"))
+        assert same_bits(Y, scipy.linalg.blas.dtrsm(1.0, C, A, lower=1))
+        assert same_bits(G0, Y.T @ Y) and np.array_equal(G0, G0.T)
+        seen = []
+        stein = solvers.solve_stein
+        monkeypatch.setattr(solvers, "solve_stein", lambda L, C: seen.append(L) or stein(L, C))
+        nme.solve_newton(rec.problem)
+        W0 = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q, lower=True), A)
+        assert same_bits(seen[0], W0)
 
     @pytest.mark.parametrize("record_history", [False, True])
     def test_failure_report_counts_accepted_iterates(self, record_history):

@@ -121,3 +121,24 @@ def test_one_spectral_ratio_route():
             if "np.linalg.solve" in texts[name]] == []
     assert texts["problem.py"].count("build_pencil(") == 1
     assert "def build_pencil(" in texts["problem.py"]
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_stein_doubling_loop_calls_dgemm_not_matmul():
+    # each doubling step is three dgemm with X accumulated in place; an @
+    # in the loop brings back numpy's dispatch and a fresh X every step
+    loops = [node for node in ast.walk(_function("solvers.py", "_stein_doubling"))
+             if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    assert [node for node in ast.walk(loops[0])
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
+
+
+def test_fro_norm_enters_no_errstate():
+    # np.vdot does not warn on overflow, so the norm needs no error context
+    assert "errstate" not in ast.unparse(_function("problem.py", "fro_norm"))
