@@ -175,17 +175,17 @@ def fro_norm(M) -> float:
     """||M||_F of a real or complex M, also where the sum of squares
     overflows or underflows.
 
-    It is sqrt |vdot(M, M)| over M in memory order (``np.vdot`` does not warn
-    on overflow), for a real M ``np.linalg.norm(M)`` bit for bit.  Only when it
-    reads 0, inf or NaN for a finite, nonzero M is M first divided by
-    ``_pow2_scale(max|M|)``, so norms stay homogeneous at every exponent.
+    It is sqrt vdot(m, m), m the real and imaginary parts of M in memory order
+    (``np.vdot`` does not warn on overflow); for a real M, ``np.linalg.norm(M)``
+    bit for bit.  Only when it reads 0, inf or NaN for a finite, nonzero M is m
+    first divided by ``_pow2_scale(max|m|)``, so norms stay homogeneous.
     """
-    m = M.ravel("K")
-    val = math.sqrt(abs(np.vdot(m, m)))
+    m = M.ravel("K").view(M.real.dtype)  # a complex |z| overflows where re, im do not
+    val = math.sqrt(np.vdot(m, m))
     if 0.0 < val < math.inf or not np.isfinite(m).all():
         return val
     scale, mu = _unit_scaled(m)
-    return scale * math.sqrt(abs(np.vdot(mu, mu)))
+    return scale * math.sqrt(np.vdot(mu, mu))
 
 
 def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:

@@ -169,6 +169,13 @@ class TestMatrixAndNorm:
             assert problem_module._matrix(M, "M") is M
             assert problem_module.fro_norm(M) == pytest.approx(3.0 * abs(big), rel=1e-15)
 
+    def test_complex_modulus_beyond_the_float_range(self):
+        # |z| overflows although re and im do not: the norm is inf, with no warning
+        M = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert problem_module.fro_norm(M) == math.inf
+
     @pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf)], ids=["last-nan", "inf-imag"])
     def test_one_non_finite_entry_is_refused(self, bad):
         for scale in (1.0, 1e200):
