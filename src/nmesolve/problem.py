@@ -20,7 +20,7 @@ symmetric.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,20 +102,22 @@ class NmeProblem:
 @dataclass(frozen=True)
 class SymplecticPencil:
     """A 2n-by-2n pair (M, L) as ``_matrix`` reads them, real exactly when its
-    arrays are real: a factor whose imaginary part is negligible
-    (:data:`REAL_RTOL`) is stored real; other layers read realness from dtype."""
+    arrays are real: a factor F with negligible imaginary part (:data:`REAL_RTOL`,
+    taken of F / s, s the power of two of its largest part) is stored real."""
 
     M: np.ndarray
     L: np.ndarray
+    _checked: InitVar[bool] = False  # True for build_pencil's factors: not read again
 
-    def __post_init__(self):
-        M, L = _matrix(self.M, "M"), _matrix(self.L, "L")
+    def __post_init__(self, _checked):
+        M, L = (self.M, self.L) if _checked else (_matrix(self.M, "M"), _matrix(self.L, "L"))
         if M.shape[0] != M.shape[1] or M.shape != L.shape or not M.size:
             raise DimensionMismatch("pencil factors must be non-empty, square and equally sized")
         for name, F in (("M", M), ("L", L)):
-            if np.iscomplexobj(F) and (np.max(np.abs(F.imag), initial=0.0)
-                                       <= REAL_RTOL * fro_norm(F)):
-                F = F.real
+            if np.iscomplexobj(F):
+                _, mu = _unit_scaled(F.ravel("K").view(float))  # real, imaginary, ...
+                if np.max(np.abs(mu[1::2]), initial=0.0) <= REAL_RTOL * fro_norm(mu):
+                    F = F.real
             object.__setattr__(self, name, F)
 
     @property
@@ -171,21 +173,26 @@ def _unit_scaled(*Ms):
     return (s, *(M / s for M in Ms))
 
 
+def _sum_sq(M) -> float:
+    """Sum of squares of a real M, one ``ddot`` over its memory: no copy, no warning."""
+    return scipy.linalg.blas.ddot(m, m) if (m := M.ravel("K")).size else 0.0
+
+
 def fro_norm(M) -> float:
     """||M||_F of a real or complex M, also where the sum of squares
     overflows or underflows.
 
-    It is sqrt vdot(m, m), m the real and imaginary parts of M in memory order
-    (``np.vdot`` does not warn on overflow); for a real M, ``np.linalg.norm(M)``
-    bit for bit.  Only when it reads 0, inf or NaN for a finite, nonzero M is m
-    first divided by ``_pow2_scale(max|m|)``, so norms stay homogeneous.
+    It is sqrt ``_sum_sq`` of the real and imaginary parts of M; for a real M,
+    ``np.linalg.norm(M)`` bit for bit.  Only when it reads 0, inf or NaN for a
+    finite, nonzero M is m first divided by ``_pow2_scale(max|m|)``, so norms
+    stay homogeneous.
     """
     m = M.ravel("K").view(M.real.dtype)  # a complex |z| overflows where re, im do not
-    val = math.sqrt(np.vdot(m, m))
+    val = math.sqrt(_sum_sq(m))
     if 0.0 < val < math.inf or not np.isfinite(m).all():
         return val
     scale, mu = _unit_scaled(m)
-    return scale * math.sqrt(np.vdot(mu, mu))
+    return scale * math.sqrt(_sum_sq(mu))
 
 
 def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
@@ -269,8 +276,7 @@ def _candidate_w(A: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
-                      q_scale: float = 1.0
-                      ) -> tuple[Residual, np.ndarray, np.ndarray, np.ndarray]:
+                      q_scale: float = 1.0) -> tuple:
     """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
 
     With X = C C^T and Y = C^{-1} A (one triangular solve), G = A^T X^{-1} A
@@ -278,22 +284,20 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
     symmetric, and so is R when Q and X are.  ``q_fro`` is ||Q / q_scale||_F
     for a power of two ``q_scale``, and the relative norm is (||R||_F /
     q_scale) / q_fro, which stays finite when ||Q||_F overflows.  Returns
-    ``(residual, C, Y, G)``, C in Fortran order as ``_cholesky`` returns it,
-    so W = X^{-1} A is one more solve C^T W = Y, the pair of solves
-    ``cho_solve`` makes.  An X without a Cholesky factor raises
+    ``(R, ||R||_F, relative norm, C, Y, G)``, C in Fortran order as
+    ``_cholesky`` returns it, so W = X^{-1} A is one more solve C^T W = Y, the
+    pair of solves ``cho_solve`` makes.  An X without a Cholesky factor raises
     :class:`NotPositiveDefinite`; a residual that overflows or is NaN gives
-    norms inf.
+    norms inf, with no warning where the caller ignores over and invalid.
     """
     C = _cholesky(X, "X")
     Y = scipy.linalg.blas.dtrsm(1.0, C, A, lower=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        G = Y.T @ Y
-        R = Q - X - G
-        fro = fro_norm(R)
-        rel = fro / q_scale / q_fro
+    G = Y.T @ Y
+    R = Q - X - G
+    rel = (fro := fro_norm(R)) / q_scale / q_fro
     if not math.isfinite(rel):
         fro = rel = math.inf
-    return Residual(matrix=R, fro_norm=fro, rel_norm=rel), C, Y, G
+    return R, fro, rel, C, Y, G
 
 
 def residual(problem: NmeProblem, X) -> Residual:
@@ -302,7 +306,8 @@ def residual(problem: NmeProblem, X) -> Residual:
     :class:`NotPositiveDefinite` when (X + X^T)/2 has no Cholesky factor."""
     Xs = _candidate(problem.A, X)
     s, Qu = _unit_scaled(problem.Q)
-    return cholesky_residual(problem.A, problem.Q, Xs, fro_norm(Qu), s)[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return Residual(*cholesky_residual(problem.A, problem.Q, Xs, fro_norm(Qu), s)[:3])
 
 
 def _pencil(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +316,8 @@ def _pencil(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
-    """Assemble the SSF-2 pencil of the problem (with P = 0), in real arrays."""
-    return SymplecticPencil(*_pencil(problem.A, problem.Q))
+    """Assemble the SSF-2 pencil of the checked problem (P = 0), in real arrays."""
+    return SymplecticPencil(*_pencil(problem.A, problem.Q), _checked=True)
 
 
 def canonical_skew(n: int) -> np.ndarray:

@@ -55,7 +55,7 @@ The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 solves, ``dpotrs`` (in ``cho_solve``) for the W of ``rho_ratio``
 (``problem._candidate_w``), one Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and
 one ``dtrmm`` for the SDA step (``dsyconv`` and ``dlaswp`` only after a row
-interchange), three ``dgemm`` and one dot product a step for the Stein
+interchange), three ``dgemm`` and one ``ddot`` a step for the Stein
 doubling, and ``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At
 the sizes of a scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky``
 or ``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each routine
@@ -92,7 +92,9 @@ from .problem import (
     _candidate_w,
     _cholesky,
     _matrix,
+    _pow2_scale,
     _square_real,
+    _sum_sq,
     _unit_scaled,
     cholesky_residual,
     fro_norm,
@@ -316,7 +318,7 @@ class _Run:
     def residual(self, X: np.ndarray) -> float:
         """Relative residual of X; inf when X is not positive definite or it overflows."""
         try:
-            return cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)[0].rel_norm
+            return cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)[2]
         except NotPositiveDefinite:
             return math.inf
 
@@ -331,11 +333,11 @@ class _Run:
         """Relative residual of X with G = A^T X^{-1} A, X = C C^T and Y = C^{-1} A
         (``cholesky_residual``); X_k must stay positive definite."""
         try:
-            res, C, Y, G = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
+            _, _, res, C, Y, G = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
         except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite") from exc
-        return res.rel_norm, G, C, Y
+        return res, G, C, Y
 
     def report(self, iterations: int, converged: bool) -> SolveReport:
         X = np.array(self.X, dtype=float)
@@ -423,44 +425,49 @@ def _dgees_lwork(n: int) -> int:
 
 
 def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
-    """The doubling of :func:`solve_stein`, or None.  A step is T = M^T X,
-    X <- T M + X in place (X starts as a copy of C / s) and M <- M M, three
-    ``dgemm`` on Fortran-ordered arrays, and one dot product for ||M||_F^2."""
-    s, C = _unit_scaled(C)
-    bound = _EPS / (4.0 * (1.0 + np.vdot(L, L)))
+    """The doubling of :func:`solve_stein` on float64 L and C of one square
+    shape, or None.  A step is T = M^T X, X <- T M + X in place (X starts as a
+    copy of the symmetric C / s) and M <- M M: three ``dgemm`` and one ``ddot``."""
+    c_max, l_sq = np.abs(C).max(), _sum_sq(L)
+    if not (math.isfinite(c_max) and math.isfinite(l_sq)):
+        L, C = _square_real(L, "L"), _square_real(C, "C")  # NaN/Inf raise; huge finite L passes
+    C = C / (s := _pow2_scale(c_max))
+    C = (C + C.T) * 0.5
+    bound = _EPS / (4.0 * (1.0 + l_sq))
     X, M, gemm = np.array(C, order="F"), np.asfortranarray(L), scipy.linalg.blas.dgemm
     for _ in range(STEIN_DOUBLINGS):
         X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=1)
         M = gemm(1.0, M, M)
-        m = np.vdot(M, M)
+        m = _sum_sq(M)
         if m <= bound or not math.isfinite(m):
             break
     if not m <= bound:
         return None
     with np.errstate(all="ignore"):
-        X = symmetric_part(X)
+        X += X.T  # X's symmetric part, in place
+        X *= 0.5
         LXL = L.T @ X @ L
-        ok = fro_norm(X - LXL - C) <= _EPS * (fro_norm(X) + fro_norm(LXL))
-    return X * s if ok else None
+        r, x, y = (math.sqrt(_sum_sq(F)) for F in (X - LXL - C, X, LXL))
+    return X * s if r <= _EPS * (x + y) < math.inf else None
 
 
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
 
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
-    C / s, s the power of two of max |C|, X_0 = C, M_0 = L, X_{j+1} = X_j +
-    M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)), three ``dgemm`` that
-    write only a copy of C / s, until ||M_{j+1}||_F^2 <= eps / (4 (1 +
-    ||L||_F^2)).  The power the step forms anyway bounds what is left:
+    C = (C / s + (C / s)^T) / 2, s the power of two of max |C|, X_0 = C,
+    M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
+    three ``dgemm`` that write only a copy of C, until ||M_{j+1}||_F^2 <= eps
+    / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what is left:
     X_inf - X_{j+1} = M_{j+1}^T X_inf M_{j+1}, the residual of
     X_{j+1} is -M_{j+1}^T C M_{j+1} and ||C||_F <= (1 + ||L||_F^2) ||X||_F,
     so both are below about eps ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds
     rho(L)^(2^(j+1)) and so makes X unique.  X is accepted only when also
     ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
-    backward-stable solve.  When that test fails, the norm is not finite or
-    the power is still large after :data:`STEIN_DOUBLINGS` steps, the Schur
-    solve below runs; so rho(L) >= 1, a singular operator and a strongly
-    non-normal L reach it.
+    backward-stable solve (norms by ``ddot``; one that overflows fails it).
+    When that test fails, the norm is not finite or the power is still large
+    after :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so
+    rho(L) >= 1, a singular operator and a strongly non-normal L reach it.
 
     The Schur solve writes the equation, with R = X and Z = L^T X, as the pair
     L^T R - Z I = 0,  I R - Z L = C,
@@ -483,14 +490,17 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
     Schur form, :class:`DimensionMismatch` when L is not a non-empty square
     real matrix or C not of its shape, and :class:`NonFiniteInput` when L or
-    C holds NaN/Inf.  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
+    C holds NaN/Inf (float64 arrays are read again only where max |C| or
+    ||L||_F^2 is not finite).  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
     """
-    L, C = _square_real(L, "L"), _square_real(C, "C")
-    if C.shape != L.shape:
-        raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
-    C = symmetric_part(C)
+    if not (type(L) is type(C) is np.ndarray and L.dtype == C.dtype == float and L.ndim == 2
+            and L.shape == C.shape and L.shape[0] == L.shape[1] > 0):
+        L, C = _square_real(L, "L"), _square_real(C, "C")
+        if C.shape != L.shape:
+            raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
     if (X := _stein_doubling(L, C)) is not None:
         return X
+    C = symmetric_part(C)
     n = L.shape[0]
     T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
     if info:

@@ -318,6 +318,23 @@ class TestBuildPencil:
         assert np.allclose(Q, rec.problem.Q)
         assert np.allclose(P, 0.0)
 
+    def test_checked_problem_is_not_read_again(self, monkeypatch):
+        # A and Q of an NmeProblem are checked, so the factors need no
+        # second finiteness scan; the pencil is the one the full constructor builds
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=5))
+        ref = nme.SymplecticPencil(*problem_module._pencil(rec.problem.A, rec.problem.Q))
+        calls = []
+        matrix = problem_module._matrix
+
+        def reading(M, name, *args, **kwargs):
+            calls.append(name)
+            return matrix(M, name, *args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "_matrix", reading)
+        pen = nme.build_pencil(rec.problem)
+        assert calls == []
+        assert same_bits(pen.M, ref.M) and same_bits(pen.L, ref.L)
+
 
 class TestSymplecticPencil:
     def test_zero_imaginary_part_stored_real(self):
@@ -337,6 +354,18 @@ class TestSymplecticPencil:
         pen = nme.SymplecticPencil(M=np.array([[1e200, 1e199j], [0.0, 1e200]]), L=np.eye(2))
         assert pen.M.dtype == np.complex128
         assert pen.M[0, 1] == 1e199j
+
+    def test_realness_test_is_homogeneous(self):
+        # ||M||_F overflows to inf here, so max |Im M| <= REAL_RTOL ||M||_F
+        # held and the imaginary part was dropped; on M / 2^1023 it does not hold
+        M = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pen = nme.SymplecticPencil(M=M, L=np.eye(2))
+            assert pen.M.dtype == np.complex128 and same_bits(pen.M, M)
+            # a negligible imaginary part at the same scale is still dropped
+            tiny = nme.SymplecticPencil(M=M.real + 1e290j * np.eye(2), L=np.eye(2))
+            assert tiny.M.dtype == np.float64 and same_bits(tiny.M, M.real)
 
     def test_list_factors_read_as_float_arrays(self):
         pen = nme.SymplecticPencil(M=[[1.0, 0.0], [2.0, -1.0]], L=[[0, 1], [1, 0]])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nmesolve as nme
 from helpers import min_eig, nonnormal_planted, same_bits, scalar_x_plus
+from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
     DimensionMismatch,
@@ -249,6 +250,46 @@ class TestStein:
     def test_non_finite_input(self, L, C):
         with pytest.raises(NonFiniteInput):
             nme.solve_stein(np.array(L), np.array(C))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["L", "C"])
+    def test_last_non_finite_entry_on_the_fast_path(self, name, bad, scale):
+        # float64 arrays are not scanned up front: max |C| and ||L||_F^2,
+        # which the doubling takes anyway, find the one bad entry, with no warning
+        rng = np.random.default_rng(3)
+        data = {"L": scale * 0.5 * rng.standard_normal((8, 8)) / np.sqrt(8.0),
+                "C": scale * self._random_symmetric(rng, 8)}
+        data[name][-1, -1] = bad
+        with pytest.raises(NonFiniteInput, match=f"{name} contains"):
+            nme.solve_stein(data["L"], data["C"])
+
+    @pytest.mark.parametrize("rho", [0.6, 1.3])
+    def test_asymmetric_c_is_its_symmetric_part(self, rho):
+        # doubling symmetrizes C / s, the Schur solve C; either gives the bits
+        # of a solve with symmetric_part(C)
+        rng = np.random.default_rng(9)
+        L = rho * rng.standard_normal((8, 8)) / np.sqrt(8.0)
+        C = rng.standard_normal((8, 8))
+        X = nme.solve_stein(L, C)
+        assert same_bits(X, nme.solve_stein(L, nme.symmetric_part(C)))
+        assert np.linalg.norm(X - L.T @ X @ L - nme.symmetric_part(C)) <= 1e-12 * np.linalg.norm(X)
+
+    def test_integer_list_and_fortran_inputs(self):
+        L, C = [[0, 1], [0, 0]], [[1, 2], [2, 3]]
+        X = nme.solve_stein(np.array(L, dtype=float), np.array(C, dtype=float))
+        assert np.array_equal(X, [[1.0, 2.0], [2.0, 4.0]])  # C + L^T C L
+        for args in ((L, C), (np.array(L), np.array(C)),
+                     (np.asfortranarray(L, dtype=float), np.asfortranarray(C, dtype=float))):
+            assert same_bits(nme.solve_stein(*args), X)
+
+    def test_finite_l_whose_norm_overflows(self):
+        # ||L||_F^2 = 2e308 is inf while every entry is finite: the reading
+        # passes it, the doubling gives up and the Schur solve returns X
+        L = np.diag([1e154, 1e154])
+        assert problem_module._sum_sq(L) == math.inf
+        X = nme.solve_stein(L, np.eye(2))
+        assert np.array_equal(X, np.diag([1.0, 1.0]) / (1.0 - 1e308))
 
     @pytest.mark.parametrize("L,C", [(0.5 * np.eye(3), np.eye(2)),
                                      (np.ones((2, 3)), np.eye(2))])
@@ -515,6 +556,21 @@ class TestNewton:
         rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=4))
         rep = nme.solve_newton(rec.problem)
         assert rep.converged and calls == [(8, 8)] * rep.iterations
+
+    def test_checked_data_is_not_read_again(self, monkeypatch):
+        # the Stein data are built from the checked problem, so solve_stein
+        # takes its fast path and no caller array is read in the loop
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=4))
+        calls = []
+        matrix = problem_module._matrix
+
+        def reading(M, name, *args, **kwargs):
+            calls.append(name)
+            return matrix(M, name, *args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "_matrix", reading)
+        rep = nme.solve_newton(rec.problem)
+        assert rep.converged and rep.iterations >= 3 and calls == []
 
     def test_stein_c_is_exactly_symmetric(self, monkeypatch):
         # C_k = Q - 2 G with G = Y^T Y from the residual's Cholesky factor

@@ -142,3 +142,28 @@ def test_stein_doubling_loop_calls_dgemm_not_matmul():
 def test_fro_norm_enters_no_errstate():
     # np.vdot does not warn on overflow, so the norm needs no error context
     assert "errstate" not in ast.unparse(_function("problem.py", "fro_norm"))
+
+
+def _errstate_sites(module: str) -> set:
+    """Qualified names of the functions in ``module`` that name np.errstate."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "errstate":
+                sites.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((SRC / module).read_text()), ())
+    return sites
+
+
+def test_errstate_only_at_the_outer_contexts():
+    # entering np.errstate costs about as much as a small BLAS call, so the
+    # solvers enter one per solve (drive) and one per accepted Stein sum;
+    # the residual kernel and the doubling steps run inside the drive's
+    assert _errstate_sites("solvers.py") <= {"_Run.drive", "_stein_doubling"}
+    assert _errstate_sites("problem.py") <= {"symmetric_part", "residual"}
