@@ -93,7 +93,7 @@ class Stagnated(SolverFailure):
 
 class Diverged(SolverFailure):
     """The relative residual grew by more than 1e6 from its running minimum,
-    or an iterate that met the stopping test is not finite."""
+    or an iterate that met the stopping test (or a Stein solution) is not finite."""
 
 
 class ShiftError(NmeError):

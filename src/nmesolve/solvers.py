@@ -56,12 +56,12 @@ solves, ``dpotrs`` (in ``cho_solve``) for the W of ``rho_ratio``
 (``problem._candidate_w``), one Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and
 one ``dtrmm`` for the SDA step (``dsyconv`` and ``dlaswp`` only after a row
 interchange), three ``dgemm`` and one ``ddot`` a step for the Stein
-doubling, and ``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At
-the sizes of a scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky``
-or ``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each routine
-is looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is
-called, never bound at import, so a tracer that wraps the module attribute
-sees it.
+doubling (``ddot`` also takes its scale ||C||_F and its check's norms), and
+``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At the sizes of a
+scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
+``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each routine is
+looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is
+called, never bound at import, so a tracer that wraps the module attribute sees it.
 """
 
 import functools
@@ -426,36 +426,41 @@ def _dgees_lwork(n: int) -> int:
 
 def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     """The doubling of :func:`solve_stein` on float64 L and C of one square
-    shape, or None.  A step is T = M^T X, X <- T M + X in place (X starts as a
-    copy of the symmetric C / s) and M <- M M: three ``dgemm`` and one ``ddot``."""
-    c_max, l_sq = np.abs(C).max(), _sum_sq(L)
-    if not (math.isfinite(c_max) and math.isfinite(l_sq)):
-        L, C = _square_real(L, "L"), _square_real(C, "C")  # NaN/Inf raise; huge finite L passes
-    C = C / (s := _pow2_scale(c_max))
-    C = (C + C.T) * 0.5
-    bound = _EPS / (4.0 * (1.0 + l_sq))
-    X, M, gemm = np.array(C, order="F"), np.asfortranarray(L), scipy.linalg.blas.dgemm
-    for _ in range(STEIN_DOUBLINGS):
-        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=1)
+    shape, or None.  A step is T = M^T X, X <- T M + X in place (the first
+    writes a copy of the symmetric C / s) and M <- M M: three ``dgemm``, one ``ddot``."""
+    L = M = np.asfortranarray(L)  # so both memory orders of L give the same bits
+    c_sq, l_sq = _sum_sq(C), _sum_sq(L)
+    if not (math.isfinite(c_sq) and math.isfinite(l_sq)):
+        L, C = _square_real(L, "L"), _square_real(C, "C")  # NaN/Inf raise; huge finite data passes
+    s = _pow2_scale(math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max())
+    H = C * (0.5 / s)  # exact away from subnormals, as s is a power of two
+    X = C = np.add(H, H.T, order="F")
+    bound, gemm = _EPS / (4.0 * (1.0 + l_sq)), scipy.linalg.blas.dgemm
+    for j in range(STEIN_DOUBLINGS):
+        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=j > 0)
         M = gemm(1.0, M, M)
         m = _sum_sq(M)
         if m <= bound or not math.isfinite(m):
             break
-    if not m <= bound:
+    if not (m <= bound and math.isfinite(_sum_sq(X))):  # so no op below can warn
         return None
-    with np.errstate(all="ignore"):
-        X += X.T  # X's symmetric part, in place
-        X *= 0.5
-        LXL = L.T @ X @ L
-        r, x, y = (math.sqrt(_sum_sq(F)) for F in (X - LXL - C, X, LXL))
-    return X * s if r <= _EPS * (x + y) < math.inf else None
+    X = np.add(X, X.T, order="F") * 0.5  # X's symmetric part
+    R = L.T @ X @ L
+    x, y = math.sqrt(_sum_sq(X)), math.sqrt(_sum_sq(R))
+    np.subtract(X.T, R, out=R)  # X, C symmetric: .T reads them in R's memory order
+    R -= C.T
+    if not math.sqrt(_sum_sq(R)) <= _EPS * (x + y) < math.inf:
+        return None
+    if not math.isfinite(x * s) and not math.isfinite(float(np.abs(X).max()) * s):
+        raise Diverged("the solution of the Stein equation overflows")
+    return np.multiply(X, s, out=X)
 
 
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
 
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
-    C = (C / s + (C / s)^T) / 2, s the power of two of max |C|, X_0 = C,
+    C = (C / s + (C / s)^T) / 2, s the power of two of ||C||_F, X_0 = C,
     M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
     three ``dgemm`` that write only a copy of C, until ||M_{j+1}||_F^2 <= eps
     / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what is left:
@@ -464,8 +469,8 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     so both are below about eps ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds
     rho(L)^(2^(j+1)) and so makes X unique.  X is accepted only when also
     ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
-    backward-stable solve (norms by ``ddot``; one that overflows fails it).
-    When that test fails, the norm is not finite or the power is still large
+    backward-stable solve, taken once a ``ddot`` finds ||X||_F^2 finite.
+    When that test fails, a norm is not finite or the power is still large
     after :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so
     rho(L) >= 1, a singular operator and a strongly non-normal L reach it.
 
@@ -488,9 +493,10 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     most 1e-10 times the largest (some pair of eigenvalues of L has product
     one) or when ``dtgsyl`` reports close eigenvalues,
     :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
-    Schur form, :class:`DimensionMismatch` when L is not a non-empty square
-    real matrix or C not of its shape, and :class:`NonFiniteInput` when L or
-    C holds NaN/Inf (float64 arrays are read again only where max |C| or
+    Schur form, :class:`~nmesolve.exceptions.Diverged` when X overflows,
+    :class:`DimensionMismatch` when L is not a non-empty square real matrix
+    or C not of its shape, and :class:`NonFiniteInput` when L or C holds
+    NaN/Inf (float64 arrays are read again only where ||C||_F^2 or
     ||L||_F^2 is not finite).  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
     """
     if not (type(L) is type(C) is np.ndarray and L.dtype == C.dtype == float and L.ndim == 2
@@ -500,13 +506,14 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
             raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
     if (X := _stein_doubling(L, C)) is not None:
         return X
-    C = symmetric_part(C)
+    s, C = _unit_scaled(symmetric_part(C))
     n = L.shape[0]
     T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
     if info:
         raise SolverFailure(f"dgees found no Schur form of L (info {info})")
-    lam = wr + 1j * wi
-    gaps = np.abs(1.0 - np.outer(lam, lam.conj()))
+    t = _pow2_scale(max(1.0, float(np.hypot(wr, wi).max())))  # the gaps / t^2 cannot overflow
+    lam = wr / t + 1j * (wi / t)
+    gaps = np.abs(1.0 / t / t - np.outer(lam, lam.conj()))
     singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
     if gaps.min() <= 1e-10 * gaps.max():
         raise SingularSteinOperator(singular)
@@ -527,7 +534,10 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
         T, G, np.zeros((n, n)), np.eye(n), S, U.T @ C @ W)
     if info > 0:
         raise SingularSteinOperator(singular)
-    return symmetric_part(U @ R @ W.T / scale)
+    if not (scale and math.isfinite(_sum_sq(R) / scale / scale)
+            and math.isfinite(float(np.abs(X := U @ R @ W.T / scale).max()) * s)):
+        raise Diverged("the solution of the Stein equation overflows")
+    return symmetric_part(X * s)
 
 
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -554,12 +564,12 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
             # L_k = X_{k-1}^{-1} A = C^{-T} Y; the right side Q - 2 G is exactly symmetric
             W = scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
-            try:
-                X = solve_stein(W, Q - 2.0 * G)
+            try:  # C = Q - 2 G in G's buffer: G is not read again
+                X = solve_stein(W, np.subtract(Q, np.multiply(G, 2.0, out=G), out=G))
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
-            except NonFiniteInput as exc:
+            except (NonFiniteInput, Diverged) as exc:
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             except SolverFailure as exc:
                 raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc

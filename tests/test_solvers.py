@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ class TestStein:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["L", "C"])
     def test_last_non_finite_entry_on_the_fast_path(self, name, bad, scale):
-        # float64 arrays are not scanned up front: max |C| and ||L||_F^2,
+        # float64 arrays are not scanned up front: ||C||_F^2 and ||L||_F^2,
         # which the doubling takes anyway, find the one bad entry, with no warning
         rng = np.random.default_rng(3)
         data = {"L": scale * 0.5 * rng.standard_normal((8, 8)) / np.sqrt(8.0),
@@ -290,6 +291,58 @@ class TestStein:
         assert problem_module._sum_sq(L) == math.inf
         X = nme.solve_stein(L, np.eye(2))
         assert np.array_equal(X, np.diag([1.0, 1.0]) / (1.0 - 1e308))
+
+    @pytest.mark.parametrize("rho", [0.9, 1.3])
+    def test_power_of_two_scaling_and_memory_order_keep_bits(self, rho):
+        # X / s is formed from C / s, s a power of two of ||C||_F, so scaling C
+        # by 2^k scales X by 2^k exactly, on the doubling and the Schur path;
+        # the doubling and its check take L in Fortran order, so the memory
+        # order changes no bit (at rho = 0.9 a C-ordered L once made the
+        # check's L^T X L differ in the last bits and flip its decision)
+        rng = np.random.default_rng(0)
+        L = rho * rng.standard_normal((32, 32)) / np.sqrt(32.0)
+        C = self._random_symmetric(rng, 32)
+        X = nme.solve_stein(L, C)
+        for k in (-600, -1, 1, 600):
+            for lo in "CF":
+                for co in "CF":
+                    L_o, C_o = np.asarray(L, order=lo), np.asarray(2.0 ** k * C, order=co)
+                    assert same_bits(nme.solve_stein(L_o, C_o), 2.0 ** k * X), (k, lo, co)
+
+    @pytest.mark.parametrize("L,X", [
+        ([[0.0, 2e154], [0.0, 0.0]], None),  # X = diag(1, 1 + 4e308)
+        ([[0.5, 2e154], [0.0, 0.25]], None),
+        (np.diag([1.5e154, -1.5e154]), -np.eye(2) / 1.5e154 / 1.5e154),  # 1 / (1 - 2.25e308)
+        (np.full((3, 3), 1e154), SingularSteinOperator),  # gaps from 1 to 9e308
+    ])
+    def test_huge_l_ends_in_a_finite_x_or_a_typed_error(self, L, X):
+        # a solution that overflows raises Diverged rather than coming back
+        # as NaN, and the Schur solve's eigenvalue gaps are taken over the
+        # power of two of max |lambda|, so lambda_i lambda_j cannot overflow
+        L = np.array(L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if X is None:
+                with pytest.raises(Diverged, match="overflows"):
+                    nme.solve_stein(L, np.eye(L.shape[0]))
+            elif X is SingularSteinOperator:
+                with pytest.raises(SingularSteinOperator):
+                    nme.solve_stein(L, np.eye(L.shape[0]))
+            else:
+                assert np.allclose(nme.solve_stein(L, np.eye(L.shape[0])), X, rtol=1e-12, atol=0.0)
+
+    def test_overflow_is_read_per_entry(self):
+        # ||X||_F overflows while every entry of X fits, on the doubling path
+        # (X = C) and on the Schur path (X = -C / 3); a solution 5e308 does
+        # not fit and raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = 1e308 * np.eye(4)
+            assert same_bits(nme.solve_stein(np.zeros((4, 4)), C), C)
+            X = nme.solve_stein(2.0 * np.eye(16), 1.7e308 * np.eye(16))
+            assert np.allclose(X, -1.7e308 / 3.0 * np.eye(16), rtol=1e-14, atol=0.0)
+            with pytest.raises(Diverged, match="overflows"):
+                nme.solve_stein(0.9 * np.eye(4), C)
 
     @pytest.mark.parametrize("L,C", [(0.5 * np.eye(3), np.eye(2)),
                                      (np.ones((2, 3)), np.eye(2))])
