@@ -13,10 +13,9 @@ function psi(lambda) = Q + lambda A + lambda^{-1} A^T: a positive definite
 solution exists iff psi is positive semidefinite on the unit circle, and the
 pencil's unimodular eigenvalues locate the points where psi is singular.
 
-All symmetric intermediates are re-symmetrized as (X + X^T)/2: roundoff
-destroys exact symmetry and downstream factorizations assume it.  The
-residual needs no such step: ``cholesky_residual`` forms it exactly
-symmetric.
+Symmetric intermediates stay exactly symmetric, as downstream factorizations
+assume: ``cholesky_residual`` and the doubling step form them so, and other
+products are re-symmetrized as (X + X^T)/2.
 """
 
 import math
@@ -563,9 +562,8 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
 
 
 def spectral_radius(W: np.ndarray) -> float:
-    """max |eig(W)|, zero for an empty matrix."""
-    eigs = np.linalg.eigvals(W)
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    """max |eig(W)|, zero for an empty matrix, NaN for a W that is not finite."""
+    return float(np.abs(np.linalg.eigvals(W)).max(initial=0.0)) if np.isfinite(W).all() else math.nan
 
 
 def spectral_radius_ratio(problem: NmeProblem, X) -> float:

@@ -53,9 +53,9 @@ their bits.
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
 solves, ``dpotrs`` (in ``cho_solve``) for the W of ``rho_ratio``
-(``problem._candidate_w``), one Bunch-Kaufman ``dsytrf`` with ``dtrtri`` and
-one ``dtrmm`` for the SDA step (``dsyconv`` and ``dlaswp`` only after a row
-interchange), three ``dgemm`` and one ``ddot`` a step for the Stein
+(``problem._candidate_w``), a Bunch-Kaufman ``dsytrf``, ``dtrtri``, ``dtrmm``,
+``dgemm`` and two ``dsyrk`` a doubling step (``dsyconv`` and ``dlaswp`` only
+after a row interchange), three ``dgemm`` and one ``ddot`` a step for the Stein
 doubling (``ddot`` also takes its scale ||C||_F and its check's norms), and
 ``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At the sizes of a
 scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
@@ -140,6 +140,7 @@ STEIN_DOUBLINGS = 15
 RESIDUAL_GATE = 10.0
 
 _EPS = np.finfo(float).eps
+_PANEL_UPPER = ~np.tri(32, dtype=bool)  # _mirrored copies by panels: their reads stay in cache
 
 
 class Algorithm(Enum):
@@ -618,6 +619,15 @@ def _spd_half_solve(D: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray
     return scipy.linalg.blas.dtrmm(1.0, L_inv, B, lower=1, diag=1, overwrite_b=1), d
 
 
+def _mirrored(H: np.ndarray) -> np.ndarray:
+    """H^T, exactly symmetric, once the lower triangle of a Fortran-ordered H is copied up."""
+    for j in range(0, H.shape[0], 32):
+        B = H[j:j + 32, j:j + 32]
+        np.copyto(B, B.T, where=_PANEL_UPPER[:len(B), :len(B)])
+        H[j:j + 32, j + 32:] = H[j + 32:, j:j + 32].T
+    return H.T
+
+
 def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
     """Structure-preserving doubling from A_0 = A, Q_0 = Q, P_0 = 0.
 
@@ -626,18 +636,20 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
     The solution is the limit of Q_k.  Each step factors D = Q_k - P_k =
-    P L Lam L^T P^T once (also the test that D is SPD) and forms each update
-    as U_i^T Lam^{-1} U_j from [U_1, U_2] = L^{-1} P^T [A_k, A_k^T] (see
-    :func:`_spd_half_solve`).  With history on, each
-    record stores ||A_k||_F (aux1) and the minimum eigenvalue of Q_k - P_k
-    (aux2); the latter stays positive whenever a solution exists.  Raises
+    P L Lam L^T P^T once, also the test that D is SPD (:func:`_spd_half_solve`),
+    and takes the updates as blocks of W^T W, [W_1, W_2] = Lam^{-1/2} L^{-1} P^T
+    [A_k, A_k^T]: W_2^T W_1 by ``dgemm``, Q_k - W_1^T W_1 and P_k + W_2^T W_2 by
+    lower ``dsyrk`` copied to the upper triangle.  At n = 1 it stays sqrt-free,
+    t = A_k (A_k / d): W^T W misses the dyadic critical closed forms by 1.1e-8.
+    With history on, each record stores ||A_k||_F (aux1) and min-eig(Q_k - P_k)
+    (aux2; NaN if not finite), positive whenever a solution exists.  Raises
     :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "sda")
 
     def steps():
-        Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros_like(Q)
+        Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros(Q.shape)
         n, cfg = A.shape[0], run.config
         a_scale = fro_norm(A / run.q_scale)
         a_gate = RESIDUAL_GATE * math.sqrt(cfg.tol) * run.q_fro
@@ -645,21 +657,21 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         res = None if math.inf > a_scale > a_gate and not run.every_step else run.residual(Qk)
         yield Qk, res, 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
         while True:
-            # LDL^T, not Cholesky: it is sqrt-free, so the 1x1 critical closed
-            # forms with dyadic data stay exact (a Cholesky step misses them by
-            # 1.1e-8).  Q_k and P_k are exactly symmetric, so Q_k - P_k is too;
-            # [A_k, A_k^T] is built in Fortran order for the kernel to overwrite
+            # Q_k - P_k is exactly symmetric; [A_k, A_k^T] is Fortran-ordered for dtrmm
             try:
                 V, d = _spd_half_solve(Qk - Pk, np.concatenate((Ak.T, Ak)).T, "Q_k - P_k")
             except NotPositiveDefinite as exc:
-                raise run.failure(
-                    DoublingBreakdown,
-                    f"Q_k - P_k lost positive definiteness at iteration {run.k}") from exc
-            U1, U2, S = V[:, :n], V[:, n:], V / d[:, None]
-            Ak, Qk, Pk = (U2.T @ S[:, :n], symmetric_part(Qk - U1.T @ S[:, :n]),
-                          symmetric_part(Pk + U2.T @ S[:, n:]))
-            gap_min = (float(np.linalg.eigvalsh(symmetric_part(Qk - Pk)).min())
-                       if cfg.record_history else 0.0)
+                raise run.failure(DoublingBreakdown, "Q_k - P_k lost positive definiteness "
+                                  f"at iteration {run.k}") from exc
+            if n == 1:  # sqrt-free, so the dyadic closed forms stay exact (see the docstring)
+                Ak, Qk, Pk = (t := Ak * (Ak / d)), Qk - t, Pk + t
+            else:  # W = Lam^(-1/2) V; Q_k.T and P_k.T are Fortran-ordered, as dsyrk wants
+                W, blas = np.divide(V, np.sqrt(d)[:, None], out=V), scipy.linalg.blas
+                Ak = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1)
+                Qk = _mirrored(blas.dsyrk(-1.0, W[:, :n], beta=1.0, c=Qk.T, trans=1, lower=1))
+                Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))
+            gap_min = (float(np.linalg.eigvalsh(D).min()) if np.isfinite(D := Qk - Pk).all()
+                       else math.nan) if cfg.record_history else 0.0
             a_norm = fro_norm(Ak)
             stop = a_norm / run.q_scale <= cfg.tol * a_scale
             far = math.inf > a_norm / run.q_scale > a_gate

@@ -37,11 +37,11 @@ def scalar(value):
 
 
 def count_calls(monkeypatch, *names):
-    """Calls made, by name, to the named ``scipy.linalg.lapack`` or
-    ``scipy.linalg.blas`` routines from now on."""
+    """Calls made, by name, to the named ``scipy.linalg.blas`` routines (a
+    name that module has) or ``scipy.linalg.lapack`` routines from now on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        module = scipy.linalg.blas if name in ("dtrmm", "dgemm") else scipy.linalg.lapack
+        module = scipy.linalg.blas if hasattr(scipy.linalg.blas, name) else scipy.linalg.lapack
 
         def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -771,16 +771,45 @@ class TestSda:
         for M, Qk in zip(calls["dpotrf"], qs):
             assert np.array_equal(M, Qk)
 
-    def test_one_dsytrf_and_dtrmm_per_step(self, monkeypatch):
+    def test_one_factor_and_three_products_per_step(self, monkeypatch):
         # the step applies half of D's factor: one triangular product, no
         # transposed product and no back-permutation; Bunch-Kaufman makes no
-        # interchange on this problem, so dsyconv and dlaswp never run
+        # interchange on this problem, so dsyconv and dlaswp never run.  The
+        # updates are one dgemm and two dsyrk whose triangles are copied, so
+        # no symmetric_part runs
         rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.9, seed=19))
-        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm")
+        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm", "dgemm", "dsyrk")
+        symmetrized = []
+        for module in (solvers, problem_module):
+            monkeypatch.setattr(module, "symmetric_part", symmetrized.append)
         rep = nme.solve_sda(rec.problem)
         assert rep.converged and rep.iterations >= 4
         assert calls == {"dsytrf": rep.iterations, "dsyconv": 0, "dlaswp": 0,
-                         "dtrmm": rep.iterations}
+                         "dtrmm": rep.iterations, "dgemm": rep.iterations,
+                         "dsyrk": 2 * rep.iterations}
+        assert symmetrized == []
+
+    @pytest.mark.parametrize("interchange", [False, True])
+    def test_step_is_the_blocks_of_the_lambda_form(self, interchange):
+        # one step against U_i^T Lam^{-1} U_j from the same factor, with
+        # [U_1, U_2] = L^{-1} P^T [A, A^T]; Q_1 and P_1 exactly symmetric
+        n = 16
+        if interchange:
+            Q, A = TestSpdSolve.spd_with_interchanges(n, seed=4)
+        else:
+            rng = np.random.default_rng(4)
+            M = rng.standard_normal((n, n))
+            Q, A = M @ M.T + n * np.eye(n), rng.standard_normal((n, n))
+        A *= 0.1 * math.sqrt(min_eig(Q)) / np.linalg.norm(A, 2)
+        ipiv = scipy.linalg.lapack.dsytrf(Q, lower=1)[1]
+        assert np.array_equal(ipiv, np.arange(1, n + 1)) != interchange
+        rep = nme.solve_sda(nme.new_problem(A, Q), nme.SolverConfig(record_history=True))
+        A1, Q1, P1 = rep.aux_iterates["A"][1], rep.iterates[1], rep.aux_iterates["P"][1]
+        V, d = solvers._spd_half_solve(Q.copy(), np.concatenate((A, A.T), axis=1), "D")
+        U1, U2, S = V[:, :n], V[:, n:], V / d[:, None]
+        for got, ref in ((A1, U2.T @ S[:, :n]), (Q1, Q - U1.T @ S[:, :n]), (P1, U2.T @ S[:, n:])):
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.array_equal(Q1, Q1.T) and np.array_equal(P1, P1.T)
 
     def test_residual_only_where_it_can_end_the_run(self, monkeypatch):
         # the early steps of a quadratic run skip the residual; history
@@ -1255,6 +1284,23 @@ class TestReports:
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.5, seed=19))
         assert solver(rec.problem).converged
+
+    @pytest.mark.parametrize("solver,A,Q", [
+        (nme.solve_sda, 1e200 * np.random.default_rng(0).standard_normal((3, 3)), np.eye(3)),
+        (nme.solve_newton, 1e180 * np.array([[1.0, 2.0], [3.0, 4.0]]), 1e-214 * np.eye(2)),
+    ], ids=["sda", "newton"])
+    def test_history_does_not_change_the_failure(self, solver, A, Q):
+        # Q_k - P_k and Newton's L_k overflow: their history-only diagnostics
+        # read NaN rather than end the run in eigvalsh's or eigvals' LinAlgError
+        problem, outcomes = nme.new_problem(A, Q), []
+        for record_history in (False, True):
+            with pytest.raises(NmeError) as info:
+                solver(problem, nme.SolverConfig(record_history=record_history))
+            outcomes.append((type(info.value), info.value.iteration))
+        assert outcomes[0] == outcomes[1] == (
+            (DoublingBreakdown, 2) if solver is nme.solve_sda else (Diverged, 1))
+        assert math.isnan(info.value.report.history[-1].aux2 if solver is nme.solve_sda
+                          else spectral_radius(np.full((2, 2), math.inf)))
 
     @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
     def test_history_does_not_change_the_arithmetic(self, solver):

@@ -139,6 +139,15 @@ def test_stein_doubling_loop_calls_dgemm_not_matmul():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
 
 
+def test_doubling_step_has_no_matmul_and_no_symmetrization():
+    # the step's products are one dgemm and two dsyrk whose lower triangles
+    # are copied up; an @ or a symmetric_part brings back the 3n^3 step
+    tree = _function("solvers.py", "solve_sda")
+    assert [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
+    assert "symmetric_part(" not in ast.unparse(tree)
+
+
 def test_fro_norm_enters_no_errstate():
     # np.vdot does not warn on overflow, so the norm needs no error context
     assert "errstate" not in ast.unparse(_function("problem.py", "fro_norm"))
