@@ -567,7 +567,7 @@ def spectral_radius(W: np.ndarray) -> float:
 
 
 def spectral_radius_ratio(problem: NmeProblem, X) -> float:
-    """rho(X^{-1} A) for an SPD candidate X."""
+    """rho(X^{-1} A) for an SPD candidate X; NaN where X^{-1} A overflows."""
     return spectral_radius(_candidate_w(problem.A, X)[1])
 
 

@@ -226,7 +226,7 @@ class SolveReport:
 
     @functools.cached_property
     def rho_ratio(self) -> float:
-        """rho(X^{-1} A); NaN when X is not finite or not SPD, or A is unknown."""
+        """rho(X^{-1} A); NaN when X is not finite or not SPD, X^{-1} A overflows or A is unknown."""
         if self.A is None:
             return math.nan
         try:

@@ -1374,6 +1374,14 @@ class TestReports:
         rep = nme.SolveReport(X=np.diag([x, 1.0]), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)
 
+    def test_rho_ratio_of_overflowing_w_is_nan(self):
+        # X is finite and SPD, but X^{-1} A = 1e600 overflows: NaN, not
+        # eigvals' LinAlgError
+        X, A = np.diag([1e-300, 1.0]), 1e300 * np.eye(2)
+        rep = nme.SolveReport(X=X, iterations=0, converged=False, A=A)
+        assert math.isnan(rep.rho_ratio)
+        assert math.isnan(nme.spectral_radius_ratio(nme.new_problem(A, np.eye(2)), X))
+
     def test_rho_ratio_of_partial_report(self):
         p = nme.new_problem(scalar(1.0), scalar(2.0))
         with pytest.raises(MaxIterationsExceeded) as info:
