@@ -10,6 +10,7 @@ examples alone cannot provide.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,10 @@ class GeneratorSpec:
     conditioning: float = 10.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError("n must be a positive integer")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
         if not 0.0 <= self.rho_target <= 1.0:
             raise ValueError("rho_target must lie in [0, 1]")
         if not 1.0 <= self.conditioning < np.inf:

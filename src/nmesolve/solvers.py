@@ -51,22 +51,23 @@ feeds an iterate, so the gate can only delay a stop; X and every Q_k keep
 their bits.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
-``problem._cholesky``) for every Cholesky factor, ``dtrsm`` for the triangular
-solves, ``dpotrs`` (in ``cho_solve``) for the W of ``rho_ratio``
-(``problem._candidate_w``), a Bunch-Kaufman ``dsytrf``, ``dtrtri``, ``dtrmm``,
-``dgemm`` and two ``dsyrk`` a doubling step (``dsyconv`` and ``dlaswp`` only
-after a row interchange), three ``dgemm`` and one ``ddot`` a step for the Stein
-doubling (``ddot`` also takes its scale ||C||_F and its check's norms), and
-``dgees`` and ``dtgsyl`` for the Stein solves it gives up.  At the sizes of a
-scalar or n = 8 solve, the dispatch of ``np.linalg.cholesky`` or
-``scipy.linalg.lu_solve`` costs several times the arithmetic.  Each routine is
-looked up on ``scipy.linalg.lapack`` or ``scipy.linalg.blas`` when it is
-called, never bound at import, so a tracer that wraps the module attribute sees it.
+``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
+included, ``dtrsm`` for the triangular solves, ``dpotrs`` (in ``cho_solve``)
+for the W of ``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``,
+``dgemm`` and two ``dsyrk`` a doubling step, three ``dgemm`` and one ``ddot``
+a step for the Stein doubling (``ddot`` also takes its scale ||C||_F and its
+check's norms), and ``dgees`` and ``dtgsyl`` for the Stein solves it gives
+up.  At the sizes of a scalar or n = 8 solve, the dispatch of
+``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several times the
+arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
+``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
+that wraps the module attribute sees it.
 """
 
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,10 +174,10 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0 <= self.min_iter <= self.max_iter:
-            raise ValueError("min_iter must lie in [0, max_iter]")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
+        if not (isinstance(self.min_iter, numbers.Integral) and 0 <= self.min_iter <= self.max_iter):
+            raise ValueError("min_iter must be an integer in [0, max_iter]")
 
 
 @dataclass(frozen=True)
@@ -584,41 +585,6 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     return run.drive(steps())
 
 
-@functools.lru_cache(maxsize=None)
-def _dsytrf_lwork(n: int) -> int:
-    """Optimal workspace of the lower ``dsytrf`` for an n-by-n matrix, from a
-    workspace query; the default workspace of n runs it unblocked."""
-    return max(int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0]), 1)
-
-
-def _spd_half_solve(D: np.ndarray, B: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """V = L^{-1} P^T B and d = diag(Lam) from one Bunch-Kaufman factorization
-    D = P L Lam L^T P^T (``dsytrf`` of the lower triangle) of a symmetric D
-    that must be SPD, so that C^T D^{-1} B = (L^{-1} P^T C)^T Lam^{-1} V; a
-    Fortran-ordered B is overwritten by V.
-
-    It is also the SPD test: a Bunch-Kaufman 2x2 pivot has a negative
-    determinant, so by Sylvester's law of inertia D is SPD exactly when every
-    pivot is 1x1 and positive.  Otherwise it raises
-    :class:`NotPositiveDefinite` naming D, before ``dsyconv`` or ``dlaswp``
-    sees the pivots.  It is sqrt-free, so a 1-by-1 D leaves V = B and d = D.
-    L^{-1} is one ``dtrtri``, applied by one ``dtrmm``; ``dsyconv`` and
-    ``dlaswp`` run only after a row interchange, as without one the factor's
-    strict lower triangle already is the unit L, and P = I.
-    """
-    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1, lwork=_dsytrf_lwork(D.shape[0]))
-    d = ldu.diagonal().copy()
-    if info or ipiv.min() <= 0 or not d.min() > 0:
-        raise NotPositiveDefinite(
-            name, f"dsytrf info {info}" if info else
-            "a 2x2 pivot" if ipiv.min() <= 0 else f"a pivot is {float(d.min())}")
-    if not np.array_equal(ipiv, np.arange(1, ipiv.size + 1)):
-        ldu, _, _ = scipy.linalg.lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
-        B = scipy.linalg.lapack.dlaswp(B, ipiv - 1, overwrite_a=1)  # scipy's dlaswp is 0-based
-    L_inv, _ = scipy.linalg.lapack.dtrtri(ldu, lower=1, unitdiag=1, overwrite_c=1)
-    return scipy.linalg.blas.dtrmm(1.0, L_inv, B, lower=1, diag=1, overwrite_b=1), d
-
-
 def _mirrored(H: np.ndarray) -> np.ndarray:
     """H^T, exactly symmetric, once the lower triangle of a Fortran-ordered H is copied up."""
     for j in range(0, H.shape[0], 32):
@@ -635,12 +601,13 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         Q_{k+1} = Q_k - A_k^T (Q_k - P_k)^{-1} A_k
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
-    The solution is the limit of Q_k.  Each step factors D = Q_k - P_k =
-    P L Lam L^T P^T once, also the test that D is SPD (:func:`_spd_half_solve`),
-    and takes the updates as blocks of W^T W, [W_1, W_2] = Lam^{-1/2} L^{-1} P^T
-    [A_k, A_k^T]: W_2^T W_1 by ``dgemm``, Q_k - W_1^T W_1 and P_k + W_2^T W_2 by
-    lower ``dsyrk`` copied to the upper triangle.  At n = 1 it stays sqrt-free,
-    t = A_k (A_k / d): W^T W misses the dyadic critical closed forms by 1.1e-8.
+    The solution is the limit of Q_k.  Each step factors D = Q_k - P_k = C C^T
+    once by ``problem._cholesky``, also the test that D is SPD (a factor
+    holding NaN, which ``dpotrf`` passes, fails it too), and takes the updates
+    as blocks of W^T W, [W_1, W_2] = C^{-1} [A_k, A_k^T] (``dtrtri``, ``dtrmm``):
+    W_2^T W_1 by ``dgemm``, Q_k - W_1^T W_1 and P_k + W_2^T W_2 by lower
+    ``dsyrk`` copied to the upper triangle.  At n = 1 it stays sqrt-free,
+    t = A_k (A_k / D): W^T W misses the dyadic critical closed forms by 1.1e-8.
     With history on, each record stores ||A_k||_F (aux1) and min-eig(Q_k - P_k)
     (aux2; NaN if not finite), positive whenever a solution exists.  Raises
     :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
@@ -657,16 +624,19 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         res = None if math.inf > a_scale > a_gate and not run.every_step else run.residual(Qk)
         yield Qk, res, 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
         while True:
-            # Q_k - P_k is exactly symmetric; [A_k, A_k^T] is Fortran-ordered for dtrmm
-            try:
-                V, d = _spd_half_solve(Qk - Pk, np.concatenate((Ak.T, Ak)).T, "Q_k - P_k")
+            try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered
+                C = _cholesky(Qk.T - Pk.T, "Q_k - P_k")
+                if math.isnan(C.diagonal().sum()):
+                    raise NotPositiveDefinite("Q_k - P_k", "its Cholesky factor holds NaN")
             except NotPositiveDefinite as exc:
                 raise run.failure(DoublingBreakdown, "Q_k - P_k lost positive definiteness "
                                   f"at iteration {run.k}") from exc
             if n == 1:  # sqrt-free, so the dyadic closed forms stay exact (see the docstring)
-                Ak, Qk, Pk = (t := Ak * (Ak / d)), Qk - t, Pk + t
-            else:  # W = Lam^(-1/2) V; Q_k.T and P_k.T are Fortran-ordered, as dsyrk wants
-                W, blas = np.divide(V, np.sqrt(d)[:, None], out=V), scipy.linalg.blas
+                Ak, Qk, Pk = (t := Ak * (Ak / (Qk - Pk))), Qk - t, Pk + t
+            else:  # W = C^{-1} [A_k, A_k^T]; its operands, Q_k.T and P_k.T are Fortran-ordered
+                lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+                W = blas.dtrmm(1.0, lapack.dtrtri(C, lower=1, overwrite_c=1)[0],
+                               np.concatenate((Ak.T, Ak)).T, lower=1, overwrite_b=1)
                 Ak = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1)
                 Qk = _mirrored(blas.dsyrk(-1.0, W[:, :n], beta=1.0, c=Qk.T, trans=1, lower=1))
                 Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))

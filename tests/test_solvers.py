@@ -61,6 +61,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             nme.SolverConfig(max_iter=5, min_iter=6)
         assert nme.SolverConfig(max_iter=5, min_iter=5).min_iter == 5
+        assert nme.SolverConfig(max_iter=np.int64(5)).max_iter == 5
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (nme.SolverConfig, {"max_iter": 2.5}),
+        (nme.SolverConfig, {"min_iter": 0.5}),
+        (nme.GeneratorSpec, {"n": 2.5, "rho_target": 0.5}),
+        (nme.GeneratorSpec, {"n": 2, "rho_target": 0.5, "seed": 1.5}),
+    ], ids=["max_iter", "min_iter", "n", "seed"])
+    def test_counts_must_be_integers(self, cls, kwargs):
+        # refused when built, not by range() or the generator at solve time
+        with pytest.raises(ValueError, match="integer"):
+            cls(**kwargs)
 
 
 class TestFixedPoint:
@@ -717,27 +729,24 @@ class TestSda:
         assert nme.solve_sda(rec.problem).converged
 
     @pytest.mark.parametrize("fault,detail", [
-        ("info", "dsytrf info 2"),
-        ("2x2-pivot", "a 2x2 pivot"),
-        ("nonpositive-pivot", "a pivot is -1.0"),
-    ], ids=["info", "2x2-pivot", "nonpositive-pivot"])
+        ("info", "the leading minor of order 2 is not positive"),
+        ("nan", "its Cholesky factor holds NaN"),
+    ], ids=["info", "nan"])
     def test_factorization_failure_is_breakdown(self, monkeypatch, fault, detail):
-        # each stub reports a D that is not SPD; the pivot check must run
-        # before dsyconv or dlaswp sees a negative (2x2) pivot
-        dsytrf = scipy.linalg.lapack.dsytrf
+        # a dpotrf that fails on the step's D, or that is handed a D holding
+        # NaN and passes it with info 0 (as dpotrf does), ends the run at that
+        # step; without the NaN test it would iterate on NaN to max_iter
+        dpotrf = scipy.linalg.lapack.dpotrf
 
         def failing(D, **kwargs):
-            ldu, ipiv, info = dsytrf(D, **kwargs)
             if fault == "info":
-                info = 2
-            elif fault == "2x2-pivot":
-                ipiv[:2] = -2
-            else:
-                ldu[1, 1] = -1.0
-            return ldu, ipiv, info
+                return dpotrf(D, **kwargs)[0], 2
+            D = np.array(D)
+            D[-1, -1] = math.nan
+            return dpotrf(D, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", failing)
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=19))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
         with pytest.raises(DoublingBreakdown) as info:
             nme.solve_sda(rec.problem)
         assert info.value.iteration == 1 and info.value.report.iterations == 0
@@ -745,9 +754,9 @@ class TestSda:
         assert str(info.value.__cause__) == f"Q_k - P_k is not positive definite: {detail}"
 
     def test_factors_d_once_per_step(self, monkeypatch):
-        # one dsytrf of D = Q_k - P_k per step, and dpotrf only in the
-        # residual of each iterate Q_k; no LU
-        calls = {name: [] for name in ("dsytrf", "dpotrf", "dgetrf", "dgetrs")}
+        # one dpotrf of D = Q_k - P_k per step, between those of the residuals
+        # of Q_k and Q_{k+1}; no LU
+        calls = {name: [] for name in ("dpotrf", "dgetrf", "dgetrs")}
 
         def recorded(name):
             routine = getattr(scipy.linalg.lapack, name)
@@ -764,51 +773,51 @@ class TestSda:
         assert rep.converged and rep.iterations >= 4
         assert len(calls["dgetrf"]) == len(calls["dgetrs"]) == 0
         qs, ps = rep.iterates, rep.aux_iterates["P"]
-        assert len(calls["dsytrf"]) == rep.iterations
-        for D, Qk, Pk in zip(calls["dsytrf"], qs, ps):
-            assert np.array_equal(D, Qk - Pk)
-        assert len(calls["dpotrf"]) == rep.iterations + 1
-        for M, Qk in zip(calls["dpotrf"], qs):
+        assert len(calls["dpotrf"]) == 2 * rep.iterations + 1
+        for M, Qk in zip(calls["dpotrf"][::2], qs):
             assert np.array_equal(M, Qk)
+        for D, Qk, Pk in zip(calls["dpotrf"][1::2], qs, ps):
+            assert np.array_equal(D, Qk - Pk)
 
     def test_one_factor_and_three_products_per_step(self, monkeypatch):
-        # the step applies half of D's factor: one triangular product, no
-        # transposed product and no back-permutation; Bunch-Kaufman makes no
-        # interchange on this problem, so dsyconv and dlaswp never run.  The
-        # updates are one dgemm and two dsyrk whose triangles are copied, so
-        # no symmetric_part runs
+        # the step inverts D's Cholesky factor once and applies it by one
+        # triangular product, with no Bunch-Kaufman factor or permutation;
+        # the updates are one dgemm and two dsyrk whose triangles are
+        # copied, so no symmetric_part runs
         rec = nme.generate_problem(nme.GeneratorSpec(n=6, rho_target=0.9, seed=19))
-        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm", "dgemm", "dsyrk")
+        calls = count_calls(monkeypatch, "dtrtri", "dtrmm", "dgemm", "dsyrk",
+                            "dsytrf", "dsyconv", "dlaswp")
         symmetrized = []
         for module in (solvers, problem_module):
             monkeypatch.setattr(module, "symmetric_part", symmetrized.append)
         rep = nme.solve_sda(rec.problem)
         assert rep.converged and rep.iterations >= 4
-        assert calls == {"dsytrf": rep.iterations, "dsyconv": 0, "dlaswp": 0,
-                         "dtrmm": rep.iterations, "dgemm": rep.iterations,
-                         "dsyrk": 2 * rep.iterations}
+        assert calls == {"dtrtri": rep.iterations, "dtrmm": rep.iterations,
+                         "dgemm": rep.iterations, "dsyrk": 2 * rep.iterations,
+                         "dsytrf": 0, "dsyconv": 0, "dlaswp": 0}
         assert symmetrized == []
 
-    @pytest.mark.parametrize("interchange", [False, True])
-    def test_step_is_the_blocks_of_the_lambda_form(self, interchange):
-        # one step against U_i^T Lam^{-1} U_j from the same factor, with
-        # [U_1, U_2] = L^{-1} P^T [A, A^T]; Q_1 and P_1 exactly symmetric
+    @pytest.mark.parametrize("ill_conditioned", [False, True])
+    def test_step_is_the_blocks_of_w_transpose_w(self, ill_conditioned):
+        # one step against W_i^T W_j, [W_1, W_2] = C^{-1} [A, A^T] for the
+        # Cholesky factor C of D = Q, and against the dense solve; Q_1 and P_1
+        # exactly symmetric
         n = 16
-        if interchange:
-            Q, A = TestSpdSolve.spd_with_interchanges(n, seed=4)
+        if ill_conditioned:
+            Q, A = TestSpdSolve.ill_conditioned_spd(n, seed=4)
         else:
             rng = np.random.default_rng(4)
             M = rng.standard_normal((n, n))
             Q, A = M @ M.T + n * np.eye(n), rng.standard_normal((n, n))
         A *= 0.1 * math.sqrt(min_eig(Q)) / np.linalg.norm(A, 2)
-        ipiv = scipy.linalg.lapack.dsytrf(Q, lower=1)[1]
-        assert np.array_equal(ipiv, np.arange(1, n + 1)) != interchange
-        rep = nme.solve_sda(nme.new_problem(A, Q), nme.SolverConfig(record_history=True))
-        A1, Q1, P1 = rep.aux_iterates["A"][1], rep.iterates[1], rep.aux_iterates["P"][1]
-        V, d = solvers._spd_half_solve(Q.copy(), np.concatenate((A, A.T), axis=1), "D")
-        U1, U2, S = V[:, :n], V[:, n:], V / d[:, None]
-        for got, ref in ((A1, U2.T @ S[:, :n]), (Q1, Q - U1.T @ S[:, :n]), (P1, U2.T @ S[:, n:])):
+        p = nme.new_problem(A, Q)
+        A1, Q1, P1 = TestSpdSolve.first_step(p.A, p.Q)
+        W = scipy.linalg.solve_triangular(_cholesky(p.Q, "D"), np.concatenate((A, A.T), axis=1),
+                                          lower=True)
+        W1, W2 = W[:, :n], W[:, n:]
+        for got, ref in ((A1, W2.T @ W1), (Q1, p.Q - W1.T @ W1), (P1, W2.T @ W2)):
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        TestSpdSolve.assert_step_matches(p.A, p.Q, A1, Q1, P1)
         assert np.array_equal(Q1, Q1.T) and np.array_equal(P1, P1.T)
 
     def test_residual_only_where_it_can_end_the_run(self, monkeypatch):
@@ -909,14 +918,15 @@ class TestSda:
 
 
 class TestSpdSolve:
-    """The doubling step's kernel: V = L^{-1} P^T B and the pivots d of one
-    Bunch-Kaufman D = P L Lam L^T P^T, so that B^T D^{-1} B = V^T Lam^{-1} V."""
+    """The doubling step's SPD solve, seen through solve_sda: D = Q_k - P_k =
+    C C^T by ``problem._cholesky``, W = C^{-1} [A_k, A_k^T] by ``dtrtri`` and
+    ``dtrmm``, and at n = 1 the sqrt-free t = A_k (A_k / D)."""
 
     @staticmethod
-    def spd_with_interchanges(n, seed):
-        # SPD blocks [[1e-3, 1], [1, 1e4]], for which Bunch-Kaufman takes the
-        # 1e4 pivot first, plus a PSD coupling so that later interchanges
-        # move rows of earlier columns of L, in a random symmetric order
+    def ill_conditioned_spd(n, seed):
+        # SPD blocks [[1e-3, 1], [1, 1e4]] (for which Bunch-Kaufman would take
+        # the 1e4 pivot first; Cholesky needs no pivoting) plus a PSD coupling,
+        # in a random symmetric order
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n, n))
         D = 1e-2 * M @ M.T / n
@@ -925,79 +935,63 @@ class TestSpdSolve:
         return D[order][:, order], rng.standard_normal((n, n))
 
     @staticmethod
-    def assert_form_matches(D, B, V, d):
-        ref = B.T @ np.linalg.solve(D, B)
-        form = V.T @ (V / d[:, None])
-        assert np.linalg.norm(form - ref) <= 1e-14 * np.linalg.cond(D) * np.linalg.norm(ref)
+    def first_step(A, Q):
+        """A_1, Q_1 and P_1 of solve_sda on the (possibly hand-built) pair (A, Q)."""
+        try:
+            rep = nme.solve_sda(problem_module.NmeProblem(A=A, Q=Q),
+                                nme.SolverConfig(max_iter=1, record_history=True))
+        except SolverFailure as exc:
+            rep = exc.report
+        return rep.aux_iterates["A"][1], rep.iterates[1], rep.aux_iterates["P"][1]
 
-    @pytest.mark.parametrize("n,swaps", [(1, 0), (8, 1), (64, 10)])
-    def test_matches_dense_solve(self, n, swaps):
-        D, A = self.spd_with_interchanges(n, seed=n)
-        _, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1)
-        assert info == 0 and np.all(ipiv > 0)
-        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) >= swaps
+    @staticmethod
+    def assert_step_matches(A, D, A1, Q1, P1):
+        # the blocks of B^T D^{-1} B, B = [A, A^T], by a dense solve
         B = np.concatenate((A, A.T), axis=1)
-        V, d = solvers._spd_half_solve(D, B.copy(), "D")
-        self.assert_form_matches(D, B, V, d)
+        ref, n = B.T @ np.linalg.solve(D, B), A.shape[0]
+        tol = 1e-14 * (np.linalg.norm(D) + np.linalg.cond(D) * np.linalg.norm(ref))
+        for got, want in ((Q1, D - ref[:n, :n]), (A1, ref[n:, :n]), (P1, ref[n:, n:])):
+            assert np.linalg.norm(got - want) <= tol
 
-    def test_chained_interchanges(self):
-        # D = S (0.9 J + 0.1 I) S swaps row 4 in at steps 1 and 2 (ipiv
-        # [4, 4, 3, 4]), so P^T must apply the swaps in order
-        s = np.array([1.0, 0.3, 0.1, 3.0])
-        D = s[:, None] * (0.9 + 0.1 * np.eye(4)) * s[None, :]
-        assert scipy.linalg.lapack.dsytrf(D, lower=1)[1].tolist() == [4, 4, 3, 4]
-        B = np.arange(8.0).reshape(4, 2)
-        V, d = solvers._spd_half_solve(D, B.copy(), "D")
-        self.assert_form_matches(D, B, V, d)
+    @pytest.mark.parametrize("n,seed", [(1, 0), (8, 1), (64, 10)])
+    def test_matches_dense_solve(self, n, seed):
+        D, A = self.ill_conditioned_spd(n, seed)
+        p = nme.new_problem(A, D)
+        self.assert_step_matches(p.A, p.Q, *self.first_step(p.A, p.Q))
 
-    def test_fortran_right_hand_side_is_overwritten(self):
-        D, A = self.spd_with_interchanges(8, seed=3)
-        B = np.concatenate((A.T, A)).T
-        V, d = solvers._spd_half_solve(D, B, "D")
-        assert np.shares_memory(V, B)
-        self.assert_form_matches(D, np.concatenate((A, A.T), axis=1), V, d)
+    def test_fortran_right_hand_side_is_overwritten(self, monkeypatch):
+        # dtrmm writes W over the Fortran-ordered [A_k, A_k^T]: no copy
+        dtrmm, shared = scipy.linalg.blas.dtrmm, []
 
-    def test_identity_pivots_match_the_explicit_chain(self):
-        # a diagonally dominant D takes no interchange, so the kernel skips
-        # dsyconv and dlaswp and must equal the full chain bit for bit
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((16, 16))
-        D, A = M @ M.T + 16.0 * np.eye(16), rng.standard_normal((16, 16))
-        lapack = scipy.linalg.lapack
-        ldu, ipiv, info = lapack.dsytrf(D, lower=1, lwork=solvers._dsytrf_lwork(16))
-        assert info == 0 and ipiv.tolist() == list(range(1, 17))
-        L, _, _ = lapack.dsyconv(ldu, ipiv, lower=1)
-        L_inv, _ = lapack.dtrtri(L, lower=1, unitdiag=1)
-        B = np.concatenate((A.T, A)).T
-        ref = scipy.linalg.blas.dtrmm(1.0, L_inv, lapack.dlaswp(B, ipiv - 1), lower=1, diag=1)
-        V, d = solvers._spd_half_solve(D, B, "D")
-        assert np.shares_memory(V, B)
-        assert np.array_equal(V, ref) and np.array_equal(d, ldu.diagonal())
+        def recorded(alpha, a, b, **kwargs):
+            W = dtrmm(alpha, a, b, **kwargs)
+            shared.append(b.flags.f_contiguous and np.shares_memory(W, b))
+            return W
 
-    def test_interchanges_gather_l_and_permute_once(self, monkeypatch):
-        D, A = self.spd_with_interchanges(8, seed=3)
-        calls = count_calls(monkeypatch, "dsytrf", "dsyconv", "dlaswp", "dtrmm")
-        V, d = solvers._spd_half_solve(D, np.concatenate((A.T, A)).T, "D")
-        assert calls == dict.fromkeys(calls, 1)
-        self.assert_form_matches(D, np.concatenate((A, A.T), axis=1), V, d)
+        monkeypatch.setattr(scipy.linalg.blas, "dtrmm", recorded)
+        rep = nme.solve_sda(nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9)).problem)
+        assert rep.converged and shared == [True] * rep.iterations
 
     @pytest.mark.parametrize("a,d", [(1.0, 2.0), (0.375, 1.25), (-3.0, 0.75), (1.0, 3.0)])
     def test_scalar_is_one_division(self, a, d):
-        V, piv = solvers._spd_half_solve(scalar(d), np.array([[a, a]]), "D")
-        assert V.tolist() == [[a, a]] and piv.tolist() == [d]
-        assert (V.T @ (V / piv[:, None])).tolist() == [[a * (a / d)] * 2] * 2
+        A1, Q1, P1 = self.first_step(scalar(a), scalar(d))
+        t = a * (a / d)
+        assert (A1.tolist(), Q1.tolist(), P1.tolist()) == ([[t]], [[d - t]], [[t]])
 
     @pytest.mark.parametrize("D,detail", [
-        ([[0.1, 1.0], [1.0, 0.1]], "a 2x2 pivot"),
-        ([[1.0, 0.0], [0.0, -1.0]], "a pivot is -1.0"),
-        ([[math.nan]], "dsytrf info 1"),
-        ([[0.0, 0.0], [0.0, 0.0]], "dsytrf info 1"),
+        ([[0.1, 1.0], [1.0, 0.1]], "the leading minor of order 2 is not positive"),
+        ([[1.0, 0.0], [0.0, -1.0]], "the leading minor of order 2 is not positive"),
+        ([[math.nan]], "its Cholesky factor holds NaN"),
+        ([[0.0, 0.0], [0.0, 0.0]], "the leading minor of order 1 is not positive"),
     ], ids=["2x2-pivot", "negative-pivot", "nan", "zero"])
     def test_not_spd_raises(self, D, detail):
+        # a hand-built Q that is not SPD is the first step's D; the first case
+        # has a positive diagonal (Bunch-Kaufman would take it as one 2x2 pivot)
         D = np.array(D)
-        with pytest.raises(NotPositiveDefinite) as info:
-            solvers._spd_half_solve(D, np.ones((D.shape[0], 2)), "D")
-        assert str(info.value) == f"D is not positive definite: {detail}"
+        with pytest.raises(DoublingBreakdown) as info:
+            nme.solve_sda(problem_module.NmeProblem(A=np.ones(D.shape), Q=D))
+        assert info.value.iteration == 1
+        assert str(info.value.__cause__) == f"Q_k - P_k is not positive definite: {detail}"
 
 
 class TestSdaScalar:

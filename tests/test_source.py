@@ -148,6 +148,16 @@ def test_doubling_step_has_no_matmul_and_no_symmetrization():
     assert "symmetric_part(" not in ast.unparse(tree)
 
 
+def test_one_spd_factorization():
+    # every SPD test and factor, doubling's included, is the dpotrf of
+    # problem._cholesky; a Bunch-Kaufman dsytrf beside it forks the test
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [f"{name}:{routine}" for name, text in texts.items()
+            for routine in ("dsytrf", "dsyconv", "dlaswp") if routine in text] == []
+    assert sum(text.count("dpotrf(") for text in texts.values()) == 1
+    assert "dpotrf(" in ast.unparse(_function("problem.py", "_cholesky"))
+
+
 def test_fro_norm_enters_no_errstate():
     # np.vdot does not warn on overflow, so the norm needs no error context
     assert "errstate" not in ast.unparse(_function("problem.py", "fro_norm"))
