@@ -227,12 +227,12 @@ def _square_real(M, name: str) -> np.ndarray:
 
 
 def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of M, in Fortran order, from LAPACK ``dpotrf``
-    (called directly: ``np.linalg.cholesky`` spends most of its time at small
-    n in dispatch).  Failure is the SPD test: a nonpositive pivot raises
-    :class:`NotPositiveDefinite` naming M.  As with ``np.linalg.cholesky``,
-    NaN and inf pass ``dpotrf`` unflagged and show in the factor."""
-    C, info = scipy.linalg.lapack.dpotrf(M, lower=1)
+    """Lower Cholesky factor of M in the lower triangle of a Fortran-ordered array, from
+    LAPACK ``dpotrf`` (``np.linalg.cholesky`` spends most of its time at small n in
+    dispatch); the strict upper triangle, which no caller reads, keeps M's entries.  The SPD
+    test: a nonpositive pivot raises :class:`NotPositiveDefinite` naming M.  As with
+    ``np.linalg.cholesky``, NaN and inf pass ``dpotrf`` unflagged and show in the factor."""
+    C, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)
     if info:
         raise NotPositiveDefinite(name, f"the leading minor of order {info} is not positive")
     return C

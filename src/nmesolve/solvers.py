@@ -16,11 +16,11 @@ Four algorithms share one reporting contract:
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
     equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
-    ``solve_stein`` sums X = sum_i (L^T)^i C L^i by doubling, stops once the
-    power L^(2^j) it forms is small enough to bound the remainder, and keeps
-    the sum when it leaves a backward-stable residual;
-    otherwise one real Schur form of L^T and LAPACK's ``dtgsyl`` solve the
-    equation.  Both take O(n^3) time and O(n^2) memory.  Quadratic when
+    ``solve_stein`` scales and symmetrizes C once; on that C / s it sums
+    X = sum_i (L^T)^i C L^i by doubling, stops once the power L^(2^j) it forms
+    bounds the remainder, and keeps the sum when it leaves a backward-stable
+    residual; otherwise one real Schur form of L^T and LAPACK's ``dtgsyl``
+    solve the equation.  Both take O(n^3) time and O(n^2) memory.  Quadratic when
     rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.  Iterates
     descend monotonically from X_0 = Q.
 
@@ -172,8 +172,8 @@ class SolverConfig:
     min_iter: int = 0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < 1.0:  # a tol of 1 or more would pass an X that is not SPD
+            raise ValueError("tol must lie in (0, 1)")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
         if not (isinstance(self.min_iter, numbers.Integral) and 0 <= self.min_iter <= self.max_iter):
@@ -426,43 +426,13 @@ def _dgees_lwork(n: int) -> int:
     return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def _stein_doubling(L: np.ndarray, C: np.ndarray) -> np.ndarray | None:
-    """The doubling of :func:`solve_stein` on float64 L and C of one square
-    shape, or None.  A step is T = M^T X, X <- T M + X in place (the first
-    writes a copy of the symmetric C / s) and M <- M M: three ``dgemm``, one ``ddot``."""
-    L = M = np.asfortranarray(L)  # so both memory orders of L give the same bits
-    c_sq, l_sq = _sum_sq(C), _sum_sq(L)
-    if not (math.isfinite(c_sq) and math.isfinite(l_sq)):
-        L, C = _square_real(L, "L"), _square_real(C, "C")  # NaN/Inf raise; huge finite data passes
-    s = _pow2_scale(math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max())
-    H = C * (0.5 / s)  # exact away from subnormals, as s is a power of two
-    X = C = np.add(H, H.T, order="F")
-    bound, gemm = _EPS / (4.0 * (1.0 + l_sq)), scipy.linalg.blas.dgemm
-    for j in range(STEIN_DOUBLINGS):
-        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=j > 0)
-        M = gemm(1.0, M, M)
-        m = _sum_sq(M)
-        if m <= bound or not math.isfinite(m):
-            break
-    if not (m <= bound and math.isfinite(_sum_sq(X))):  # so no op below can warn
-        return None
-    X = np.add(X, X.T, order="F") * 0.5  # X's symmetric part
-    R = L.T @ X @ L
-    x, y = math.sqrt(_sum_sq(X)), math.sqrt(_sum_sq(R))
-    np.subtract(X.T, R, out=R)  # X, C symmetric: .T reads them in R's memory order
-    R -= C.T
-    if not math.sqrt(_sum_sq(R)) <= _EPS * (x + y) < math.inf:
-        return None
-    if not math.isfinite(x * s) and not math.isfinite(float(np.abs(X).max()) * s):
-        raise Diverged("the solution of the Stein equation overflows")
-    return np.multiply(X, s, out=X)
-
-
 def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
 
-    Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: on
-    C = (C / s + (C / s)^T) / 2, s the power of two of ||C||_F, X_0 = C,
+    L and C are read once.  Both paths solve for X / s on C / s, made exactly
+    symmetric, s the power of two of ||C||_F (of max |C| where ||C||_F^2 is 0
+    or inf; at least 2^-1024), and one range test of X / s scales it back.
+    Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: X_0 = C,
     M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
     three ``dgemm`` that write only a copy of C, until ||M_{j+1}||_F^2 <= eps
     / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what is left:
@@ -486,7 +456,7 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     (G, G S).  Both pairs are then in generalized real Schur form, and
     LAPACK's ``dtgsyl`` (Kagstrom & Poromaa 1996; Jonsson & Kagstrom 2002)
     solves T R' - Z' G = 0, R' - Z' G S = scale U^T C W, giving
-    X = U R' W^T / scale.
+    X = U R' W^T / scale, whose symmetric part is kept.
 
     L is real, so its spectrum is closed under conjugation and the
     operator's eigenvalues are 1 - lambda_i conj(lambda_j) over the
@@ -498,48 +468,73 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     Schur form, :class:`~nmesolve.exceptions.Diverged` when X overflows,
     :class:`DimensionMismatch` when L is not a non-empty square real matrix
     or C not of its shape, and :class:`NonFiniteInput` when L or C holds
-    NaN/Inf (float64 arrays are read again only where ||C||_F^2 or
+    NaN/Inf (float64 arrays of one shape are scanned only where ||C||_F^2 or
     ||L||_F^2 is not finite).  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
     """
-    if not (type(L) is type(C) is np.ndarray and L.dtype == C.dtype == float and L.ndim == 2
-            and L.shape == C.shape and L.shape[0] == L.shape[1] > 0):
-        L, C = _square_real(L, "L"), _square_real(C, "C")
+    if fast := (type(L) is type(C) is np.ndarray and L.dtype == C.dtype == float and L.ndim == 2
+                and L.shape == C.shape and L.shape[0] == L.shape[1] > 0):
+        L = np.asfortranarray(L)  # so both memory orders of L give the same bits
+        c_sq, l_sq = _sum_sq(C), _sum_sq(L)
+    if not (fast and math.isfinite(c_sq) and math.isfinite(l_sq)):  # NaN/Inf raise, not huge data
+        L, C = np.asfortranarray(_square_real(L, "L")), _square_real(C, "C")
         if C.shape != L.shape:
             raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
-    if (X := _stein_doubling(L, C)) is not None:
-        return X
-    s, C = _unit_scaled(symmetric_part(C))
-    n = L.shape[0]
-    T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
-    if info:
-        raise SolverFailure(f"dgees found no Schur form of L (info {info})")
-    t = _pow2_scale(max(1.0, float(np.hypot(wr, wi).max())))  # the gaps / t^2 cannot overflow
-    lam = wr / t + 1j * (wi / t)
-    gaps = np.abs(1.0 / t / t - np.outer(lam, lam.conj()))
-    singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
-    if gaps.min() <= 1e-10 * gaps.max():
-        raise SingularSteinOperator(singular)
-    W = U[:, ::-1]
-    S = T.T[::-1, ::-1]
-    # rotate rows (j, j+1) of each 2x2 block of S to zero S[j+1, j]
-    # (with no 2x2 block, G = I and S is already upper triangular)
-    j = np.flatnonzero(np.diag(S, -1))
-    G = np.eye(n)
-    if j.size:
-        r = np.hypot(S[j, j], S[j + 1, j])
-        cos, sin = S[j, j] / r, S[j + 1, j] / r
-        G[j, j] = G[j + 1, j + 1] = cos
-        G[j, j + 1] = sin
-        G[j + 1, j] = -sin
-        S = np.triu(G @ S)
-    R, _, scale, _, info = scipy.linalg.lapack.dtgsyl(
-        T, G, np.zeros((n, n)), np.eye(n), S, U.T @ C @ W)
-    if info > 0:
-        raise SingularSteinOperator(singular)
-    if not (scale and math.isfinite(_sum_sq(R) / scale / scale)
-            and math.isfinite(float(np.abs(X := U @ R @ W.T / scale).max()) * s)):
+        c_sq, l_sq = _sum_sq(C), _sum_sq(L)
+    c_norm = math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max()
+    H = C * (0.5 / (s := _pow2_scale(max(c_norm, 2.0 ** -1024))))  # exact: s is a power of 2
+    X = C = np.add(H, H.T, order="F")
+    M, bound, gemm = L, _EPS / (4.0 * (1.0 + l_sq)), scipy.linalg.blas.dgemm
+    for j in range(STEIN_DOUBLINGS):
+        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=j > 0)
+        M = gemm(1.0, M, M)
+        m = _sum_sq(M)
+        if m <= bound or not math.isfinite(m):
+            break
+    x = None  # ||X||_F of an accepted X / s
+    if m <= bound and math.isfinite(_sum_sq(X)):  # so no op below can warn
+        X = np.add(X, X.T, order="F") * 0.5  # X's symmetric part
+        R = L.T @ X @ L
+        x, y = math.sqrt(_sum_sq(X)), math.sqrt(_sum_sq(R))
+        np.subtract(X.T, R, out=R)  # X, C symmetric: .T reads them in R's memory order
+        R -= C.T
+        if not math.sqrt(_sum_sq(R)) <= _EPS * (x + y) < math.inf:
+            x = None
+    if x is None:  # the Schur solve
+        n = L.shape[0]
+        T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
+        if info:
+            raise SolverFailure(f"dgees found no Schur form of L (info {info})")
+        t = _pow2_scale(max(1.0, float(np.hypot(wr, wi).max())))  # the gaps / t^2 cannot overflow
+        lam = wr / t + 1j * (wi / t)
+        gaps = np.abs(1.0 / t / t - np.outer(lam, lam.conj()))
+        singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
+        if gaps.min() <= 1e-10 * gaps.max():
+            raise SingularSteinOperator(singular)
+        W = U[:, ::-1]
+        S = T.T[::-1, ::-1]
+        # rotate rows (j, j+1) of each 2x2 block of S to zero S[j+1, j]
+        # (with no 2x2 block, G = I and S is already upper triangular)
+        j = np.flatnonzero(np.diag(S, -1))
+        G = np.eye(n)
+        if j.size:
+            r = np.hypot(S[j, j], S[j + 1, j])
+            cos, sin = S[j, j] / r, S[j + 1, j] / r
+            G[j, j] = G[j + 1, j + 1] = cos
+            G[j, j + 1] = sin
+            G[j + 1, j] = -sin
+            S = np.triu(G @ S)
+        R, _, scale, _, info = scipy.linalg.lapack.dtgsyl(  # C.T: C / s in C order, which sets the bits
+            T, G, np.zeros((n, n)), np.eye(n), S, U.T @ C.T @ W)
+        if info > 0:
+            raise SingularSteinOperator(singular)
+        if not (scale and math.isfinite(_sum_sq(R) / scale / scale)):  # so forming X cannot warn
+            raise Diverged("the solution of the Stein equation overflows")
+        X = U @ R @ W.T / scale
+        X = np.add(X, X.T, order="F") * 0.5
+        x = math.sqrt(_sum_sq(X))
+    if not math.isfinite(x * s) and not math.isfinite(float(np.abs(X).max()) * s):
         raise Diverged("the solution of the Stein equation overflows")
-    return symmetric_part(X * s)
+    return np.multiply(X, s, out=X)
 
 
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:

@@ -84,6 +84,14 @@ class TestSolve:
         assert report["converged"] is False
         assert report["failure"]
 
+    @pytest.mark.parametrize("tol", ["inf", "1"])
+    def test_tol_outside_the_unit_interval_exit_code(self, tmp_path, capsys, tol):
+        # at tol >= 1 the unsolvable q < 2|a| problem would converge at once
+        problem = tmp_path / "p.json"
+        nme.save_problem(nme.new_problem([[3.0]], [[1.0]]), problem)
+        code, out, err = run_cli(capsys, "solve", str(problem), "--tol", tol)
+        assert code == 2 and out == "" and "tol must lie in (0, 1)" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/p.json")
         assert code == 2

@@ -280,6 +280,19 @@ class TestShiftMulti:
         with pytest.warns(ReciprocalPairingWarning):
             nme.shift_multi(pen, spec)
 
+    @pytest.mark.parametrize("lam_hat,warns", [((0.4, 2.5), False), ((0.4, 2.4), True)],
+                             ids=["reciprocal-closed", "not-closed"])
+    def test_warns_only_when_the_targets_are_not_reciprocal_closed(self, lam_hat, warns):
+        # moving the pair (0.5, 2.0) to (0.4, 2.5) keeps lambda -> 1/lambda closed
+        pen, spectrum, pairs = pencil_with_spectrum(np.random.default_rng(0), [0.5, 2.0, 0.8, 1.25])
+        V = np.column_stack([pairs[0][1], pairs[1][1]])
+        spec = nme.build_shift_factors(V, [pairs[0][0], pairs[1][0]], np.array(lam_hat, complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = nme.shift_multi(pen, spec)
+        assert [w.category for w in caught] == [ReciprocalPairingWarning] * warns
+        assert match_distance(oracle_eigs(out), [*lam_hat, *spectrum[2:]]) <= 1e-8
+
     @pytest.mark.parametrize("field", ["V", "lam", "lam_hat", "R1", "R2"])
     def test_rejects_non_finite_input(self, field):
         spec = nme.build_shift_factors(np.array([[1.0], [1.0]]), [1.0], [0.9])

@@ -61,6 +61,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             nme.SolverConfig(max_iter=5, min_iter=6)
         assert nme.SolverConfig(max_iter=5, min_iter=5).min_iter == 5
+        # a tol of 1 or more would pass an unsolvable problem at once: inversion-free
+        # would return X = [[-8.0]], which is not SPD, and doubling X = Q
+        for tol in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                nme.SolverConfig(tol=tol)
         assert nme.SolverConfig(max_iter=np.int64(5)).max_iter == 5
 
     @pytest.mark.parametrize("cls,kwargs", [
@@ -107,6 +112,15 @@ class TestFixedPoint:
         # error decays like Theta(1/k)
         for k in (50, 100, 200):
             assert 0.9 <= k * abs(got[k] - 1.0) <= 1.1
+
+    def test_residual_growth_is_divergence(self):
+        # x + a^2/x = 1 has no solution for a^2 = (3 - sqrt 5) / 2 > 1/4: the
+        # iterates 1, 0.618, 0.382 land at x_3 ~ 1e-9, still positive, whose
+        # residual is 1.6e9 times the least so far
+        a = math.sqrt(0.3819660111445323)
+        with pytest.raises(Diverged, match="grew beyond") as info:
+            nme.solve_fixed_point(nme.new_problem(scalar(a), scalar(1.0)))
+        assert type(info.value) is Diverged and info.value.iteration == 3
 
     def test_unsolvable_loses_definiteness(self):
         p = nme.new_problem(scalar(1.0), scalar(1.0))
@@ -425,6 +439,20 @@ class TestStein:
         assert np.all(np.isfinite(X_k))
         assert np.linalg.norm(2.0 ** -k * X_k - X) <= 1e-13 * np.linalg.norm(X)
 
+    @pytest.mark.parametrize("rho", [0.9, 1.3])
+    def test_subnormal_c(self, rho):
+        # with every entry of C below 2^-1024, s stops at 2^-1024, so 0.5 / s
+        # stays finite; on either path X is C's solution up to the rounding of
+        # the subnormal data, 2^-34 relative to 2^-1040
+        rng = np.random.default_rng(5)
+        L = rho * rng.standard_normal((8, 8)) / np.sqrt(8)
+        C = self._random_symmetric(rng, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = nme.solve_stein(L, 2.0 ** -1040 * C)
+        ref = nme.solve_stein(L, C)
+        assert np.abs(np.ldexp(X, 1040) - ref).max() <= 1e-9 * np.abs(ref).max()
+
     def test_symmetric_part_near_overflow(self):
         # (M + M^T) / 2 overflows once entries pass ~9e307 although the mean
         # fits; the largest entry of this X is 1.48e308
@@ -487,7 +515,8 @@ class TestStein:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_doubling_is_three_dgemm_a_step_in_place(self, order, monkeypatch):
         # X accumulates through dgemm's overwrite_c, in a copy: the arrays
-        # the caller passed keep their bits, in either memory order
+        # the caller passed keep their bits, in either memory order, and the
+        # solve makes no dgemm besides the steps' and no Schur solve
         rng = np.random.default_rng(7)
         L = np.asarray(0.6 * rng.standard_normal((8, 8)) / np.sqrt(8.0), order=order)
         C = np.asarray(self._random_symmetric(rng, 8), order=order)
@@ -496,9 +525,9 @@ class TestStein:
         bound = np.finfo(float).eps / (4.0 * (1.0 + np.vdot(L, L)))
         while steps == 0 or np.vdot(M, M) > bound:
             M, steps = M @ M, steps + 1
-        calls = count_calls(monkeypatch, "dgemm")
-        X = solvers._stein_doubling(L, C)
-        assert calls["dgemm"] == 3 * steps and 2 <= steps < solvers.STEIN_DOUBLINGS
+        calls = count_calls(monkeypatch, "dgemm", "dgees")
+        X = nme.solve_stein(L, C)
+        assert calls == {"dgemm": 3 * steps, "dgees": 0} and 2 <= steps < solvers.STEIN_DOUBLINGS
         assert same_bits(L, L0) and same_bits(C, C0)
         assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
 

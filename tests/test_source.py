@@ -132,11 +132,30 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 def test_stein_doubling_loop_calls_dgemm_not_matmul():
     # each doubling step is three dgemm with X accumulated in place; an @
     # in the loop brings back numpy's dispatch and a fresh X every step
-    loops = [node for node in ast.walk(_function("solvers.py", "_stein_doubling"))
+    loops = [node for node in ast.walk(_function("solvers.py", "solve_stein"))
              if isinstance(node, ast.For)]
     assert len(loops) == 1
     assert [node for node in ast.walk(loops[0])
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
+
+
+def test_one_preparation_for_both_stein_paths():
+    # solve_stein reads L and C, scales C by one power of two s and symmetrizes
+    # C / s once for the doubling and the Schur solve, and tests the X / s of
+    # either path against the float range once, just before it returns; a
+    # second read, scale, symmetrization or range test forks them again
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    stein = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and "stein" in node.name]
+    text = "\n".join(map(ast.unparse, stein))
+    assert text.count("_square_real(") == 2  # one site, L and C
+    assert text.count("_pow2_scale(") == 2  # s of C, and t of the Schur solve's eigenvalue gaps
+    assert "symmetric_part(" not in text and "_unit_scaled(" not in text
+    checks = [node for function in stein for node in ast.walk(function)
+              if isinstance(node, ast.If) and "Diverged" in ast.unparse(node.body[0])
+              and "scale" not in ast.unparse(node.test)]  # not the pre-check of dtgsyl's scale
+    body = next(node for node in stein if node.name == "solve_stein").body
+    assert checks == [body[-2]] and isinstance(body[-1], ast.Return)
 
 
 def test_doubling_step_has_no_matmul_and_no_symmetrization():
