@@ -18,8 +18,9 @@ assume: ``cholesky_residual`` and the doubling step form them so, and other
 products are re-symmetrized as (X + X^T)/2.
 """
 
+import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -139,9 +140,17 @@ class Residual:
 
 @dataclass(frozen=True)
 class SolvabilityVerdict:
+    """See :func:`solvability_check`, which also says when ``min_eig_on_circle`` is computed."""
+
     regular: bool
-    min_eig_on_circle: float
     verdict: Verdict
+    #: (scale, A / scale, Q / scale, lambda_min on the arcs, eigvalsh's error), read-only
+    _circle: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def min_eig_on_circle(self) -> float:
+        scale, *circle = self._circle
+        return scale * _min_on_circle(*circle)
 
 
 def symmetric_part(M: np.ndarray) -> np.ndarray:
@@ -507,6 +516,23 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     return _last_qz
 
 
+def _min_on_circle(A: np.ndarray, Q: np.ndarray, on_arcs: float, ftol: float) -> float:
+    """The least lambda_min(psi) of the scaled pair on the arcs (``on_arcs``), on
+    the grid and in the Brent search of :func:`solvability_check`."""
+    chunk = SOLVABILITY_SAMPLES // 2 + 1
+    step = 2.0 * math.pi / SOLVABILITY_SAMPLES
+    grid = step * np.arange(chunk)
+    on_grid = _eigs_on_circle(A, Q, grid)[:, 0]
+    # lambda_min is even about 0 and pi, so there the missing outer neighbour
+    # of the best grid point has the value of its inner one
+    i = int(np.argmin(on_grid))
+    even = i in (0, chunk - 1)
+    refined = _brent_min(lambda t: float(_eigs_on_circle(A, Q, [t])[0, 0]),
+                         grid[i], on_grid[i], on_grid[abs(i - 1)],
+                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7, ftol, even)
+    return min(float(on_grid.min()), on_arcs, refined)
+
+
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     """Decide whether the maximal solution X+ exists, from the pencil.
 
@@ -517,48 +543,41 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     circle exactly at mu = -conj(lambda) for the unimodular eigenvalues
     lambda of the SSF-2 pencil.  One real QZ of the pencil gives these
     critical angles; psi(e^{-i theta}) = conj psi(e^{i theta}), so they fold
-    into [0, pi].  lambda_min(psi) is then evaluated at
+    into [0, pi].  On each arc between them lambda_min(psi) keeps its sign,
+    so v, its least value at the critical angles and the arc midpoints,
+    decides: NOT_SOLVABLE when v < -SOLVABILITY_TOL; otherwise SOLVABLE when
+    the pencil is regular (no eigenvalue pair (alpha, beta) with both entries
+    negligible), INCONCLUSIVE when it is not.  Where v is below minus
+    eigvalsh's error but not below -SOLVABILITY_TOL, or the pencil is
+    singular (psi singular everywhere), ``min_eig_on_circle`` decides in v's
+    place; elsewhere it is computed when first read, as the least of v and
+    of lambda_min(psi) at
 
     * the angles 2 pi j / SOLVABILITY_SAMPLES in [0, pi] (a coarse grid),
-    * each critical angle and the midpoint of each arc between them,
     * the steps of a Brent search (``_brent_min``) within one grid step of
       the best grid point, seeded with the values of that point and its two
       grid neighbours and run until it locates a minimizer to 1e-7 rad or
       its values agree to eigvalsh's error; at 0 and pi, where lambda_min is
       even, it starts with a golden-section step, so that a minimum off the
-      grid angle on either side is searched too,
+      grid angle on either side is searched too.
 
-    and ``min_eig_on_circle`` is the smallest value found.  NOT_SOLVABLE
-    when some value is below -SOLVABILITY_TOL; otherwise SOLVABLE when the
-    pencil is regular (no eigenvalue pair (alpha, beta) with both entries
-    negligible), INCONCLUSIVE when it is not.  A and Q are first divided by
-    the power of two s with max |A|, |Q| / s in [1, 2), so the tolerance is
-    relative to that scale and (A, Q) -> (2^k A, 2^k Q) keeps the verdict and
-    scales the minimum by 2^k.  A failed QZ raises EigensolverFailure; the QZ
-    and psi's spectra on the arcs come from ``_critical_angles``, as in ``detect_unimodular``."""
+    A and Q are first divided by the power of two s with max |A|, |Q| / s in
+    [1, 2), so the tolerance is relative to that scale and (A, Q) ->
+    (2^k A, 2^k Q) keeps the verdict and scales the minimum by 2^k.  A failed
+    QZ raises EigensolverFailure; the QZ and psi's spectra on the arcs come
+    from ``_critical_angles``, as in ``detect_unimodular``."""
     scale, A, Q, regular, _, _, spectra = _critical_angles(problem.A, problem.Q)
-    chunk = SOLVABILITY_SAMPLES // 2 + 1
-    step = 2.0 * math.pi / SOLVABILITY_SAMPLES
-    grid = step * np.arange(chunk)
-    on_grid = _eigs_on_circle(A, Q, grid)[:, 0]
-    # lambda_min is even about 0 and pi, so there the missing outer neighbour
-    # of the best grid point has the value of its inner one.  eigvalsh's
-    # error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
-    i = int(np.argmin(on_grid))
-    even = i in (0, chunk - 1)
+    on_arcs = float(spectra[:, 0].min())
+    # eigvalsh's error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
     ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))
-    refined = _brent_min(lambda t: float(_eigs_on_circle(A, Q, [t])[0, 0]),
-                         grid[i], on_grid[i], on_grid[abs(i - 1)],
-                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7, ftol, even)
-    min_eig = min(float(on_grid.min()), float(spectra[:, 0].min()), refined)
-    if min_eig < -SOLVABILITY_TOL:
-        verdict = Verdict.NOT_SOLVABLE
-    elif regular:
-        verdict = Verdict.SOLVABLE
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return SolvabilityVerdict(regular=regular, min_eig_on_circle=scale * min_eig,
-                              verdict=verdict)
+    known = -SOLVABILITY_TOL <= on_arcs and (on_arcs < -ftol or not regular)
+    low = _min_on_circle(A, Q, on_arcs, ftol) if known else on_arcs
+    verdict = (Verdict.NOT_SOLVABLE if low < -SOLVABILITY_TOL
+               else Verdict.SOLVABLE if regular else Verdict.INCONCLUSIVE)
+    result = SolvabilityVerdict(regular, verdict, (scale, A, Q, on_arcs, ftol))
+    if known:  # the cache of min_eig_on_circle
+        vars(result)["min_eig_on_circle"] = scale * low
+    return result
 
 
 def spectral_radius(W: np.ndarray) -> float:

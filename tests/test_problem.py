@@ -500,6 +500,65 @@ class TestSolvabilityCheck:
             assert math.ldexp(scaled.min_eig_on_circle, -k) == pytest.approx(
                 base.min_eig_on_circle, rel=1e-12, abs=0.0)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 1000),
+           rho=st.sampled_from([0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0]))
+    @example(n=1, seed=1, rho=1.0)  # Q lowered by 1e-10 lambda_min(Q) falls in the band
+    def test_verdict_agrees_with_the_minimum(self, n, seed, rho):
+        # NOT_SOLVABLE means a minimum on the circle below -SOLVABILITY_TOL, also
+        # where the verdict comes from the arcs alone; Q lowered by c lambda_min(Q)
+        # puts the minimum near the tolerance
+        p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
+        lam = np.linalg.eigvalsh(p.Q)[0]
+        for c in (0.0, 1e-12, 1e-10, 1e-8, 0.1):
+            q = nme.new_problem(p.A, p.Q - c * lam * np.eye(n))
+            v = nme.solvability_check(q)
+            scale = problem_module._pow2_scale(max(np.abs(q.A).max(), np.abs(q.Q).max()))
+            assert ((v.min_eig_on_circle < -problem_module.SOLVABILITY_TOL * scale)
+                    == (v.verdict is nme.Verdict.NOT_SOLVABLE))
+
+    @staticmethod
+    def _stacked_eigvalsh(monkeypatch):
+        """The number of matrices in each eigvalsh call, with no remembered QZ."""
+        stacks = []
+        real = np.linalg.eigvalsh
+
+        def counted(H):
+            stacks.append(H.shape[0])
+            return real(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(problem_module, "_last_qz", None)
+        return stacks
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_verdict_runs_no_grid(self, monkeypatch, n):
+        # one stacked eigvalsh of psi at the critical angles and arc midpoints
+        # decides; the grid runs once, at the first read of the minimum
+        stacks = self._stacked_eigvalsh(monkeypatch)
+        grid = problem_module.SOLVABILITY_SAMPLES // 2 + 1
+        v = nme.solvability_check(
+            nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem)
+        assert v.verdict is nme.Verdict.SOLVABLE
+        assert len(stacks) == 1 and stacks[0] < grid
+        first = v.min_eig_on_circle
+        assert stacks.count(grid) == 1 and set(stacks[2:]) <= {1}  # the search, one angle a step
+        stacks.clear()
+        assert same_bits(v.min_eig_on_circle, first)
+        assert stacks == []
+
+    def test_band_decides_by_the_minimum(self, monkeypatch):
+        # on the arcs lambda_min is above -SOLVABILITY_TOL but below eigvalsh's
+        # error; the grid angle pi reads q - 2 < -SOLVABILITY_TOL, and the
+        # minimum the check needed is kept
+        stacks = self._stacked_eigvalsh(monkeypatch)
+        v = nme.solvability_check(nme.new_problem([[1.0]], [[2.0 - 1e-10]]))
+        assert v.verdict is nme.Verdict.NOT_SOLVABLE
+        assert problem_module.SOLVABILITY_SAMPLES // 2 + 1 in stacks
+        stacks.clear()
+        assert v.min_eig_on_circle == pytest.approx(-1e-10, rel=1e-6)
+        assert stacks == []
+
     @staticmethod
     def _planted_variants(seed, n, rho):
         p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
@@ -519,6 +578,7 @@ class TestSolvabilityCheck:
         monkeypatch.setattr(problem_module, "_last_qz", None)
         monkeypatch.setattr(problem_module, "_eigs_on_circle", counted)
         verdict = nme.solvability_check(p)
+        verdict.min_eig_on_circle  # the grid and the search run by the time it is read
         monkeypatch.undo()
         assert all(size == 1 for size in sizes[2:])
         return verdict, len(sizes) - 2

@@ -550,7 +550,9 @@ class TestOneQZ:
         monkeypatch.setattr(nme.problem, "_last_qz", None)
         cold = nme.detect_unimodular(pen)
         monkeypatch.setattr(nme.problem, "_last_qz", None)
-        assert nme.solvability_check(p) == warm_verdict
+        verdict = nme.solvability_check(p)
+        assert verdict == warm_verdict
+        assert same_bits(verdict.min_eig_on_circle, warm_verdict.min_eig_on_circle)
         for field in ("eigenvalues", "eigenvectors"):
             a, b = getattr(warm, field), getattr(cold, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()

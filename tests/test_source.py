@@ -182,21 +182,23 @@ def test_fro_norm_enters_no_errstate():
     assert "errstate" not in ast.unparse(_function("problem.py", "fro_norm"))
 
 
-def _errstate_sites(module: str) -> set:
-    """Qualified names of the functions in ``module`` that name np.errstate."""
-    sites = set()
-
+def _scoped_nodes(module: str):
+    """(qualified name of the enclosing def or class, node) for each node of ``module``."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Attribute) and child.attr == "errstate":
-                sites.add(".".join(scope))
-            visit(child, scope)
+                yield from visit(child, scope + (child.name,))
+            else:
+                yield ".".join(scope), child
+                yield from visit(child, scope)
 
-    visit(ast.parse((SRC / module).read_text()), ())
-    return sites
+    return visit(ast.parse((SRC / module).read_text()), ())
+
+
+def _errstate_sites(module: str) -> set:
+    """Qualified names of the functions in ``module`` that name np.errstate."""
+    return {scope for scope, node in _scoped_nodes(module)
+            if isinstance(node, ast.Attribute) and node.attr == "errstate"}
 
 
 def test_errstate_only_at_the_outer_contexts():
@@ -206,3 +208,29 @@ def test_errstate_only_at_the_outer_contexts():
     # first tests that ||X||_F^2 is finite
     assert _errstate_sites("solvers.py") <= {"_Run.drive"}
     assert _errstate_sites("problem.py") <= {"symmetric_part", "residual"}
+
+
+def test_input_validation_sites():
+    # caller arrays are read once, where they enter: new_problem (A, Q),
+    # _candidate (X), psi (lambda), SymplecticPencil (M, L), solve_stein (L and
+    # C, at one site) and solve_sda_scalar (a, q), and only _matrix raises
+    # NonFiniteInput; a second read of the same data forks the rule and pays
+    # for its scan again
+    sites = Counter()
+    for module in ("problem.py", "solvers.py"):
+        for scope, node in _scoped_nodes(module):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_square_real", "_matrix")):
+                sites[f"{module}:{scope}:{node.func.id}"] += 1
+            elif isinstance(node, ast.Raise) and "NonFiniteInput(" in ast.unparse(node):
+                sites[f"{module}:{scope}:raise NonFiniteInput"] += 1
+    assert sites == {
+        "problem.py:SymplecticPencil.__post_init__:_matrix": 2,
+        "problem.py:_matrix:raise NonFiniteInput": 1,
+        "problem.py:_square_real:_matrix": 1,
+        "problem.py:new_problem:_square_real": 2,
+        "problem.py:_candidate:_square_real": 1,
+        "problem.py:psi:_matrix": 1,
+        "solvers.py:solve_stein:_square_real": 2,
+        "solvers.py:solve_sda_scalar:_matrix": 2,
+    }
