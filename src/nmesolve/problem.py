@@ -373,12 +373,16 @@ def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
     """Evaluate psi(lambda) = Q + lambda A + lambda^{-1} A^T (complex n-by-n).
 
     Hermitian whenever |lambda| = 1, since A and Q are real.  lambda must be
-    a finite number (see ``_matrix``).
+    a finite number (see ``_matrix``); :class:`ZeroLambda` where 1 / lambda is
+    not, :class:`NonFiniteInput` where an entry of lambda A or A^T / lambda is not.
     """
     lam = complex(_matrix([[lam]], "lambda", complex)[0, 0])
-    if lam == 0:
-        raise ZeroLambda("psi is undefined at lambda = 0")
-    return problem.Q.astype(complex) + lam * problem.A + (1.0 / lam) * problem.A.T
+    r = 1.0 / lam if lam else complex(math.inf)
+    if not math.isfinite(m := max(map(abs, (lam.real, lam.imag, r.real, r.imag)))):
+        raise ZeroLambda(f"psi is undefined at lambda = {lam!r}: 1 / lambda is not finite")
+    if not math.isfinite(m * float(np.abs(problem.A).max())):  # Python floats: no warning
+        raise NonFiniteInput(f"psi({lam!r}) overflows: lambda A or A^T / lambda is not finite")
+    return problem.Q.astype(complex) + lam * problem.A + r * problem.A.T
 
 
 def _eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas) -> np.ndarray:

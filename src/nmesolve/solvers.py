@@ -54,10 +54,10 @@ The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
 included, ``dtrsm`` for the triangular solves, ``dpotrs`` (in ``cho_solve``)
 for the W of ``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``,
-``dgemm`` and two ``dsyrk`` a doubling step, three ``dgemm`` and one ``ddot``
-a step for the Stein doubling (``ddot`` also takes its scale ||C||_F and its
-check's norms), and ``dgees`` and ``dtgsyl`` for the Stein solves it gives
-up.  At the sizes of a scalar or n = 8 solve, the dispatch of
+``dgemm`` and two ``dsyrk`` a doubling step, three positional ``dgemm`` into
+per-call buffers and one ``ddot`` a Stein doubling step (``ddot`` also takes
+its scale ||C||_F and its check's norms), ``dgees`` and ``dtgsyl`` for the
+Stein solves it gives up.  At scalar or n = 8 sizes, the dispatch of
 ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several times the
 arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
 ``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
@@ -434,12 +434,14 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     or inf; at least 2^-1024), and one range test of X / s scales it back.
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: X_0 = C,
     M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
-    three ``dgemm`` that write only a copy of C, until ||M_{j+1}||_F^2 <= eps
-    / (4 (1 + ||L||_F^2)).  The power the step forms anyway bounds what is left:
-    X_inf - X_{j+1} = M_{j+1}^T X_inf M_{j+1}, the residual of
-    X_{j+1} is -M_{j+1}^T C M_{j+1} and ||C||_F <= (1 + ||L||_F^2) ||X||_F,
-    so both are below about eps ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds
-    rho(L)^(2^(j+1)) and so makes X unique.  X is accepted only when also
+    three ``dgemm`` called positionally and one ``ddot`` a step, writing into
+    buffers allocated once per call (X in place, in a copy of C: L and C are
+    not written), until ||M_{j+1}||_F^2 <= eps / (4 (1 + ||L||_F^2)).  The
+    power the step forms anyway bounds what is left: X_inf - X_{j+1} =
+    M_{j+1}^T X_inf M_{j+1}, the residual of X_{j+1} is -M_{j+1}^T C M_{j+1}
+    and ||C||_F <= (1 + ||L||_F^2) ||X||_F, so both are below about eps
+    ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds rho(L)^(2^(j+1)) and so makes X
+    unique.  X is accepted only when also
     ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
     backward-stable solve, taken once a ``ddot`` finds ||X||_F^2 finite.
     When that test fails, a norm is not finite or the power is still large
@@ -483,11 +485,16 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     c_norm = math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max()
     H = C * (0.5 / (s := _pow2_scale(max(c_norm, 2.0 ** -1024))))  # exact: s is a power of 2
     X = C = np.add(H, H.T, order="F")
-    M, bound, gemm = L, _EPS / (4.0 * (1.0 + l_sq)), scipy.linalg.blas.dgemm
-    for j in range(STEIN_DOUBLINGS):
-        X = gemm(1.0, gemm(1.0, M, X, trans_a=1), M, beta=1.0, c=X, overwrite_c=j > 0)
-        M = gemm(1.0, M, M)
-        m = _sum_sq(M)
+    M, bound, n = L, _EPS / (4.0 * (1.0 + l_sq)), L.shape[0]
+    gemm, ddot = scipy.linalg.blas.dgemm, scipy.linalg.blas.ddot
+    # this call's buffers, each a Fortran n-by-n view and its flat row: T, and two for M
+    (T, _), *powers = [(b.reshape(n, n, order="F"), b) for b in np.empty((3, n * n))]
+    for j in range(STEIN_DOUBLINGS):  # dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
+        P, p = powers[j & 1]  # the one M does not occupy
+        gemm(1.0, M, X, 0.0, T, 1, 0, 1)  # T = M^T X: beta 0, so T's old entries are not read
+        X = gemm(1.0, T, M, 1.0, X, 0, 0, j > 0)  # X += T M: in place, but at j = 0 in a copy of C
+        M = gemm(1.0, M, M, 0.0, P, 0, 0, 1)  # M = M M in P: beta 0, trans_a = trans_b = 0
+        m = ddot(p, p)  # ||M||_F^2 over M's memory
         if m <= bound or not math.isfinite(m):
             break
     x = None  # ||X||_F of an accepted X / s

@@ -424,6 +424,27 @@ class TestPsi:
         with pytest.raises(ZeroLambda):
             nme.psi(nme.new_problem([[1.0]], [[2.0]]), 0.0)
 
+    @pytest.mark.parametrize("lam", [5e-324, -5e-324, 1e-310, 5e-324j, -1e-309 + 5e-324j])
+    def test_reciprocal_overflow_is_zero_lambda(self, lam):
+        # 1 / lambda is inf, and inf times the 0j of A's entries was a NaN matrix
+        with pytest.raises(ZeroLambda):
+            nme.psi(nme.new_problem([[0.3]], [[2.0]]), lam)
+
+    @pytest.mark.parametrize("lam", [1e308, -1e308, 1e-308, 2e307j, 1.8e307])
+    def test_entry_overflow_is_typed(self, lam):
+        # an entry of lambda A or A^T / lambda beyond the float range
+        with pytest.raises(NonFiniteInput):
+            nme.psi(nme.new_problem(np.diag([1.0, 10.0]), 25.0 * np.eye(2)), lam)
+
+    @pytest.mark.parametrize("a,lam", [
+        (10.0, 1.7e307), (10.0, -1.7e307j), (10.0, 1e-307), (0.3, 1e-308),
+        (0.3, 2.0 ** -1022), (0.3, -1e-308 + 1e-308j), (10.0, 1.0 + 1e-300j), (0.0, 1e308)])
+    def test_values_next_to_the_overflow_keep_their_bits(self, a, lam):
+        # where nothing overflows psi is Q + lambda A + (1 / lambda) A^T, bit for bit
+        p = nme.new_problem(np.diag([1.0, a]), 25.0 * np.eye(2))
+        expected = p.Q.astype(complex) + lam * p.A + (1.0 / lam) * p.A.T
+        assert np.isfinite(expected).all() and same_bits(nme.psi(p, lam), expected)
+
     def test_hermitian_on_circle(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.7, seed=3))
         for theta in (0.3, 1.1, 2.9):

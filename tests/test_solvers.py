@@ -531,6 +531,21 @@ class TestStein:
         assert same_bits(L, L0) and same_bits(C, C0)
         assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_step_buffers_live_only_for_the_call(self, order):
+        # each call allocates its own buffers: a second solve on other data
+        # writes nothing that the first X or the caller's L and C hold, and
+        # the first solve, repeated, gives the same bits
+        rng = np.random.default_rng(11)
+        Ls = [np.asarray(r * rng.standard_normal((9, 9)) / 3.0, order=order) for r in (0.6, 0.8)]
+        Cs = [np.asarray(self._random_symmetric(rng, 9), order=order) for _ in Ls]
+        saved = [M.copy(order="K") for M in Ls + Cs]
+        X = nme.solve_stein(Ls[0], Cs[0])
+        X0 = X.copy()
+        assert not np.shares_memory(X, nme.solve_stein(Ls[1], Cs[1]))
+        assert same_bits(X, X0) and same_bits(nme.solve_stein(Ls[0], Cs[0]), X0)
+        assert all(same_bits(M, M0) for M, M0 in zip(Ls + Cs, saved))
+
     def test_large_n(self):
         # the n^2-by-n^2 vectorized operator would need 12.8 GB at n = 200
         rng = np.random.default_rng(3)

@@ -89,10 +89,11 @@ def test_one_power_of_two_scale_and_one_safe_norm():
 
 def test_one_reader_for_caller_arrays():
     # caller arrays are read by problem._matrix alone (the CLI checks its own
-    # scalar options); a second finiteness test would fork the rule again
+    # scalar options); a second finiteness test would fork the rule again.
+    # psi's other raise is no read: it is the range test of lambda A and A^T / lambda
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sum(text.count("raise NonFiniteInput(") for name, text in texts.items()
-               if name != "cli.py") == 1
+               if name != "cli.py") == 2
     assert [name for name, text in texts.items() if "_as_complex_matrix" in text] == []
 
 
@@ -130,13 +131,20 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_stein_doubling_loop_calls_dgemm_not_matmul():
-    # each doubling step is three dgemm with X accumulated in place; an @
-    # in the loop brings back numpy's dispatch and a fresh X every step
+    # each doubling step is three dgemm into per-call buffers, with X
+    # accumulated in place, and one ddot; an @ in the loop brings back numpy's
+    # dispatch and a fresh X every step, an np. call or _sum_sq builds an
+    # array every step, and a keyword argument costs f2py's keyword parsing
     loops = [node for node in ast.walk(_function("solvers.py", "solve_stein"))
              if isinstance(node, ast.For)]
     assert len(loops) == 1
     assert [node for node in ast.walk(loops[0])
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
+    calls = [node for statement in loops[0].body for node in ast.walk(statement)
+             if isinstance(node, ast.Call)]
+    assert [ast.unparse(node) for node in calls if node.keywords] == []
+    assert sorted(ast.unparse(node.func) for node in calls) == [
+        "ddot", "gemm", "gemm", "gemm", "math.isfinite"]
 
 
 def test_one_preparation_for_both_stein_paths():
@@ -214,8 +222,9 @@ def test_input_validation_sites():
     # caller arrays are read once, where they enter: new_problem (A, Q),
     # _candidate (X), psi (lambda), SymplecticPencil (M, L), solve_stein (L and
     # C, at one site) and solve_sda_scalar (a, q), and only _matrix raises
-    # NonFiniteInput; a second read of the same data forks the rule and pays
-    # for its scan again
+    # NonFiniteInput on a read (psi also raises it where lambda A or A^T / lambda
+    # overflows); a second read of the same data forks the rule and pays for
+    # its scan again
     sites = Counter()
     for module in ("problem.py", "solvers.py"):
         for scope, node in _scoped_nodes(module):
@@ -231,6 +240,7 @@ def test_input_validation_sites():
         "problem.py:new_problem:_square_real": 2,
         "problem.py:_candidate:_square_real": 1,
         "problem.py:psi:_matrix": 1,
+        "problem.py:psi:raise NonFiniteInput": 1,
         "solvers.py:solve_stein:_square_real": 2,
         "solvers.py:solve_sda_scalar:_matrix": 2,
     }
