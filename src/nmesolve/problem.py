@@ -374,15 +374,21 @@ def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
 
     Hermitian whenever |lambda| = 1, since A and Q are real.  lambda must be
     a finite number (see ``_matrix``); :class:`ZeroLambda` where 1 / lambda is
-    not, :class:`NonFiniteInput` where an entry of lambda A or A^T / lambda is not.
+    not, :class:`NonFiniteInput` where an entry of psi (or of its partial sum
+    Q + lambda A) is not: 4 times that entry of psi / 4, which cannot overflow
+    once lambda A and A^T / lambda are finite, shows it without a warning.
     """
     lam = complex(_matrix([[lam]], "lambda", complex)[0, 0])
     r = 1.0 / lam if lam else complex(math.inf)
     if not math.isfinite(m := max(map(abs, (lam.real, lam.imag, r.real, r.imag)))):
         raise ZeroLambda(f"psi is undefined at lambda = {lam!r}: 1 / lambda is not finite")
-    if not math.isfinite(m * float(np.abs(problem.A).max())):  # Python floats: no warning
-        raise NonFiniteInput(f"psi({lam!r}) overflows: lambda A or A^T / lambda is not finite")
-    return problem.Q.astype(complex) + lam * problem.A + r * problem.A.T
+    A = problem.A
+    if math.isfinite(big := m * float(np.abs(A).max())):
+        part = problem.Q / 4 + (lam / 4) * A
+        big = 4.0 * max(float(np.abs(S.view(float)).max()) for S in (part, part + (r / 4) * A.T))
+    if not math.isfinite(big):
+        raise NonFiniteInput(f"psi({lam!r}) overflows: an entry is beyond the float range")
+    return problem.Q.astype(complex) + lam * A + r * A.T
 
 
 def _eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas) -> np.ndarray:

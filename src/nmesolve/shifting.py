@@ -28,7 +28,7 @@ relocation with a fixed, well-conditioned r recovers the original solution
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -93,15 +93,43 @@ SCALAR_SHIFT_R = 0.5
 class ShiftSpec:
     """Eigenvector block and correction factors for a simultaneous shift.
 
-    ``lam``/``lam_hat`` hold the diagonal entries (current and target
-    eigenvalues) as 1-d complex arrays.
+    Read by ``_matrix`` and shape-checked when built: V is complex with columns,
+    ``lam``/``lam_hat`` (current and target eigenvalues) vectors of its column
+    count, R1 and R2 of its shape.  An absent R2 is zero; an absent R1 is
+    V (V^T V)^{-1} (LambdaHat - Lambda) for a V of full column rank, formed on
+    V over its power of two (R1 scales as 1 / V): R1^T V is the displacement.
     """
 
     V: np.ndarray
     lam: np.ndarray
     lam_hat: np.ndarray
-    R1: np.ndarray
-    R2: np.ndarray
+    R1: np.ndarray | None = None
+    R2: np.ndarray | None = None
+
+    def __post_init__(self):
+        V = _matrix(self.V, "V", complex)
+        lam = _matrix([self.lam], "lam", complex)[0]
+        lam_hat = _matrix([self.lam_hat], "lam_hat", complex)[0]
+        R1, R2 = (F if F is None else _matrix(F, name, complex)
+                  for F, name in ((self.R1, "R1"), (self.R2, "R2")))
+        k = V.shape[1]
+        if (lam.size, lam_hat.size) != (k, k) \
+                or {F.shape for F in (R1, R2) if F is not None} - {V.shape}:
+            raise DimensionMismatch("lam/lam_hat must have V's column count, R1 and R2 its shape")
+        if k == 0:
+            raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
+        if R1 is None:
+            sv = np.linalg.svd(V, compute_uv=False)
+            if sv.size == 0 or not sv[-1] >= 1e-10 * sv[0]:
+                raise RankDeficientV(f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}")
+            s, Vs = _unit_scaled(V)
+            try:  # plain transpose: V^T V is complex symmetric
+                R1 = Vs @ np.linalg.solve(Vs.T @ Vs, np.diag(lam_hat - lam)) / s
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficientV(f"V^T V is singular: {exc}") from exc
+        for name, F in (("V", V), ("lam", lam), ("lam_hat", lam_hat), ("R1", R1),
+                        ("R2", np.zeros_like(V) if R2 is None else R2)):
+            object.__setattr__(self, name, F)
 
 
 @dataclass(frozen=True)
@@ -188,8 +216,9 @@ def _conjugate_closed(lam: np.ndarray, lam_hat: np.ndarray) -> bool:
 def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     """Replace the eigenvalues in ``spec.lam`` by ``spec.lam_hat`` at once.
 
-    Validates that every column of V is an eigenvector for its entry of
-    ``lam`` (entries must be pairwise distinct), that the coupling
+    The spec checked its own fields when it was built.  Validates that V has
+    the pencil's dimension, that every column of V is an eigenvector for its
+    entry of ``lam`` (entries must be pairwise distinct), that the coupling
     identities R1^T V = diag(lam_hat - lam) and R2^T V = 0 hold, and -- for a
     real pencil, one with real arrays (see :class:`SymplecticPencil`) -- that
     (lam, lam_hat) is conjugate closed so the updated pencil stays real.
@@ -197,17 +226,10 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
     under lambda -> 1/lambda.
     """
     M, L = pencil.M, pencil.L
-    V = _matrix(spec.V, "V", complex)
-    lam = _matrix([spec.lam], "lam", complex)[0]
-    lam_hat = _matrix([spec.lam_hat], "lam_hat", complex)[0]
-    R1 = _matrix(spec.R1, "R1", complex)
-    R2 = _matrix(spec.R2, "R2", complex)
+    V, lam, lam_hat, R1, R2 = spec.V, spec.lam, spec.lam_hat, spec.R1, spec.R2
     k = V.shape[1]
-    if V.shape[0] != pencil.dim or lam.size != k or lam_hat.size != k \
-            or R1.shape != V.shape or R2.shape != V.shape:
+    if V.shape[0] != pencil.dim:
         raise DimensionMismatch("shift spec shapes are inconsistent with the pencil")
-    if k == 0:
-        raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
 
     lam_scale = max(1.0, float(np.max(np.abs(lam))))
     for i in range(k):
@@ -241,29 +263,8 @@ def shift_multi(pencil: SymplecticPencil, spec: ShiftSpec) -> SymplecticPencil:
 
 
 def build_shift_factors(V, lam, lam_hat) -> ShiftSpec:
-    """Construct correction factors for :func:`shift_multi`.
-
-    R1 = V (V^T V)^{-1} (LambdaHat - Lambda), so that R1^T V equals the
-    diagonal eigenvalue displacement; R2 defaults to zero (no update on the
-    L side).  V must have full column rank.
-    """
-    V = _matrix(V, "V", complex)
-    lam = _matrix([lam], "lam", complex)[0]
-    lam_hat = _matrix([lam_hat], "lam_hat", complex)[0]
-    if lam.size != V.shape[1] or lam_hat.size != V.shape[1]:
-        raise DimensionMismatch("lam/lam_hat length must match the column count of V")
-    if V.shape[1] == 0:
-        raise RankDeficientV("V has no columns: there is no eigenvalue to shift")
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv.size == 0 or not sv[-1] >= 1e-10 * sv[0]:
-        raise RankDeficientV(f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}")
-    D = np.diag(lam_hat - lam)
-    gram = V.T @ V  # plain transpose; complex symmetric
-    try:
-        R1 = V @ np.linalg.solve(gram, D)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientV(f"V^T V is singular: {exc}") from exc
-    return ShiftSpec(V=V, lam=lam, lam_hat=lam_hat, R1=R1, R2=np.zeros_like(V))
+    """``ShiftSpec(V, lam, lam_hat)``: the spec whose R1 it builds, with R2 = 0."""
+    return ShiftSpec(V, lam, lam_hat)
 
 
 def generalized_eigenvalues(pencil: SymplecticPencil) -> np.ndarray:
@@ -371,24 +372,16 @@ def load_pencil(path) -> SymplecticPencil:
 
 
 def load_shift_spec(path, dim: int) -> ShiftSpec:
-    """Read a shift spec: V/lambda/lambda_hat (interleaved), optional R1/R2.
-
-    When R1 is absent the factors are constructed via
-    :func:`build_shift_factors`; a supplied R2 overrides the zero default.
-    """
+    """Read a shift spec: V/lambda/lambda_hat (interleaved), optional R1/R2,
+    an absent factor built as :class:`ShiftSpec` builds it."""
     data = serialize.load_json(path, ("V", "lambda", "lambda_hat"))
     k = len(data["lambda"]) // 2 if isinstance(data["lambda"], list) else 0
     lam = _from_interleaved(data, "lambda", (k,), path)
     V = _from_interleaved(data, "V", (dim, k), path)
     lam_hat = _from_interleaved(data, "lambda_hat", (k,), path)
-    if "R1" in data:
-        R1 = _from_interleaved(data, "R1", (dim, k), path)
-        spec = ShiftSpec(V=V, lam=lam, lam_hat=lam_hat, R1=R1, R2=np.zeros((dim, k), dtype=complex))
-    else:
-        spec = build_shift_factors(V, lam, lam_hat)
-    if "R2" in data:
-        spec = replace(spec, R2=_from_interleaved(data, "R2", (dim, k), path))
-    return spec
+    R1, R2 = (_from_interleaved(data, key, (dim, k), path) if key in data else None
+              for key in ("R1", "R2"))
+    return ShiftSpec(V, lam, lam_hat, R1, R2)
 
 
 def _flag_nearest(values: np.ndarray, targets: np.ndarray) -> list[int]:

@@ -149,6 +149,10 @@ class TestBench:
         assert rows["fixed-point"][3] == "50" and rows["fixed-point"][6] == "false"
         assert rows["newton"][6] == "true"
 
+    def test_unknown_algorithm(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--algorithms", "sda,bogus")
+        assert (code, out) == (2, "") and "unknown algorithm 'bogus'" in err
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         argv = ["bench", "--rho", "0.4,0.8", "--n", "2,3", "--seed", "1",
                 "--algorithms", "sda"]
@@ -254,6 +258,17 @@ class TestScalarCritical:
         assert code == 2
         assert out == ""
         assert f"error: a = {float(a)!r}, q = {float(q)!r}" in err
+
+    def test_no_real_solution_fails_plain_doubling(self, capsys):
+        # q < 2|a|: the doubling step's D loses positive definiteness
+        code, out, err = run_cli(capsys, "scalar-critical", "--a", "2", "--q", "1")
+        assert code == 1 and out == "scalar-critical a=2.0 q=1.0\n"
+        assert "error: plain doubling failed" in err
+
+    def test_error_target_not_reached(self, capsys):
+        # one ulp above critical, x+ = 1 + 2.1e-8; plain doubling ends 2e-9 from it
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "2.0000000000000004")
+        assert code == 0 and "iterations-to-error-1e-12=not-reached" in out
 
     def test_noncritical_skips_shifted(self, capsys):
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "0.5", "--q", "2")

@@ -397,6 +397,11 @@ class TestIsSymplecticPencil:
         with pytest.raises(OddDimension):
             nme.is_symplectic_pencil(pen)
 
+    def test_ssf2_blocks_of_odd_dimension(self):
+        pen = nme.SymplecticPencil(M=np.eye(3), L=np.eye(3))
+        with pytest.raises(OddDimension):
+            nme.ssf2_blocks(pen)
+
     def test_large_scale(self):
         # M J M^T overflows in the entries' own scale; the test is homogeneous
         p = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.9, seed=1)).problem
@@ -442,6 +447,26 @@ class TestPsi:
     def test_values_next_to_the_overflow_keep_their_bits(self, a, lam):
         # where nothing overflows psi is Q + lambda A + (1 / lambda) A^T, bit for bit
         p = nme.new_problem(np.diag([1.0, a]), 25.0 * np.eye(2))
+        expected = p.Q.astype(complex) + lam * p.A + (1.0 / lam) * p.A.T
+        assert np.isfinite(expected).all() and same_bits(nme.psi(p, lam), expected)
+
+    @pytest.mark.parametrize("a,q,lam", [(0.25e308, 1e308, 3.0), (1e308, 1.7e308, 1.0)])
+    def test_sum_overflow_is_typed(self, a, q, lam):
+        # no term of psi overflows, but their sum does: it was an inf matrix
+        # behind an "overflow encountered in add" warning
+        with pytest.raises(NonFiniteInput):
+            nme.psi(nme.new_problem(a * np.eye(2), q * np.eye(2)), lam)
+
+    def test_partial_sum_overflow_is_typed(self):
+        # Q + lambda A overflows in entry (0, 1) before A^T / lambda takes 1e308 off
+        A = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        p = nme.new_problem(A, np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+        with pytest.raises(NonFiniteInput):
+            nme.psi(p, 1.0)
+
+    @pytest.mark.parametrize("a,q,lam", [(0.25e308, 1e308, 2.5), (0.5e308, 0.7e308, 1.0)])
+    def test_sums_next_to_the_overflow_keep_their_bits(self, a, q, lam):
+        p = nme.new_problem(a * np.eye(2), q * np.eye(2))
         expected = p.Q.astype(complex) + lam * p.A + (1.0 / lam) * p.A.T
         assert np.isfinite(expected).all() and same_bits(nme.psi(p, lam), expected)
 

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from helpers import match_distance, nonnormal_planted, pencil_with_spectrum, sam
 from nmesolve.shifting import EIGENPAIR_RTOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
+    DimensionMismatch,
     EigensolverFailure,
     NonFiniteInput,
     NotAnEigenpair,
@@ -64,6 +66,10 @@ class TestShiftSingle:
         pen = nme.build_pencil(nme.new_problem([[0.5e308]], [[1.5e308]]))
         with pytest.raises(NotAnEigenpair):
             nme.shift_single(pen, [1.0, 0.0], 5.0, 0.5, [1.0, 0.0])
+
+    def test_rejects_vector_of_other_dimension(self):
+        with pytest.raises(DimensionMismatch, match="pencil dimension"):
+            nme.shift_single(critical_pencil(), [1.0, 1.0, 0.0], 1.0, 0.9, [1.0, 0.0, 0.0])
 
     def test_rejects_unnormalized_r(self):
         pen = critical_pencil()
@@ -235,12 +241,17 @@ class TestShiftMulti:
             nme.shift_multi(pen, spec)
 
     def test_empty_spec_names_missing_eigenvalue(self):
+        # the spec refuses itself when built, before it reaches shift_multi
         pen = critical_pencil()
         empty = np.zeros((2, 0), dtype=complex)
-        spec = nme.ShiftSpec(V=empty, lam=np.zeros(0, dtype=complex),
-                             lam_hat=np.zeros(0, dtype=complex), R1=empty, R2=empty)
         with pytest.raises(RankDeficientV, match="no columns: there is no eigenvalue to shift"):
-            nme.shift_multi(pen, spec)
+            nme.shift_multi(pen, nme.ShiftSpec(V=empty, lam=np.zeros(0, dtype=complex),
+                                               lam_hat=np.zeros(0, dtype=complex), R1=empty, R2=empty))
+
+    def test_rejects_spec_of_other_dimension(self):
+        spec = nme.build_shift_factors(np.eye(4, 1), [1.0], [0.9])
+        with pytest.raises(DimensionMismatch, match="inconsistent with the pencil"):
+            nme.shift_multi(critical_pencil(), spec)
 
     def test_repeated_eigenvalues_rejected(self):
         pen = critical_pencil()
@@ -279,6 +290,13 @@ class TestShiftMulti:
                                        [1.0], [0.9])
         with pytest.warns(ReciprocalPairingWarning):
             nme.shift_multi(pen, spec)
+
+    def test_zero_target_warns(self):
+        # 0 has no reciprocal, so a target 0 breaks the pairing
+        spec = nme.build_shift_factors([[1.0], [1.0]], [1.0], [0.0])
+        with pytest.warns(ReciprocalPairingWarning):
+            out = nme.shift_multi(critical_pencil(), spec)
+        assert match_distance(oracle_eigs(out), [0.0, 1.0]) <= 1e-7
 
     @pytest.mark.parametrize("lam_hat,warns", [((0.4, 2.5), False), ((0.4, 2.4), True)],
                              ids=["reciprocal-closed", "not-closed"])
@@ -325,6 +343,14 @@ class TestBuildShiftFactors:
         assert np.linalg.norm(spec.R1.T @ spec.V - D) <= 1e-12 * (1 + np.linalg.norm(D))
         assert np.linalg.norm(spec.R2.T @ spec.V) == 0.0
 
+    @pytest.mark.parametrize("v", [1e200, 1e-200])
+    def test_scale_of_v(self, v):
+        # V^T V overflowed (a raw warning) or underflowed to 0 ("V^T V is
+        # singular") for a V of full rank; R1 is formed on V over its power of two
+        spec = nme.build_shift_factors([[v], [v]], [1.0], [0.9])
+        assert complex((spec.R1.T @ spec.V)[0, 0]) == pytest.approx(-0.1, rel=1e-14)
+        assert np.array_equal(spec.R2, np.zeros((2, 1)))
+
     def test_rank_deficient_rejected(self):
         V = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(RankDeficientV):
@@ -347,6 +373,27 @@ class TestBuildShiftFactors:
         # a NaN in V reached np.linalg.svd, which raised a raw LinAlgError
         with pytest.raises(NonFiniteInput):
             nme.build_shift_factors(V, lam, lam_hat)
+
+
+class TestShiftSpec:
+    def test_fields_are_read_when_built(self):
+        spec = nme.ShiftSpec([[1.0], [1.0]], [1.0], [0.9], [[-0.1], [0.0]])
+        assert [getattr(spec, name).dtype for name in ("V", "lam", "lam_hat", "R1", "R2")] \
+            == [np.complex128] * 5
+        assert spec.lam.shape == (1,) and np.array_equal(spec.R2, np.zeros((2, 1)))
+
+    def test_absent_r1_is_built_as_build_shift_factors_builds_it(self):
+        V = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]
+        built = nme.build_shift_factors(V, [0.5, 2.0], [0.4, 2.5])
+        spec = nme.ShiftSpec(V, [0.5, 2.0], [0.4, 2.5], R2=np.ones((6, 2)))
+        assert same_bits(spec.R1, built.R1) and np.array_equal(spec.R2, np.ones((6, 2)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("lam", [1.0, 2.0]), ("lam_hat", []), ("R1", np.zeros((2, 2))), ("R2", np.zeros((3, 1)))])
+    def test_shapes_are_checked_when_built(self, field, value):
+        args = {"V": [[1.0], [1.0]], "lam": [1.0], "lam_hat": [0.9], field: value}
+        with pytest.raises(DimensionMismatch, match="column count"):
+            nme.ShiftSpec(**args)
 
 
 class TestDetectUnimodular:
@@ -601,6 +648,10 @@ class TestSolveScalarShifted:
         result = nme.solve_scalar_shifted(-1.0, 2.0)
         assert abs(result.x_plus - 1.0) <= 1e-10
 
+    def test_zero_a_rejected(self):
+        with pytest.raises(NotCriticalCase, match="a = 0"):
+            nme.solve_scalar_shifted(0.0, 0.0)
+
     def test_subcritical_rejected(self):
         with pytest.raises(NotCriticalCase):
             nme.solve_scalar_shifted(0.5, 2.0)
@@ -719,6 +770,13 @@ class TestPencilFiles:
         spec = nme.load_shift_spec(path, 2)
         assert complex((spec.R1.T @ spec.V)[0, 0]) == pytest.approx(-0.1)
         assert np.allclose(spec.R2, 0.0)
+
+    def test_spectra_csv_flags_one_row_per_target(self):
+        # both targets are nearest 0.5: the second flags the nearest row still free
+        spec = nme.ShiftSpec(np.eye(2), [0.5, 0.6], [0.5, 0.6])
+        fh = io.StringIO()
+        nme.write_spectra_csv(fh, np.array([2.0, 0.5]), np.array([0.5, 2.0]), spec)
+        assert fh.getvalue().splitlines()[1:] == ["0.5,0.0,1", "2.0,0.0,1"] * 2
 
     def test_spec_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1390,6 +1390,9 @@ class TestReports:
         assert len(calls) == 1
         assert rep.rho_ratio == pytest.approx(0.9, abs=1e-6)
 
+    def test_rho_ratio_without_a_is_nan(self):
+        assert math.isnan(nme.SolveReport(X=np.eye(2), iterations=0, converged=True).rho_ratio)
+
     def test_rho_ratio_singular_x_is_nan(self):
         rep = nme.SolveReport(X=np.zeros((2, 2)), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)

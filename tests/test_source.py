@@ -221,12 +221,14 @@ def test_errstate_only_at_the_outer_contexts():
 def test_input_validation_sites():
     # caller arrays are read once, where they enter: new_problem (A, Q),
     # _candidate (X), psi (lambda), SymplecticPencil (M, L), solve_stein (L and
-    # C, at one site) and solve_sda_scalar (a, q), and only _matrix raises
-    # NonFiniteInput on a read (psi also raises it where lambda A or A^T / lambda
-    # overflows); a second read of the same data forks the rule and pays for
+    # C, at one site), solve_sda_scalar (a, q), ShiftSpec (V, lam, lam_hat, and
+    # R1 and R2 at one site), shift_single (v, r, lambda0 and lambda1) and
+    # solve_scalar_shifted (a and q), and only _matrix raises NonFiniteInput on a
+    # read (psi also raises it where an entry of psi overflows); a second read of
+    # the same data (say, of a spec in shift_multi) forks the rule and pays for
     # its scan again
     sites = Counter()
-    for module in ("problem.py", "solvers.py"):
+    for module in ("problem.py", "solvers.py", "shifting.py"):
         for scope, node in _scoped_nodes(module):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("_square_real", "_matrix")):
@@ -243,4 +245,7 @@ def test_input_validation_sites():
         "problem.py:psi:raise NonFiniteInput": 1,
         "solvers.py:solve_stein:_square_real": 2,
         "solvers.py:solve_sda_scalar:_matrix": 2,
+        "shifting.py:ShiftSpec.__post_init__:_matrix": 4,
+        "shifting.py:shift_single:_matrix": 3,
+        "shifting.py:solve_scalar_shifted:_matrix": 1,
     }
