@@ -203,12 +203,11 @@ def fro_norm(M) -> float:
     return scale * math.sqrt(_sum_sq(mu))
 
 
-def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
+def _matrix(M, name: str, dtype=None) -> np.ndarray:
     """Caller data M as a 2-d float64 array, or complex128 where dtype is
     complex or (dtype None) M is complex; float64 data is not copied.  Complex
     data for dtype float, and non-numeric data, raise :class:`DimensionMismatch`;
-    NaN/Inf raise :class:`NonFiniteInput` unless ``finite`` is False; an
-    integer beyond the float range raises it always."""
+    NaN/Inf, and an integer beyond the float range, :class:`NonFiniteInput`."""
     overflow = ""
     try:
         M = np.asarray(M)
@@ -222,7 +221,7 @@ def _matrix(M, name: str, dtype=None, finite=True) -> np.ndarray:
     except OverflowError as exc:  # a Python integer beyond the float range
         overflow = f" ({exc})"
     # a finite vdot(M, M) shows M finite; only where it is not is M scanned
-    if overflow or (finite and not math.isfinite(abs(np.vdot(m := M.ravel("K"), m)))
+    if overflow or (not math.isfinite(abs(np.vdot(m := M.ravel("K"), m)))
                     and not np.isfinite(m).all()):
         raise NonFiniteInput(f"{name} contains NaN/Inf{overflow}")
     return M

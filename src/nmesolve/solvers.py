@@ -92,13 +92,13 @@ from .problem import (
     NmeProblem,
     _candidate_w,
     _cholesky,
-    _matrix,
     _pow2_scale,
     _square_real,
     _sum_sq,
     _unit_scaled,
     cholesky_residual,
     fro_norm,
+    new_problem,
     spectral_radius,
     symmetric_part,
 )
@@ -655,15 +655,11 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
 
 
 def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> SolveReport:
-    """Doubling for the scalar equation x + a^2/x = q (q > 0): the 1-by-1
-    call of :func:`solve_sda`, so the report holds q_k in ``iterates`` and
-    a_k, p_k in ``aux_iterates`` ("A", "P") as 1-by-1 arrays.  Only a and q are
-    checked: real numbers, a finite and q > 0 (else :class:`DimensionMismatch`,
-    :class:`NonFiniteInput`, :class:`NotPositiveDefinite`), so q = inf ends in a solver failure."""
-    A, Q = _matrix([[a]], "a", float), _matrix([[q]], "q", float, finite=False)
-    if not Q[0, 0] > 0:
-        raise NotPositiveDefinite("q", f"q = {Q.item()!r}")
-    return solve_sda(NmeProblem(A=A, Q=Q), config)
+    """Doubling for the scalar equation x + a^2/x = q: :func:`solve_sda` on
+    ``new_problem([[a]], [[q]])``, so a and q are read as its A and Q and the
+    report holds q_k in ``iterates`` and a_k, p_k in ``aux_iterates`` ("A", "P")
+    as 1-by-1 arrays."""
+    return solve_sda(new_problem([[a]], [[q]]), config)
 
 
 _DISPATCH = {

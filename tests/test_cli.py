@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nmesolve as nme
@@ -227,6 +228,12 @@ class TestVerifyShift:
         assert code == 2
 
 
+def critical_draws(count, seed):
+    """a = ±10^U(-2, 2), as the bench draws its critical scalar jobs."""
+    rng = np.random.default_rng(seed)
+    return [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(count)]
+
+
 class TestScalarCritical:
     def test_critical_comparison(self, capsys):
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "2")
@@ -260,10 +267,26 @@ class TestScalarCritical:
         assert f"error: a = {float(a)!r}, q = {float(q)!r}" in err
 
     def test_no_real_solution_fails_plain_doubling(self, capsys):
-        # q < 2|a|: the doubling step's D loses positive definiteness
+        # q < 2|a|: the doubling step's D loses positive definiteness, and the
+        # shifted solve does not apply, so nothing is solved
         code, out, err = run_cli(capsys, "scalar-critical", "--a", "2", "--q", "1")
-        assert code == 1 and out == "scalar-critical a=2.0 q=1.0\n"
-        assert "error: plain doubling failed" in err
+        lines = out.splitlines()
+        assert code == 1 and err == "" and len(lines) == 3
+        assert lines[1].endswith(" converged=0 failure=DoublingBreakdown "
+                                 "(no real solution: q^2 - 4a^2 < 0)")
+        assert lines[2].startswith("shifted not-applicable ")
+
+    @pytest.mark.parametrize("a", [7.3, -17.909396718478327] + critical_draws(20, seed=5))
+    def test_critical_draws_reach_the_shifted_solve(self, capsys, a):
+        # off dyadic data, plain doubling held past convergence (min_iter 45)
+        # breaks down near step 30; its partial run is reported and the
+        # shifted solve still runs
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", repr(a), "--q", repr(2 * abs(a)))
+        assert code == 0
+        plain = next(line for line in out.splitlines() if line.startswith("plain-sda "))
+        assert plain.endswith((" converged=1", " failure=DoublingBreakdown"))
+        x_plus = float(re.search(r"shifted x-plus=(\S+)", out).group(1))
+        assert abs(x_plus - abs(a)) <= 1e-12 * abs(a)
 
     def test_error_target_not_reached(self, capsys):
         # one ulp above critical, x+ = 1 + 2.1e-8; plain doubling ends 2e-9 from it

@@ -60,8 +60,8 @@ class TestNewProblem:
 
     @pytest.mark.parametrize("big", [10**400, -10**400])
     def test_integer_beyond_float_range_is_non_finite(self, big):
-        # astype raises OverflowError for it; the reader types it, also where
-        # NaN/Inf are allowed (the q of solve_sda_scalar)
+        # astype raises OverflowError for it; the reader types it as NaN/Inf,
+        # also for the q of solve_sda_scalar, which is read as Q
         with pytest.raises(NonFiniteInput, match="^A contains NaN/Inf"):
             nme.new_problem([[big]], [[2.0]])
         with pytest.raises(NonFiniteInput):

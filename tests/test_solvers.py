@@ -1079,11 +1079,10 @@ class TestSdaScalar:
         with pytest.raises(NotPositiveDefinite):
             nme.solve_sda_scalar(1.0, 0.0)
 
-    @pytest.mark.parametrize("q", [math.nan, -math.inf])
-    def test_rejects_non_finite_q_that_is_not_positive(self, q):
-        # q is read for realness only, so q = inf reaches the solver (see
-        # test_scalar_non_finite_never_converges) and these fail q > 0
-        with pytest.raises(NotPositiveDefinite, match="^q is not positive definite"):
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, q):
+        # q is read as the Q of new_problem([[a]], [[q]])
+        with pytest.raises(NonFiniteInput, match="^Q contains NaN/Inf"):
             nme.solve_sda_scalar(1.0, q)
 
     @pytest.mark.parametrize("q", [2.0 + 1j, "a", [2.0, 3.0], [[2.0]], None],
@@ -1193,8 +1192,10 @@ class TestCrossSolverProperties:
         assert np.linalg.norm(big.X / 1e308 - base.X) <= 1e-12 * np.linalg.norm(base.X)
 
     def test_scalar_non_finite_never_converges(self):
+        # a hand-built NmeProblem skips new_problem's validation, so q = inf
+        # reaches the doubling, which must not call its X converged
         with pytest.raises(Diverged) as info:
-            nme.solve_sda_scalar(1.0, math.inf)
+            nme.solve_sda(nme.NmeProblem(A=scalar(1.0), Q=scalar(math.inf)))
         assert info.value.report is not None and not info.value.report.converged
 
 
@@ -1287,7 +1288,7 @@ class TestReports:
 
     @pytest.mark.parametrize("solver", [nme.solve_fixed_point, nme.solve_newton])
     def test_hand_built_indefinite_q(self, solver):
-        # NmeProblem skips new_problem's validation, as solve_sda_scalar does
+        # a hand-built NmeProblem skips new_problem's validation
         p = nme.NmeProblem(A=scalar(0.5), Q=scalar(-1.0))
         with pytest.raises(NotPositiveDefinite) as info:
             solver(p)

@@ -219,14 +219,14 @@ def test_errstate_only_at_the_outer_contexts():
 
 
 def test_input_validation_sites():
-    # caller arrays are read once, where they enter: new_problem (A, Q),
-    # _candidate (X), psi (lambda), SymplecticPencil (M, L), solve_stein (L and
-    # C, at one site), solve_sda_scalar (a, q), ShiftSpec (V, lam, lam_hat, and
-    # R1 and R2 at one site), shift_single (v, r, lambda0 and lambda1) and
-    # solve_scalar_shifted (a and q), and only _matrix raises NonFiniteInput on a
-    # read (psi also raises it where an entry of psi overflows); a second read of
-    # the same data (say, of a spec in shift_multi) forks the rule and pays for
-    # its scan again
+    # caller arrays are read once, where they enter: new_problem (A, Q, and the
+    # a and q of solve_sda_scalar), _candidate (X), psi (lambda),
+    # SymplecticPencil (M, L), solve_stein (L and C, at one site), ShiftSpec
+    # (V, lam, lam_hat, and R1 and R2 at one site), shift_single (v, r, lambda0
+    # and lambda1) and solve_scalar_shifted (a and q), and only _matrix raises
+    # NonFiniteInput on a read (psi also raises it where an entry of psi
+    # overflows); a second read of the same data (say, of a spec in shift_multi)
+    # forks the rule and pays for its scan again
     sites = Counter()
     for module in ("problem.py", "solvers.py", "shifting.py"):
         for scope, node in _scoped_nodes(module):
@@ -244,8 +244,21 @@ def test_input_validation_sites():
         "problem.py:psi:_matrix": 1,
         "problem.py:psi:raise NonFiniteInput": 1,
         "solvers.py:solve_stein:_square_real": 2,
-        "solvers.py:solve_sda_scalar:_matrix": 2,
         "shifting.py:ShiftSpec.__post_init__:_matrix": 4,
         "shifting.py:shift_single:_matrix": 3,
         "shifting.py:solve_scalar_shifted:_matrix": 1,
     }
+
+
+def test_problems_are_built_only_by_new_problem():
+    # an NmeProblem built anywhere else skips the checks of new_problem
+    sites = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope, node in _scoped_nodes(path.name)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("NmeProblem")]
+    assert sites == ["problem.py:new_problem"]
+
+
+def test_matrix_reader_has_no_finiteness_switch():
+    # NaN/Inf in caller data raise NonFiniteInput at every read
+    assert [arg.arg for arg in _function("problem.py", "_matrix").args.args] == [
+        "M", "name", "dtype"]
