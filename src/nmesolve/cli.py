@@ -205,14 +205,14 @@ def _cmd_scalar_critical(args) -> int:
         plain, failure = exc.report, f" failure={type(exc).__name__}"
     plain_x = float(plain.X[0, 0])
     status = f"stopped-at={plain.iterations} converged={int(plain.converged)}{failure}"
-    if x_ref is not None:
-        target = SCALAR_ERROR_TARGET * abs(x_ref)
-        hit = _scalar_error_iteration(plain, x_ref, target)
-        hit_text = "not-reached" if hit is None else str(hit)
-        print(f"plain-sda iterations-to-error-{SCALAR_ERROR_TARGET:g}={hit_text} "
-              f"final-error={abs(plain_x - x_ref)!r} {status}")
-    else:
+    if x_ref is None:  # the shifted solve would answer |a| for q just below 2|a|
         print(f"plain-sda {status} (no real solution: q^2 - 4a^2 < 0)")
+        return 1
+    target = SCALAR_ERROR_TARGET * abs(x_ref)
+    hit = _scalar_error_iteration(plain, x_ref, target)
+    hit_text = "not-reached" if hit is None else str(hit)
+    print(f"plain-sda iterations-to-error-{SCALAR_ERROR_TARGET:g}={hit_text} "
+          f"final-error={abs(plain_x - x_ref)!r} {status}")
 
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     try:

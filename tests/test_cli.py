@@ -267,14 +267,21 @@ class TestScalarCritical:
         assert f"error: a = {float(a)!r}, q = {float(q)!r}" in err
 
     def test_no_real_solution_fails_plain_doubling(self, capsys):
-        # q < 2|a|: the doubling step's D loses positive definiteness, and the
-        # shifted solve does not apply, so nothing is solved
+        # q < 2|a|: the doubling step's D loses positive definiteness, and
+        # there is nothing for the shifted solve to solve
         code, out, err = run_cli(capsys, "scalar-critical", "--a", "2", "--q", "1")
         lines = out.splitlines()
-        assert code == 1 and err == "" and len(lines) == 3
+        assert code == 1 and err == "" and len(lines) == 2
         assert lines[1].endswith(" converged=0 failure=DoublingBreakdown "
                                  "(no real solution: q^2 - 4a^2 < 0)")
-        assert lines[2].startswith("shifted not-applicable ")
+
+    def test_no_real_solution_inside_the_criticality_tolerance(self, capsys):
+        # q is within 1e-8 relative of 2|a|, where solve_scalar_shifted
+        # answers |a|, but x + 1/x = q has no real root for q < 2
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "1.99999999999")
+        assert code == 1
+        assert out.splitlines()[-1].endswith("(no real solution: q^2 - 4a^2 < 0)")
+        assert "shifted" not in out
 
     @pytest.mark.parametrize("a", [7.3, -17.909396718478327] + critical_draws(20, seed=5))
     def test_critical_draws_reach_the_shifted_solve(self, capsys, a):

@@ -261,6 +261,7 @@ CALLER_ARRAYS = {
     "SymplecticPencil": _pencil_with,
     "psi": lambda x: nme.psi(nme.new_problem([[0.3]], [[2.0]]), x),
     "solve_sda_scalar a": lambda x: nme.solve_sda_scalar(x, 2.0),
+    "solve_sda_scalar q": lambda x: nme.solve_sda_scalar(1.0, x),
     "solve_scalar_shifted a": lambda x: nme.solve_scalar_shifted(x, 2.0),
     "solve_scalar_shifted q": lambda x: nme.solve_scalar_shifted(1.0, x),
     "shift_single v": lambda x: nme.shift_single(_critical_pencil(), [1.0, x], 1.0, 0.9,
