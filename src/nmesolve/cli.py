@@ -205,7 +205,7 @@ def _cmd_scalar_critical(args) -> int:
         plain, failure = exc.report, f" failure={type(exc).__name__}"
     plain_x = float(plain.X[0, 0])
     status = f"stopped-at={plain.iterations} converged={int(plain.converged)}{failure}"
-    if x_ref is None:  # the shifted solve would answer |a| for q just below 2|a|
+    if x_ref is None:  # no root to measure against, and the shifted solve refuses q < 2|a|
         print(f"plain-sda {status} (no real solution: q^2 - 4a^2 < 0)")
         return 1
     target = SCALAR_ERROR_TARGET * abs(x_ref)
@@ -222,7 +222,7 @@ def _cmd_scalar_critical(args) -> int:
         return 1 if failure else 0
     for step in result.per_r:
         print(f"shifted r={step.r!r} x-hat={step.x_hat!r} iterations={step.iterations}")
-    err = abs(result.x_plus - abs(a))
+    err = abs(result.x_plus - x_ref)
     print(f"shifted x-plus={result.x_plus!r} error={err!r}")
     return 0
 

@@ -121,7 +121,7 @@ class RepeatedEigenvalue(ShiftError):
 
 
 class ConjugateClosureViolated(ShiftError):
-    """Shifting a real pencil requires conjugate-closed eigenvalue sets."""
+    """A real pencil's shift is not stored real: targets or factors not conjugate closed."""
 
 
 class EigensolverFailure(ShiftError):
@@ -129,7 +129,7 @@ class EigensolverFailure(ShiftError):
 
 
 class NotCriticalCase(ShiftError):
-    """The shifted scalar pipeline only applies when q = 2|a| (to 1e-8)."""
+    """The shifted scalar pipeline applies only at q = 2|a| up to its rounding (4 eps q)."""
 
 
 class ReciprocalPairingWarning(RuntimeWarning):

@@ -1,12 +1,13 @@
 """Shared test utilities: scalar oracles, SPD helpers, spectrum matching."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from nmesolve import SymplecticPencil, new_problem, symmetric_part
+from nmesolve import SymplecticPencil, build_shift_factors, new_problem, symmetric_part
 from nmesolve.harness import _random_orthogonal
 
 
@@ -85,6 +86,24 @@ def pencil_with_spectrum(rng, entries):
         pairs.append((lam, R_inv @ w))
     pen = SymplecticPencil(M=M.astype(complex), L=L.astype(complex))
     return pen, np.asarray(spectrum, dtype=complex), pairs
+
+
+def conjugate_inconsistent_shift():
+    """A real pencil, conjugate-closed targets 1 +- 0.5i -> 0.6 +- 0.8i and a spec
+    whose R1 = R1_0 + W has W^T V = 0 but W not conjugate-consistent.
+
+    R1^T V is R1_0^T V, so every eigenpair and factor check passes, and the
+    targets are reciprocal closed, yet M + L V R1^T has an imaginary part of
+    0.18 ||M + L V R1^T||_F.  Returns ``(pencil, spec)``.
+    """
+    pen, _, pairs = pencil_with_spectrum(np.random.default_rng(8), [0.4, 1.0 + 0.5j, 2.1])
+    lam_c, v_c = pairs[1]
+    V = np.column_stack([v_c, v_c.conj()])
+    spec = build_shift_factors(V, [lam_c, lam_c.conjugate()], [0.6 + 0.8j, 0.6 - 0.8j])
+    # W = i (I - V (V^T V)^-1 V^T) Z, plain transposes, so W^T V = 0
+    Z = np.random.default_rng(0).standard_normal(V.shape)
+    W = 1j * (Z - V @ np.linalg.solve(V.T @ V, V.T @ Z))
+    return pen, replace(spec, R1=spec.R1 + W)
 
 
 def nonnormal_planted(n: int, rho: float, eta: float, seed: int):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nmesolve as nme
-from helpers import MALFORMED_PROBLEMS
+from helpers import MALFORMED_PROBLEMS, conjugate_inconsistent_shift
 from nmesolve import serialize
 from nmesolve.cli import cli_main
 
@@ -198,6 +198,21 @@ class TestVerifyShift:
         assert [float(r[1]) for r in before] == [0.0, 0.0]
         assert [float(r[0]) for r in before] == pytest.approx([1.0, 1.0], abs=1e-7)
 
+    def test_conjugate_inconsistent_spec_file_is_refused(self, tmp_path, capsys):
+        # conjugate-closed targets with a spec-file R1 that is not conjugate
+        # consistent would turn the real pencil complex
+        pen, spec = conjugate_inconsistent_shift()
+        pen_path = tmp_path / "pen.json"
+        spec_path = tmp_path / "spec.json"
+        nme.save_pencil(pen, pen_path)
+        serialize.dump_json({key: np.ascontiguousarray(F, complex).ravel().view(float).tolist()
+                             for key, F in (("V", spec.V), ("lambda", spec.lam),
+                                            ("lambda_hat", spec.lam_hat), ("R1", spec.R1))},
+                            spec_path)
+        code, out, err = run_cli(capsys, "verify-shift", str(pen_path), str(spec_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the shift of a real pencil keeps max |Im F| = ")
+
     def test_empty_spec_is_typed_failure(self, tmp_path, capsys):
         pen_path = tmp_path / "pen.json"
         spec_path = tmp_path / "spec.json"
@@ -276,8 +291,8 @@ class TestScalarCritical:
                                  "(no real solution: q^2 - 4a^2 < 0)")
 
     def test_no_real_solution_inside_the_criticality_tolerance(self, capsys):
-        # q is within 1e-8 relative of 2|a|, where solve_scalar_shifted
-        # answers |a|, but x + 1/x = q has no real root for q < 2
+        # q is 1e-11 below 2|a|: x + 1/x = q has no real root, and the
+        # command stops before the shifted solve, which refuses it too
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "1.99999999999")
         assert code == 1
         assert out.splitlines()[-1].endswith("(no real solution: q^2 - 4a^2 < 0)")
@@ -299,6 +314,15 @@ class TestScalarCritical:
         # one ulp above critical, x+ = 1 + 2.1e-8; plain doubling ends 2e-9 from it
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "2.0000000000000004")
         assert code == 0 and "iterations-to-error-1e-12=not-reached" in out
+
+    def test_shifted_error_is_measured_against_the_root(self, capsys):
+        # one ulp above critical is 2|a| as rounded (within 4 eps q): the
+        # shifted solve answers |a| = 1, 2.1e-8 from x+; 2e-8 above is refused
+        _, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "2.0000000000000004")
+        err = float(re.search(r"shifted x-plus=1\.0 error=(\S+)", out).group(1))
+        assert err == pytest.approx(2.1073424560924536e-08, rel=1e-6)
+        code, out, _ = run_cli(capsys, "scalar-critical", "--a", "1", "--q", "2.00000002")
+        assert code == 0 and "shifted not-applicable" in out and "x-plus" not in out
 
     def test_noncritical_skips_shifted(self, capsys):
         code, out, _ = run_cli(capsys, "scalar-critical", "--a", "0.5", "--q", "2")

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import match_distance, nonnormal_planted, pencil_with_spectrum, same_bits
+from helpers import (conjugate_inconsistent_shift, match_distance, nonnormal_planted,
+                     pencil_with_spectrum, same_bits)
 from nmesolve.shifting import EIGENPAIR_RTOL
 from nmesolve.exceptions import (
     ConjugateClosureViolated,
@@ -238,6 +239,14 @@ class TestShiftMulti:
         lam_c, v_c = pairs[1]
         spec = nme.build_shift_factors(v_c.reshape(-1, 1), [lam_c], [0.3 + 0j])
         with pytest.raises(ConjugateClosureViolated):
+            nme.shift_multi(pen, spec)
+
+    def test_conjugate_inconsistent_factor_rejected(self):
+        # the targets are conjugate closed, but R1 is not: the shifted pencil
+        # is complex, and its stored realness refuses the spec
+        pen, spec = conjugate_inconsistent_shift()
+        assert np.abs(spec.R1.T @ spec.V - np.diag(spec.lam_hat - spec.lam)).max() <= 1e-14
+        with pytest.raises(ConjugateClosureViolated, match=r"max \|Im F\| = 1\.77e-01 \|\|F\|\|_F"):
             nme.shift_multi(pen, spec)
 
     def test_empty_spec_names_missing_eigenvalue(self):
@@ -659,6 +668,17 @@ class TestSolveScalarShifted:
     def test_near_critical_rejected(self):
         with pytest.raises(NotCriticalCase):
             nme.solve_scalar_shifted(1.0, 2.001)
+
+    def test_below_critical_has_no_real_solution(self):
+        # x + 1/x = q has no real root for q < 2, however close q is to 2
+        with pytest.raises(NotCriticalCase, match="no real solution"):
+            nme.solve_scalar_shifted(1.0, 1.99999999999)
+
+    @pytest.mark.parametrize("q", [2.00000001, 2.00000002])
+    def test_just_above_critical_rejected(self, q):
+        # x+ = 1.0001 and 1.00014 here: answering |a| = 1 would be off by 1e-4
+        with pytest.raises(NotCriticalCase, match=r"needs q = 2\|a\|"):
+            nme.solve_scalar_shifted(1.0, q)
 
     def test_tiny_a_with_large_q_rejected(self):
         # q / 2^e overflows when the exponent of a small a scales q

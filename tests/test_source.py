@@ -262,3 +262,19 @@ def test_matrix_reader_has_no_finiteness_switch():
     # NaN/Inf in caller data raise NonFiniteInput at every read
     assert [arg.arg for arg in _function("problem.py", "_matrix").args.args] == [
         "M", "name", "dtype"]
+
+
+def test_real_shift_refused_by_the_realness_of_the_shifted_pencil():
+    # SymplecticPencil decides whether a factor is real (REAL_RTOL), and
+    # shift_multi refuses a real pencil's complex shift on the pencil it
+    # built; a matcher of (lam, lam_hat) pairs beside it decides twice, blind
+    # to R1, and CLOSURE_RTOL is left to the reciprocal-pairing warning
+    text = (SRC / "shifting.py").read_text()
+    assert "_conjugate_closed" not in text
+    assert text.count("raise ConjugateClosureViolated(") == 1
+    body = [ast.unparse(node) for node in _function("shifting.py", "shift_multi").body]
+    built = [i for i, line in enumerate(body) if line.startswith("out = SymplecticPencil(")]
+    raised = [i for i, line in enumerate(body) if "raise ConjugateClosureViolated(" in line]
+    assert len(built) == 1 and len(raised) == 1 and built[0] < raised[0]
+    assert {scope for scope, node in _scoped_nodes("shifting.py")
+            if isinstance(node, ast.Name) and node.id == "CLOSURE_RTOL"} == {"", "_reciprocal_closed"}
