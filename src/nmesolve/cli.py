@@ -220,8 +220,7 @@ def _cmd_scalar_critical(args) -> int:
     except NotCriticalCase as exc:
         print(f"shifted not-applicable reason={exc}")
         return 1 if failure else 0
-    for step in result.per_r:
-        print(f"shifted r={step.r!r} x-hat={step.x_hat!r} iterations={step.iterations}")
+    print(f"shifted iterations={result.per_r[0].iterations}")
     err = abs(result.x_plus - x_ref)
     print(f"shifted x-plus={result.x_plus!r} error={err!r}")
     return 0

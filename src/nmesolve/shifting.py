@@ -16,16 +16,14 @@ moves exactly the designated eigenvalues and keeps the rest.  The unimodular
 eigenvalues of an SSF-2 pencil and their eigenvectors come from the null
 vectors of psi at the critical angles of one QZ (``detect_unimodular``).
 
-The scalar pipeline applies this to the critical equation x + a^2/x = 2|a|,
-whose pencil carries a defective unit eigenvalue that slows every solver to
-linear rate 1/2.  Relocating the eigenvalue pair {1, 1} to {r, 1/r} restores
-an SSF-2 pencil belonging to x + a^2/x = a(r + 1/r), whose maximal solution
-a/r is found quadratically; as r * (a/r) = a for every r in (0, 1), one
-relocation with a fixed, well-conditioned r recovers the original solution
-|a| exactly.
+The critical equation, where S = X_+^{-1} A has an eigenvalue +-1 and every
+solver slows to linear rate 1/2, is shifted on (A, Q) itself: the null vectors
+of psi(-/+1) are those eigenvectors of S, and a closed form of them moves the
+eigenvalue to 0 while keeping X_+ (``_critical_shift``, Brauer 1952).  On the
+pencil this replaces the defective pair {+-1, +-1} by {0, inf}.  The scalar
+pipeline ``solve_scalar_shifted`` is its 1-by-1 case.
 """
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,14 +45,13 @@ from .exceptions import (
     RepeatedEigenvalue,
     SpecInvariantViolated,
 )
-from .problem import (SymplecticPencil, _critical_angles, _matrix, _unit_scaled, fro_norm,
-                      ssf2_blocks)
+from .problem import (SymplecticPencil, _cholesky, _critical_angles, _matrix, _unit_scaled,
+                      fro_norm, ssf2_blocks)
 from .solvers import SolverConfig, solve_sda_scalar
 
 __all__ = [
     "ShiftSpec",
     "UnimodularReport",
-    "ScalarShiftStep",
     "ShiftedScalarResult",
     "shift_single",
     "shift_multi",
@@ -68,8 +65,6 @@ __all__ = [
     "write_spectra_csv",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Eigenpair residual tolerance, relative to (||M|| + |lambda| ||L||) ||v||.
 EIGENPAIR_RTOL = 1e-8
 
@@ -82,11 +77,6 @@ CLOSURE_RTOL = 1e-8
 #: Eigenvalues of psi within this of zero, relative to ||Q - P||_F + 2 ||A||_F,
 #: give null vectors; planted rho_2 = 0.9998 leaves about 1e-9 on that scale.
 NULL_RTOL = 1e-12
-
-#: Ratio r of the scalar relocation {1, 1} -> {r, 1/r}: the relocated
-#: problem converges at rate r (about 5 doubling steps) with conditioning
-#: 1/(1 - r^2) = 4/3, so a single solve is accurate to roundoff.
-SCALAR_SHIFT_R = 0.5
 
 
 @dataclass(frozen=True)
@@ -142,15 +132,9 @@ class UnimodularReport:
 
 
 @dataclass(frozen=True)
-class ScalarShiftStep:
-    r: float
-    x_hat: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class ShiftedScalarResult:
     x_plus: float
+    #: the one SolveReport, of doubling on the pair that ``_critical_shift`` leaves
     per_r: tuple
 
 
@@ -296,21 +280,39 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     return UnimodularReport(np.concatenate(lams).astype(complex), np.hstack(vecs).astype(complex))
 
 
+def _critical_shift(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, Q) with the eigenvalues +-1 of S = X_+^{-1} A moved to 0, keeping X_+
+    (Brauer 1952), in closed form and with no QZ.  As psi(mu) = (I + S^T / mu)
+    X_+ (I + mu S), the null vectors Y of psi(-/+1) = Q -/+ (A + A^T), by one
+    stacked ``eigh`` of (A, Q) over their power of two and the null test of
+    :func:`detect_unimodular`, are eigenvectors of S for R = +-1.  Then U = A Y
+    R^{-1} = X_+ Y, G = Y^T U is SPD (else :class:`NotPositiveDefinite`), H = G^{-1}
+    U^T and E = I - Y H give A_hat = A E and Q_hat = E^T Q E + U H.  With no null
+    vector (A, Q) is returned as given."""
+    _, As, Qs = _unit_scaled(A, Q)
+    w, V = np.linalg.eigh(np.stack((Qs - (B := As + As.T), Qs + B)))
+    null = np.abs(w) <= NULL_RTOL * (fro_norm(Qs) + 2.0 * fro_norm(As))
+    if not null.any():
+        return A, Q
+    Y = V.transpose(0, 2, 1)[null].T
+    U = A @ Y * (1.0 - 2.0 * np.nonzero(null)[0])  # R = 1 from psi(-1), -1 from psi(1)
+    H = scipy.linalg.lapack.dpotrs(_cholesky(Y.T @ U, "Y^T A Y R^-1"), U.T, lower=1)[0]
+    E = np.eye(len(Y)) - Y @ H
+    return A @ E, E.T @ Q @ E + U @ H
+
+
 def solve_scalar_shifted(a: float, q: float,
                          config: SolverConfig | None = None) -> ShiftedScalarResult:
-    """Shift-accelerated solve of the critical scalar equation x + a^2/x = q.
+    """Shifted solve of the critical scalar equation x + a^2/x = q.
 
     Applies only at 0 <= q - 2|a| <= 4 eps q (q = 2|a| up to its rounding, the
     critical case, where plain doubling degrades to linear rate 1/2); other
     finite inputs raise :class:`NotCriticalCase`, as q < 2|a| has no real
     solution and a larger q is for a direct solver.  A non-finite a or q raises
     :class:`NonFiniteInput`, a complex or non-numeric one
-    :class:`DimensionMismatch`.  The relocated problem x + a^2/x = |a|(r + 1/r)
-    with r = ``SCALAR_SHIFT_R`` is solved once, quadratically, and since r *
-    x_hat(r) = |a| for every r in (0, 1) the answer is r * x_hat.  The
-    criticality test runs on the given a and q.  The equation is homogeneous, so
-    a is then divided by the power of two s with |a|/s in [1, 2) and x_plus is
-    scaled back by s; both steps are exact, and |a|(r + 1/r) cannot overflow.
+    :class:`DimensionMismatch`.  ``_critical_shift`` then moves the eigenvalue
+    sign(a) of a / x_+ to 0, which leaves the pair (0, |a|) to roundoff, and its
+    doubling stops at iteration 0 with x_plus = |a|.
     """
     a, q = _matrix([[a, q]], "a and q", float)[0].tolist()
     if a == 0.0:
@@ -319,13 +321,9 @@ def solve_scalar_shifted(a: float, q: float,
         raise NotCriticalCase(f"q < 2|a| = {2.0 * abs(a)!r}: x + a^2/x = q has no real solution")
     if q - 2.0 * abs(a) > 4.0 * np.finfo(float).eps * q:
         raise NotCriticalCase(f"q - 2|a| = {q - 2.0 * abs(a):.3e}: the pipeline needs q = 2|a|")
-    s, a = _unit_scaled(abs(a))
-    r = SCALAR_SHIFT_R
-    rep = solve_sda_scalar(a, a * (r + 1.0 / r), config)
-    x_hat = float(rep.X[0, 0])
-    step = ScalarShiftStep(r=r, x_hat=s * x_hat, iterations=rep.iterations)
-    logger.debug("shifted solve r=%r x_hat=%r iterations=%d", r, step.x_hat, step.iterations)
-    return ShiftedScalarResult(x_plus=s * (r * x_hat), per_r=(step,))
+    A_hat, Q_hat = _critical_shift(np.array([[a]]), np.array([[q]]))
+    rep = solve_sda_scalar(A_hat[0, 0], Q_hat[0, 0], config)
+    return ShiftedScalarResult(x_plus=float(rep.X[0, 0]), per_r=(rep,))
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,9 @@ class TestScalarCritical:
         hit = re.search(r"iterations-to-error-1e-12=(\d+)", out)
         assert hit is not None
         assert 38 <= int(hit.group(1)) <= 42
-        per_r = [int(m) for m in re.findall(r"iterations=(\d+)", out)]
-        assert per_r and all(n <= 18 for n in per_r)
-        err = float(re.search(r"x-plus=\S+ error=(\S+)", out).group(1))
-        assert err <= 1e-10
+        # the closed-form shift leaves (0, 1), which doubling accepts at once
+        assert re.findall(r"^shifted iterations=(\d+)$", out, re.M) == ["0"]
+        assert "shifted x-plus=1.0 error=0.0" in out.splitlines()
 
     @pytest.mark.parametrize("exp", [-200, 200])
     def test_extreme_scales_match_unit_scale(self, capsys, exp):

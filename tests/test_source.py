@@ -278,3 +278,18 @@ def test_real_shift_refused_by_the_realness_of_the_shifted_pencil():
     assert len(built) == 1 and len(raised) == 1 and built[0] < raised[0]
     assert {scope for scope, node in _scoped_nodes("shifting.py")
             if isinstance(node, ast.Name) and node.id == "CLOSURE_RTOL"} == {"", "_reciprocal_closed"}
+
+
+def test_one_critical_shift_and_no_qz_in_it():
+    # the critical equation is shifted by the closed form of _critical_shift
+    # alone: its null vectors come from one eigh of psi(-/+1), not from the
+    # 2n-by-2n QZ of _critical_angles, and the scalar relocation {1, 1} ->
+    # {r, 1/r} beside it would be a second tactic for the same equation
+    called = [ast.unparse(node.func) for node in ast.walk(_function("shifting.py", "_critical_shift"))
+              if isinstance(node, ast.Call)]
+    assert [name for name in called if re.search(r"eigvals|qz|_critical_angles|detect_unimodular",
+                                                 name)] == []
+    assert called.count("np.linalg.eigh") == 1
+    source = (SRC / "shifting.py").read_text()
+    assert "SCALAR_SHIFT_R" not in source and "ScalarShiftStep" not in source
+    assert "_critical_shift(" in ast.unparse(_function("shifting.py", "solve_scalar_shifted"))
