@@ -58,10 +58,10 @@ class InsufficientHistory(NmeError):
 class SolverFailure(NmeError):
     """Numerical failure inside an iterative solver.
 
-    ``report`` holds the partial solve report (``converged=False``); every
-    failure of a ``solve_*`` function carries one, a bare :func:`solve_stein`
-    failure does not.  ``iteration`` is the 1-based step at which the failure
-    was detected.
+    ``report`` holds the partial solve report (``converged=False``, this
+    message as its ``failure``); every failure of a ``solve_*`` function
+    carries one, a bare :func:`solve_stein` failure does not.  ``iteration``
+    is the k of the iterate X_k at which the failure was detected.
     """
 
     def __init__(self, message: str, report=None, iteration: int | None = None):

@@ -90,9 +90,9 @@ def run_experiment(record: ExperimentRecord, algorithms,
                    config: SolverConfig | None = None) -> ExperimentRecord:
     """Run the requested algorithms on the record's problem.
 
-    Solver failures are not fatal: the partial report the failure carries is
-    stored with its ``failure`` message set.  The problem and known solution
-    are never mutated.
+    Solver failures are not fatal: the partial report the failure carries,
+    whose ``failure`` holds its message, is stored.  The problem and known
+    solution are never mutated.
     """
     cfg = config or SolverConfig()
     for algorithm in sorted(set(algorithms), key=lambda a: a.value):
@@ -100,7 +100,6 @@ def run_experiment(record: ExperimentRecord, algorithms,
             report = solve(record.problem, algorithm, cfg)
         except SolverFailure as exc:
             report = exc.report
-            report.failure = str(exc)
             logger.info("%s failed: %s", algorithm.value, exc)
         record.reports[algorithm] = report
     return record

@@ -30,11 +30,11 @@ Four algorithms share one reporting contract:
     rho = 1.  ``solve_sda_scalar`` is its 1-by-1 call, used by the shifted
     scalar pipeline.
 
-Each solver supplies only its update; one loop (``_Run.drive``) runs them
-all, so the stopping rule is shared, for fair benchmarking: relative residual
-||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol.  Every solver takes it from
-``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A, G = Y^T Y and
-R = Q - X_k - G.  Its norms, and those of doubling's own test
+Each solver supplies only its update, as one loop with one yield from
+X_0 = Q, and one driver (``_Run.drive``) tests every X_k, X_0 included, by
+one rule: relative residual ||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol,
+taken from ``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A, G = Y^T Y
+and R = Q - X_k - G.  Its norms, and those of doubling's own test
 ||A_k||_F <= tol * ||A||_F, are taken over the power of two s of max |Q|, so
 none overflows.  An X_k without a Cholesky factor has residual inf, so
 ``converged=True`` means a finite X that has a Cholesky factor.  Fixed point
@@ -43,8 +43,8 @@ L = X_k^{-1} A is one more triangular solve.  When doubling's test passes
 alone the run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent
 runs, and runs whose X is not finite, raise a
 :class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
-report.  Doubling takes the residual of Q_k only at k = max_iter, when its own
-test passes, when history or DEBUG logging is on, and once
+report.  Only doubling skips residuals: it takes that of Q_k at k = max_iter,
+when its own test passes, when history or DEBUG logging is on, and once
 ||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol) ||Q||_F (or is not finite): the
 error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is large before that.  No residual
 feeds an iterate, so the gate can only delay a stop; X and every Q_k keep
@@ -255,15 +255,16 @@ class _Run:
         self.best_res = math.inf
         #: iterations whose X was accepted; lags k while X_k is being computed
         self.accepted = 0
-        self.X = None
+        self.X = Q
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
-        """Run the update generator ``steps``: it yields one (X_k, res_k,
-        aux1, aux2, aux_k, stop_k) for each k from 0, with res_k None when X_k
-        is not tested (aux1 and aux2 of X_0 are 0 and unused), ``aux`` the
-        companion iterates by name (or None) and ``stop`` the solver's own
-        stopping test besides res <= tol.  The step norm ||X_k - X_{k-1}||_F
-        is taken here, and only when history or DEBUG logging wants it."""
+        """Run the update generator ``steps``: one loop with one ``yield`` of
+        (X_k, res_k, aux1, aux2, aux_k, stop_k) for each k from X_0 = Q, which
+        is tested like every later iterate; res_k is None only where doubling's
+        gate skips X_k, aux1 and aux2 of X_0 are 0 and unused, ``aux`` holds the
+        companion iterates by name (or None) and ``stop`` is the solver's own
+        test besides res <= tol.  The step norm ||X_k - X_{k-1}||_F is taken
+        here, and only when history or DEBUG logging wants it."""
         cfg = self.config
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -324,13 +325,6 @@ class _Run:
         except NotPositiveDefinite:
             return math.inf
 
-    def start_at_q(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """X_0 = Q with its G, C and Y (see :meth:`factored_residual`); a Q
-        that is not SPD raises NotPositiveDefinite."""
-        C = _cholesky(self.Q, "Q")
-        Y = scipy.linalg.blas.dtrsm(1.0, C, self.A, lower=1)
-        return self.Q.copy(), Y.T @ Y, C, Y
-
     def factored_residual(self, X: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Relative residual of X with G = A^T X^{-1} A, X = C C^T and Y = C^{-1} A
         (``cholesky_residual``); X_k must stay positive definite."""
@@ -341,7 +335,7 @@ class _Run:
                                f"iterate {self.k} is not positive definite") from exc
         return res, G, C, Y
 
-    def report(self, iterations: int, converged: bool) -> SolveReport:
+    def report(self, iterations: int, converged: bool, failure: str | None = None) -> SolveReport:
         X = np.array(self.X, dtype=float)
         try:
             rate = estimate_rate([h.step_norm for h in self.history]) if self.history else None
@@ -353,15 +347,17 @@ class _Run:
             converged=converged,
             history=list(self.history),
             estimated_rate=rate,
+            failure=failure,
             iterates=list(self.iterates),
             aux_iterates={k: list(v) for k, v in self.aux_iterates.items()},
             A=self.A,
         )
 
     def failure(self, exc_cls, detail: str):
-        """The exception for iteration k, with the report of the last accepted X."""
-        return exc_cls(f"{self.name}: {detail}",
-                       report=self.report(self.accepted, False), iteration=self.k)
+        """The exception for iteration k, with the report of the last accepted X,
+        whose ``failure`` is the exception's message."""
+        message = f"{self.name}: {detail}"
+        return exc_cls(message, report=self.report(self.accepted, False, message), iteration=self.k)
 
 
 def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -369,20 +365,19 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
 
     The iterate sequence descends monotonically in the semidefinite order on
     solvable problems.  Raises :class:`LostPositiveDefiniteness` when an
-    iterate stops being SPD and :class:`MaxIterationsExceeded` when the
-    budget runs out (both carry the partial report), and
-    :class:`NotPositiveDefinite` when Q itself is not SPD.
+    iterate, X_0 = Q included, stops being SPD and
+    :class:`MaxIterationsExceeded` when the budget runs out; both carry the
+    partial report.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "fixed-point")
 
     def steps():
-        X, G, _, _ = run.start_at_q()
-        yield X, None, 0.0, 0.0, None, False
+        X = Q
         while True:
-            X = Q - G  # exactly symmetric, as Q and G are
             res, G, _, _ = run.factored_residual(X)
             yield X, res, 0.0, 0.0, None, False
+            X = Q - G  # exactly symmetric, as Q and G are
 
     return run.drive(steps())
 
@@ -401,15 +396,13 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     run = _Run(A, Q, config, "inversion-free")
 
     def steps():
-        X = Q.copy()
         # (I / s) / ||Q / s||_inf is I / ||Q||_inf, also where ||Q||_inf overflows
-        Y = np.eye(n) / run.q_scale / float(np.linalg.norm(Q / run.q_scale, np.inf))
-        yield X, None, 0.0, 0.0, {"Y": Y}, False
+        X, Y = Q, np.eye(n) / run.q_scale / float(np.linalg.norm(Q / run.q_scale, np.inf))
         two_eye = 2.0 * np.eye(n)
         while True:
+            yield X, run.residual(X), 0.0, 0.0, {"Y": Y}, False
             # the X-update consumes the previous Y
             X, Y = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y))
-            yield X, run.residual(X), 0.0, 0.0, {"Y": Y}, False
 
     return run.drive(steps())
 
@@ -507,7 +500,6 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
         if not math.sqrt(_sum_sq(R)) <= _EPS * (x + y) < math.inf:
             x = None
     if x is None:  # the Schur solve
-        n = L.shape[0]
         T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
         if info:
             raise SolverFailure(f"dgees found no Schur form of L (info {info})")
@@ -562,9 +554,10 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     tr_q = float((Q.diagonal() / q_max).sum())
 
     def steps():
-        X, G, C, Y = run.start_at_q()
-        yield X, None, 0.0, 0.0, None, False
+        X, rho_L = Q, 0.0
         while True:
+            res, G, C, Y = run.factored_residual(X)
+            yield X, res, rho_L, 0.0, None, False
             # L_k = X_{k-1}^{-1} A = C^{-T} Y; the right side Q - 2 G is exactly symmetric
             W = scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
@@ -581,8 +574,6 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
-            res, G, C, Y = run.factored_residual(X)
-            yield X, res, rho_L, 0.0, None, False
 
     return run.drive(steps())
 
@@ -620,12 +611,16 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
     def steps():
         Ak, Qk, Pk = A.copy(), Q.copy(), np.zeros(Q.shape)
         n, cfg = A.shape[0], run.config
-        a_scale = fro_norm(A / run.q_scale)
+        a_k = a_scale = fro_norm(A / run.q_scale)  # a_k = ||A_k||_F / s
         a_gate = RESIDUAL_GATE * math.sqrt(cfg.tol) * run.q_fro
-        # the residual is taken only where it can end the run (RESIDUAL_GATE)
-        res = None if math.inf > a_scale > a_gate and not run.every_step else run.residual(Qk)
-        yield Qk, res, 0.0, 0.0, {"A": Ak, "P": Pk}, a_scale == 0.0
+        a_norm = gap_min = 0.0
         while True:
+            # doubling's own test; at k = 0 it is A = 0: the other form passes where a_scale overflows
+            stop = a_k <= cfg.tol * a_scale if run.k else a_scale == 0.0
+            # the residual is taken only where it can end the run (RESIDUAL_GATE)
+            far = math.inf > a_k > a_gate and not (stop or run.every_step or run.k == cfg.max_iter)
+            res = None if far else run.residual(Qk)
+            yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
             try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered
                 C = _cholesky(Qk.T - Pk.T, "Q_k - P_k")
                 if math.isnan(C.diagonal().sum()):
@@ -644,12 +639,7 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                 Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))
             gap_min = (float(np.linalg.eigvalsh(D).min()) if np.isfinite(D := Qk - Pk).all()
                        else math.nan) if cfg.record_history else 0.0
-            a_norm = fro_norm(Ak)
-            stop = a_norm / run.q_scale <= cfg.tol * a_scale
-            far = math.inf > a_norm / run.q_scale > a_gate
-            res = (None if far and not (stop or run.every_step or run.k == cfg.max_iter)
-                   else run.residual(Qk))
-            yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
+            a_k = (a_norm := fro_norm(Ak)) / run.q_scale
 
     return run.drive(steps(), nonfinite_fatal=False)
 

@@ -81,10 +81,11 @@ class TestSolverConfig:
 
 
 class TestFixedPoint:
-    def test_zero_a_one_iteration(self):
+    def test_zero_a_stops_at_iteration_zero(self):
+        # X_0 = Q is tested like every later iterate
         p = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
         rep = nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))
-        assert rep.converged and rep.iterations == 1
+        assert rep.converged and rep.iterations == 0
         assert np.allclose(rep.X, p.Q)
         assert len(rep.history) == rep.iterations
 
@@ -141,7 +142,7 @@ class TestInversionFree:
     def test_zero_a(self):
         p = nme.new_problem(np.zeros((2, 2)), 2.0 * np.eye(2))
         rep = nme.solve_inversion_free(p, nme.SolverConfig(record_history=True))
-        assert rep.converged and rep.iterations == 1
+        assert rep.converged and rep.iterations == 0
         assert np.allclose(rep.X, p.Q)
         # Y ascends toward Q^{-1} (here Y_0 is already Q^{-1})
         ys = rep.aux_iterates["Y"]
@@ -560,7 +561,7 @@ class TestNewton:
     def test_zero_a(self):
         p = nme.new_problem(np.zeros((2, 2)), np.diag([1.0, 4.0]))
         rep = nme.solve_newton(p)
-        assert rep.converged and rep.iterations == 1
+        assert rep.converged and rep.iterations == 0
         assert np.allclose(rep.X, p.Q)
 
     def test_scalar_quadratic(self):
@@ -1263,11 +1264,11 @@ class TestReports:
     @pytest.mark.parametrize("n", [1, 8, 33])
     def test_w0_is_the_cho_solve_of_q(self, n, monkeypatch):
         # Newton's L_1 = W_0 is dpotrs's two triangular solves on the factor
-        # of Q, whose first solve Y gives G_0 = Y^T Y
+        # of X_0 = Q, whose first solve Y gives G_0 = Y^T Y
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
         A, Q = rec.problem.A, rec.problem.Q
-        X0, G0, C, Y = solvers._Run(A, Q, None, "test").start_at_q()
-        assert same_bits(X0, Q) and same_bits(C, _cholesky(Q, "Q"))
+        _, G0, C, Y = solvers._Run(A, Q, None, "test").factored_residual(Q)
+        assert same_bits(C, _cholesky(Q, "Q"))
         assert same_bits(Y, scipy.linalg.blas.dtrsm(1.0, C, A, lower=1))
         assert same_bits(G0, Y.T @ Y) and np.array_equal(G0, G0.T)
         seen = []
@@ -1288,17 +1289,62 @@ class TestReports:
 
     @pytest.mark.parametrize("solver", [nme.solve_fixed_point, nme.solve_newton])
     def test_hand_built_indefinite_q(self, solver):
-        # a hand-built NmeProblem skips new_problem's validation
+        # a hand-built NmeProblem skips new_problem's validation; X_0 = Q is
+        # the first iterate to lose positive definiteness, and its report
+        # records the message
         p = nme.NmeProblem(A=scalar(0.5), Q=scalar(-1.0))
-        with pytest.raises(NotPositiveDefinite) as info:
+        with pytest.raises(LostPositiveDefiniteness) as info:
             solver(p)
-        assert info.value.name == "Q"
+        assert "iterate 0 is not positive definite" in str(info.value)
+        assert info.value.report.failure == str(info.value)
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_x0_is_tested_like_every_iterate(self, solver):
+        # every solver yields X_0 = Q first and takes its residual by the
+        # route of its later iterates
+        zero = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
+        for record_history in (False, True):
+            rep = solver(zero, nme.SolverConfig(record_history=record_history))
+            assert rep.converged and rep.iterations == 0 and same_bits(rep.X, zero.Q)
+        Q = np.array([[1.0, 0.0], [0.0, -1.0]])
+        expected = {nme.solve_fixed_point: (LostPositiveDefiniteness, 0),
+                    nme.solve_newton: (LostPositiveDefiniteness, 0),
+                    nme.solve_inversion_free: (Diverged, 0),
+                    nme.solve_sda: (DoublingBreakdown, 1)}[solver]
+        with pytest.raises(SolverFailure) as info:
+            solver(nme.NmeProblem(A=0.5 * np.eye(2), Q=Q))
+        assert (type(info.value), info.value.iteration) == expected
+        report = info.value.report
+        assert report.iterations == 0 and same_bits(report.X, Q)
+        assert report.failure == str(info.value)
+
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_overflowing_x0_residual(self, solver):
+        # A^T Q^{-1} A and ||A / s||_F overflow: X_0's residual ends the three
+        # monitored solvers at X_0, while doubling's own test at k = 0 stays
+        # A = 0, so it runs to the non-finite Q_1 as before
+        with pytest.raises(Diverged) as info:
+            solver(nme.new_problem(scalar(1e10), scalar(1e-300)))
+        assert info.value.iteration == (1 if solver is nme.solve_sda else 0)
+        if solver is not nme.solve_sda:
+            assert same_bits(info.value.report.X, scalar(1e-300))
+
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_newton_stein_data_overflow(self, record_history):
+        # G_0 = a^2 / q = 1.44e308 leaves R(X_0) finite, but C_1 = Q - 2 G_0
+        # overflows: solve_stein's NonFiniteInput ends the run at iterate 1
+        with pytest.raises(Diverged) as info:
+            nme.solve_newton(nme.new_problem(scalar(1.2e154), scalar(1.0)),
+                             nme.SolverConfig(record_history=record_history))
+        assert info.value.iteration == 1 and "iterate 1 is not finite" in str(info.value)
+        assert info.value.report.iterations == 0 and same_bits(info.value.report.X, scalar(1.0))
 
     def test_non_finite_iterate_message(self):
+        # R(X_0) overflows: the run ends at X_0, not as a residual that grew
         with pytest.raises(Diverged) as info:
             nme.solve_inversion_free(nme.new_problem(scalar(1e200), scalar(1.0)))
-        assert info.value.iteration == 1
-        assert "iterate 1 is not finite" in str(info.value)
+        assert info.value.iteration == 0
+        assert "iterate 0 is not positive definite or its residual overflows" in str(info.value)
         assert "grew" not in str(info.value)
 
     @pytest.mark.parametrize("solver", [nme.solve_sda, nme.solve_newton])
@@ -1330,14 +1376,15 @@ class TestReports:
     ], ids=["sda", "newton"])
     def test_history_does_not_change_the_failure(self, solver, A, Q):
         # Q_k - P_k and Newton's L_k overflow: their history-only diagnostics
-        # read NaN rather than end the run in eigvalsh's or eigvals' LinAlgError
+        # read NaN rather than end the run in eigvalsh's or eigvals' LinAlgError;
+        # Newton's R(X_0) overflows too, so its run ends at X_0 either way
         problem, outcomes = nme.new_problem(A, Q), []
         for record_history in (False, True):
             with pytest.raises(NmeError) as info:
                 solver(problem, nme.SolverConfig(record_history=record_history))
             outcomes.append((type(info.value), info.value.iteration))
         assert outcomes[0] == outcomes[1] == (
-            (DoublingBreakdown, 2) if solver is nme.solve_sda else (Diverged, 1))
+            (DoublingBreakdown, 2) if solver is nme.solve_sda else (Diverged, 0))
         assert math.isnan(info.value.report.history[-1].aux2 if solver is nme.solve_sda
                           else spectral_radius(np.full((2, 2), math.inf)))
 

@@ -293,3 +293,18 @@ def test_one_critical_shift_and_no_qz_in_it():
     source = (SRC / "shifting.py").read_text()
     assert "SCALAR_SHIFT_R" not in source and "ScalarShiftStep" not in source
     assert "_critical_shift(" in ast.unparse(_function("shifting.py", "solve_scalar_shifted"))
+
+
+def test_every_solver_yields_from_one_loop():
+    # each steps() generator tests X_0 = Q by the route of its later iterates
+    # and hands every X_k to _Run.drive from one yield; a start-up yield, or a
+    # start helper on _Run, forks the first iterate's test again
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    yields = {solver.name: sum(isinstance(node, ast.Yield) for node in ast.walk(steps))
+              for solver in tree.body if isinstance(solver, ast.FunctionDef)
+              for steps in solver.body
+              if isinstance(steps, ast.FunctionDef) and steps.name == "steps"}
+    assert yields == {"solve_fixed_point": 1, "solve_inversion_free": 1,
+                      "solve_newton": 1, "solve_sda": 1}
+    run = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
+    assert "start_at_q" not in [node.name for node in run.body if isinstance(node, ast.FunctionDef)]
