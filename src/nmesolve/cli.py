@@ -91,11 +91,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _final_residual(problem, X):
-    """Relative residual of X, or None when X is not an SPD candidate."""
-    try:
-        return _num(residual(problem, X).rel_norm)
-    except NmeError:
-        return None
+    """Relative residual of a report's X: Q or an iterate whose residual was finite."""
+    return _num(residual(problem, X).rel_norm)
 
 
 def _report_payload(report, algorithm, problem):

@@ -17,12 +17,12 @@ Four algorithms share one reporting contract:
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
     equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
     ``solve_stein`` scales and symmetrizes C once; on that C / s it sums
-    X = sum_i (L^T)^i C L^i by doubling, stops once the power L^(2^j) it forms
-    bounds the remainder, and keeps the sum when it leaves a backward-stable
-    residual; otherwise one real Schur form of L^T and LAPACK's ``dtgsyl``
-    solve the equation.  Both take O(n^3) time and O(n^2) memory.  Quadratic when
-    rho(X+^{-1}A) < 1, linear with rate 1/2 in the critical case.  Iterates
-    descend monotonically from X_0 = Q.
+    X = sum_i (L^T)^i C L^i by doubling, stops once the power L^(2^j), formed
+    or bounded by the square of the last norm, bounds the remainder, and keeps
+    the sum when it leaves a backward-stable residual; otherwise one real Schur
+    form of L^T and LAPACK's ``dtgsyl`` solve the equation.  Both take O(n^3)
+    time and O(n^2) memory.  Quadratic when rho(X+^{-1}A) < 1, linear with
+    rate 1/2 in the critical case.  Iterates descend monotonically from X_0 = Q.
 
 ``solve_sda``
     Structure-preserving doubling: each step squares the effective spectral
@@ -43,23 +43,25 @@ L = X_k^{-1} A is one more triangular solve.  When doubling's test passes
 alone the run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent
 runs, and runs whose X is not finite, raise a
 :class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
-report.  Only doubling skips residuals: it takes that of Q_k at k = max_iter,
-when its own test passes, when history or DEBUG logging is on, and once
-||A_k||_F <= :data:`RESIDUAL_GATE` sqrt(tol) ||Q||_F (or is not finite): the
-error Q_k - X+ = A_k^T (X+ - P_k)^{-1} A_k is large before that.  No residual
-feeds an iterate, so the gate can only delay a stop; X and every Q_k keep
-their bits.
+report.  Only doubling skips residuals: it tests that of Q_k at k = max_iter,
+when its own test passes, and once ||A_k||_F <= :data:`RESIDUAL_GATE`
+sqrt(tol) ||Q||_F (or is not finite): the error Q_k - X+ =
+A_k^T (X+ - P_k)^{-1} A_k is large before that.  No residual feeds an
+iterate, so the gate can only delay a stop; X and every Q_k keep their bits.
+History and DEBUG logging take every residual but test no more of them, so
+they change no outcome.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
 included, ``dtrsm`` for the triangular solves, ``dpotrs`` (in ``cho_solve``)
 for the W of ``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``,
-``dgemm`` and two ``dsyrk`` a doubling step, three positional ``dgemm`` into
-per-call buffers and one ``ddot`` a Stein doubling step (``ddot`` also takes
-its scale ||C||_F and its check's norms), ``dgees`` and ``dtgsyl`` for the
-Stein solves it gives up.  At scalar or n = 8 sizes, the dispatch of
-``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several times the
-arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
+``dgemm`` and two ``dsyrk`` a doubling step, three positional ``dgemm`` and
+one ``ddot`` a Stein doubling step (less a last squaring that cannot change
+the stop) and two ``dgemm`` for its check, into one allocation per call
+(``ddot`` also takes its scale ||C||_F and the check's norms), ``dgees`` and
+``dtgsyl`` for the Stein solves it gives up.  At scalar or n = 8 sizes, the
+dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several
+times the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
 ``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
 that wraps the module attribute sees it.
 """
@@ -253,63 +255,72 @@ class _Run:
         self.iterates: list[np.ndarray] = []
         self.aux_iterates: dict[str, list[np.ndarray]] = {}
         self.best_res = math.inf
-        #: iterations whose X was accepted; lags k while X_k is being computed
-        self.accepted = 0
-        self.X = Q
+        #: the last accepted X_k and its k, a failure's report (X_0 = Q until one is), the
+        #: last later (k, X_k) that doubling's gate (it sets ``gated``) held out of the tests
+        self.X, self.accepted, self.untested, self.gated = Q, 0, None, False
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
         """Run the update generator ``steps``: one loop with one ``yield`` of
         (X_k, res_k, aux1, aux2, aux_k, stop_k) for each k from X_0 = Q, which
-        is tested like every later iterate; res_k is None only where doubling's
-        gate skips X_k, aux1 and aux2 of X_0 are 0 and unused, ``aux`` holds the
-        companion iterates by name (or None) and ``stop`` is the solver's own
-        test besides res <= tol.  The step norm ||X_k - X_{k-1}||_F is taken
-        here, and only when history or DEBUG logging wants it."""
+        is tested like every later iterate; aux1 and aux2 of X_0 are 0 and
+        unused, ``aux`` holds the companion iterates by name (or None) and
+        ``stop`` is the solver's own test besides res <= tol.  X_k is accepted
+        once it passes the tests here: a residual that is not finite or grew
+        beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
+        ``nonfinite_fatal`` lets the run go on.  An X_k that doubling's gate
+        holds out (``gated``; res_k is None unless history takes it) is not
+        tested, and a failure tests it before its report holds it.  The step
+        norm ||X_k - X_{k-1}||_F is taken here, only when history or DEBUG
+        logging wants it."""
         cfg = self.config
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for self.k in range(cfg.max_iter + 1):
-                prev = self.X
-                self.X, res, aux1, aux2, aux, stop = next(steps)
-                self.accepted = self.k
+                X, res, aux1, aux2, aux, stop = next(steps)
                 if self.every_step and self.k:
-                    step = fro_norm(self.X - prev)
+                    step = fro_norm(X - prev)
                     logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
                     if cfg.record_history:
                         self.history.append(
                             HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
-                self.capture(aux)
-                if res is None:
+                prev = X
+                self.capture(X, aux)
+                if self.gated:
+                    self.untested = (self.k, X)
                     continue
                 self.best_res = min(self.best_res, res)
                 if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
-                    return self.stopped(res)
-                if nonfinite_fatal and not math.isfinite(res):
+                    return self.stopped(X, res)
+                if not math.isfinite(res):  # X_k is not accepted
+                    if not nonfinite_fatal:
+                        continue
                     detail = ("is not positive definite or its residual overflows"
-                              if np.all(np.isfinite(self.X)) else "is not finite")
+                              if np.all(np.isfinite(X)) else "is not finite")
                     raise self.failure(Diverged, f"iterate {self.k} {detail}")
-                if (math.isfinite(res) and 0 < self.best_res < math.inf
-                        and res > DIVERGENCE_FACTOR * self.best_res):
+                if 0 < self.best_res and res > DIVERGENCE_FACTOR * self.best_res:
                     raise self.failure(
                         Diverged,
                         f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
                         f"minimum {self.best_res:.3e} at iteration {self.k}")
-        raise self.failure(
-            MaxIterationsExceeded,
-            f"no convergence within {cfg.max_iter} iterations "
-            f"(best relative residual {self.best_res:.3e})")
+                self.X, self.accepted, self.untested = X, self.k, None
+            raise self.failure(
+                MaxIterationsExceeded,
+                f"no convergence within {cfg.max_iter} iterations "
+                f"(best relative residual {self.best_res:.3e})")
 
-    def capture(self, aux: dict | None) -> None:
+    def capture(self, X: np.ndarray, aux: dict | None) -> None:
         if self.config.record_history:
-            self.iterates.append(np.array(self.X, dtype=float))
+            self.iterates.append(np.array(X, dtype=float))
             for key, val in (aux or {}).items():
                 self.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
 
-    def stopped(self, res: float) -> SolveReport:
-        """The report of a run whose stopping test passed: converged only when
-        X is finite and the residual test passed."""
-        if not np.all(np.isfinite(self.X)):
+    def stopped(self, X: np.ndarray, res: float) -> SolveReport:
+        """The report of a run whose stopping test passed at X_k: converged only
+        when X_k is finite and the residual test passed."""
+        if not np.all(np.isfinite(X)):
             raise self.failure(Diverged, f"iterate {self.k} met the stopping test but is not finite")
+        if math.isfinite(res):
+            self.X, self.accepted, self.untested = X, self.k, None
         if not res <= self.config.tol:
             raise self.failure(
                 Stagnated,
@@ -354,8 +365,11 @@ class _Run:
         )
 
     def failure(self, exc_cls, detail: str):
-        """The exception for iteration k, with the report of the last accepted X,
-        whose ``failure`` is the exception's message."""
+        """The exception for iteration k, with the report of the last accepted X
+        (an untested one only if its residual, taken now, is finite), whose
+        ``failure`` is the exception's message."""
+        if self.untested and math.isfinite(self.residual(self.untested[1])):
+            self.accepted, self.X = self.untested
         message = f"{self.name}: {detail}"
         return exc_cls(message, report=self.report(self.accepted, False, message), iteration=self.k)
 
@@ -428,15 +442,20 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: X_0 = C,
     M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
     three ``dgemm`` called positionally and one ``ddot`` a step, writing into
-    buffers allocated once per call (X in place, in a copy of C: L and C are
-    not written), until ||M_{j+1}||_F^2 <= eps / (4 (1 + ||L||_F^2)).  The
-    power the step forms anyway bounds what is left: X_inf - X_{j+1} =
+    four Fortran n-by-n buffers (T = M^T X, two for M, the check's R) that one
+    allocation per call gives (X in place, in a copy of C: L and C are not
+    written), until ||M_{j+1}||_F^2 <= eps / (4 (1 + ||L||_F^2)).  The power
+    the step forms anyway bounds what is left: X_inf - X_{j+1} =
     M_{j+1}^T X_inf M_{j+1}, the residual of X_{j+1} is -M_{j+1}^T C M_{j+1}
     and ||C||_F <= (1 + ||L||_F^2) ||X||_F, so both are below about eps
     ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds rho(L)^(2^(j+1)) and so makes X
-    unique.  X is accepted only when also
+    unique.  A step whose m = ||M_j||_F^2 (||L||_F^2 at j = 0) has m^2 within
+    that bound stops without forming M_j^2: ||M_j^2||_F <= ||M_j||_F^2, so the
+    square would have passed, and the stop and X are those of a loop that
+    squares.  X is accepted only when also
     ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
-    backward-stable solve, taken once a ``ddot`` finds ||X||_F^2 finite.
+    backward-stable solve, taken once a ``ddot`` finds ||X||_F^2 finite: two
+    ``dgemm`` form L^T X L in the call's buffers, and ``ddot`` takes the norms.
     When that test fails, a norm is not finite or the power is still large
     after :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so
     rho(L) >= 1, a singular operator and a strongly non-normal L reach it.
@@ -478,26 +497,29 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     c_norm = math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max()
     H = C * (0.5 / (s := _pow2_scale(max(c_norm, 2.0 ** -1024))))  # exact: s is a power of 2
     X = C = np.add(H, H.T, order="F")
-    M, bound, n = L, _EPS / (4.0 * (1.0 + l_sq)), L.shape[0]
+    M, m, bound, n = L, l_sq, _EPS / (4.0 * (1.0 + l_sq)), L.shape[0]
     gemm, ddot = scipy.linalg.blas.dgemm, scipy.linalg.blas.ddot
-    # this call's buffers, each a Fortran n-by-n view and its flat row: T, and two for M
-    (T, _), *powers = [(b.reshape(n, n, order="F"), b) for b in np.empty((3, n * n))]
+    # this call's four Fortran n-by-n buffers: T, the check's R and two for M
+    T, R, *powers = np.empty((4, n, n)).transpose(0, 2, 1)
     for j in range(STEIN_DOUBLINGS):  # dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
-        P, p = powers[j & 1]  # the one M does not occupy
         gemm(1.0, M, X, 0.0, T, 1, 0, 1)  # T = M^T X: beta 0, so T's old entries are not read
         X = gemm(1.0, T, M, 1.0, X, 0, 0, j > 0)  # X += T M: in place, but at j = 0 in a copy of C
-        M = gemm(1.0, M, M, 0.0, P, 0, 0, 1)  # M = M M in P: beta 0, trans_a = trans_b = 0
-        m = ddot(p, p)  # ||M||_F^2 over M's memory
+        if m * m <= bound:  # ||M^2||_F <= ||M||_F^2 = m: the square would pass, so it is not formed
+            m *= m
+            break
+        M = gemm(1.0, M, M, 0.0, powers[j & 1], 0, 0, 1)  # M = M M in the buffer M is not in
+        m = ddot(M, M)  # ||M||_F^2 over M's (Fortran) memory
         if m <= bound or not math.isfinite(m):
             break
     x = None  # ||X||_F of an accepted X / s
     if m <= bound and math.isfinite(_sum_sq(X)):  # so no op below can warn
         X = np.add(X, X.T, order="F") * 0.5  # X's symmetric part
-        R = L.T @ X @ L
-        x, y = math.sqrt(_sum_sq(X)), math.sqrt(_sum_sq(R))
-        np.subtract(X.T, R, out=R)  # X, C symmetric: .T reads them in R's memory order
-        R -= C.T
-        if not math.sqrt(_sum_sq(R)) <= _EPS * (x + y) < math.inf:
+        gemm(1.0, L, X, 0.0, T, 1, 0, 1)  # R = L^T X L by two dgemm, in this call's buffers
+        gemm(1.0, T, L, 0.0, R, 0, 0, 1)
+        x, y = math.sqrt(ddot(X, X)), math.sqrt(ddot(R, R))
+        np.subtract(X, R, out=R)  # all Fortran-ordered
+        R -= C
+        if not math.sqrt(ddot(R, R)) <= _EPS * (x + y) < math.inf:
             x = None
     if x is None:  # the Schur solve
         T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
@@ -617,9 +639,9 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         while True:
             # doubling's own test; at k = 0 it is A = 0: the other form passes where a_scale overflows
             stop = a_k <= cfg.tol * a_scale if run.k else a_scale == 0.0
-            # the residual is taken only where it can end the run (RESIDUAL_GATE)
-            far = math.inf > a_k > a_gate and not (stop or run.every_step or run.k == cfg.max_iter)
-            res = None if far else run.residual(Qk)
+            # the residual is tested only where it can end the run (RESIDUAL_GATE)
+            run.gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
+            res = run.residual(Qk) if run.every_step or not run.gated else None
             yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
             try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered
                 C = _cholesky(Qk.T - Pk.T, "Q_k - P_k")

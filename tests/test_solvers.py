@@ -513,24 +513,44 @@ class TestStein:
                 exact = 1.0 / (1.0 - ell * ell)
                 assert abs(x - exact) <= 3e-15 * exact, k
 
+    @staticmethod
+    def _doubled(L, C):
+        """solve_stein's doubling as a loop that always squares: positional
+        dgemm, stop on ||M_{j+1}||_F^2.  Returns X, the step count and whether
+        ||M_{j}||_F^4 met the bound at the last step j, so that its square is
+        not needed."""
+        dgemm, ddot = scipy.linalg.blas.dgemm, scipy.linalg.blas.ddot
+        s = problem_module._pow2_scale(np.linalg.norm(C))
+        X = np.add(C * (0.5 / s), C.T * (0.5 / s), order="F")
+        M = np.asfortranarray(L)
+        m = [ddot(M.T.ravel(), M.T.ravel())]  # ||M_j||_F^2 over M's Fortran memory
+        bound = np.finfo(float).eps / (4.0 * (1.0 + m[0]))
+        while len(m) == 1 or m[-1] > bound:
+            X = dgemm(1.0, dgemm(1.0, M, X, 0.0, None, 1, 0, 0), M, 1.0, X, 0, 0, 0)
+            M = dgemm(1.0, M, M, 0.0, None, 0, 0, 0)
+            m.append(ddot(M.T.ravel(), M.T.ravel()))
+        return (X + X.T) * 0.5 * s, len(m) - 1, bool(m[-2] * m[-2] <= bound)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_doubling_is_three_dgemm_a_step_in_place(self, order, monkeypatch):
         # X accumulates through dgemm's overwrite_c, in a copy: the arrays
-        # the caller passed keep their bits, in either memory order, and the
-        # solve makes no dgemm besides the steps' and no Schur solve
-        rng = np.random.default_rng(7)
-        L = np.asarray(0.6 * rng.standard_normal((8, 8)) / np.sqrt(8.0), order=order)
-        C = np.asarray(self._random_symmetric(rng, 8), order=order)
-        L0, C0 = L.copy(), C.copy()
-        steps, M = 0, L
-        bound = np.finfo(float).eps / (4.0 * (1.0 + np.vdot(L, L)))
-        while steps == 0 or np.vdot(M, M) > bound:
-            M, steps = M @ M, steps + 1
-        calls = count_calls(monkeypatch, "dgemm", "dgees")
-        X = nme.solve_stein(L, C)
-        assert calls == {"dgemm": 3 * steps, "dgees": 0} and 2 <= steps < solvers.STEIN_DOUBLINGS
-        assert same_bits(L, L0) and same_bits(C, C0)
-        assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
+        # the caller passed keep their bits, in either memory order.  The
+        # solve makes three dgemm a step and two for the check, no Schur
+        # solve, and skips the last squaring where ||M_j||_F^4 meets the
+        # bound (seed 7; not seed 28), with the bits of a loop that squares
+        for seed, skipped in ((7, True), (28, False)):
+            rng = np.random.default_rng(seed)
+            L = np.asarray(0.6 * rng.standard_normal((8, 8)) / np.sqrt(8.0), order=order)
+            C = np.asarray(self._random_symmetric(rng, 8), order=order)
+            L0, C0 = L.copy(), C.copy()
+            X0, steps, skip = self._doubled(L, C)
+            calls = count_calls(monkeypatch, "dgemm", "dgees")
+            X = nme.solve_stein(L, C)
+            monkeypatch.undo()
+            assert skip is skipped and 2 <= steps < solvers.STEIN_DOUBLINGS
+            assert calls == {"dgemm": 3 * steps + 2 - skip, "dgees": 0}
+            assert same_bits(X, X0) and same_bits(L, L0) and same_bits(C, C0)
+            assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_step_buffers_live_only_for_the_call(self, order):
@@ -1346,6 +1366,54 @@ class TestReports:
         assert info.value.iteration == 0
         assert "iterate 0 is not positive definite or its residual overflows" in str(info.value)
         assert "grew" not in str(info.value)
+
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_rejected_iterate_is_not_reported(self, record_history):
+        # q < 2|a|, so there is no solution: X_7 has no Cholesky factor, and
+        # the failure at iterate 7 reports X_6, the last iterate accepted
+        with pytest.raises(Diverged) as info:
+            nme.solve_inversion_free(nme.new_problem(scalar(0.6), scalar(1.0)),
+                                     nme.SolverConfig(record_history=record_history))
+        rep = info.value.report
+        assert info.value.iteration == 7 and rep.iterations == 6
+        assert rep.X[0, 0] == pytest.approx(0.2165014, rel=1e-6)
+        assert not record_history or same_bits(rep.X, rep.iterates[6])
+
+    @pytest.mark.parametrize("a, q, exc_cls, iteration", [(1e200, 1.0, DoublingBreakdown, 2),
+                                                          (1e10, 1e-300, Diverged, 1)])
+    def test_sda_accepts_no_iterate_with_an_infinite_residual(self, a, q, exc_cls, iteration):
+        # R(Q_0) overflows and Q_1 is -inf: doubling runs on past both, but
+        # accepts neither, so the failure reports X_0 = Q at iteration 0
+        with pytest.raises(exc_cls) as info:
+            nme.solve_sda(nme.new_problem(scalar(a), scalar(q)))
+        assert info.value.iteration == iteration
+        assert info.value.report.iterations == 0 and same_bits(info.value.report.X, scalar(q))
+
+    def test_gated_iterates_are_tested_before_a_report_holds_them(self):
+        # q < 2|a|: Q_0, Q_1 = 5/6 and Q_2 = -11/6 lie beyond doubling's
+        # residual gate, so no residual of them is tested, with history or
+        # without; the breakdown at 3 tests Q_2, finds it indefinite and
+        # reports Q, and the history shows Q_2's residual as inf
+        reports = []
+        for record_history in (False, True):
+            with pytest.raises(DoublingBreakdown) as info:
+                nme.solve_sda(nme.new_problem(scalar(1.0), scalar(1.5)),
+                              nme.SolverConfig(record_history=record_history))
+            assert info.value.iteration == 3
+            reports.append(info.value.report)
+        assert reports[0].iterations == reports[1].iterations == 0
+        assert same_bits(reports[0].X, scalar(1.5)) and same_bits(reports[1].X, scalar(1.5))
+        assert [math.isfinite(h.rel_residual) for h in reports[1].history] == [True, False]
+
+    def test_grown_residual_reports_the_iterate_before(self):
+        # a residual beyond DIVERGENCE_FACTOR x its minimum rejects X_k: the
+        # report carries X_{k-1} (the class of this cell, not its k, is pinned)
+        problem, _ = nonnormal_planted(8, 0.999, 3.0, 0)
+        with pytest.raises(Diverged, match="grew beyond") as info:
+            nme.solve_newton(problem, nme.SolverConfig(record_history=True))
+        rep, k = info.value.report, info.value.iteration
+        assert rep.iterations == k - 1 and len(rep.iterates) == k + 1
+        assert same_bits(rep.X, rep.iterates[k - 1])
 
     @pytest.mark.parametrize("solver", [nme.solve_sda, nme.solve_newton])
     def test_default_solve_calls_no_eigen_routine(self, solver, monkeypatch):
