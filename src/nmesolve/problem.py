@@ -286,21 +286,26 @@ def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
                       q_scale: float = 1.0) -> tuple:
     """R(X) = Q - X - A^T X^{-1} A from the lower Cholesky factor of X.
 
-    With X = C C^T and Y = C^{-1} A (one triangular solve), G = A^T X^{-1} A
-    is Y^T Y, which numpy forms as a symmetric rank-k update, so G is exactly
+    X must be exactly symmetric: X = C C^T is factored through whichever of X
+    and X^T is Fortran-ordered, so both orders give the same bits and
+    ``dpotrf`` copies no transpose.  Y = C^{-1} A comes as Y^T = A^T C^{-T}, a
+    right-side ``dtrsm`` on the Fortran view A^T, and G = A^T X^{-1} A is
+    Y^T Y, which numpy forms as a symmetric rank-k update, so G is exactly
     symmetric, and so is R when Q and X are.  ``q_fro`` is ||Q / q_scale||_F
     for a power of two ``q_scale``, and the relative norm is (||R||_F /
     q_scale) / q_fro, which stays finite when ||Q||_F overflows.  Returns
     ``(R, ||R||_F, relative norm, C, Y, G)``, C in Fortran order as
-    ``_cholesky`` returns it, so W = X^{-1} A is one more solve C^T W = Y, the
-    pair of solves ``cho_solve`` makes.  An X without a Cholesky factor raises
-    :class:`NotPositiveDefinite`; a residual that overflows or is NaN gives
-    norms inf, with no warning where the caller ignores over and invalid.
+    ``_cholesky`` returns it and Y a view of the Fortran Y^T, so W = X^{-1} A
+    is one more right-side solve W^T = Y^T C^{-1}.  An X without a Cholesky
+    factor raises :class:`NotPositiveDefinite`; a residual that overflows or
+    is NaN gives norms inf, with no warning where the caller ignores over and
+    invalid.
     """
-    C = _cholesky(X, "X")
-    Y = scipy.linalg.blas.dtrsm(1.0, C, A, lower=1)
+    C = _cholesky(X.T if X.flags.c_contiguous else X, "X")
+    Y = scipy.linalg.blas.dtrsm(1.0, C, A.T, side=1, lower=1, trans_a=1).T
     G = Y.T @ Y
-    R = Q - X - G
+    R = Q - X
+    R -= G
     rel = (fro := fro_norm(R)) / q_scale / q_fro
     if not math.isfinite(rel):
         fro = rel = math.inf

@@ -53,12 +53,14 @@ they change no outcome.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
-included, ``dtrsm`` for the triangular solves, ``dpotrs`` (in ``cho_solve``)
-for the W of ``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``,
-``dgemm`` and two ``dsyrk`` a doubling step, three positional ``dgemm`` and
-one ``ddot`` a Stein doubling step (less a last squaring that cannot change
-the stop) and two ``dgemm`` for its check, into one allocation per call
-(``ddot`` also takes its scale ||C||_F and the check's norms), ``dgees`` and
+included, ``dtrsm`` for the triangular solves, each from the right on a
+Fortran view (A^T, then Y^T in place), so that neither routine is handed an
+array it must copy transposed, ``dpotrs`` (in ``cho_solve``) for the W of
+``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``, ``dgemm``
+and two ``dsyrk`` a doubling step, three positional ``dgemm`` and one
+``ddot`` a Stein doubling step (less a last squaring that cannot change the
+stop) and two ``dgemm`` for its check, into one allocation per call (``ddot``
+also takes its scale ||C||_F and the check's norms), ``dgees`` and
 ``dtgsyl`` for the Stein solves it gives up.  At scalar or n = 8 sizes, the
 dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several
 times the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
@@ -255,8 +257,8 @@ class _Run:
         self.iterates: list[np.ndarray] = []
         self.aux_iterates: dict[str, list[np.ndarray]] = {}
         self.best_res = math.inf
-        #: the last accepted X_k and its k, a failure's report (X_0 = Q until one is), the
-        #: last later (k, X_k) that doubling's gate (it sets ``gated``) held out of the tests
+        #: the last accepted X_k and its k, a failure's report (X_0 = Q until one is), and the
+        #: last later (k, X_k) with a positive diagonal that doubling's gate (``gated``) held out
         self.X, self.accepted, self.untested, self.gated = Q, 0, None, False
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
@@ -269,9 +271,9 @@ class _Run:
         beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
         ``nonfinite_fatal`` lets the run go on.  An X_k that doubling's gate
         holds out (``gated``; res_k is None unless history takes it) is not
-        tested, and a failure tests it before its report holds it.  The step
-        norm ||X_k - X_{k-1}||_F is taken here, only when history or DEBUG
-        logging wants it."""
+        tested; a failure tests the last such X_k with a positive diagonal
+        before its report holds it.  The step norm ||X_k - X_{k-1}||_F is taken
+        here, only when history or DEBUG logging wants it."""
         cfg = self.config
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +288,8 @@ class _Run:
                 prev = X
                 self.capture(X, aux)
                 if self.gated:
-                    self.untested = (self.k, X)
+                    if X.diagonal().min() > 0.0:  # else its residual is not finite
+                        self.untested = (self.k, X)
                     continue
                 self.best_res = min(self.best_res, res)
                 if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
@@ -452,9 +455,12 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
     unique.  A step whose m = ||M_j||_F^2 (||L||_F^2 at j = 0) has m^2 within
     that bound stops without forming M_j^2: ||M_j^2||_F <= ||M_j||_F^2, so the
     square would have passed, and the stop and X are those of a loop that
-    squares.  X is accepted only when also
-    ||X - L^T X L - C||_F <= eps (||X||_F + ||L^T X L||_F), the residual of a
-    backward-stable solve, taken once a ``ddot`` finds ||X||_F^2 finite: two
+    squares.  X is accepted only when also ||X - L^T X L - C||_F <=
+    eps (x / 4 + n (x + 2 y)), x = ||X||_F and y = ||L^T X L||_F: the tail
+    bound above plus the rounding of three products of inner dimension n, each
+    about n eps times the size of what it forms (gamma_n, Higham 2002, sec.
+    3.5): the last step's T M, at most x, and the check's two that form
+    L^T X L.  It is taken once a ``ddot`` finds ||X||_F^2 finite: two
     ``dgemm`` form L^T X L in the call's buffers, and ``ddot`` takes the norms.
     When that test fails, a norm is not finite or the power is still large
     after :data:`STEIN_DOUBLINGS` steps, the Schur solve below runs; so
@@ -519,7 +525,7 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
         x, y = math.sqrt(ddot(X, X)), math.sqrt(ddot(R, R))
         np.subtract(X, R, out=R)  # all Fortran-ordered
         R -= C
-        if not math.sqrt(ddot(R, R)) <= _EPS * (x + y) < math.inf:
+        if not math.sqrt(ddot(R, R)) <= _EPS * (x / 4.0 + n * (x + 2.0 * y)) < math.inf:
             x = None
     if x is None:  # the Schur solve
         T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
@@ -580,8 +586,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
         while True:
             res, G, C, Y = run.factored_residual(X)
             yield X, res, rho_L, 0.0, None, False
-            # L_k = X_{k-1}^{-1} A = C^{-T} Y; the right side Q - 2 G is exactly symmetric
-            W = scipy.linalg.blas.dtrsm(1.0, C, Y, lower=1, trans_a=1)
+            # L_k^T = Y^T C^{-1}, in place on Y^T; the right side Q - 2 G is exactly symmetric
+            W = scipy.linalg.blas.dtrsm(1.0, C, Y.T, side=1, lower=1, overwrite_b=1).T
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
             try:  # C = Q - 2 G in G's buffer: G is not read again
                 X = solve_stein(W, np.subtract(Q, np.multiply(G, 2.0, out=G), out=G))

@@ -17,7 +17,9 @@ solvers and ``record_history`` off or on; the grids are
   can carry, and data whose R(Q) or ||A||_F / max|Q| overflows (48 cells).
 
 Given BASE.json, a file this script wrote for another checkout, it prints
-each cell whose record differs and returns 1 when any does.  Run it from
+each cell whose record differs, then the moved cells of each grid, and of
+each grid and solver the cells whose X bits, iteration count and outcome
+class moved, and returns 1 when any cell moved.  Run it from
 each checkout's own tree (``tests/`` and ``src/`` beside it are imported):
 a bit-changing change reports the diff against its parent.  The file is
 not collected by pytest, whose test files are named ``test_*.py``.
@@ -102,6 +104,13 @@ def main(argv: list[str]) -> int:
     for name in ("planted", "nonnormal", "edge"):
         print(f"{name}: {sum(key.startswith(name + '/') for key in moved)} of "
               f"{sum(key.startswith(name + '/') for key in cells)} cells moved")
+    for name in ("planted", "nonnormal", "edge"):
+        for solver in SOLVERS:
+            pairs = [(base.get(key), cells.get(key)) for key in moved
+                     if key.startswith(name + "/") and f"/{solver.__name__}/" in key]
+            print(f"{name} {solver.__name__}: " + ", ".join(
+                f"{sum(None in pair or pair[0][i] != pair[1][i] for pair in pairs)} {what} moved"
+                for i, what in ((2, "bits"), (1, "iterations"), (0, "class"))))
     return 1 if moved else 0
 
 

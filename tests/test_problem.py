@@ -145,6 +145,17 @@ class TestResidual:
         R = nme.residual(rec.problem, rec.known_solution + 1e-3 * (E + E.T)).matrix
         assert np.array_equal(R, R.T)
 
+    @pytest.mark.parametrize("n", [1, 8, 33])
+    def test_memory_order_keeps_the_bits(self, n):
+        # C- and F-ordered copies of one exactly symmetric X give one (R, C, Y, G)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
+        A, Q = rec.problem.A, rec.problem.Q
+        X = nme.symmetric_part(rec.known_solution + 0.1 * Q)
+        got = [cholesky_residual(A, Q, order(X), 1.0) for order in (np.ascontiguousarray,
+                                                                      np.asfortranarray)]
+        for i in (0, 3, 4, 5):
+            assert same_bits(got[0][i], got[1][i])
+
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
     def test_matches_lu_formula(self, n):
         # the reference: W = X^{-1} A by LU, R = sym(Q - X - A^T W)

@@ -1283,20 +1283,37 @@ class TestReports:
 
     @pytest.mark.parametrize("n", [1, 8, 33])
     def test_w0_is_the_cho_solve_of_q(self, n, monkeypatch):
-        # Newton's L_1 = W_0 is dpotrs's two triangular solves on the factor
-        # of X_0 = Q, whose first solve Y gives G_0 = Y^T Y
+        # Newton's L_1 = W_0 is two right-side triangular solves on the
+        # factor of X_0 = Q: Y^T = A^T C^{-T}, whose Y gives G_0 = Y^T Y, then
+        # W_0^T = Y^T C^{-1}; it is cho_solve's W_0 to rounding
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
         A, Q = rec.problem.A, rec.problem.Q
         _, G0, C, Y = solvers._Run(A, Q, None, "test").factored_residual(Q)
         assert same_bits(C, _cholesky(Q, "Q"))
-        assert same_bits(Y, scipy.linalg.blas.dtrsm(1.0, C, A, lower=1))
+        Yt = scipy.linalg.blas.dtrsm(1.0, C, A.T, side=1, lower=1, trans_a=1)
+        assert same_bits(Y, Yt.T)
         assert same_bits(G0, Y.T @ Y) and np.array_equal(G0, G0.T)
         seen = []
         stein = solvers.solve_stein
         monkeypatch.setattr(solvers, "solve_stein", lambda L, C: seen.append(L) or stein(L, C))
         nme.solve_newton(rec.problem)
+        assert same_bits(seen[0], scipy.linalg.blas.dtrsm(1.0, C, Yt, side=1, lower=1).T)
         W0 = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q, lower=True), A)
-        assert same_bits(seen[0], W0)
+        assert np.linalg.norm(seen[0] - W0) <= 4 * n * np.finfo(float).eps * np.linalg.norm(W0)
+
+    @pytest.mark.parametrize("solver", [nme.solve_newton, nme.solve_fixed_point, nme.solve_sda])
+    def test_blas_gets_fortran_arrays(self, solver, monkeypatch):
+        # every triangular solve and Cholesky factor of a solve at n = 8 is
+        # handed Fortran-contiguous arrays, so f2py makes no transposed copy
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=8))
+        handed = []
+        for module, name in ((scipy.linalg.blas, "dtrsm"), (scipy.linalg.lapack, "dpotrf")):
+            def call(*args, _routine=getattr(module, name), **kwargs):
+                handed.extend(a.flags.f_contiguous for a in args if isinstance(a, np.ndarray))
+                return _routine(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+        assert solver(rec.problem).converged
+        assert handed and all(handed)
 
     @pytest.mark.parametrize("record_history", [False, True])
     def test_failure_report_counts_accepted_iterates(self, record_history):
@@ -1392,8 +1409,9 @@ class TestReports:
     def test_gated_iterates_are_tested_before_a_report_holds_them(self):
         # q < 2|a|: Q_0, Q_1 = 5/6 and Q_2 = -11/6 lie beyond doubling's
         # residual gate, so no residual of them is tested, with history or
-        # without; the breakdown at 3 tests Q_2, finds it indefinite and
-        # reports Q, and the history shows Q_2's residual as inf
+        # without; the breakdown at 3 tests Q_2, finds it indefinite, then
+        # Q_1, whose residual is finite, and reports Q_1; the history shows
+        # Q_2's residual as inf
         reports = []
         for record_history in (False, True):
             with pytest.raises(DoublingBreakdown) as info:
@@ -1401,8 +1419,9 @@ class TestReports:
                               nme.SolverConfig(record_history=record_history))
             assert info.value.iteration == 3
             reports.append(info.value.report)
-        assert reports[0].iterations == reports[1].iterations == 0
-        assert same_bits(reports[0].X, scalar(1.5)) and same_bits(reports[1].X, scalar(1.5))
+        assert reports[0].iterations == reports[1].iterations == 1
+        q1 = scalar(1.5 - 1.0 / 1.5)
+        assert same_bits(reports[0].X, q1) and same_bits(reports[1].X, q1)
         assert [math.isfinite(h.rel_residual) for h in reports[1].history] == [True, False]
 
     def test_grown_residual_reports_the_iterate_before(self):
