@@ -80,8 +80,7 @@ def generate_problem(spec: GeneratorSpec) -> ExperimentRecord:
     u2 = _random_orthogonal(rng, n)
     S = u2 @ np.diag(s_eigs) @ u2.T
     A = X @ S
-    Q = symmetric_part(X + S.T @ X @ S)
-    problem = new_problem(A, Q)
+    problem = new_problem(A, X + S.T @ X @ S)  # new_problem symmetrizes Q
     logger.debug("generated problem n=%d rho=%g seed=%d", n, spec.rho_target, spec.seed)
     return ExperimentRecord(problem=problem, known_solution=X)
 

@@ -241,7 +241,7 @@ def generalized_eigenvalues(pencil: SymplecticPencil) -> np.ndarray:
     """All generalized eigenvalues of (M, L); may contain inf for singular L."""
     try:
         return scipy.linalg.eigvals(pencil.M, pencil.L)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverFailure(str(exc)) from exc
 
 

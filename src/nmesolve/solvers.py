@@ -46,10 +46,11 @@ runs, and runs whose X is not finite, raise a
 report.  Only doubling skips residuals: it tests that of Q_k at k = max_iter,
 when its own test passes, and once ||A_k||_F <= :data:`RESIDUAL_GATE`
 sqrt(tol) ||Q||_F (or is not finite): the error Q_k - X+ =
-A_k^T (X+ - P_k)^{-1} A_k is large before that.  No residual feeds an
-iterate, so the gate can only delay a stop; X and every Q_k keep their bits.
-History and DEBUG logging take every residual but test no more of them, so
-they change no outcome.
+A_k^T (X+ - P_k)^{-1} A_k is large before that.  It yields a None residual
+for each Q_k the gate holds out, and the driver tests no such Q_k.  No
+residual feeds an iterate, so the gate can only delay a stop; X and every Q_k
+keep their bits.  With history or DEBUG logging on, the driver takes the
+residual of a gated Q_k for the record only, so they change no outcome.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
@@ -241,53 +242,56 @@ class SolveReport:
 
 
 class _Run:
-    """One solve: the iteration loop with its stopping rule, history and
-    iterate capture, the divergence watch and the failure reports."""
+    """One solve: the iteration loop with its stopping rule, the divergence
+    watch and the failure reports.  The run fills the one report it returns
+    (``out``) as it goes: history records, iterates and companion iterates
+    when history is on, and in X and ``iterations`` the last accepted X_k and
+    its k (X_0 = Q until one is)."""
 
     def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig | None, name: str):
-        self.A = A
-        self.Q = Q
+        self.A, self.Q = A, Q
         self.q_scale, Qu = _unit_scaled(Q)
         self.q_fro = fro_norm(Qu)
         self.config = config or SolverConfig()
         #: history or DEBUG logging reads every step's residual and step norm
         self.every_step = self.config.record_history or logger.isEnabledFor(logging.DEBUG)
         self.name = name
-        self.history: list[HistoryRecord] = []
-        self.iterates: list[np.ndarray] = []
-        self.aux_iterates: dict[str, list[np.ndarray]] = {}
-        self.best_res = math.inf
-        #: the last accepted X_k and its k, a failure's report (X_0 = Q until one is), and the
-        #: last later (k, X_k) with a positive diagonal that doubling's gate (``gated``) held out
-        self.X, self.accepted, self.untested, self.gated = Q, 0, None, False
+        self.out = SolveReport(X=Q, iterations=0, converged=False, A=A)
+        #: the least residual, and the last later gated (k, X_k) with a positive diagonal
+        self.best_res, self.untested = math.inf, None
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
-        """Run the update generator ``steps``: one loop with one ``yield`` of
-        (X_k, res_k, aux1, aux2, aux_k, stop_k) for each k from X_0 = Q, which
-        is tested like every later iterate; aux1 and aux2 of X_0 are 0 and
-        unused, ``aux`` holds the companion iterates by name (or None) and
-        ``stop`` is the solver's own test besides res <= tol.  X_k is accepted
-        once it passes the tests here: a residual that is not finite or grew
-        beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
-        ``nonfinite_fatal`` lets the run go on.  An X_k that doubling's gate
-        holds out (``gated``; res_k is None unless history takes it) is not
-        tested; a failure tests the last such X_k with a positive diagonal
-        before its report holds it.  The step norm ||X_k - X_{k-1}||_F is taken
-        here, only when history or DEBUG logging wants it."""
-        cfg = self.config
+        """Run the update generator ``steps``, filling ``out``: one loop with one
+        ``yield`` of (X_k, res_k, aux1, aux2, aux_k, stop_k) for each k from
+        X_0 = Q, which is tested like every later iterate; aux1 and aux2 of X_0
+        are 0 and unused, ``aux`` holds the companion iterates by name (or
+        None) and ``stop`` is the solver's own test besides res <= tol.  X_k is
+        accepted once it passes the tests here: a residual that is not finite
+        or grew beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
+        ``nonfinite_fatal`` lets the run go on.  A None res_k is an X_k that
+        doubling's gate holds out: it is not tested (history and DEBUG logging
+        take its residual for the record only), and a failure tests the last
+        such X_k with a positive diagonal before its report holds it.  The step
+        norm ||X_k - X_{k-1}||_F is taken only when history or DEBUG logging wants it."""
+        cfg, out = self.config, self.out
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for self.k in range(cfg.max_iter + 1):
                 X, res, aux1, aux2, aux, stop = next(steps)
+                # history and DEBUG logging take a gated X_k's residual for the record only
+                logged = self.residual(X) if res is None and self.every_step else res
                 if self.every_step and self.k:
                     step = fro_norm(X - prev)
-                    logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, res, step)
+                    logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, logged, step)
                     if cfg.record_history:
-                        self.history.append(
-                            HistoryRecord(self.k, float(res), float(step), float(aux1), float(aux2)))
+                        out.history.append(
+                            HistoryRecord(self.k, float(logged), float(step), float(aux1), float(aux2)))
                 prev = X
-                self.capture(X, aux)
-                if self.gated:
+                if cfg.record_history:
+                    out.iterates.append(np.array(X, dtype=float))
+                    for key, val in (aux or {}).items():
+                        out.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
+                if res is None:
                     if X.diagonal().min() > 0.0:  # else its residual is not finite
                         self.untested = (self.k, X)
                     continue
@@ -305,17 +309,11 @@ class _Run:
                         Diverged,
                         f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
                         f"minimum {self.best_res:.3e} at iteration {self.k}")
-                self.X, self.accepted, self.untested = X, self.k, None
+                out.X, out.iterations, self.untested = X, self.k, None
             raise self.failure(
                 MaxIterationsExceeded,
                 f"no convergence within {cfg.max_iter} iterations "
                 f"(best relative residual {self.best_res:.3e})")
-
-    def capture(self, X: np.ndarray, aux: dict | None) -> None:
-        if self.config.record_history:
-            self.iterates.append(np.array(X, dtype=float))
-            for key, val in (aux or {}).items():
-                self.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
 
     def stopped(self, X: np.ndarray, res: float) -> SolveReport:
         """The report of a run whose stopping test passed at X_k: converged only
@@ -323,14 +321,14 @@ class _Run:
         if not np.all(np.isfinite(X)):
             raise self.failure(Diverged, f"iterate {self.k} met the stopping test but is not finite")
         if math.isfinite(res):
-            self.X, self.accepted, self.untested = X, self.k, None
+            self.out.X, self.out.iterations, self.untested = X, self.k, None
         if not res <= self.config.tol:
             raise self.failure(
                 Stagnated,
                 f"iterate {self.k} met the solver's own stopping test with relative "
                 f"residual {res:.3e} above tol {self.config.tol:g}")
         logger.info("%s converged in %d iterations", self.name, self.k)
-        return self.report(self.k, True)
+        return self.report(True)
 
     def residual(self, X: np.ndarray) -> float:
         """Relative residual of X; inf when X is not positive definite or it overflows."""
@@ -349,32 +347,25 @@ class _Run:
                                f"iterate {self.k} is not positive definite") from exc
         return res, G, C, Y
 
-    def report(self, iterations: int, converged: bool, failure: str | None = None) -> SolveReport:
-        X = np.array(self.X, dtype=float)
-        try:
-            rate = estimate_rate([h.step_norm for h in self.history]) if self.history else None
-        except InsufficientHistory:
-            rate = None
-        return SolveReport(
-            X=X,
-            iterations=iterations,
-            converged=converged,
-            history=list(self.history),
-            estimated_rate=rate,
-            failure=failure,
-            iterates=list(self.iterates),
-            aux_iterates={k: list(v) for k, v in self.aux_iterates.items()},
-            A=self.A,
-        )
+    def report(self, converged: bool, failure: str | None = None) -> SolveReport:
+        """``out`` ended: X copied (X_0 is the problem's own Q), and the rate of its history."""
+        out = self.out
+        out.X, out.converged, out.failure = np.array(out.X, dtype=float), converged, failure
+        if out.history:
+            try:
+                out.estimated_rate = estimate_rate([h.step_norm for h in out.history])
+            except InsufficientHistory:
+                pass
+        return out
 
     def failure(self, exc_cls, detail: str):
         """The exception for iteration k, with the report of the last accepted X
         (an untested one only if its residual, taken now, is finite), whose
         ``failure`` is the exception's message."""
         if self.untested and math.isfinite(self.residual(self.untested[1])):
-            self.accepted, self.X = self.untested
+            self.out.iterations, self.out.X = self.untested
         message = f"{self.name}: {detail}"
-        return exc_cls(message, report=self.report(self.accepted, False, message), iteration=self.k)
+        return exc_cls(message, report=self.report(False, message), iteration=self.k)
 
 
 def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -646,8 +637,8 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             # doubling's own test; at k = 0 it is A = 0: the other form passes where a_scale overflows
             stop = a_k <= cfg.tol * a_scale if run.k else a_scale == 0.0
             # the residual is tested only where it can end the run (RESIDUAL_GATE)
-            run.gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
-            res = run.residual(Qk) if run.every_step or not run.gated else None
+            gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
+            res = None if gated else run.residual(Qk)
             yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
             try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered
                 C = _cholesky(Qk.T - Pk.T, "Q_k - P_k")

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import warnings
@@ -924,6 +925,27 @@ class TestSda:
         zero = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
         assert nme.solve_sda(zero).iterations == 0
         assert len(tested) == 1 and np.array_equal(tested[0], zero.Q)
+
+    def test_debug_logs_the_residual_of_gated_steps_and_changes_no_bit(self, monkeypatch, caplog):
+        # DEBUG logging has the driver take the residual of each Q_k that the
+        # gate holds out (a None residual), for its line only: every line reads
+        # a finite residual, and X and the iteration count keep their bits
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cholesky_residual(*args)
+
+        monkeypatch.setattr(solvers, "cholesky_residual", counted)
+        problem = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.999, seed=0)).problem
+        plain = nme.solve_sda(problem)
+        assert plain.converged and plain.iterations + 1 - len(calls) >= 3  # gated steps
+        with caplog.at_level(logging.DEBUG, logger="nmesolve.solvers"):
+            logged = nme.solve_sda(problem)
+        residuals = [float(re.search(r"rel_residual=(\S+)", record.getMessage()).group(1))
+                     for record in caplog.records if "rel_residual=" in record.getMessage()]
+        assert len(residuals) == logged.iterations and all(map(math.isfinite, residuals))
+        assert logged.iterations == plain.iterations and same_bits(logged.X, plain.X)
 
     def test_budget_end_reports_a_residual(self):
         # the last step of the budget takes its residual, so the report

@@ -308,3 +308,18 @@ def test_every_solver_yields_from_one_loop():
                       "solve_newton": 1, "solve_sda": 1}
     run = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
     assert "start_at_q" not in [node.name for node in run.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_run_is_its_report():
+    # _Run fills the one SolveReport it returns; a copy of its history,
+    # iterates or last accepted X and k beside it, or a gate flag that the
+    # doubling generator writes and the driver reads, forks the run's record
+    # again: doubling marks a gated Q_k by a None residual alone
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    run = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
+    methods = {node.name: node for node in run.body if isinstance(node, ast.FunctionDef)}
+    assert "capture" not in methods
+    assigned = {node.attr for node in ast.walk(methods["__init__"])
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert assigned.isdisjoint({"gated", "accepted", "history", "iterates", "aux_iterates"})
+    assert "every_step" not in ast.unparse(_function("solvers.py", "solve_sda"))
