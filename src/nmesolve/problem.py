@@ -73,11 +73,10 @@ UNIMODULAR_RTOL = 1e-4
 
 #: A pencil factor F with max |Im F| <= REAL_RTOL * ||F||_F is stored real.
 REAL_RTOL = 1e-10
-#: Tolerances of ``is_symplectic_pencil`` and ``ssf2_blocks``, and the grid
-#: size and tolerance of ``solvability_check`` (see their docstrings).
+#: Tolerances of ``is_symplectic_pencil``, ``ssf2_blocks`` and
+#: ``solvability_check`` (see their docstrings).
 SYMPLECTIC_RTOL = 1e-13
 SSF2_RTOL = 1e-10
-SOLVABILITY_SAMPLES = 64
 SOLVABILITY_TOL = 1e-10
 
 
@@ -140,7 +139,8 @@ class Residual:
 
 @dataclass(frozen=True)
 class SolvabilityVerdict:
-    """See :func:`solvability_check`, which also says when ``min_eig_on_circle`` is computed."""
+    """See :func:`solvability_check`, which also says how ``min_eig_on_circle``
+    is found and when: with the verdict where it decides, else at its first read."""
 
     regular: bool
     verdict: Verdict
@@ -150,7 +150,7 @@ class SolvabilityVerdict:
     @functools.cached_property
     def min_eig_on_circle(self) -> float:
         scale, *circle = self._circle
-        return scale * _min_on_circle(*circle)
+        return scale * _level_min(*circle)
 
 
 def symmetric_part(M: np.ndarray) -> np.ndarray:
@@ -397,11 +397,11 @@ def psi(problem: NmeProblem, lam: complex) -> np.ndarray:
 
 def _eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas) -> np.ndarray:
     """Every eigenvalue of psi(e^{i theta}), ascending, one row per theta, by
-    stacked eigvalsh calls of SOLVABILITY_SAMPLES // 2 + 1 matrices at most
-    (eigvalsh reads the lower triangle, so psi need not be re-symmetrized)."""
+    stacked eigvalsh calls (eigvalsh reads the lower triangle, so psi need not
+    be re-symmetrized)."""
     thetas = np.asarray(thetas, dtype=float)
     out = np.empty((thetas.size, A.shape[0]))
-    chunk = SOLVABILITY_SAMPLES // 2 + 1
+    chunk = 33  # matrices per call: bounds the stack's memory at large n
     for start in range(0, thetas.size, chunk):
         z = np.exp(1j * thetas[start:start + chunk])[:, None, None]
         H = z * A
@@ -411,106 +411,10 @@ def _eigs_on_circle(A: np.ndarray, Q: np.ndarray, thetas) -> np.ndarray:
     return out
 
 
-def _brent_min(f, x: float, fx: float, f_before: float, f_after: float,
-               step: float, xtol: float, ftol: float, even: bool) -> float:
-    """Smallest value of f met by Brent's minimization (Brent 1973, ch. 5)
-    on [x - step, x + step], seeded with fx = f(x), f_before = f(x - step)
-    and f_after = f(x + step).
-
-    Each step fits a parabola through x (the best point so far), w (the
-    second best) and v (the previous w) and moves to its vertex when that
-    lies inside the bracket and moves less than half the step before last;
-    otherwise it takes a golden-section step into the larger part of the
-    bracket.  A move shorter than xtol / 2, or a vertex within xtol of an
-    end, becomes a probe xtol / 2 from x toward the larger part, which
-    shrinks the bracket most.  Stops when the bracket lies within xtol of x,
-    or when f at x, w and v differs by at most ftol, f's own error, so that
-    a parabola would fit noise.
-
-    ``even`` says f is even about the seed x.  A parabola through the seeds
-    then has its vertex at x and says nothing, so the first step is a
-    golden-section one.  While x is still the seed, the model is a parabola
-    in (theta - x)^2 through x, w and v: the step goes to its minimum when x
-    is a maximum of the model, and is a probe xtol / 2 from x otherwise; and
-    a probe that rises cuts the bracket on both sides of x.
-    """
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    tol = xtol / 2.0
-    centre = x
-    a, b = x - step, x + step
-    (fw, w), (fv, v) = sorted(((f_before, a), (f_after, b)))
-    d = e = 0.0 if even else step  # step: as if x had been reached from its neighbours
-    while True:
-        mid = (a + b) / 2.0
-        if abs(x - mid) <= xtol - (b - a) / 2.0 or max(fw, fv) - fx <= ftol:
-            return fx
-        last, e = e, d
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        if q > 0.0:
-            p = -p
-        q = abs(q)
-        sw, sv = (w - x) ** 2, (v - x) ** 2
-        if even and x == centre and sw != sv:
-            # f = fx + k s + m s^2 in s = (theta - x)^2 through w and v
-            k = ((fw - fx) * sv * sv - (fv - fx) * sw * sw) / (sw * sv * (sv - sw))
-            m = ((fv - fx) * sw - (fw - fx) * sv) / (sw * sv * (sv - sw))
-            d = -math.sqrt(-k / (2.0 * m)) if k < 0.0 < m else 0.0
-            if x + d <= a:
-                e = a - x
-                d = golden * e
-        elif abs(last) > tol and abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < xtol:
-                d = math.copysign(tol, mid - x)
-        else:
-            e = (a if x >= mid else b) - x
-            d = golden * e
-        if abs(d) < tol:
-            d = math.copysign(tol, mid - x)
-        u = x + d
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if even and x == centre:
-                a, b = max(a, 2.0 * x - b), min(b, 2.0 * x - a)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-#: The last ``_critical_angles`` result, read-only.  One entry: enough for
-#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share it.
-_last_qz = None
-
-
-def _critical_angles(A: np.ndarray, Q: np.ndarray):
-    """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``:
-    scale the ``_pow2_scale`` of max |A|, |Q|, regular and the angles from one
-    real QZ of the scaled pencil (see :func:`solvability_check`; a failed QZ
-    raises :class:`EigensolverFailure`), points 0, the angles and pi, unique,
-    and spectra psi's eigenvalues at each angle, then at each arc midpoint of
-    points.  The last result is remembered and, when the scale and the bits of
-    the scaled pair equal it, returned as the QZ would give it again, read-only."""
-    global _last_qz
-    scale, A, Q = _unit_scaled(A, Q)
-    last = _last_qz
-    # bits, not values: -0.0 == 0.0, but the QZ may tell them apart
-    if (last is not None and last[0] == scale and last[1].tobytes() == A.tobytes()
-            and last[2].tobytes() == Q.tobytes()):
-        return last
+def _crossings(A: np.ndarray, Q: np.ndarray):
+    """``(regular, angles)`` of the pair from one real QZ of its pencil (see
+    :func:`solvability_check`; a failed QZ raises :class:`EigensolverFailure`):
+    the angles in [0, pi], unique, where psi is singular on the circle."""
     M, L = _pencil(A, Q)
     try:
         alpha, beta = scipy.linalg.eigvals(M, L, homogeneous_eigvals=True)
@@ -521,30 +425,49 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     negligible = (mod_a <= tiny * np.linalg.norm(M)) & (mod_b <= tiny * np.linalg.norm(L))
     unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
     # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
-    angles = np.unique(np.abs(np.angle(-alpha[unimodular].conj() * beta[unimodular])))
+    mu = -alpha[unimodular].conj() * beta[unimodular]
+    return not np.any(negligible), np.unique(np.abs(np.angle(mu)))
+
+
+#: The last ``_critical_angles`` result, read-only.  One entry: enough for
+#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share it.
+_last_qz = None
+
+
+def _critical_angles(A: np.ndarray, Q: np.ndarray):
+    """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``:
+    scale the ``_pow2_scale`` of max |A|, |Q|, regular and the angles from
+    ``_crossings`` of the scaled pair, points 0, the angles and pi, unique,
+    and spectra psi's eigenvalues at each angle, then at each arc midpoint of
+    points.  The last result is remembered and, when the scale and the bits of
+    the scaled pair equal it, returned as the QZ would give it again, read-only."""
+    global _last_qz
+    scale, A, Q = _unit_scaled(A, Q)
+    last = _last_qz
+    # bits, not values: -0.0 == 0.0, but the QZ may tell them apart
+    if (last is not None and last[0] == scale and last[1].tobytes() == A.tobytes()
+            and last[2].tobytes() == Q.tobytes()):
+        return last
+    regular, angles = _crossings(A, Q)
     points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
     spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
     for F in (A, Q, angles, points, spectra):
         F.flags.writeable = False
-    _last_qz = scale, A, Q, not np.any(negligible), angles, points, spectra
+    _last_qz = scale, A, Q, regular, angles, points, spectra
     return _last_qz
 
 
-def _min_on_circle(A: np.ndarray, Q: np.ndarray, on_arcs: float, ftol: float) -> float:
-    """The least lambda_min(psi) of the scaled pair on the arcs (``on_arcs``), on
-    the grid and in the Brent search of :func:`solvability_check`."""
-    chunk = SOLVABILITY_SAMPLES // 2 + 1
-    step = 2.0 * math.pi / SOLVABILITY_SAMPLES
-    grid = step * np.arange(chunk)
-    on_grid = _eigs_on_circle(A, Q, grid)[:, 0]
-    # lambda_min is even about 0 and pi, so there the missing outer neighbour
-    # of the best grid point has the value of its inner one
-    i = int(np.argmin(on_grid))
-    even = i in (0, chunk - 1)
-    refined = _brent_min(lambda t: float(_eigs_on_circle(A, Q, [t])[0, 0]),
-                         grid[i], on_grid[i], on_grid[abs(i - 1)],
-                         on_grid[i + 1 if i + 1 < chunk else i - 1], step, 1e-7, ftol, even)
-    return min(float(on_grid.min()), on_arcs, refined)
+def _level_min(A: np.ndarray, Q: np.ndarray, low: float, ftol: float) -> float:
+    """The least lambda_min(psi) of the scaled pair on the circle by the level-set
+    iteration of :func:`solvability_check`, from ``low``, a value it takes."""
+    low = min(low, float(_eigs_on_circle(A, Q, [0.0, math.pi])[:, 0].min()))
+    eye = np.eye(A.shape[0])
+    while True:
+        points = np.unique(np.concatenate(([0.0], _crossings(A, Q - low * eye)[1], [math.pi])))
+        level = float(_eigs_on_circle(A, Q, (points[:-1] + points[1:]) / 2)[:, 0].min())
+        if level >= low - ftol:
+            return min(low, level)
+        low = level
 
 
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
@@ -564,16 +487,14 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     negligible), INCONCLUSIVE when it is not.  Where v is below minus
     eigvalsh's error but not below -SOLVABILITY_TOL, or the pencil is
     singular (psi singular everywhere), ``min_eig_on_circle`` decides in v's
-    place; elsewhere it is computed when first read, as the least of v and
-    of lambda_min(psi) at
-
-    * the angles 2 pi j / SOLVABILITY_SAMPLES in [0, pi] (a coarse grid),
-    * the steps of a Brent search (``_brent_min``) within one grid step of
-      the best grid point, seeded with the values of that point and its two
-      grid neighbours and run until it locates a minimizer to 1e-7 rad or
-      its values agree to eigvalsh's error; at 0 and pi, where lambda_min is
-      even, it starts with a golden-section step, so that a minimum off the
-      grid angle on either side is searched too.
+    place; elsewhere it is computed when first read.  It is found by the
+    level-set iteration (Boyd & Balakrishnan; Bruinsma & Steinbuch, Syst.
+    Control Lett. 15 and 14, 1990): from l, the least of v and lambda_min(psi)
+    at 0 and pi, each step takes the angles where psi - l I is singular, from
+    one QZ of the pencil of (A, Q - l I), and lowers l to the least
+    lambda_min(psi) at the midpoints between consecutive points of 0, those
+    angles and pi; it stops once l falls by no more than eigvalsh's error.
+    An arc below l is bounded by such angles, so the minimum is global.
 
     A and Q are first divided by the power of two s with max |A|, |Q| / s in
     [1, 2), so the tolerance is relative to that scale and (A, Q) ->
@@ -585,7 +506,7 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     # eigvalsh's error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
     ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))
     known = -SOLVABILITY_TOL <= on_arcs and (on_arcs < -ftol or not regular)
-    low = _min_on_circle(A, Q, on_arcs, ftol) if known else on_arcs
+    low = _level_min(A, Q, on_arcs, ftol) if known else on_arcs
     verdict = (Verdict.NOT_SOLVABLE if low < -SOLVABILITY_TOL
                else Verdict.SOLVABLE if regular else Verdict.INCONCLUSIVE)
     result = SolvabilityVerdict(regular, verdict, (scale, A, Q, on_arcs, ftol))

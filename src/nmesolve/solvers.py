@@ -50,7 +50,8 @@ A_k^T (X+ - P_k)^{-1} A_k is large before that.  It yields a None residual
 for each Q_k the gate holds out, and the driver tests no such Q_k.  No
 residual feeds an iterate, so the gate can only delay a stop; X and every Q_k
 keep their bits.  With history or DEBUG logging on, the driver takes the
-residual of a gated Q_k for the record only, so they change no outcome.
+residual of a gated Q_k, k >= 1, for the record only, so they change no
+outcome; Q_0 has no record.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
@@ -270,17 +271,18 @@ class _Run:
         or grew beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
         ``nonfinite_fatal`` lets the run go on.  A None res_k is an X_k that
         doubling's gate holds out: it is not tested (history and DEBUG logging
-        take its residual for the record only), and a failure tests the last
-        such X_k with a positive diagonal before its report holds it.  The step
-        norm ||X_k - X_{k-1}||_F is taken only when history or DEBUG logging wants it."""
+        take its residual for the record of k >= 1 only), and a failure tests
+        the last such X_k with a positive diagonal before its report holds it.
+        The step norm ||X_k - X_{k-1}||_F is taken only when history or DEBUG
+        logging wants it."""
         cfg, out = self.config, self.out
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for self.k in range(cfg.max_iter + 1):
                 X, res, aux1, aux2, aux, stop = next(steps)
-                # history and DEBUG logging take a gated X_k's residual for the record only
-                logged = self.residual(X) if res is None and self.every_step else res
                 if self.every_step and self.k:
+                    # history and DEBUG logging take a gated X_k's residual for the record only
+                    logged = self.residual(X) if res is None else res
                     step = fro_norm(X - prev)
                     logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, logged, step)
                     if cfg.record_history:

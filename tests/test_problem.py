@@ -539,6 +539,7 @@ class TestSolvabilityCheck:
         v = nme.solvability_check(nme.new_problem([[0.0, 0.0], [1.0, 0.0]], np.eye(2)))
         assert not v.regular
         assert v.verdict is nme.Verdict.INCONCLUSIVE
+        assert v.min_eig_on_circle == pytest.approx(0.0, abs=1e-14)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(k=st.integers(-1000, 1000), n=st.integers(1, 4), seed=st.integers(0, 1000),
@@ -576,122 +577,68 @@ class TestSolvabilityCheck:
                     == (v.verdict is nme.Verdict.NOT_SOLVABLE))
 
     @staticmethod
-    def _stacked_eigvalsh(monkeypatch):
-        """The number of matrices in each eigvalsh call, with no remembered QZ."""
-        stacks = []
-        real = np.linalg.eigvalsh
-
-        def counted(H):
-            stacks.append(H.shape[0])
-            return real(H)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def _eigensolver_calls(monkeypatch):
+        """The QZs ("eigvals") and stacked eigvalsh calls in order, with no remembered QZ."""
+        calls = []
+        for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eigvals")):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(problem_module, "_last_qz", None)
-        return stacks
+        return calls
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_verdict_runs_no_grid(self, monkeypatch, n):
-        # one stacked eigvalsh of psi at the critical angles and arc midpoints
-        # decides; the grid runs once, at the first read of the minimum
-        stacks = self._stacked_eigvalsh(monkeypatch)
-        grid = problem_module.SOLVABILITY_SAMPLES // 2 + 1
+        # one QZ and one stacked eigvalsh of psi at the critical angles and arc
+        # midpoints decide; the first read of the minimum takes psi at 0 and pi,
+        # then one QZ and one stacked eigvalsh a level; the second runs nothing
+        calls = self._eigensolver_calls(monkeypatch)
         v = nme.solvability_check(
             nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem)
         assert v.verdict is nme.Verdict.SOLVABLE
-        assert len(stacks) == 1 and stacks[0] < grid
+        assert calls == ["eigvals", "eigvalsh"]
         first = v.min_eig_on_circle
-        assert stacks.count(grid) == 1 and set(stacks[2:]) <= {1}  # the search, one angle a step
-        stacks.clear()
+        levels = calls.count("eigvals") - 1
+        assert levels >= 1 and calls[2:] == ["eigvalsh"] + ["eigvals", "eigvalsh"] * levels
+        calls.clear()
         assert same_bits(v.min_eig_on_circle, first)
-        assert stacks == []
+        assert calls == []
 
     def test_band_decides_by_the_minimum(self, monkeypatch):
         # on the arcs lambda_min is above -SOLVABILITY_TOL but below eigvalsh's
-        # error; the grid angle pi reads q - 2 < -SOLVABILITY_TOL, and the
-        # minimum the check needed is kept
-        stacks = self._stacked_eigvalsh(monkeypatch)
+        # error; at pi it reads q - 2 < -SOLVABILITY_TOL, and the minimum the
+        # check needed is kept
+        calls = self._eigensolver_calls(monkeypatch)
         v = nme.solvability_check(nme.new_problem([[1.0]], [[2.0 - 1e-10]]))
         assert v.verdict is nme.Verdict.NOT_SOLVABLE
-        assert problem_module.SOLVABILITY_SAMPLES // 2 + 1 in stacks
-        stacks.clear()
+        calls.clear()
         assert v.min_eig_on_circle == pytest.approx(-1e-10, rel=1e-6)
-        assert stacks == []
+        assert calls == []
 
     @staticmethod
     def _planted_variants(seed, n, rho):
         p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
         return p, nme.new_problem(p.A, p.Q / 2.0), nme.new_problem(-p.A, p.Q)
 
-    @staticmethod
-    def _count_refinement(monkeypatch, p):
-        # the arcs (with no remembered QZ of this pair) and the grid are one
-        # call each; every later call is one step of the minimizer, at one angle
-        sizes = []
-        real = problem_module._eigs_on_circle
-
-        def counted(A, Q, thetas):
-            sizes.append(len(thetas))
-            return real(A, Q, thetas)
-
-        monkeypatch.setattr(problem_module, "_last_qz", None)
-        monkeypatch.setattr(problem_module, "_eigs_on_circle", counted)
+    @classmethod
+    def _count_refinement(cls, monkeypatch, p):
+        # the verdict's QZ (with no remembered QZ of this pair) is the first;
+        # every later one is a level of the level-set iteration
+        calls = cls._eigensolver_calls(monkeypatch)
         verdict = nme.solvability_check(p)
-        verdict.min_eig_on_circle  # the grid and the search run by the time it is read
+        verdict.min_eig_on_circle  # the level-set iteration runs by the time it is read
         monkeypatch.undo()
-        assert all(size == 1 for size in sizes[2:])
-        return verdict, len(sizes) - 2
+        return verdict, calls.count("eigvals") - 1
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [1, 8, 32])
     @pytest.mark.parametrize("rho", [0.3, 0.999, 1.0])
     def test_refinement_evaluations(self, monkeypatch, seed, n, rho):
+        # lambda_min of a planted problem is least at 0 or pi, where the
+        # iteration starts: one level finds no lower arc
         for p in self._planted_variants(seed, n, rho):
-            assert self._count_refinement(monkeypatch, p)[1] <= 3
-
-    def test_even_minimum_on_the_seed_takes_two_steps(self):
-        # a golden-section step and one probe next to pi, whose rise also
-        # cuts the bracket on the other side of pi
-        probes = []
-
-        def f(t):
-            probes.append(t)
-            return (t - math.pi) ** 2
-
-        step = math.pi / 32
-        value = problem_module._brent_min(f, math.pi, 0.0, step ** 2, step ** 2, step,
-                                          1e-7, 0.0, True)
-        assert value == 0.0
-        assert len(probes) == 2
-
-    def test_even_model_minimum_beyond_a_cut_bracket(self):
-        # f is even about pi.  The golden-section probe at distance 0.38 step
-        # is kept as w; the model's minimum at 0.26 step rises to 20 and,
-        # kept neither as w nor as v, cuts the bracket there.  The model
-        # still points at that end, so the next step is a golden-section
-        # one into the cut bracket, which finds the dip at 0.1 step
-        golden = (3.0 - math.sqrt(5.0)) / 2.0
-        step = math.pi / 32
-
-        def h(r):
-            r /= step
-            if r < 0.2:
-                return (r - 0.1) ** 2 - 0.01
-            if r < 0.33:
-                return 20.0
-            return 0.01 * (r / golden) ** 2 if r < 0.9 else 10.0
-
-        probes = []
-
-        def f(t):
-            probes.append(t)
-            return h(abs(t - math.pi))
-
-        value = problem_module._brent_min(f, math.pi, h(0.0), h(step), h(step), step,
-                                          1e-7, 0.0, True)
-        assert h(abs(probes[1] - math.pi)) == 20.0
-        assert probes[2] == math.pi + golden * (probes[1] - math.pi)
-        assert value == min(h(abs(t - math.pi)) for t in probes)
-        assert value == pytest.approx(-0.01, abs=1e-12)
+            assert self._count_refinement(monkeypatch, p)[1] <= 1
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -714,9 +661,9 @@ class TestSolvabilityCheck:
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("eta", [1.0, 3.0])
     def test_nonnormal_against_dense_sample(self, monkeypatch, seed, n, eta):
-        # lambda_min of these is often least between grid angles, and near 0
-        # or pi it may peak on the grid angle; the check may not sit above
-        # the dense sample by more than roundoff
+        # lambda_min of these is often least off 0 and pi, and near them it
+        # may peak at 0 or pi; the check may not sit above the dense sample
+        # by more than roundoff
         thetas = np.linspace(0.0, math.pi, 4097)
         for rho in (0.3, 0.9, 0.999):
             p, _ = nonnormal_planted(n=n, rho=rho, eta=eta, seed=seed)
@@ -725,7 +672,7 @@ class TestSolvabilityCheck:
             scale = 2.0 ** math.frexp(max(np.max(np.abs(p.A)), np.max(np.abs(p.Q))))[1]
             assert v.min_eig_on_circle <= dense + 1e-14 * scale
             assert v.verdict is nme.Verdict.SOLVABLE
-            assert evaluations <= 12
+            assert evaluations <= 6
 
     @pytest.mark.parametrize("n, seed", [(8, 2), (32, 3)])
     def test_interior_minimum_found(self, monkeypatch, n, seed):
@@ -739,7 +686,7 @@ class TestSolvabilityCheck:
         dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
         # the sample misses the minimum by at most about 4e-8 of its value
         assert dense * (1.0 - 1e-6) <= v.min_eig_on_circle <= dense
-        assert evaluations <= 12
+        assert evaluations <= 6
 
 
 class TestSpectralRadiusRatio:

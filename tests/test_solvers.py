@@ -820,8 +820,8 @@ class TestSda:
         assert str(info.value.__cause__) == f"Q_k - P_k is not positive definite: {detail}"
 
     def test_factors_d_once_per_step(self, monkeypatch):
-        # one dpotrf of D = Q_k - P_k per step, between those of the residuals
-        # of Q_k and Q_{k+1}; no LU
+        # one dpotrf of D = Q_k - P_k per step, before that of the residual of
+        # Q_{k+1}; the gate holds Q_0 out, and history has no record of it; no LU
         calls = {name: [] for name in ("dpotrf", "dgetrf", "dgetrs")}
 
         def recorded(name):
@@ -839,11 +839,11 @@ class TestSda:
         assert rep.converged and rep.iterations >= 4
         assert len(calls["dgetrf"]) == len(calls["dgetrs"]) == 0
         qs, ps = rep.iterates, rep.aux_iterates["P"]
-        assert len(calls["dpotrf"]) == 2 * rep.iterations + 1
-        for M, Qk in zip(calls["dpotrf"][::2], qs):
-            assert np.array_equal(M, Qk)
-        for D, Qk, Pk in zip(calls["dpotrf"][1::2], qs, ps):
+        assert len(calls["dpotrf"]) == 2 * rep.iterations
+        for D, Qk, Pk in zip(calls["dpotrf"][::2], qs, ps):
             assert np.array_equal(D, Qk - Pk)
+        for M, Qk in zip(calls["dpotrf"][1::2], qs[1:]):
+            assert np.array_equal(M, Qk)
 
     def test_one_factor_and_three_products_per_step(self, monkeypatch):
         # the step inverts D's Cholesky factor once and applies it by one
@@ -888,7 +888,7 @@ class TestSda:
 
     def test_residual_only_where_it_can_end_the_run(self, monkeypatch):
         # the early steps of a quadratic run skip the residual; history
-        # takes one per iterate
+        # takes one per record, and Q_0 has none
         calls = []
 
         def counted(*args):
@@ -901,12 +901,12 @@ class TestSda:
         assert rep.converged and len(calls) < rep.iterations + 1
         calls.clear()
         rep = nme.solve_sda(problem, nme.SolverConfig(record_history=True))
-        assert len(calls) == rep.iterations + 1
+        assert len(calls) == rep.iterations
 
     def test_no_residual_of_q0_above_the_gate(self, monkeypatch):
         # ||A||_F is far above RESIDUAL_GATE sqrt(tol) ||Q||_F, so Q_0 = Q
-        # cannot end the run and its residual is skipped; A = 0 (the k = 0
-        # stop) and history still take it
+        # cannot end the run and its residual is skipped, also with history,
+        # which has no record of Q_0; A = 0 (the k = 0 stop) still takes it
         tested = []
 
         def recorded(A, Q, X, *args):
@@ -920,7 +920,7 @@ class TestSda:
         assert not any(np.array_equal(X, problem.Q) for X in tested)
         tested.clear()
         nme.solve_sda(problem, nme.SolverConfig(record_history=True))
-        assert np.array_equal(tested[0], problem.Q)
+        assert tested and not any(np.array_equal(X, problem.Q) for X in tested)
         tested.clear()
         zero = nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0]))
         assert nme.solve_sda(zero).iterations == 0

@@ -105,6 +105,17 @@ def test_one_spectrum_of_psi_on_the_circle():
     assert texts["problem.py"].count("np.linalg.eigvalsh(") == 1
 
 
+def test_min_on_circle_by_level_sets():
+    # psi's minimum on the circle comes from the level-set iteration on the
+    # QZ of problem._crossings alone; a grid and a local search beside it
+    # fork the minimum again, and can miss a dip narrower than a grid step
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert texts["problem.py"].count("scipy.linalg.eigvals(") == 1
+    assert "scipy.linalg.eigvals(" in ast.unparse(_function("problem.py", "_crossings"))
+    assert [name for name in ("_brent_min", "_min_on_circle", "SOLVABILITY_SAMPLES")
+            if any(name in text for text in texts.values())] == []
+
+
 def test_one_float_format():
     # every file and text line writes floats as repr, through json.dumps in
     # serialize or an !r / %r format; a .17g beside them would fork the format
