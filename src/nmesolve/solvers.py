@@ -15,7 +15,8 @@ Four algorithms share one reporting contract:
 
 ``solve_newton``
     Linearizes R(X) = Q - X - A^T X^{-1} A; each step solves the Stein
-    equation X_k - L_k^T X_k L_k = Q - 2 L_k^T A with L_k = X_{k-1}^{-1} A.
+    equation E_k - L_k^T E_k L_k = R(X_k) with L_k = X_k^{-1} A, to the
+    relative accuracy of a forcing term, and takes X_{k+1} = X_k + E_k.
     ``solve_stein`` scales and symmetrizes C once; on that C / s it sums
     X = sum_i (L^T)^i C L^i by doubling, stops once the power L^(2^j), formed
     or bounded by the square of the last norm, bounds the remainder, and keeps
@@ -38,8 +39,8 @@ and R = Q - X_k - G.  Its norms, and those of doubling's own test
 ||A_k||_F <= tol * ||A||_F, are taken over the power of two s of max |Q|, so
 none overflows.  An X_k without a Cholesky factor has residual inf, so
 ``converged=True`` means a finite X that has a Cholesky factor.  Fixed point
-and Newton take A^T X_k^{-1} A as that exactly symmetric G; Newton's
-L = X_k^{-1} A is one more triangular solve.  When doubling's test passes
+takes A^T X_k^{-1} A as that exactly symmetric G, Newton R as its right side
+and L = X_k^{-1} A by one more triangular solve.  When doubling's test passes
 alone the run raises :class:`~nmesolve.exceptions.Stagnated`.  Non-convergent
 runs, and runs whose X is not finite, raise a
 :class:`~nmesolve.exceptions.SolverFailure` subclass carrying the partial
@@ -339,15 +340,14 @@ class _Run:
         except NotPositiveDefinite:
             return math.inf
 
-    def factored_residual(self, X: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Relative residual of X with G = A^T X^{-1} A, X = C C^T and Y = C^{-1} A
-        (``cholesky_residual``); X_k must stay positive definite."""
+    def factored_residual(self, X: np.ndarray) -> tuple:
+        """``cholesky_residual`` of X: (R, ||R||_F, relative residual, C, Y, G) with
+        X = C C^T, Y = C^{-1} A and G = A^T X^{-1} A; X_k must stay positive definite."""
         try:
-            _, _, res, C, Y, G = cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
+            return cholesky_residual(self.A, self.Q, X, self.q_fro, self.q_scale)
         except NotPositiveDefinite as exc:
             raise self.failure(LostPositiveDefiniteness,
                                f"iterate {self.k} is not positive definite") from exc
-        return res, G, C, Y
 
     def report(self, converged: bool, failure: str | None = None) -> SolveReport:
         """``out`` ended: X copied (X_0 is the problem's own Q), and the rate of its history."""
@@ -385,7 +385,7 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
     def steps():
         X = Q
         while True:
-            res, G, _, _ = run.factored_residual(X)
+            _, _, res, _, _, G = run.factored_residual(X)
             yield X, res, 0.0, 0.0, None, False
             X = Q - G  # exactly symmetric, as Q and G are
 
@@ -429,27 +429,30 @@ def _dgees_lwork(n: int) -> int:
     return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
+def solve_stein(L: np.ndarray, C: np.ndarray, *, rtol: float = _EPS) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
 
     L and C are read once.  Both paths solve for X / s on C / s, made exactly
-    symmetric, s the power of two of ||C||_F (of max |C| where ||C||_F^2 is 0
-    or inf; at least 2^-1024), and one range test of X / s scales it back.
+    symmetric, and one range test of X / s scales it back; s is the power of
+    two of the largest of c = ||C||_F (max |C| where ||C||_F^2 is 0 or inf),
+    min(c ||L||_F^2 / 2^1000, 1) and 2^-1024, so L^T (C / s) L fits wherever
+    L^T C L does, also for a tiny C and a huge L.  ``rtol`` (default eps), the
+    relative accuracy asked of X, sets the stop and the check below.
     Doubling (Smith's squared iteration) sums X = sum_i (L^T)^i C L^i: X_0 = C,
     M_0 = L, X_{j+1} = X_j + M_j^T X_j M_j and M_{j+1} = M_j^2 = L^(2^(j+1)),
     three ``dgemm`` called positionally and one ``ddot`` a step, writing into
     four Fortran n-by-n buffers (T = M^T X, two for M, the check's R) that one
     allocation per call gives (X in place, in a copy of C: L and C are not
-    written), until ||M_{j+1}||_F^2 <= eps / (4 (1 + ||L||_F^2)).  The power
+    written), until ||M_{j+1}||_F^2 <= rtol / (4 (1 + ||L||_F^2)).  The power
     the step forms anyway bounds what is left: X_inf - X_{j+1} =
     M_{j+1}^T X_inf M_{j+1}, the residual of X_{j+1} is -M_{j+1}^T C M_{j+1}
-    and ||C||_F <= (1 + ||L||_F^2) ||X||_F, so both are below about eps
+    and ||C||_F <= (1 + ||L||_F^2) ||X||_F, so both are below about rtol
     ||X||_F / 4, and ||M_{j+1}||_F < 1 bounds rho(L)^(2^(j+1)) and so makes X
     unique.  A step whose m = ||M_j||_F^2 (||L||_F^2 at j = 0) has m^2 within
     that bound stops without forming M_j^2: ||M_j^2||_F <= ||M_j||_F^2, so the
     square would have passed, and the stop and X are those of a loop that
     squares.  X is accepted only when also ||X - L^T X L - C||_F <=
-    eps (x / 4 + n (x + 2 y)), x = ||X||_F and y = ||L^T X L||_F: the tail
+    rtol x / 4 + eps n (x + 2 y), x = ||X||_F and y = ||L^T X L||_F: the tail
     bound above plus the rounding of three products of inner dimension n, each
     about n eps times the size of what it forms (gamma_n, Higham 2002, sec.
     3.5): the last step's T M, at most x, and the check's two that form
@@ -493,10 +496,11 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
         if C.shape != L.shape:
             raise DimensionMismatch(f"Stein data L is {L.shape} and C is {C.shape}")
         c_sq, l_sq = _sum_sq(C), _sum_sq(L)
-    c_norm = math.sqrt(c_sq) if 0.0 < c_sq < math.inf else np.abs(C).max()
-    H = C * (0.5 / (s := _pow2_scale(max(c_norm, 2.0 ** -1024))))  # exact: s is a power of 2
+    c_norm = math.sqrt(c_sq) if 0.0 < c_sq < math.inf else float(np.abs(C).max())
+    s = _pow2_scale(max(c_norm, min(c_norm * l_sq * 2.0 ** -1000, 1.0), 2.0 ** -1024))
+    H = C * (0.5 / s)  # exact: s is a power of 2
     X = C = np.add(H, H.T, order="F")
-    M, m, bound, n = L, l_sq, _EPS / (4.0 * (1.0 + l_sq)), L.shape[0]
+    M, m, bound, n = L, l_sq, rtol / (4.0 * (1.0 + l_sq)), L.shape[0]
     gemm, ddot = scipy.linalg.blas.dgemm, scipy.linalg.blas.ddot
     # this call's four Fortran n-by-n buffers: T, the check's R and two for M
     T, R, *powers = np.empty((4, n, n)).transpose(0, 2, 1)
@@ -518,7 +522,7 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
         x, y = math.sqrt(ddot(X, X)), math.sqrt(ddot(R, R))
         np.subtract(X, R, out=R)  # all Fortran-ordered
         R -= C
-        if not math.sqrt(ddot(R, R)) <= _EPS * (x / 4.0 + n * (x + 2.0 * y)) < math.inf:
+        if not math.sqrt(ddot(R, R)) <= rtol * x / 4.0 + _EPS * n * (x + 2.0 * y) < math.inf:
             x = None
     if x is None:  # the Schur solve
         T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
@@ -558,13 +562,18 @@ def solve_stein(L: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> SolveReport:
-    """Newton's method with a Stein-equation inner solve, from X_0 = Q.
-
-    With history on, each record stores rho(L_k) in aux1; these stay below
-    one while the iteration is healthy.  The iterates descend monotonically
-    from Q toward the maximal solution, so an iterate whose trace exceeds
-    tr(Q) by more than :data:`NEWTON_TRACE_RTOL` raises
-    :class:`~nmesolve.exceptions.Diverged`.
+    """Newton's method in correction form from X_0 = Q: X_{k+1} = X_k + E_k,
+    E_k - L_k^T E_k L_k = R(X_k), L_k = X_k^{-1} A and R the residual kernel's.
+    ``solve_stein`` solves it inexactly (Dembo, Eisenstat & Steihaug 1982), to
+    rtol = eta_k = min(0.1, max(r_k, eps / r_k)), r_k the relative residual of
+    X_k (eps / r_k is the relative accuracy of R(X_k) itself; 0.1 at r_k = 0,
+    where E_k = 0): its doubling stops at ||M_j||_F^2 <= eta_k / (4 (1 +
+    ||L_k||_F^2)), and its check allows eta_k ||E_k||_F / 4 besides rounding.
+    A truncated sum of R(X_k) <= 0 lies between E_k and 0, so the iterates
+    still descend monotonically from Q toward the maximal solution, and one
+    whose trace exceeds tr(Q) by more than :data:`NEWTON_TRACE_RTOL` raises
+    :class:`~nmesolve.exceptions.Diverged`.  With history on, each record
+    stores rho(L_k) in aux1; these stay below one while the iteration is healthy.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
@@ -577,13 +586,13 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     def steps():
         X, rho_L = Q, 0.0
         while True:
-            res, G, C, Y = run.factored_residual(X)
+            R, _, res, C, Y, _ = run.factored_residual(X)
             yield X, res, rho_L, 0.0, None, False
-            # L_k^T = Y^T C^{-1}, in place on Y^T; the right side Q - 2 G is exactly symmetric
+            # L_k^T = Y^T C^{-1}, in place on Y^T; the right side R(X_k) is exactly symmetric
             W = scipy.linalg.blas.dtrsm(1.0, C, Y.T, side=1, lower=1, overwrite_b=1).T
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
-            try:  # C = Q - 2 G in G's buffer: G is not read again
-                X = solve_stein(W, np.subtract(Q, np.multiply(G, 2.0, out=G), out=G))
+            try:  # the forcing term eta_k; at r_k = 0 (min_iter runs) E_k = 0 for any eta
+                X = X + solve_stein(W, R, rtol=min(0.1, max(res, _EPS / res)) if res else 0.1)
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc

@@ -3,10 +3,11 @@ PASS/FAIL line (run with ``pytest -s`` to see the lines for passing tests).
 
 Criterion 5 checks, among other orderings, that the Newton iterates are
 nonincreasing in the semidefinite order from X_1 on: Newton on this equation
-descends from X_0 = Q toward X+ (e.g. a=0.5, q=2 gives x_1=1.8666667 >
-x_2=1.8660254 > x_+), as the ``solve_newton`` docstring states.  Its n = 4
-counterpart, which calls ``solve_newton`` directly and also checks
-X_k >= X+, is tests/test_solvers.py, TestNewton.test_descends_from_q.
+descends from X_0 = Q toward X+ (e.g. a=0.5, q=2 gives x_1=1.8671875 >
+x_2=1.86602549 > x_+=1.86602540), as the ``solve_newton`` docstring
+states.  Its n = 4 counterpart, which calls ``solve_newton`` directly and
+also checks X_k >= X+, is tests/test_solvers.py,
+TestNewton.test_descends_from_q.
 """
 
 import math

@@ -359,6 +359,14 @@ class TestStein:
             else:
                 assert np.allclose(nme.solve_stein(L, np.eye(L.shape[0])), X, rtol=1e-12, atol=0.0)
 
+    def test_tiny_c_with_a_huge_nilpotent_l(self):
+        # X = C + L^T C L = diag(1e-300, 4e8) is finite, but L^T (C / s) L
+        # overflows for s the power of two of ||C||_F; s also takes ||L||_F^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = nme.solve_stein(np.array([[0.0, 2e154], [0.0, 0.0]]), 1e-300 * np.eye(2))
+        assert np.allclose(X, np.diag([1e-300, 4e8]), rtol=1e-12, atol=0.0)
+
     def test_overflow_is_read_per_entry(self):
         # ||X||_F overflows while every entry of X fits, on the doubling path
         # (X = C) and on the Schur path (X = -C / 3); a solution 5e308 does
@@ -553,6 +561,40 @@ class TestStein:
             assert same_bits(X, X0) and same_bits(L, L0) and same_bits(C, C0)
             assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
 
+    def test_loose_rtol_stops_the_doubling_early(self, monkeypatch):
+        # rho(L) = .999: rtol = 1e-3 stops at ||M_j||_F^2 <= 1e-3 / (4 (1 +
+        # ||L||_F^2)), two steps and six dgemm before eps does, and the sum
+        # it keeps is within rtol ||X||_F / 4 of the default's
+        rng = np.random.default_rng(0)
+        L = rng.standard_normal((8, 8))
+        L *= 0.999 / spectral_radius(L)
+        C = self._random_symmetric(rng, 8)
+        runs = {}
+        for rtol in (np.finfo(float).eps, 1e-3):
+            calls = count_calls(monkeypatch, "dgemm", "dgees")
+            runs[rtol] = nme.solve_stein(L, C, rtol=rtol), calls
+            monkeypatch.undo()
+        (X, full), (X_loose, loose) = runs.values()
+        assert same_bits(X, nme.solve_stein(L, C))
+        assert full["dgees"] == loose["dgees"] == 0
+        assert loose["dgemm"] == full["dgemm"] - 6
+        assert 0.0 < np.linalg.norm(X_loose - X) <= 1e-3 / 4.0 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("rtol", [np.finfo(float).eps, 1e-3, 0.1])
+    def test_rho_at_least_one_reaches_the_schur_solve_at_any_rtol(self, rtol, monkeypatch):
+        # ||L^(2^j)||_F^2 >= rho(L)^(2^(j+1)) >= 1 never meets a bound below one,
+        # so the Schur solve runs, whose X does not depend on rtol
+        rng = np.random.default_rng(9)
+        L = 1.3 * rng.standard_normal((8, 8)) / np.sqrt(8.0)
+        C = self._random_symmetric(rng, 8)
+        X = nme.solve_stein(L, C)
+        solvers._dgees_lwork(2)  # its workspace query is not counted below
+        calls = count_calls(monkeypatch, "dgees")
+        assert same_bits(nme.solve_stein(L, C, rtol=rtol), X)
+        with pytest.raises(SingularSteinOperator):
+            nme.solve_stein(np.diag([1.0, 0.5]), np.eye(2), rtol=rtol)
+        assert calls["dgees"] == 2
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_step_buffers_live_only_for_the_call(self, order):
         # each call allocates its own buffers: a second solve on other data
@@ -599,9 +641,15 @@ class TestNewton:
         p = nme.new_problem(scalar(1.0), scalar(2.0))
         rep = nme.solve_newton(p, nme.SolverConfig(tol=1e-15, max_iter=60, record_history=True))
         xs = [float(m[0, 0]) for m in rep.iterates]
-        # the scalar recursion is x <- 2x/(x+1): verify directly
+        # the exact step is x <- 2x/(x+1); the Stein solve stops at the
+        # forcing term eta_k = min(0.1, max(r_k, eps / r_k)), r_k the relative
+        # residual of x_k, so each step is the exact one to eta_k of its size
+        eps = np.finfo(float).eps
         for x_prev, x_next in zip(xs, xs[1:]):
-            assert x_next == pytest.approx(2.0 * x_prev / (x_prev + 1.0), abs=1e-14)
+            r = abs(2.0 - x_prev - 1.0 / x_prev) / 2.0
+            eta = min(0.1, max(r, eps / r)) if r else 0.1
+            exact = 2.0 * x_prev / (x_prev + 1.0)
+            assert abs(x_next - exact) <= eta * abs(exact - x_prev)
         errs = [abs(x - 1.0) for x in xs]
         ratios = [errs[k + 1] / errs[k] for k in range(3, 20)]
         assert all(0.45 <= r <= 0.55 for r in ratios)
@@ -679,14 +727,39 @@ class TestNewton:
         calls = []
         stein = solvers.solve_stein
 
-        def counting(L, C):
+        def counting(L, C, **kwargs):
             calls.append(L.shape)
-            return stein(L, C)
+            return stein(L, C, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_stein", counting)
         rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=4))
         rep = nme.solve_newton(rec.problem)
         assert rep.converged and calls == [(8, 8)] * rep.iterations
+
+    def test_stein_dgemm_count_on_a_bench_cell(self, monkeypatch):
+        # the inexact Stein solves of a newton-stein cell: 345 dgemm over 12
+        # iterations (408 when every solve ran its doubling to eps)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=24, rho_target=0.999, seed=0))
+        calls = count_calls(monkeypatch, "dgemm", "dgees")
+        rep = nme.solve_newton(rec.problem)
+        assert rep.converged and rep.iterations == 12
+        assert calls == {"dgemm": 345, "dgees": 0}
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 2)), np.diag([0.5, 1.0])])
+    def test_forcing_term(self, A, monkeypatch):
+        # rtol = min(0.1, max(r_k, eps / r_k)), r_k the relative residual of
+        # X_k; at A = 0, r_k = 0 and min_iter runs take 0.1, where E_k = 0
+        rtols = []
+        stein = solvers.solve_stein
+        monkeypatch.setattr(solvers, "solve_stein",
+                            lambda L, C, rtol: rtols.append(rtol) or stein(L, C, rtol=rtol))
+        p = nme.new_problem(A, np.diag([2.0, 4.0]))
+        rep = nme.solve_newton(p, nme.SolverConfig(min_iter=2, record_history=True))
+        r = [nme.residual(p, X).rel_norm for X in rep.iterates[:-1]]
+        eps = np.finfo(float).eps
+        assert rtols == [min(0.1, max(r_k, eps / r_k)) if r_k else 0.1 for r_k in r]
+        if not A.any():
+            assert rtols == [0.1, 0.1] and same_bits(rep.X, p.Q) and rep.iterations == 2
 
     def test_checked_data_is_not_read_again(self, monkeypatch):
         # the Stein data are built from the checked problem, so solve_stein
@@ -704,10 +777,11 @@ class TestNewton:
         assert rep.converged and rep.iterations >= 3 and calls == []
 
     def test_stein_c_is_exactly_symmetric(self, monkeypatch):
-        # C_k = Q - 2 G with G = Y^T Y from the residual's Cholesky factor
+        # C_k = R(X_k) = Q - X_k - G with G = Y^T Y from the residual's Cholesky factor
         seen = []
         stein = solvers.solve_stein
-        monkeypatch.setattr(solvers, "solve_stein", lambda L, C: seen.append(C) or stein(L, C))
+        monkeypatch.setattr(solvers, "solve_stein",
+                            lambda L, C, **kwargs: seen.append(C) or stein(L, C, **kwargs))
         rec = nme.generate_problem(nme.GeneratorSpec(n=16, rho_target=0.99, seed=2))
         rep = nme.solve_newton(rec.problem)
         assert rep.converged and len(seen) == rep.iterations > 2
@@ -1310,14 +1384,15 @@ class TestReports:
         # W_0^T = Y^T C^{-1}; it is cho_solve's W_0 to rounding
         rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.9, seed=n))
         A, Q = rec.problem.A, rec.problem.Q
-        _, G0, C, Y = solvers._Run(A, Q, None, "test").factored_residual(Q)
+        *_, C, Y, G0 = solvers._Run(A, Q, None, "test").factored_residual(Q)
         assert same_bits(C, _cholesky(Q, "Q"))
         Yt = scipy.linalg.blas.dtrsm(1.0, C, A.T, side=1, lower=1, trans_a=1)
         assert same_bits(Y, Yt.T)
         assert same_bits(G0, Y.T @ Y) and np.array_equal(G0, G0.T)
         seen = []
         stein = solvers.solve_stein
-        monkeypatch.setattr(solvers, "solve_stein", lambda L, C: seen.append(L) or stein(L, C))
+        monkeypatch.setattr(solvers, "solve_stein",
+                            lambda L, C, **kwargs: seen.append(L) or stein(L, C, **kwargs))
         nme.solve_newton(rec.problem)
         assert same_bits(seen[0], scipy.linalg.blas.dtrsm(1.0, C, Yt, side=1, lower=1).T)
         W0 = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q, lower=True), A)
@@ -1390,13 +1465,21 @@ class TestReports:
 
     @pytest.mark.parametrize("record_history", [False, True])
     def test_newton_stein_data_overflow(self, record_history):
-        # G_0 = a^2 / q = 1.44e308 leaves R(X_0) finite, but C_1 = Q - 2 G_0
-        # overflows: solve_stein's NonFiniteInput ends the run at iterate 1
+        # G_0 = a^2 / q = 1.44e308 leaves R(X_0) = -G_0 finite, and the Stein
+        # solve gives E_0 = R / (1 - a^2) = 1: X_1 = 2 rises above Q at iterate 1
         with pytest.raises(Diverged) as info:
             nme.solve_newton(nme.new_problem(scalar(1.2e154), scalar(1.0)),
                              nme.SolverConfig(record_history=record_history))
-        assert info.value.iteration == 1 and "iterate 1 is not finite" in str(info.value)
+        assert info.value.iteration == 1 and "iterate 1 rose above Q" in str(info.value)
         assert info.value.report.iterations == 0 and same_bits(info.value.report.X, scalar(1.0))
+
+    def test_newton_stein_solution_overflow(self):
+        # q = 1e308 and a just below it have no solution: L_0 = a / q is
+        # 1 - 1e-10, and E_0 = R / (1 - L_0^2) overflows in solve_stein
+        with pytest.raises(Diverged, match="iterate 1 is not finite") as info:
+            nme.solve_newton(nme.new_problem(scalar(1e308 * (1.0 - 1e-10)), scalar(1e308)))
+        assert info.value.iteration == 1
+        assert info.value.report.iterations == 0 and same_bits(info.value.report.X, scalar(1e308))
 
     def test_non_finite_iterate_message(self):
         # R(X_0) overflows: the run ends at X_0, not as a residual that grew

@@ -158,6 +158,21 @@ def test_stein_doubling_loop_calls_dgemm_not_matmul():
         "ddot", "gemm", "gemm", "gemm", "math.isfinite"]
 
 
+def test_newton_passes_the_kernels_residual_to_stein():
+    # Newton in correction form: the Stein right side is the residual kernel's
+    # R(X_k), not a Q - 2G formed beside it, and X_{k+1} = X_k + E_k
+    newton = _function("solvers.py", "solve_newton")
+    assert "np.multiply(G, 2.0" not in ast.unparse(newton)
+    unpack = next(node for node in ast.walk(newton) if isinstance(node, ast.Assign)
+                  and "factored_residual" in ast.unparse(node.value))
+    R = unpack.targets[0].elts[0].id
+    stein = [node for node in ast.walk(newton)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "solve_stein"]
+    assert [ast.unparse(node.args[1]) for node in stein] == [R]
+    assert [node.arg for node in stein[0].keywords] == ["rtol"]
+    assert "X = X + solve_stein(" in ast.unparse(newton)
+
+
 def test_one_preparation_for_both_stein_paths():
     # solve_stein reads L and C, scales C by one power of two s and symmetrizes
     # C / s once for the doubling and the Schur solve, and tests the X / s of
