@@ -289,8 +289,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 2 if code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:

@@ -71,14 +71,14 @@ def generate_problem(spec: GeneratorSpec) -> ExperimentRecord:
     u1 = _random_orthogonal(rng, n)
     x_eigs = np.exp(rng.uniform(0.0, np.log(spec.conditioning), n)) if spec.conditioning > 1.0 \
         else np.ones(n)
-    X = symmetric_part(u1 @ np.diag(x_eigs) @ u1.T)
+    X = symmetric_part((u1 * x_eigs) @ u1.T)
     s_eigs = np.empty(n)
     s_eigs[0] = spec.rho_target
     if n > 1:
         s_eigs[1:] = rng.uniform(0.0, spec.rho_target, n - 1) if spec.rho_target > 0 \
             else np.zeros(n - 1)
     u2 = _random_orthogonal(rng, n)
-    S = u2 @ np.diag(s_eigs) @ u2.T
+    S = (u2 * s_eigs) @ u2.T
     A = X @ S
     problem = new_problem(A, X + S.T @ X @ S)  # new_problem symmetrizes Q
     logger.debug("generated problem n=%d rho=%g seed=%d", n, spec.rho_target, spec.seed)

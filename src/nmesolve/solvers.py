@@ -63,12 +63,12 @@ array it must copy transposed, ``dpotrs`` (in ``cho_solve``) for the W of
 and two ``dsyrk`` a doubling step, three positional ``dgemm`` and one
 ``ddot`` a Stein doubling step (less a last squaring that cannot change the
 stop) and two ``dgemm`` for its check, into one allocation per call (``ddot``
-also takes its scale ||C||_F and the check's norms), ``dgees`` and
-``dtgsyl`` for the Stein solves it gives up.  At scalar or n = 8 sizes, the
-dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs several
-times the arithmetic.  Each routine is looked up on ``scipy.linalg.lapack`` or
-``scipy.linalg.blas`` when it is called, never bound at import, so a tracer
-that wraps the module attribute sees it.
+also takes its scale ||C||_F and the check's norms), ``scipy.linalg.schur``
+and ``dtgsyl`` for the Stein solves it gives up.  At scalar or n = 8 sizes,
+the dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs
+several times the arithmetic.  Each routine is looked up on its module
+(``scipy.linalg.lapack``, ``.blas`` or ``scipy.linalg``) when it is called,
+never bound at import, so a tracer that wraps the module attribute sees it.
 """
 
 import functools
@@ -417,18 +417,6 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     return run.drive(steps())
 
 
-def _no_sort(wr, wi):
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _dgees_lwork(n: int) -> int:
-    """Optimal workspace of ``dgees`` for an n-by-n matrix, from a workspace
-    query (it depends on n alone); the same size ``scipy.linalg.schur``
-    queries, so the Schur form is the one it returns."""
-    return int(scipy.linalg.lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
-
-
 def solve_stein(L: np.ndarray, C: np.ndarray, *, rtol: float = _EPS) -> np.ndarray:
     """Solve X - L^T X L = C for symmetric X, by doubling when it is safe.
 
@@ -476,16 +464,17 @@ def solve_stein(L: np.ndarray, C: np.ndarray, *, rtol: float = _EPS) -> np.ndarr
 
     L is real, so its spectrum is closed under conjugation and the
     operator's eigenvalues are 1 - lambda_i conj(lambda_j) over the
-    eigenvalues lambda of L, which ``dgees`` returns with T.  Raises
+    eigenvalues lambda of L, read off S: its diagonal, and S[j, j] +- i
+    sqrt(|S[j, j+1]|) sqrt(|S[j+1, j]|) for each 2x2 block.  Raises
     :class:`SingularSteinOperator` when the smallest of their moduli is at
     most 1e-10 times the largest (some pair of eigenvalues of L has product
     one) or when ``dtgsyl`` reports close eigenvalues,
-    :class:`~nmesolve.exceptions.SolverFailure` when ``dgees`` finds no
-    Schur form, :class:`~nmesolve.exceptions.Diverged` when X overflows,
-    :class:`DimensionMismatch` when L is not a non-empty square real matrix
-    or C not of its shape, and :class:`NonFiniteInput` when L or C holds
-    NaN/Inf (float64 arrays of one shape are scanned only where ||C||_F^2 or
-    ||L||_F^2 is not finite).  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
+    :class:`~nmesolve.exceptions.SolverFailure` when ``scipy.linalg.schur``
+    finds no Schur form, :class:`~nmesolve.exceptions.Diverged` when X
+    overflows, :class:`DimensionMismatch` when L is not a non-empty square
+    real matrix or C not of its shape, and :class:`NonFiniteInput` when L or
+    C holds NaN/Inf (float64 arrays of one shape are scanned only where
+    ||C||_F^2 or ||L||_F^2 is not finite).  X is exactly symmetric.  O(n^3) time, O(n^2) memory.
     """
     if fast := (type(L) is type(C) is np.ndarray and L.dtype == C.dtype == float and L.ndim == 2
                 and L.shape == C.shape and L.shape[0] == L.shape[1] > 0):
@@ -525,20 +514,24 @@ def solve_stein(L: np.ndarray, C: np.ndarray, *, rtol: float = _EPS) -> np.ndarr
         if not math.sqrt(ddot(R, R)) <= rtol * x / 4.0 + _EPS * n * (x + 2.0 * y) < math.inf:
             x = None
     if x is None:  # the Schur solve
-        T, _, wr, wi, U, _, info = scipy.linalg.lapack.dgees(_no_sort, L.T, lwork=_dgees_lwork(n))
-        if info:
-            raise SolverFailure(f"dgees found no Schur form of L (info {info})")
+        try:
+            T, U = scipy.linalg.schur(L.T)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"no Schur form of L ({exc})") from exc
+        W = U[:, ::-1]
+        S = T.T[::-1, ::-1]
+        j = np.flatnonzero(np.diag(S, -1))  # rows j and j + 1 hold each 2x2 block of S
+        wr, wi = np.diag(S), np.zeros(n)
+        wi[j] = np.sqrt(np.abs(S[j, j + 1])) * np.sqrt(np.abs(S[j + 1, j]))
+        wi[j + 1] = -wi[j]
         t = _pow2_scale(max(1.0, float(np.hypot(wr, wi).max())))  # the gaps / t^2 cannot overflow
         lam = wr / t + 1j * (wi / t)
         gaps = np.abs(1.0 / t / t - np.outer(lam, lam.conj()))
         singular = "Stein operator is rank deficient (an eigenvalue pair of L has product one)"
         if gaps.min() <= 1e-10 * gaps.max():
             raise SingularSteinOperator(singular)
-        W = U[:, ::-1]
-        S = T.T[::-1, ::-1]
         # rotate rows (j, j+1) of each 2x2 block of S to zero S[j+1, j]
         # (with no 2x2 block, G = I and S is already upper triangular)
-        j = np.flatnonzero(np.diag(S, -1))
         G = np.eye(n)
         if j.size:
             r = np.hypot(S[j, j], S[j + 1, j])
@@ -578,10 +571,9 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
     # when X+ exists, Q >= X_k >= X+ for every k, so a trace above Q's
-    # (beyond roundoff) means there is no X+ to descend to; traces are taken
-    # of X / max diag(Q) and Q / max diag(Q), which cannot overflow for Q
-    q_max = float(Q.diagonal().max())
-    tr_q = float((Q.diagonal() / q_max).sum())
+    # (beyond roundoff) means there is no X+ to descend to; traces are taken over the
+    # run's scale s of max |Q|, which an SPD Q has on its diagonal: diag(Q) / s < 2
+    tr_q = float((Q.diagonal() / run.q_scale).sum())
 
     def steps():
         X, rho_L = Q, 0.0
@@ -600,7 +592,7 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             except SolverFailure as exc:
                 raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc
-            rise = float((X.diagonal() / q_max).sum()) / tr_q  # drive ignores its overflow
+            rise = float((X.diagonal() / run.q_scale).sum()) / tr_q  # drive ignores its overflow
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")

@@ -38,11 +38,13 @@ def scalar(value):
 
 
 def count_calls(monkeypatch, *names):
-    """Calls made, by name, to the named ``scipy.linalg.blas`` routines (a
-    name that module has) or ``scipy.linalg.lapack`` routines from now on."""
+    """Calls made, by name, to the named routines from now on, each looked up
+    on the first of ``scipy.linalg.blas``, ``scipy.linalg.lapack`` and
+    ``scipy.linalg`` (for ``schur``) that has the name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        module = scipy.linalg.blas if hasattr(scipy.linalg.blas, name) else scipy.linalg.lapack
+        module = next(m for m in (scipy.linalg.blas, scipy.linalg.lapack, scipy.linalg)
+                      if hasattr(m, name))
 
         def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -478,17 +480,17 @@ class TestStein:
         assert np.array_equal(p.Q, Q)
 
     def test_schur_solve_only_off_the_doubling_path(self, monkeypatch):
-        # a stable, near-normal L is summed by doubling with no dgees call;
+        # a stable, near-normal L is summed by doubling with no schur call;
         # rho(L) = 1.46 and a non-normal L whose doubling residual is 8.6e-11
         # go to the Schur solve
         calls = []
-        dgees = scipy.linalg.lapack.dgees
+        schur = scipy.linalg.schur
 
-        def counting(*args, **kwargs):
-            calls.append(args[1].shape)
-            return dgees(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return schur(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting)
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
         self.test_diagonal_decoupling()
         rec = nme.generate_problem(nme.GeneratorSpec(n=16, rho_target=0.9, seed=3))
         L = np.linalg.solve(rec.known_solution, rec.problem.A)
@@ -504,20 +506,12 @@ class TestStein:
         # the stop on ||L^(2^j)||_F within STEIN_DOUBLINGS = 15 steps sums
         # l = 1 - 2^-k for k <= 10 and leaves k >= 11 to the Schur solve, as
         # 16 steps of the stop on the last term did
-        calls = []
-        dgees = scipy.linalg.lapack.dgees
-
-        def counting(*args, **kwargs):
-            if kwargs.get("lwork") != -1:  # not _dgees_lwork's workspace query
-                calls.append(1)
-            return dgees(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting)
+        calls = count_calls(monkeypatch, "schur")
         for k in range(1, 16):
-            calls.clear()
+            before = calls["schur"]
             ell = 1.0 - 2.0 ** -k
             x = nme.solve_stein([[ell]], [[1.0]])[0, 0]
-            assert len(calls) == (k >= 11), k
+            assert calls["schur"] - before == (k >= 11), k
             if k <= 10:
                 exact = 1.0 / (1.0 - ell * ell)
                 assert abs(x - exact) <= 3e-15 * exact, k
@@ -553,11 +547,11 @@ class TestStein:
             C = np.asarray(self._random_symmetric(rng, 8), order=order)
             L0, C0 = L.copy(), C.copy()
             X0, steps, skip = self._doubled(L, C)
-            calls = count_calls(monkeypatch, "dgemm", "dgees")
+            calls = count_calls(monkeypatch, "dgemm", "schur")
             X = nme.solve_stein(L, C)
             monkeypatch.undo()
             assert skip is skipped and 2 <= steps < solvers.STEIN_DOUBLINGS
-            assert calls == {"dgemm": 3 * steps + 2 - skip, "dgees": 0}
+            assert calls == {"dgemm": 3 * steps + 2 - skip, "schur": 0}
             assert same_bits(X, X0) and same_bits(L, L0) and same_bits(C, C0)
             assert np.linalg.norm(X - L.T @ X @ L - C) <= 1e-14 * np.linalg.norm(X)
 
@@ -571,12 +565,12 @@ class TestStein:
         C = self._random_symmetric(rng, 8)
         runs = {}
         for rtol in (np.finfo(float).eps, 1e-3):
-            calls = count_calls(monkeypatch, "dgemm", "dgees")
+            calls = count_calls(monkeypatch, "dgemm", "schur")
             runs[rtol] = nme.solve_stein(L, C, rtol=rtol), calls
             monkeypatch.undo()
         (X, full), (X_loose, loose) = runs.values()
         assert same_bits(X, nme.solve_stein(L, C))
-        assert full["dgees"] == loose["dgees"] == 0
+        assert full["schur"] == loose["schur"] == 0
         assert loose["dgemm"] == full["dgemm"] - 6
         assert 0.0 < np.linalg.norm(X_loose - X) <= 1e-3 / 4.0 * np.linalg.norm(X)
 
@@ -588,12 +582,11 @@ class TestStein:
         L = 1.3 * rng.standard_normal((8, 8)) / np.sqrt(8.0)
         C = self._random_symmetric(rng, 8)
         X = nme.solve_stein(L, C)
-        solvers._dgees_lwork(2)  # its workspace query is not counted below
-        calls = count_calls(monkeypatch, "dgees")
+        calls = count_calls(monkeypatch, "schur")
         assert same_bits(nme.solve_stein(L, C, rtol=rtol), X)
         with pytest.raises(SingularSteinOperator):
             nme.solve_stein(np.diag([1.0, 0.5]), np.eye(2), rtol=rtol)
-        assert calls["dgees"] == 2
+        assert calls["schur"] == 2
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_step_buffers_live_only_for_the_call(self, order):
@@ -713,14 +706,14 @@ class TestNewton:
     @pytest.mark.parametrize("n", [16, 24, 32])
     @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
     def test_no_schur_solve_on_bench_sized_cells(self, n, rho, monkeypatch):
-        calls = count_calls(monkeypatch, "dgees")
+        calls = count_calls(monkeypatch, "schur")
         for seed in range(3):
             rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
             rep = nme.solve_newton(rec.problem)
             X_plus = rec.known_solution
             assert rep.converged
             assert np.linalg.norm(rep.X - X_plus) <= 1e-9 * np.linalg.norm(X_plus)
-        assert calls["dgees"] == 0
+        assert calls["schur"] == 0
 
     def test_stein_solves_go_through_the_module_global(self, monkeypatch):
         # a tracer that wraps solvers.solve_stein sees every Stein solve
@@ -740,10 +733,10 @@ class TestNewton:
         # the inexact Stein solves of a newton-stein cell: 345 dgemm over 12
         # iterations (408 when every solve ran its doubling to eps)
         rec = nme.generate_problem(nme.GeneratorSpec(n=24, rho_target=0.999, seed=0))
-        calls = count_calls(monkeypatch, "dgemm", "dgees")
+        calls = count_calls(monkeypatch, "dgemm", "schur")
         rep = nme.solve_newton(rec.problem)
         assert rep.converged and rep.iterations == 12
-        assert calls == {"dgemm": 345, "dgees": 0}
+        assert calls == {"dgemm": 345, "schur": 0}
 
     @pytest.mark.parametrize("A", [np.zeros((2, 2)), np.diag([0.5, 1.0])])
     def test_forcing_term(self, A, monkeypatch):
@@ -788,17 +781,15 @@ class TestNewton:
         assert all(np.array_equal(C, C.T) for C in seen)
 
     def test_schur_failure_is_typed(self, monkeypatch):
-        # dgees info > 0 (no QR convergence) is a SolverFailure with Newton's
-        # partial report, never a raw LinAlgError.  A stable L is solved by
-        # doubling, so both inputs have rho(L) = 1 or more to reach dgees
-        dgees = scipy.linalg.lapack.dgees
-
+        # schur's LinAlgError (dgees info > 0: no QR convergence) is a
+        # SolverFailure with Newton's partial report, never a raw LinAlgError.
+        # A stable L is solved by doubling, so both inputs have rho(L) = 1 or
+        # more to reach schur
         def failing(*args, **kwargs):
-            *out, _ = dgees(*args, **kwargs)
-            return (*out, 1)
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
-        with pytest.raises(SolverFailure, match="info 1") as info:
+        monkeypatch.setattr(scipy.linalg, "schur", failing)
+        with pytest.raises(SolverFailure, match="no Schur form of L") as info:
             nme.solve_stein(np.diag([2.0, 0.5]), np.eye(2))
         assert type(info.value) is SolverFailure
         with pytest.raises(SolverFailure, match="at iteration 1") as info:

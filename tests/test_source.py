@@ -192,6 +192,17 @@ def test_one_preparation_for_both_stein_paths():
     assert checks == [body[-2]] and isinstance(body[-1], ast.Return)
 
 
+def test_stein_schur_form_from_scipy_schur():
+    # the Schur solve takes scipy.linalg.schur's form, with its workspace
+    # query, and reads the eigenvalues of L off its own 2x2 blocks; a private
+    # dgees call beside it brings back a cached workspace query and a select
+    # callback that never runs
+    text = (SRC / "solvers.py").read_text()
+    assert [name for name in ("_no_sort", "_dgees_lwork", "lapack.dgees") if name in text] == []
+    assert text.count("scipy.linalg.schur(") == 1
+    assert "scipy.linalg.schur(" in ast.unparse(_function("solvers.py", "solve_stein"))
+
+
 def test_doubling_step_has_no_matmul_and_no_symmetrization():
     # the step's products are one dgemm and two dsyrk whose lower triangles
     # are copied up; an @ or a symmetric_part brings back the 3n^3 step
