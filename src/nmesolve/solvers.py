@@ -59,8 +59,10 @@ The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 included, ``dtrsm`` for the triangular solves, each from the right on a
 Fortran view (A^T, then Y^T in place), so that neither routine is handed an
 array it must copy transposed, ``dpotrs`` (in ``cho_solve``) for the W of
-``rho_ratio`` (``problem._candidate_w``), ``dtrtri``, ``dtrmm``, ``dgemm``
-and two ``dsyrk`` a doubling step, three positional ``dgemm`` and one
+``rho_ratio`` (``problem._candidate_w``), the inverse Cholesky factor of
+``problem._cholesky_inverse`` (``dtrtri`` of ``dpotrf``'s factor up to order
+64, blocked by ``dtrmm`` and ``dsyrk`` above), ``dtrmm``, ``dgemm`` and two
+``dsyrk`` a doubling step, three positional ``dgemm`` and one
 ``ddot`` a Stein doubling step (less a last squaring that cannot change the
 stop) and two ``dgemm`` for its check, into one allocation per call (``ddot``
 also takes its scale ||C||_F and the check's norms), ``scipy.linalg.schur``
@@ -99,6 +101,7 @@ from .problem import (
     NmeProblem,
     _candidate_w,
     _cholesky,
+    _cholesky_inverse,
     _pow2_scale,
     _square_real,
     _sum_sq,
@@ -602,10 +605,12 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
 
 def _mirrored(H: np.ndarray) -> np.ndarray:
     """H^T, exactly symmetric, once the lower triangle of a Fortran-ordered H is copied up."""
-    for j in range(0, H.shape[0], 32):
+    n = H.shape[0]
+    for j in range(0, n, 32):
         B = H[j:j + 32, j:j + 32]
         np.copyto(B, B.T, where=_PANEL_UPPER[:len(B), :len(B)])
-        H[j:j + 32, j + 32:] = H[j + 32:, j:j + 32].T
+        if j + 32 < n:  # the last panel has no columns right of it
+            H[j:j + 32, j + 32:] = H[j + 32:, j:j + 32].T
     return H.T
 
 
@@ -617,11 +622,14 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         P_{k+1} = P_k + A_k (Q_k - P_k)^{-1} A_k^T
 
     The solution is the limit of Q_k.  Each step factors D = Q_k - P_k = C C^T
-    once by ``problem._cholesky``, also the test that D is SPD (a factor
-    holding NaN, which ``dpotrf`` passes, fails it too), and takes the updates
-    as blocks of W^T W, [W_1, W_2] = C^{-1} [A_k, A_k^T] (``dtrtri``, ``dtrmm``):
-    W_2^T W_1 by ``dgemm``, Q_k - W_1^T W_1 and P_k + W_2^T W_2 by lower
-    ``dsyrk`` copied to the upper triangle.  At n = 1 it stays sqrt-free,
+    and inverts C once by ``problem._cholesky_inverse`` (``dtrtri`` of the
+    ``dpotrf`` factor up to order 64; above, recursive and blocked, so that
+    ``dtrmm`` and ``dsyrk`` do most of the work), whose ``dpotrf`` is also the
+    test that D is SPD (a C^{-1} holding NaN on its diagonal, which ``dpotrf``
+    passes, fails it too), and takes the updates as blocks of W^T W,
+    [W_1, W_2] = C^{-1} [A_k, A_k^T] (``dtrmm``): W_2^T W_1 by ``dgemm``,
+    Q_k - W_1^T W_1 and P_k + W_2^T W_2 by lower ``dsyrk`` copied to the upper
+    triangle.  At n = 1 it factors D alone and stays sqrt-free,
     t = A_k (A_k / D): W^T W misses the dyadic critical closed forms by 1.1e-8.
     With history on, each record stores ||A_k||_F (aux1) and min-eig(Q_k - P_k)
     (aux2; NaN if not finite), positive whenever a solution exists.  Raises
@@ -643,8 +651,9 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
             res = None if gated else run.residual(Qk)
             yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
-            try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered
-                C = _cholesky(Qk.T - Pk.T, "Q_k - P_k")
+            try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered;
+                # C^{-1}, or at n = 1 C, whose diagonal holds NaN exactly where the other's does
+                C = (_cholesky if n == 1 else _cholesky_inverse)(Qk.T - Pk.T, "Q_k - P_k")
                 if math.isnan(C.diagonal().sum()):
                     raise NotPositiveDefinite("Q_k - P_k", "its Cholesky factor holds NaN")
             except NotPositiveDefinite as exc:
@@ -653,9 +662,8 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
             if n == 1:  # sqrt-free, so the dyadic closed forms stay exact (see the docstring)
                 Ak, Qk, Pk = (t := Ak * (Ak / (Qk - Pk))), Qk - t, Pk + t
             else:  # W = C^{-1} [A_k, A_k^T]; its operands, Q_k.T and P_k.T are Fortran-ordered
-                lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-                W = blas.dtrmm(1.0, lapack.dtrtri(C, lower=1, overwrite_c=1)[0],
-                               np.concatenate((Ak.T, Ak)).T, lower=1, overwrite_b=1)
+                blas = scipy.linalg.blas
+                W = blas.dtrmm(1.0, C, np.concatenate((Ak.T, Ak)).T, lower=1, overwrite_b=1)
                 Ak = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1)
                 Qk = _mirrored(blas.dsyrk(-1.0, W[:, :n], beta=1.0, c=Qk.T, trans=1, lower=1))
                 Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))

@@ -7,14 +7,18 @@ class (``converged`` or the exception's class), the iteration count (the
 report's on success, the exception's ``iteration`` on failure) and a SHA-256
 of the shape and bytes of X (the partial report's X on failure; ``null``
 where the exception carries no report).  A cell is a problem, one of the four
-solvers and ``record_history`` off or on; the grids are
+solvers (``solve_sda`` alone on ``large``) and ``record_history`` off or on;
+the grids are
 
 - ``planted``: ``generate_problem`` at n in {1, 2, 8, 16, 24, 32, 64},
   rho in {.5, .9, .999, 1} and seeds 0-2 (672 cells);
 - ``nonnormal``: ``tests/helpers.nonnormal_planted`` at n in {8, 32},
   eta in {1, 3}, rho in {.5, .9, .999, 1} and seeds 0-3 (512 cells);
 - ``edge``: A = 0, an indefinite Q that only a hand-built ``NmeProblem``
-  can carry, and data whose R(Q) or ||A||_F / max|Q| overflows (48 cells).
+  can carry, and data whose R(Q) or ||A||_F / max|Q| overflows (48 cells);
+- ``large``: ``generate_problem`` at n in {96, 128, 256}, the same four rho
+  and seeds 0-2, ``solve_sda`` only (72 cells), where the doubling step's
+  inverse Cholesky factor is blocked (``problem._cholesky_inverse``).
 
 Given BASE.json, a file this script wrote for another checkout, it prints
 each cell whose record differs, then the moved cells of each grid, and of
@@ -39,16 +43,22 @@ import nmesolve as nme  # noqa: E402
 from helpers import nonnormal_planted  # noqa: E402
 
 SOLVERS = (nme.solve_fixed_point, nme.solve_inversion_free, nme.solve_newton, nme.solve_sda)
+GRIDS = ("planted", "nonnormal", "edge", "large")
 RHOS = (0.5, 0.9, 0.999, 1.0)
+
+
+def planted(grid: str, sizes):
+    """(name, problem) of ``generate_problem`` at each n of ``sizes``, each rho and seeds 0-2."""
+    for n in sizes:
+        for rho in RHOS:
+            for seed in range(3):
+                spec = nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)
+                yield f"{grid}/n={n}/rho={rho}/seed={seed}", nme.generate_problem(spec).problem
 
 
 def problems():
     """(name, problem) of every grid point."""
-    for n in (1, 2, 8, 16, 24, 32, 64):
-        for rho in RHOS:
-            for seed in range(3):
-                spec = nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)
-                yield f"planted/n={n}/rho={rho}/seed={seed}", nme.generate_problem(spec).problem
+    yield from planted("planted", (1, 2, 8, 16, 24, 32, 64))
     for n in (8, 32):
         for eta in (1.0, 3.0):
             for rho in RHOS:
@@ -63,6 +73,7 @@ def problems():
         1e180 * np.array([[1.0, 2.0], [3.0, 4.0]]), 1e-214 * np.eye(2))
     yield "edge/sda-breakdown", nme.new_problem(
         1e200 * np.random.default_rng(0).standard_normal((3, 3)), np.eye(3))
+    yield from planted("large", (96, 128, 256))
 
 
 def x_hash(X) -> str | None:
@@ -85,7 +96,9 @@ def outcome(solver, problem, record_history: bool) -> list:
 
 def grid() -> dict:
     return {f"{name}/{solver.__name__}/history={int(history)}": outcome(solver, problem, history)
-            for name, problem in problems() for solver in SOLVERS for history in (False, True)}
+            for name, problem in problems()
+            for solver in ((nme.solve_sda,) if name.startswith("large/") else SOLVERS)
+            for history in (False, True)}
 
 
 def main(argv: list[str]) -> int:
@@ -101,13 +114,16 @@ def main(argv: list[str]) -> int:
     moved = sorted(key for key in base.keys() | cells.keys() if base.get(key) != cells.get(key))
     for key in moved:
         print(f"{key}: {base.get(key)} -> {cells.get(key)}")
-    for name in ("planted", "nonnormal", "edge"):
+    for name in GRIDS:
         print(f"{name}: {sum(key.startswith(name + '/') for key in moved)} of "
               f"{sum(key.startswith(name + '/') for key in cells)} cells moved")
-    for name in ("planted", "nonnormal", "edge"):
+    for name in GRIDS:
         for solver in SOLVERS:
-            pairs = [(base.get(key), cells.get(key)) for key in moved
-                     if key.startswith(name + "/") and f"/{solver.__name__}/" in key]
+            keys = {key for key in cells
+                    if key.startswith(name + "/") and f"/{solver.__name__}/" in key}
+            if not keys:
+                continue
+            pairs = [(base.get(key), cells.get(key)) for key in moved if key in keys]
             print(f"{name} {solver.__name__}: " + ", ".join(
                 f"{sum(None in pair or pair[0][i] != pair[1][i] for pair in pairs)} {what} moved"
                 for i, what in ((2, "bits"), (1, "iterations"), (0, "class"))))

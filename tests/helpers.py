@@ -24,6 +24,32 @@ def same_bits(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def count_calls(monkeypatch, *names):
+    """Calls made, by name, to the named routines from now on, each looked up
+    on the first of ``scipy.linalg.blas``, ``scipy.linalg.lapack`` and
+    ``scipy.linalg`` (for ``schur``) that has the name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        module = next(m for m in (scipy.linalg.blas, scipy.linalg.lapack, scipy.linalg)
+                      if hasattr(m, name))
+
+        def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+    return calls
+
+
+def coupled_identity(n: int, order: int) -> np.ndarray:
+    """The Fortran-ordered identity of order n with entries 2 at (order, 1) and
+    (1, order), counted from 1: its leading minors are 1 below order ``order``
+    and -3 from it on.  With order > n // 2 both halves of it are SPD, and only
+    the Schur complement of its leading half fails."""
+    M = np.eye(n, order="F")
+    M[order - 1, 0] = M[0, order - 1] = 2.0
+    return M
+
+
 def min_eig(M) -> float:
     M = np.asarray(M, dtype=float)
     return float(np.linalg.eigvalsh((M + M.T) / 2.0).min())

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import (MALFORMED_PROBLEMS, match_distance, nonnormal_planted, same_bits,
-                     scalar_x_plus)
+from helpers import (MALFORMED_PROBLEMS, count_calls, coupled_identity, match_distance,
+                     nonnormal_planted, same_bits, scalar_x_plus)
 from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
@@ -221,6 +221,52 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite, match="^Q_k - P_k is not positive definite") as info:
             _cholesky(M, "Q_k - P_k")
         assert info.value.name == "Q_k - P_k"
+
+
+class TestCholeskyInverse:
+    @staticmethod
+    def spd(n, cond):
+        # a random orthogonal basis with eigenvalues spread over [1, cond]
+        rng = np.random.default_rng(n)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return np.asfortranarray(nme.symmetric_part((U * np.geomspace(1.0, cond, n)) @ U.T))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e8])
+    @pytest.mark.parametrize("n", [65, 96, 130, 256])
+    def test_matches_factor_then_dtrtri(self, n, cond):
+        # the blocked recursion against the unsplit inverse of the one dpotrf
+        # factor, whose own forward error grows as eps kappa(C)^2 = eps kappa(M):
+        # at kappa(M) = 1e8 the two differ by 2 to 4 n eps kappa(C), at 1e12 by
+        # 200 to 450; M is not written
+        M = self.spd(n, cond)
+        kept = M.copy()
+        got = problem_module._cholesky_inverse(M, "M")
+        C = _cholesky(M, "M")
+        ref = np.tril(scipy.linalg.lapack.dtrtri(C, lower=1)[0])
+        kappa = np.linalg.cond(np.tril(C))
+        assert got.flags.f_contiguous and np.array_equal(M, kept)
+        assert (np.linalg.norm(np.tril(got) - ref)
+                <= n * np.finfo(float).eps * kappa**2 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("n, leaves", [(1, 1), (8, 1), (64, 1), (65, 2), (128, 2), (256, 4)])
+    def test_one_factor_and_inverse_per_leaf(self, monkeypatch, n, leaves):
+        # up to order 64, one dpotrf and one dtrtri with the bits of the
+        # unsplit route; above, one of each per leaf of at most 64 rows
+        M = self.spd(n, 1e4)
+        ref = scipy.linalg.lapack.dtrtri(_cholesky(M, "M"), lower=1, overwrite_c=1)[0]
+        calls = count_calls(monkeypatch, "dpotrf", "dtrtri")
+        got = problem_module._cholesky_inverse(M, "M")
+        assert calls == {"dpotrf": leaves, "dtrtri": leaves}
+        assert same_bits(got, ref) == (leaves == 1)
+
+    @pytest.mark.parametrize("n, order", [(96, 3), (96, 50), (256, 200), (256, 256)])
+    def test_failure_names_the_global_order(self, n, order):
+        # in a leaf of the leading half, or in a Schur complement of a split
+        # (order > n // 2), the order named is that of M's own leading minor
+        with pytest.raises(NotPositiveDefinite) as info:
+            problem_module._cholesky_inverse(coupled_identity(n, order), "D")
+        assert str(info.value) == (
+            f"D is not positive definite: the leading minor of order {order} is not positive")
 
 
 class TestCandidateShape:

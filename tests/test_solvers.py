@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmesolve as nme
-from helpers import min_eig, nonnormal_planted, same_bits, scalar_x_plus
+from helpers import (count_calls, coupled_identity, min_eig, nonnormal_planted, same_bits,
+                     scalar_x_plus)
 from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
@@ -35,22 +36,6 @@ MATRIX_SOLVERS = [nme.solve_fixed_point, nme.solve_inversion_free,
 
 def scalar(value):
     return np.array([[float(value)]])
-
-
-def count_calls(monkeypatch, *names):
-    """Calls made, by name, to the named routines from now on, each looked up
-    on the first of ``scipy.linalg.blas``, ``scipy.linalg.lapack`` and
-    ``scipy.linalg`` (for ``schur``) that has the name."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        module = next(m for m in (scipy.linalg.blas, scipy.linalg.lapack, scipy.linalg)
-                      if hasattr(m, name))
-
-        def call(*args, _name=name, _routine=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _routine(*args, **kwargs)
-        monkeypatch.setattr(module, name, call)
-    return calls
 
 
 class TestSolverConfig:
@@ -884,6 +869,27 @@ class TestSda:
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
         assert str(info.value.__cause__) == f"Q_k - P_k is not positive definite: {detail}"
 
+    def test_nan_in_the_trailing_block_is_breakdown(self, monkeypatch):
+        # a NaN that enters D's trailing block at step 2 reaches the blocked
+        # inverse only through the Schur complement, and ends the run there
+        kernel, seen = solvers._cholesky_inverse, []
+
+        def poisoned(M, name):
+            seen.append(M.shape[0])
+            if len(seen) == 2:
+                M = M.copy(order="F")
+                M[-1, -2] = math.nan
+            return kernel(M, name)
+
+        rec = nme.generate_problem(nme.GeneratorSpec(n=96, rho_target=0.9, seed=3))
+        monkeypatch.setattr(solvers, "_cholesky_inverse", poisoned)
+        with pytest.raises(DoublingBreakdown) as info:
+            nme.solve_sda(rec.problem)
+        assert seen == [96, 96] and info.value.iteration == 2
+        assert info.value.report.iterations == 1
+        assert str(info.value.__cause__) == (
+            "Q_k - P_k is not positive definite: its Cholesky factor holds NaN")
+
     def test_factors_d_once_per_step(self, monkeypatch):
         # one dpotrf of D = Q_k - P_k per step, before that of the residual of
         # Q_{k+1}; the gate holds Q_0 out, and history has no record of it; no LU
@@ -928,12 +934,13 @@ class TestSda:
                          "dsytrf": 0, "dsyconv": 0, "dlaswp": 0}
         assert symmetrized == []
 
-    @pytest.mark.parametrize("ill_conditioned", [False, True])
-    def test_step_is_the_blocks_of_w_transpose_w(self, ill_conditioned):
+    @pytest.mark.parametrize("n, ill_conditioned",
+                             [(16, False), (16, True), (96, False), (96, True)],
+                             ids=["False", "True", "96-False", "96-True"])
+    def test_step_is_the_blocks_of_w_transpose_w(self, n, ill_conditioned):
         # one step against W_i^T W_j, [W_1, W_2] = C^{-1} [A, A^T] for the
         # Cholesky factor C of D = Q, and against the dense solve; Q_1 and P_1
-        # exactly symmetric
-        n = 16
+        # exactly symmetric.  At n = 96 the step's C^{-1} is blocked
         if ill_conditioned:
             Q, A = TestSpdSolve.ill_conditioned_spd(n, seed=4)
         else:
@@ -1071,8 +1078,8 @@ class TestSda:
 
 class TestSpdSolve:
     """The doubling step's SPD solve, seen through solve_sda: D = Q_k - P_k =
-    C C^T by ``problem._cholesky``, W = C^{-1} [A_k, A_k^T] by ``dtrtri`` and
-    ``dtrmm``, and at n = 1 the sqrt-free t = A_k (A_k / D)."""
+    C C^T and C^{-1} by ``problem._cholesky_inverse``, W = C^{-1} [A_k, A_k^T]
+    by ``dtrmm``, and at n = 1 the sqrt-free t = A_k (A_k / D)."""
 
     @staticmethod
     def ill_conditioned_spd(n, seed):
@@ -1135,10 +1142,13 @@ class TestSpdSolve:
         ([[1.0, 0.0], [0.0, -1.0]], "the leading minor of order 2 is not positive"),
         ([[math.nan]], "its Cholesky factor holds NaN"),
         ([[0.0, 0.0], [0.0, 0.0]], "the leading minor of order 1 is not positive"),
-    ], ids=["2x2-pivot", "negative-pivot", "nan", "zero"])
+        (coupled_identity(96, 50), "the leading minor of order 50 is not positive"),
+    ], ids=["2x2-pivot", "negative-pivot", "nan", "zero", "schur-complement"])
     def test_not_spd_raises(self, D, detail):
         # a hand-built Q that is not SPD is the first step's D; the first case
-        # has a positive diagonal (Bunch-Kaufman would take it as one 2x2 pivot)
+        # has a positive diagonal (Bunch-Kaufman would take it as one 2x2 pivot),
+        # and the last fails only in the Schur complement of the step's split at
+        # k = 48, so the order named is k + 2
         D = np.array(D)
         with pytest.raises(DoublingBreakdown) as info:
             nme.solve_sda(problem_module.NmeProblem(A=np.ones(D.shape), Q=D))

@@ -212,6 +212,23 @@ def test_doubling_step_has_no_matmul_and_no_symmetrization():
     assert "symmetric_part(" not in ast.unparse(tree)
 
 
+def test_doubling_step_inverts_by_the_blocked_kernel():
+    # the step's inverse factor comes from problem._cholesky_inverse, which
+    # calls dtrtri only on its leaves of order <= 64 and factors them by
+    # _cholesky; a dtrtri in the step brings back the unblocked inverse above
+    # n = 64, and an @ in the kernel numpy's dispatch
+    def called(function):
+        return [ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)]
+
+    sda, kernel = _function("solvers.py", "solve_sda"), _function("problem.py", "_cholesky_inverse")
+    assert [name for name in called(sda) if "dtrtri" in name] == []
+    assert "_cholesky_inverse" in ast.unparse(sda)
+    assert [node for node in ast.walk(kernel)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)] == []
+    assert "_cholesky" in called(kernel)
+    assert [name for name in called(kernel) if "dpotrf" in name] == []
+
+
 def test_one_spd_factorization():
     # every SPD test and factor, doubling's included, is the dpotrf of
     # problem._cholesky; a Bunch-Kaufman dsytrf beside it forks the test
