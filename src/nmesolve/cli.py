@@ -74,14 +74,6 @@ def _num(x):
     return x if math.isfinite(x) else None
 
 
-def _algorithm(name: str) -> Algorithm:
-    try:
-        return Algorithm(name)
-    except ValueError:
-        raise ValueError(f"unknown algorithm {name!r}; choose from "
-                         + ", ".join(a.value for a in Algorithm)) from None
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -113,7 +105,7 @@ def _report_payload(report, algorithm, problem):
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.problem)
-    algorithm = _algorithm(args.algorithm)
+    algorithm = Algorithm(args.algorithm)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
     report = run_experiment(ExperimentRecord(problem), [algorithm], cfg).reports[algorithm]
     if report.failure:
@@ -135,7 +127,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    algorithms = [_algorithm(name) for name in args.algorithms.split(",")] \
+    algorithms = [Algorithm(name) for name in args.algorithms.split(",")] \
         if args.algorithms else list(Algorithm)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
     rows = []

@@ -10,14 +10,13 @@ examples alone cannot provide.
 """
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import SolverFailure
 from .problem import NmeProblem, new_problem, symmetric_part
-from .solvers import SolverConfig, solve
+from .solvers import Algorithm, SolverConfig, _integer, solve
 
 __all__ = ["GeneratorSpec", "ExperimentRecord", "generate_problem", "run_experiment"]
 
@@ -35,9 +34,9 @@ class GeneratorSpec:
     conditioning: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+        if not _integer(self.n) or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not isinstance(self.seed, numbers.Integral):
+        if not _integer(self.seed):
             raise ValueError("seed must be an integer")
         if not 0.0 <= self.rho_target <= 1.0:
             raise ValueError("rho_target must lie in [0, 1]")
@@ -87,14 +86,14 @@ def generate_problem(spec: GeneratorSpec) -> ExperimentRecord:
 
 def run_experiment(record: ExperimentRecord, algorithms,
                    config: SolverConfig | None = None) -> ExperimentRecord:
-    """Run the requested algorithms on the record's problem.
+    """Run the requested algorithms, :class:`Algorithm` members or names, on the record's problem.
 
     Solver failures are not fatal: the partial report the failure carries,
     whose ``failure`` holds its message, is stored.  The problem and known
     solution are never mutated.
     """
     cfg = config or SolverConfig()
-    for algorithm in sorted(set(algorithms), key=lambda a: a.value):
+    for algorithm in sorted(set(map(Algorithm, algorithms)), key=lambda a: a.value):
         try:
             report = solve(record.problem, algorithm, cfg)
         except SolverFailure as exc:

@@ -20,7 +20,7 @@ products are re-symmetrized as (X + X^T)/2.
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -100,18 +100,19 @@ class NmeProblem:
 
 @dataclass(frozen=True)
 class SymplecticPencil:
-    """A 2n-by-2n pair (M, L) as ``_matrix`` reads them, real exactly when its
-    arrays are real: a factor F with negligible imaginary part (:data:`REAL_RTOL`,
-    taken of F / s, s the power of two of its largest part) is stored real."""
+    """A 2n-by-2n pair (M, L) as ``_matrix`` reads them (an odd order raises :class:`OddDimension`),
+    real exactly when its arrays are real: a factor F with negligible imaginary part
+    (:data:`REAL_RTOL`, taken of F / s, s the power of two of its largest part) is stored real."""
 
     M: np.ndarray
     L: np.ndarray
-    _checked: InitVar[bool] = False  # True for build_pencil's factors: not read again
 
-    def __post_init__(self, _checked):
-        M, L = (self.M, self.L) if _checked else (_matrix(self.M, "M"), _matrix(self.L, "L"))
+    def __post_init__(self):
+        M, L = _matrix(self.M, "M"), _matrix(self.L, "L")
         if M.shape[0] != M.shape[1] or M.shape != L.shape or not M.size:
             raise DimensionMismatch("pencil factors must be non-empty, square and equally sized")
+        if M.shape[0] % 2:
+            raise OddDimension(f"pencil dimension {M.shape[0]} is odd")
         for name, F in (("M", M), ("L", L)):
             if np.iscomplexobj(F):
                 _, mu = _unit_scaled(F.ravel("K").view(float))  # real, imaginary, ...
@@ -191,7 +192,7 @@ def fro_norm(M) -> float:
     overflows or underflows.
 
     It is sqrt ``_sum_sq`` of the real and imaginary parts of M; for a real M,
-    ``np.linalg.norm(M)`` bit for bit.  Only when it reads 0, inf or NaN for a
+    numpy's ``norm`` of M bit for bit.  Only when it reads 0, inf or NaN for a
     finite, nonzero M is m first divided by ``_pow2_scale(max|m|)``, so norms
     stay homogeneous.
     """
@@ -365,7 +366,7 @@ def _pencil(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_pencil(problem: NmeProblem) -> SymplecticPencil:
     """Assemble the SSF-2 pencil of the checked problem (P = 0), in real arrays."""
-    return SymplecticPencil(*_pencil(problem.A, problem.Q), _checked=True)
+    return SymplecticPencil(*_pencil(problem.A, problem.Q))
 
 
 def canonical_skew(n: int) -> np.ndarray:
@@ -379,12 +380,10 @@ def is_symplectic_pencil(pencil: SymplecticPencil) -> bool:
     """True iff ||M J M^T - L J L^T||_F <= SYMPLECTIC_RTOL * (||M||_F + ||L||_F)^2,
     tested on (M, L) divided by the ``_pow2_scale`` of their largest entry,
     so that the test is homogeneous."""
-    if pencil.dim % 2 != 0:
-        raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     J = canonical_skew(pencil.half)
     _, M, L = _unit_scaled(pencil.M, pencil.L)
-    defect = np.linalg.norm(M @ J @ M.T - L @ J @ L.T)
-    scale = (np.linalg.norm(M) + np.linalg.norm(L)) ** 2
+    defect = fro_norm(M @ J @ M.T - L @ J @ L.T)
+    scale = (fro_norm(M) + fro_norm(L)) ** 2
     return bool(defect <= SYMPLECTIC_RTOL * scale)
 
 
@@ -395,8 +394,6 @@ def ssf2_blocks(pencil: SymplecticPencil):
     when the fixed blocks (zeros, identities, the repeated A block) deviate
     by more than :data:`SSF2_RTOL` times the entry scale.
     """
-    if pencil.dim % 2 != 0:
-        raise OddDimension(f"pencil dimension {pencil.dim} is odd")
     n = pencil.half
     M, L = pencil.M, pencil.L
     if np.iscomplexobj(M) or np.iscomplexobj(L):
@@ -458,7 +455,7 @@ def _crossings(A: np.ndarray, Q: np.ndarray):
         raise EigensolverFailure(str(exc)) from exc
     mod_a, mod_b = np.abs(alpha), np.abs(beta)
     tiny = M.shape[0] * np.finfo(float).eps
-    negligible = (mod_a <= tiny * np.linalg.norm(M)) & (mod_b <= tiny * np.linalg.norm(L))
+    negligible = (mod_a <= tiny * fro_norm(M)) & (mod_b <= tiny * fro_norm(L))
     unimodular = ~negligible & (np.abs(mod_a - mod_b) <= UNIMODULAR_RTOL * np.maximum(mod_a, mod_b))
     # angle(mu) for mu = -conj(alpha / beta), folded into [0, pi]
     mu = -alpha[unimodular].conj() * beta[unimodular]
@@ -540,7 +537,7 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     scale, A, Q, regular, _, _, spectra = _critical_angles(problem.A, problem.Q)
     on_arcs = float(spectra[:, 0].min())
     # eigvalsh's error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
-    ftol = A.shape[0] * np.finfo(float).eps * (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A))
+    ftol = A.shape[0] * np.finfo(float).eps * (fro_norm(Q) + 2.0 * fro_norm(A))
     known = -SOLVABILITY_TOL <= on_arcs and (on_arcs < -ftol or not regular)
     low = _level_min(A, Q, on_arcs, ftol) if known else on_arcs
     verdict = (Verdict.NOT_SOLVABLE if low < -SOLVABILITY_TOL

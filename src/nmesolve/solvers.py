@@ -155,10 +155,21 @@ _PANEL_UPPER = ~np.tri(32, dtype=bool)  # _mirrored copies by panels: their read
 
 
 class Algorithm(Enum):
+    """The four solvers, also by name (``Algorithm("sda")``); another name raises ValueError."""
+
     FIXED_POINT = "fixed-point"
     INVERSION_FREE = "inversion-free"
     NEWTON = "newton"
     SDA = "sda"
+
+    @classmethod
+    def _missing_(cls, name):
+        raise ValueError(f"unknown algorithm {name!r}; choose from {', '.join(a.value for a in cls)}")
+
+
+def _integer(value) -> bool:
+    """An integer other than a bool, which numbers.Integral passes as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -184,9 +195,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:  # a tol of 1 or more would pass an X that is not SPD
             raise ValueError("tol must lie in (0, 1)")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
-        if not (isinstance(self.min_iter, numbers.Integral) and 0 <= self.min_iter <= self.max_iter):
+        if not (_integer(self.min_iter) and 0 <= self.min_iter <= self.max_iter):
             raise ValueError("min_iter must be an integer in [0, max_iter]")
 
 
@@ -402,18 +413,17 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     form (the X-update consumes the previous Y).  X_0 = Q, Y_0 = I/||Q||_inf.
     On solvable problems X_0 >= X_1 >= ... and Y_0 <= Y_1 <= ... , so an
     iterate that is not positive definite ends the run as
-    :class:`~nmesolve.exceptions.Diverged`.
-    """
-    A, Q = problem.A, problem.Q
-    n = problem.n
-    run = _Run(A, Q, config, "inversion-free")
+    :class:`~nmesolve.exceptions.Diverged`.  It runs on (A, Q) / s, s the power of two
+    of max |Q|, so that Y_0 fits also where max |Q| is subnormal."""
+    run = _Run(problem.A, problem.Q, config, "inversion-free")
 
     def steps():
-        # (I / s) / ||Q / s||_inf is I / ||Q||_inf, also where ||Q||_inf overflows
-        X, Y = Q, np.eye(n) / run.q_scale / float(np.linalg.norm(Q / run.q_scale, np.inf))
-        two_eye = 2.0 * np.eye(n)
+        s = run.q_scale
+        A, Q = problem.A / s, problem.Q / s  # in the drive's errstate: A / s may overflow
+        X, Y = Q, np.eye(problem.n) / float(np.linalg.norm(Q, np.inf))
+        two_eye = 2.0 * np.eye(problem.n)
         while True:
-            yield X, run.residual(X), 0.0, 0.0, {"Y": Y}, False
+            yield (Xk := s * X), run.residual(Xk), 0.0, 0.0, {"Y": Y / s}, False
             # the X-update consumes the previous Y
             X, Y = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y))
 
@@ -690,10 +700,11 @@ _DISPATCH = {
 }
 
 
-def solve(problem: NmeProblem, algorithm: Algorithm,
+def solve(problem: NmeProblem, algorithm: Algorithm | str,
           config: SolverConfig | None = None) -> SolveReport:
-    """Run the solver of ``algorithm``."""
-    return _DISPATCH[algorithm](problem, config)
+    """Run the solver of ``algorithm``, an :class:`Algorithm` or its name ("fixed-point",
+    "inversion-free", "newton" or "sda"); another name raises ValueError."""
+    return _DISPATCH[Algorithm(algorithm)](problem, config)
 
 
 def _fit_sse(x: np.ndarray, y: np.ndarray) -> float:

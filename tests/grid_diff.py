@@ -18,7 +18,12 @@ the grids are
   can carry, and data whose R(Q) or ||A||_F / max|Q| overflows (48 cells);
 - ``large``: ``generate_problem`` at n in {96, 128, 256}, the same four rho
   and seeds 0-2, ``solve_sda`` only (72 cells), where the doubling step's
-  inverse Cholesky factor is blocked (``problem._cholesky_inverse``).
+  inverse Cholesky factor is blocked (``problem._cholesky_inverse``);
+- ``scale``: ``generate_problem`` at n in {2, 8, 32}, rho in {.5, .999} and
+  seeds 0-1, with A and Q multiplied by 2^k for k in {-1030, -600, 600, 1000},
+  ``record_history`` off only (192 cells): (A, Q) -> (2^k A, 2^k Q) maps X to
+  2^k X, so a cell that leaves its unit twin's class or iteration count shows
+  a homogeneity regression, also where max|Q| is subnormal.
 
 Given BASE.json, a file this script wrote for another checkout, it prints
 each cell whose record differs, then the moved cells of each grid, and of
@@ -43,7 +48,7 @@ import nmesolve as nme  # noqa: E402
 from helpers import nonnormal_planted  # noqa: E402
 
 SOLVERS = (nme.solve_fixed_point, nme.solve_inversion_free, nme.solve_newton, nme.solve_sda)
-GRIDS = ("planted", "nonnormal", "edge", "large")
+GRIDS = ("planted", "nonnormal", "edge", "large", "scale")
 RHOS = (0.5, 0.9, 0.999, 1.0)
 
 
@@ -74,6 +79,13 @@ def problems():
     yield "edge/sda-breakdown", nme.new_problem(
         1e200 * np.random.default_rng(0).standard_normal((3, 3)), np.eye(3))
     yield from planted("large", (96, 128, 256))
+    for n in (2, 8, 32):
+        for rho in (0.5, 0.999):
+            for seed in range(2):
+                p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
+                for k in (-1030, -600, 600, 1000):
+                    yield (f"scale/n={n}/rho={rho}/seed={seed}/k={k}",
+                           nme.new_problem(np.ldexp(p.A, k), np.ldexp(p.Q, k)))
 
 
 def x_hash(X) -> str | None:
@@ -98,7 +110,7 @@ def grid() -> dict:
     return {f"{name}/{solver.__name__}/history={int(history)}": outcome(solver, problem, history)
             for name, problem in problems()
             for solver in ((nme.solve_sda,) if name.startswith("large/") else SOLVERS)
-            for history in (False, True)}
+            for history in ((False,) if name.startswith("scale/") else (False, True))}
 
 
 def main(argv: list[str]) -> int:

@@ -96,6 +96,15 @@ class TestRunExperiment:
                 assert not rep.converged
         assert np.array_equal(rec.problem.A, A_before)
 
+    def test_algorithms_by_name(self):
+        # a name and its member are one algorithm; an unknown name raised AttributeError
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.5, seed=2))
+        nme.run_experiment(rec, ["sda", nme.Algorithm.SDA])
+        assert list(rec.reports) == [nme.Algorithm.SDA]
+        assert rec.reports[nme.Algorithm.SDA].converged
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            nme.run_experiment(rec, ["sda", "bogus"])
+
     def test_doubling_beats_fixed_point_count(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=10, rho_target=0.5, seed=21))
         nme.run_experiment(rec, {nme.Algorithm.FIXED_POINT, nme.Algorithm.SDA})

@@ -377,22 +377,22 @@ class TestBuildPencil:
         assert np.allclose(Q, rec.problem.Q)
         assert np.allclose(P, 0.0)
 
-    def test_checked_problem_is_not_read_again(self, monkeypatch):
-        # A and Q of an NmeProblem are checked, so the factors need no
-        # second finiteness scan; the pencil is the one the full constructor builds
+    def test_pencil_is_built_by_its_constructor(self, monkeypatch):
+        # build_pencil has no path of its own past the constructor's checks: its
+        # factors are read like any caller's, and keep the bits of the blocks
         rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=5))
-        ref = nme.SymplecticPencil(*problem_module._pencil(rec.problem.A, rec.problem.Q))
+        M, L = problem_module._pencil(rec.problem.A, rec.problem.Q)
         calls = []
         matrix = problem_module._matrix
 
-        def reading(M, name, *args, **kwargs):
+        def reading(F, name, *args, **kwargs):
             calls.append(name)
-            return matrix(M, name, *args, **kwargs)
+            return matrix(F, name, *args, **kwargs)
 
         monkeypatch.setattr(problem_module, "_matrix", reading)
         pen = nme.build_pencil(rec.problem)
-        assert calls == []
-        assert same_bits(pen.M, ref.M) and same_bits(pen.L, ref.L)
+        assert calls == ["M", "L"]
+        assert same_bits(pen.M, M) and same_bits(pen.L, L)
 
 
 class TestSymplecticPencil:
@@ -451,14 +451,14 @@ class TestIsSymplecticPencil:
         assert nme.is_symplectic_pencil(pen)
 
     def test_odd_dimension(self):
-        pen = nme.SymplecticPencil(M=np.eye(3, dtype=complex), L=np.eye(3, dtype=complex))
-        with pytest.raises(OddDimension):
-            nme.is_symplectic_pencil(pen)
+        # refused when built, so is_symplectic_pencil never sees one
+        with pytest.raises(OddDimension, match="dimension 3 is odd"):
+            nme.SymplecticPencil(M=np.eye(3, dtype=complex), L=np.eye(3, dtype=complex))
 
     def test_ssf2_blocks_of_odd_dimension(self):
-        pen = nme.SymplecticPencil(M=np.eye(3), L=np.eye(3))
+        # refused when built, so ssf2_blocks never sees one
         with pytest.raises(OddDimension):
-            nme.ssf2_blocks(pen)
+            nme.SymplecticPencil(M=np.eye(3), L=np.eye(3))
 
     def test_large_scale(self):
         # M J M^T overflows in the entries' own scale; the test is homogeneous

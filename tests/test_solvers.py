@@ -61,9 +61,15 @@ class TestSolverConfig:
         (nme.SolverConfig, {"min_iter": 0.5}),
         (nme.GeneratorSpec, {"n": 2.5, "rho_target": 0.5}),
         (nme.GeneratorSpec, {"n": 2, "rho_target": 0.5, "seed": 1.5}),
-    ], ids=["max_iter", "min_iter", "n", "seed"])
+        (nme.SolverConfig, {"max_iter": True}),
+        (nme.SolverConfig, {"min_iter": True}),
+        (nme.GeneratorSpec, {"n": True, "rho_target": 0.5}),
+        (nme.GeneratorSpec, {"n": 2, "rho_target": 0.5, "seed": False}),
+    ], ids=["max_iter", "min_iter", "n", "seed",
+            "max_iter-bool", "min_iter-bool", "n-bool", "seed-bool"])
     def test_counts_must_be_integers(self, cls, kwargs):
-        # refused when built, not by range() or the generator at solve time
+        # refused when built, not by range() or the generator at solve time; a bool
+        # passes numbers.Integral, and max_iter=True would run one iteration
         with pytest.raises(ValueError, match="integer"):
             cls(**kwargs)
 
@@ -1298,6 +1304,17 @@ class TestCrossSolverProperties:
         X = np.ldexp(scaled.X, -k)
         assert np.linalg.norm(X - base.X) <= 1e-12 * np.linalg.norm(base.X)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    def test_inversion_free_where_max_q_is_subnormal(self, n):
+        # Y_0 = I / ||Q||_inf overflowed there, and the run ended Diverged with its report at X_0
+        s = 2.0 ** -1030
+        for seed in range(3):
+            rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=0.5, seed=seed))
+            unit = nme.solve_inversion_free(rec.problem)
+            tiny = nme.solve_inversion_free(nme.new_problem(s * rec.problem.A, s * rec.problem.Q))
+            assert tiny.converged and tiny.iterations == unit.iterations
+            assert np.abs(tiny.X / s - unit.X).max() <= 4.2e-14 * np.abs(unit.X).max()
+
     @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
     def test_norms_of_a_and_q_overflow(self, solver):
         # every entry is finite, but ||Q||_F and ||A||_F are above finfo.max:
@@ -1676,6 +1693,16 @@ class TestReports:
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.3, seed=17))
         rep = nme.solve(rec.problem, nme.Algorithm.NEWTON)
         assert rep.converged
+
+    def test_dispatch_by_name(self):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=17))
+        by_name, by_member = (nme.solve(rec.problem, a) for a in ("sda", nme.Algorithm.SDA))
+        assert same_bits(by_name.X, by_member.X)
+        assert by_name.iterations == by_member.iterations
+        # a raw KeyError before Algorithm read its own names
+        message = "unknown algorithm 'bogus'; choose from fixed-point, inversion-free, newton, sda"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nme.solve(rec.problem, "bogus")
 
     def test_history_csv(self, tmp_path):
         rec = nme.generate_problem(nme.GeneratorSpec(n=2, rho_target=0.5, seed=18))

@@ -85,6 +85,20 @@ def test_one_power_of_two_scale_and_one_safe_norm():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sum(text.count("math.frexp") for text in texts.values()) == 1
     assert "np.linalg.norm" not in texts["shifting.py"]
+    assert "np.linalg.norm(" not in texts["problem.py"]
+
+
+def test_each_input_type_checks_itself_once():
+    # the pencil refuses an odd order when built, with no init-only flag that
+    # skips its checks; Algorithm reads its own names, so no caller needs a reader
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [f"{module}:{scope}" for module in texts for scope, node in _scoped_nodes(module)
+            if isinstance(node, ast.Raise) and "OddDimension(" in ast.unparse(node)] \
+        == ["problem.py:SymplecticPencil.__post_init__"]
+    assert [word for word in ("InitVar", "_checked") if word in texts["problem.py"]] == []
+    assert "Algorithm(" in texts["cli.py"]
+    assert [node.name for node in ast.walk(ast.parse(texts["cli.py"]))
+            if isinstance(node, ast.FunctionDef) and "algorithm" in node.name] == []
 
 
 def test_one_reader_for_caller_arrays():
