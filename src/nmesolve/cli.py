@@ -106,7 +106,7 @@ def _report_payload(report, algorithm, problem):
 def _cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     algorithm = Algorithm(args.algorithm)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=bool(args.history))
     report = run_experiment(ExperimentRecord(problem), [algorithm], cfg).reports[algorithm]
     if report.failure:
         print(f"error: {report.failure}", file=sys.stderr)
@@ -129,7 +129,7 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     algorithms = [Algorithm(name) for name in args.algorithms.split(",")] \
         if args.algorithms else list(Algorithm)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, record_history=True)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     rows = []
     cells = [(n, rho) for n in sorted(args.n) for rho in sorted(args.rho)]
     for index, (n, rho) in enumerate(cells):

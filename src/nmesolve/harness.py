@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import SolverFailure
 from .problem import NmeProblem, new_problem, symmetric_part
-from .solvers import Algorithm, SolverConfig, _integer, solve
+from .solvers import Algorithm, SolverConfig, _integer, _real, solve
 
 __all__ = ["GeneratorSpec", "ExperimentRecord", "generate_problem", "run_experiment"]
 
@@ -38,9 +38,9 @@ class GeneratorSpec:
             raise ValueError("n must be a positive integer")
         if not _integer(self.seed):
             raise ValueError("seed must be an integer")
-        if not 0.0 <= self.rho_target <= 1.0:
+        if not (_real(self.rho_target) and 0.0 <= self.rho_target <= 1.0):
             raise ValueError("rho_target must lie in [0, 1]")
-        if not 1.0 <= self.conditioning < np.inf:
+        if not (_real(self.conditioning) and 1.0 <= self.conditioning < np.inf):
             raise ValueError("conditioning must be finite and >= 1")
 
 

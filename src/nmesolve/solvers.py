@@ -52,7 +52,10 @@ for each Q_k the gate holds out, and the driver tests no such Q_k.  No
 residual feeds an iterate, so the gate can only delay a stop; X and every Q_k
 keep their bits.  With history or DEBUG logging on, the driver takes the
 residual of a gated Q_k, k >= 1, for the record only, so they change no
-outcome; Q_0 has no record.
+outcome; Q_0 has no record.  Each update yields the size of its step, from a
+number it holds or by one ``ddot``: Newton ||E_k||_F, doubling ||W_1||_F^2 =
+tr(Q_{k-1} - Q_k), fixed point ||R(X_{k-1})||_F, inversion-free
+||X_k - X_{k-1}||_F.  Every run keeps them; the rate is fitted to them when read.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
@@ -172,16 +175,21 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(value) -> bool:
+    """A real number other than a bool, which numbers.Real passes as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverConfig:
     """Shared solver options.
 
     ``record_history`` is opt-in: a default solve computes only what its
-    stopping rule needs.  When it is on, the report also holds one
-    :class:`HistoryRecord` per iteration, copies of every iterate and the
-    estimated rate, and the solvers compute the history-only diagnostics
-    (Newton's rho(L_k), doubling's min-eig(Q_k - P_k)).  X and the iteration
-    count do not depend on it.
+    stopping rule and step sizes need.  When it is on, the report also holds
+    one :class:`HistoryRecord` per iteration and copies of every iterate, and
+    the solvers compute the history-only diagnostics (Newton's rho(L_k),
+    doubling's min-eig(Q_k - P_k)).  X, the iteration count, the step sizes
+    and the estimated rate do not depend on it.
     """
 
     tol: float = 1e-12
@@ -193,7 +201,7 @@ class SolverConfig:
     min_iter: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:  # a tol of 1 or more would pass an X that is not SPD
+        if not (_real(self.tol) and 0.0 < self.tol < 1.0):  # tol >= 1 would pass an X that is not SPD
             raise ValueError("tol must lie in (0, 1)")
         if not _integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
@@ -203,9 +211,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One iteration, recorded only with ``SolverConfig.record_history``:
-    aux1/aux2 are algorithm specific (SDA: ||A_k||_F and min-eig(Q_k - P_k);
-    Newton: rho(L_k) and 0; others: 0 and 0)."""
+    """One iteration, recorded only with ``SolverConfig.record_history``: step_norm is
+    the report's ``step_norms[k - 1]``, aux1/aux2 algorithm specific (SDA: ||A_k||_F
+    and min-eig(Q_k - P_k); Newton: rho(L_k) and 0; others: 0 and 0)."""
 
     k: int
     rel_residual: float
@@ -224,22 +232,21 @@ class RateEstimate:
 class SolveReport:
     """Outcome of one solver run.
 
-    ``history``, ``iterates``, ``aux_iterates`` and ``estimated_rate`` are
-    filled only when the run had ``SolverConfig.record_history`` on; they are
-    empty (None for the rate) otherwise.  ``history`` has one record per
-    completed iteration, ``iterates`` holds the full X-sequence including the
-    starting value, and ``aux_iterates`` holds algorithm-specific companion
-    sequences ("Y" for the inversion-free solver, "A" and "P" for doubling).
-    ``estimated_rate`` is fit to the step-size sequence ||X_k - X_{k-1}||_F,
-    whose decay tracks the error decay for both linear and quadratic runs.
-    ``rho_ratio`` is ``spectral_radius_ratio`` of X and A, computed when first read.
+    ``history``, ``iterates`` and ``aux_iterates`` are filled only when the
+    run had ``SolverConfig.record_history`` on, and empty otherwise: one record
+    per completed iteration, the full X-sequence including the starting value,
+    and algorithm-specific companion sequences ("Y" for the inversion-free
+    solver, "A" and "P" for doubling).  ``step_norms`` holds, on every run, the
+    size of the step to each X_k, k >= 1 (see the module docstring).
+    ``estimated_rate`` and ``rho_ratio`` (``spectral_radius_ratio`` of X and A)
+    are computed when first read.
     """
 
     X: np.ndarray
     iterations: int
     converged: bool
     history: list = field(default_factory=list)
-    estimated_rate: RateEstimate | None = None
+    step_norms: list = field(default_factory=list)
     failure: str | None = None
     iterates: list = field(default_factory=list)
     aux_iterates: dict = field(default_factory=dict)
@@ -256,6 +263,14 @@ class SolveReport:
         except (NonFiniteInput, NotPositiveDefinite):
             return math.nan
 
+    @functools.cached_property
+    def estimated_rate(self) -> RateEstimate | None:
+        """``estimate_rate`` of ``step_norms`` (whose decay tracks the error's); None under 4 steps."""
+        try:
+            return estimate_rate(self.step_norms)
+        except InsufficientHistory:
+            return None
+
 
 class _Run:
     """One solve: the iteration loop with its stopping rule, the divergence
@@ -269,7 +284,7 @@ class _Run:
         self.q_scale, Qu = _unit_scaled(Q)
         self.q_fro = fro_norm(Qu)
         self.config = config or SolverConfig()
-        #: history or DEBUG logging reads every step's residual and step norm
+        #: history or DEBUG logging reads every step's residual
         self.every_step = self.config.record_history or logger.isEnabledFor(logging.DEBUG)
         self.name = name
         self.out = SolveReport(X=Q, iterations=0, converged=False, A=A)
@@ -278,32 +293,31 @@ class _Run:
 
     def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
         """Run the update generator ``steps``, filling ``out``: one loop with one
-        ``yield`` of (X_k, res_k, aux1, aux2, aux_k, stop_k) for each k from
-        X_0 = Q, which is tested like every later iterate; aux1 and aux2 of X_0
-        are 0 and unused, ``aux`` holds the companion iterates by name (or
+        ``yield`` of (X_k, res_k, step_k, aux1, aux2, aux_k, stop_k) for each k
+        from X_0 = Q, which is tested like every later iterate; the float step_k,
+        the size of the step to X_k, goes to ``step_norms``; step, aux1 and aux2
+        of X_0 are 0 and unused, ``aux`` holds the companion iterates by name (or
         None) and ``stop`` is the solver's own test besides res <= tol.  X_k is
         accepted once it passes the tests here: a residual that is not finite
         or grew beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
         ``nonfinite_fatal`` lets the run go on.  A None res_k is an X_k that
         doubling's gate holds out: it is not tested (history and DEBUG logging
         take its residual for the record of k >= 1 only), and a failure tests
-        the last such X_k with a positive diagonal before its report holds it.
-        The step norm ||X_k - X_{k-1}||_F is taken only when history or DEBUG
-        logging wants it."""
+        the last such X_k with a positive diagonal before its report holds it."""
         cfg, out = self.config, self.out
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for self.k in range(cfg.max_iter + 1):
-                X, res, aux1, aux2, aux, stop = next(steps)
+                X, res, step, aux1, aux2, aux, stop = next(steps)
+                if self.k:
+                    out.step_norms.append(step)
                 if self.every_step and self.k:
                     # history and DEBUG logging take a gated X_k's residual for the record only
                     logged = self.residual(X) if res is None else res
-                    step = fro_norm(X - prev)
                     logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, logged, step)
                     if cfg.record_history:
                         out.history.append(
-                            HistoryRecord(self.k, float(logged), float(step), float(aux1), float(aux2)))
-                prev = X
+                            HistoryRecord(self.k, float(logged), step, float(aux1), float(aux2)))
                 if cfg.record_history:
                     out.iterates.append(np.array(X, dtype=float))
                     for key, val in (aux or {}).items():
@@ -364,14 +378,9 @@ class _Run:
                                f"iterate {self.k} is not positive definite") from exc
 
     def report(self, converged: bool, failure: str | None = None) -> SolveReport:
-        """``out`` ended: X copied (X_0 is the problem's own Q), and the rate of its history."""
+        """``out`` ended: X copied (X_0 is the problem's own Q)."""
         out = self.out
         out.X, out.converged, out.failure = np.array(out.X, dtype=float), converged, failure
-        if out.history:
-            try:
-                out.estimated_rate = estimate_rate([h.step_norm for h in out.history])
-            except InsufficientHistory:
-                pass
         return out
 
     def failure(self, exc_cls, detail: str):
@@ -397,11 +406,11 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
     run = _Run(A, Q, config, "fixed-point")
 
     def steps():
-        X = Q
+        X, step = Q, 0.0
         while True:
-            _, _, res, _, _, G = run.factored_residual(X)
-            yield X, res, 0.0, 0.0, None, False
-            X = Q - G  # exactly symmetric, as Q and G are
+            _, r_norm, res, _, _, G = run.factored_residual(X)
+            yield X, res, step, 0.0, 0.0, None, False
+            X, step = Q - G, r_norm  # exactly symmetric, as Q and G are; X - X_k = R(X_k)
 
     return run.drive(steps())
 
@@ -420,12 +429,12 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
     def steps():
         s = run.q_scale
         A, Q = problem.A / s, problem.Q / s  # in the drive's errstate: A / s may overflow
-        X, Y = Q, np.eye(problem.n) / float(np.linalg.norm(Q, np.inf))
+        X, Y, Xp = Q, np.eye(problem.n) / float(np.linalg.norm(Q, np.inf)), Q
         two_eye = 2.0 * np.eye(problem.n)
         while True:
-            yield (Xk := s * X), run.residual(Xk), 0.0, 0.0, {"Y": Y / s}, False
+            yield (Xk := s * X), run.residual(Xk), s * fro_norm(X - Xp), 0.0, 0.0, {"Y": Y / s}, False
             # the X-update consumes the previous Y
-            X, Y = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y))
+            X, Y, Xp = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y)), X
 
     return run.drive(steps())
 
@@ -589,15 +598,15 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     tr_q = float((Q.diagonal() / run.q_scale).sum())
 
     def steps():
-        X, rho_L = Q, 0.0
+        X, step, rho_L = Q, 0.0, 0.0
         while True:
             R, _, res, C, Y, _ = run.factored_residual(X)
-            yield X, res, rho_L, 0.0, None, False
+            yield X, res, step, rho_L, 0.0, None, False
             # L_k^T = Y^T C^{-1}, in place on Y^T; the right side R(X_k) is exactly symmetric
             W = scipy.linalg.blas.dtrsm(1.0, C, Y.T, side=1, lower=1, overwrite_b=1).T
             rho_L = spectral_radius(W) if run.config.record_history else 0.0
             try:  # the forcing term eta_k; at r_k = 0 (min_iter runs) E_k = 0 for any eta
-                X = X + solve_stein(W, R, rtol=min(0.1, max(res, _EPS / res)) if res else 0.1)
+                E = solve_stein(W, R, rtol=min(0.1, max(res, _EPS / res)) if res else 0.1)
             except SingularSteinOperator as exc:
                 raise run.failure(SingularSteinOperator,
                                   f"Stein operator singular at iteration {run.k}") from exc
@@ -605,6 +614,7 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                 raise run.failure(Diverged, f"iterate {run.k} is not finite") from exc
             except SolverFailure as exc:
                 raise run.failure(SolverFailure, f"{exc} at iteration {run.k}") from exc
+            X, step = X + E, math.sqrt(_sum_sq(E))
             rise = float((X.diagonal() / run.q_scale).sum()) / tr_q  # drive ignores its overflow
             if rise > 1.0 + NEWTON_TRACE_RTOL:
                 raise run.failure(
@@ -653,14 +663,14 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         n, cfg = A.shape[0], run.config
         a_k = a_scale = fro_norm(A / run.q_scale)  # a_k = ||A_k||_F / s
         a_gate = RESIDUAL_GATE * math.sqrt(cfg.tol) * run.q_fro
-        a_norm = gap_min = 0.0
+        a_norm = gap_min = step = 0.0
         while True:
             # doubling's own test; at k = 0 it is A = 0: the other form passes where a_scale overflows
             stop = a_k <= cfg.tol * a_scale if run.k else a_scale == 0.0
             # the residual is tested only where it can end the run (RESIDUAL_GATE)
             gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
             res = None if gated else run.residual(Qk)
-            yield Qk, res, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
+            yield Qk, res, step, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
             try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered;
                 # C^{-1}, or at n = 1 C, whose diagonal holds NaN exactly where the other's does
                 C = (_cholesky if n == 1 else _cholesky_inverse)(Qk.T - Pk.T, "Q_k - P_k")
@@ -670,11 +680,11 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                 raise run.failure(DoublingBreakdown, "Q_k - P_k lost positive definiteness "
                                   f"at iteration {run.k}") from exc
             if n == 1:  # sqrt-free, so the dyadic closed forms stay exact (see the docstring)
-                Ak, Qk, Pk = (t := Ak * (Ak / (Qk - Pk))), Qk - t, Pk + t
+                Ak, Qk, Pk, step = (t := Ak * (Ak / (Qk - Pk))), Qk - t, Pk + t, float(t[0, 0])
             else:  # W = C^{-1} [A_k, A_k^T]; its operands, Q_k.T and P_k.T are Fortran-ordered
                 blas = scipy.linalg.blas
                 W = blas.dtrmm(1.0, C, np.concatenate((Ak.T, Ak)).T, lower=1, overwrite_b=1)
-                Ak = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1)
+                Ak, step = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1), _sum_sq(W[:, :n])
                 Qk = _mirrored(blas.dsyrk(-1.0, W[:, :n], beta=1.0, c=Qk.T, trans=1, lower=1))
                 Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))
             gap_min = (float(np.linalg.eigvalsh(D).min()) if np.isfinite(D := Qk - Pk).all()

@@ -10,6 +10,7 @@ import pytest
 import nmesolve as nme
 from helpers import MALFORMED_PROBLEMS, conjugate_inconsistent_shift
 from nmesolve import serialize
+from nmesolve import cli
 from nmesolve.cli import cli_main
 
 
@@ -17,6 +18,15 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spy_configs(monkeypatch) -> list:
+    """The SolverConfig of each run_experiment call that the CLI makes."""
+    configs, run = [], cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda record, algorithms, config: configs.append(config)
+                        or run(record, algorithms, config))
+    return configs
 
 
 class TestGenerate:
@@ -65,6 +75,20 @@ class TestSolve:
         lines = history.read_text().splitlines()
         assert lines[0] == "k,rel_residual,step_norm,aux1,aux2"
         assert len(lines) == 1 + report["iterations"]
+
+    def test_history_only_with_the_flag(self, tmp_path, capsys, monkeypatch):
+        # the rate comes from the step sizes of every run, so the report is the
+        # same without history, which only --history turns on
+        problem, history = tmp_path / "p.json", tmp_path / "h.csv"
+        nme.save_problem(nme.new_problem([[1.0]], [[2.0]]), problem)
+        configs = spy_configs(monkeypatch)
+        code, out, _ = run_cli(capsys, "solve", str(problem))
+        assert code == 0 and not history.exists()
+        assert run_cli(capsys, "solve", str(problem), "--history", str(history))[1] == out
+        assert [cfg.record_history for cfg in configs] == [False, True]
+        report = json.loads(out)
+        assert report["rate_kind"] == "linear" and report["rate"] == pytest.approx(0.5, abs=0.02)
+        assert len(history.read_text().splitlines()) == 1 + report["iterations"]
 
     def test_deterministic_report(self, tmp_path, capsys):
         problem = tmp_path / "p.json"
@@ -123,6 +147,15 @@ class TestSolve:
 
 
 class TestBench:
+    def test_records_no_history(self, tmp_path, capsys, monkeypatch):
+        # the linear rate column comes from the step sizes, with history off
+        configs = spy_configs(monkeypatch)
+        code, out, _ = run_cli(capsys, "bench", "--rho", "0.9", "--n", "2",
+                               "--algorithms", "fixed-point")
+        assert code == 0 and [cfg.record_history for cfg in configs] == [False]
+        rate = float(out.splitlines()[1].split(",")[5])
+        assert rate == pytest.approx(0.81, abs=0.02)  # rho^2
+
     def test_grid_and_monotonicity(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
         code, _, _ = run_cli(capsys, "bench", "--rho", "0.3,0.6,0.9", "--n", "2",

@@ -15,6 +15,21 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             nme.GeneratorSpec(n=2, rho_target=0.5, conditioning=0.5)
 
+    @pytest.mark.parametrize("value", [True, "0.5", None, 0.5j])
+    @pytest.mark.parametrize("name", ["rho_target", "conditioning"])
+    def test_non_real_float_field_rejected(self, name, value):
+        # numbers.Real passes a bool as 0 or 1, and a string met the range test
+        # as a raw TypeError
+        with pytest.raises(ValueError, match=name):
+            nme.GeneratorSpec(**{"n": 2, "rho_target": 0.5, name: value})
+
+    def test_bool_rho_and_conditioning_rejected(self):
+        # True for both would plant rho = 1 with a unit spectrum
+        with pytest.raises(ValueError, match="rho_target"):
+            nme.GeneratorSpec(n=2, rho_target=True, conditioning=True)
+        spec = nme.GeneratorSpec(n=2, rho_target=1, conditioning=np.float64(4.0))
+        assert spec.rho_target == 1 and spec.conditioning == 4.0
+
     @pytest.mark.parametrize("conditioning", [math.nan, math.inf])
     def test_non_finite_conditioning_rejected(self, conditioning):
         # NaN passes a plain >= 1 test and would plant a unit spectrum; inf
@@ -78,10 +93,11 @@ class TestGenerateProblem:
 
 class TestRunExperiment:
     def test_critical_sda_rate_one_half(self):
+        # the rate comes from the step sizes of every run, with history off
         rec = nme.ExperimentRecord(problem=nme.new_problem([[1.0]], [[2.0]]))
-        nme.run_experiment(rec, {nme.Algorithm.SDA}, nme.SolverConfig(record_history=True))
+        nme.run_experiment(rec, {nme.Algorithm.SDA})
         rep = rec.reports[nme.Algorithm.SDA]
-        assert rep.converged
+        assert rep.converged and rep.history == []
         assert rep.estimated_rate.kind == "linear"
         assert rep.estimated_rate.rate == pytest.approx(0.5, abs=0.02)
 

@@ -56,6 +56,12 @@ class TestSolverConfig:
                 nme.SolverConfig(tol=tol)
         assert nme.SolverConfig(max_iter=np.int64(5)).max_iter == 5
 
+    @pytest.mark.parametrize("tol", ["1e-8", None, True])
+    def test_tol_must_be_a_real_number(self, tol):
+        # a string or None met the range test as a raw TypeError
+        with pytest.raises(ValueError, match="tol"):
+            nme.SolverConfig(tol=tol)
+
     @pytest.mark.parametrize("cls,kwargs", [
         (nme.SolverConfig, {"max_iter": 2.5}),
         (nme.SolverConfig, {"min_iter": 0.5}),
@@ -1382,18 +1388,69 @@ class TestReports:
             assert len(rep.iterates) == rep.iterations + 1
 
     def test_record_history_off(self):
+        # history off keeps no records or iterates, but the step sizes and so the rate
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=16))
         rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=False))
         assert rep.history == [] and rep.iterates == []
-        assert rep.estimated_rate is None
+        assert len(rep.step_norms) == rep.iterations
+        assert rep.estimated_rate == nme.RateEstimate("quadratic")
 
     @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
     def test_default_solve_fits_no_rate(self, solver, monkeypatch):
+        # the rate is fitted when it is first read, never at the stop, and only once
         calls = []
-        monkeypatch.setattr(solvers, "estimate_rate", calls.append)
+        fit = solvers.estimate_rate
+        monkeypatch.setattr(solvers, "estimate_rate", lambda steps: calls.append(steps) or fit(steps))
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=16))
         rep = solver(rec.problem)
-        assert rep.converged and rep.estimated_rate is None and calls == []
+        assert rep.converged and calls == []
+        assert rep.estimated_rate is not None and rep.estimated_rate is rep.estimated_rate
+        assert calls == [rep.step_norms]
+
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_step_norms_do_not_depend_on_history(self, solver, rho):
+        # one rate path: history off and on give the same step sizes and rate,
+        # and each history record holds its step's size
+        rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=rho, seed=5))
+        reps = []
+        for history in (False, True):
+            try:
+                reps.append(solver(rec.problem, nme.SolverConfig(max_iter=60, record_history=history)))
+            except MaxIterationsExceeded as exc:
+                reps.append(exc.report)
+        off, on = reps
+        assert len(off.step_norms) >= 4 and all(type(step) is float for step in off.step_norms)
+        assert same_bits(np.array(off.step_norms), np.array(on.step_norms))
+        assert [h.step_norm for h in on.history] == on.step_norms
+        assert off.estimated_rate == on.estimated_rate is not None
+
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_step_norms_measure_the_step(self, solver, rho):
+        # doubling's step size is tr(Q_{k-1} - Q_k) = ||W_1||_F^2, the others'
+        # ||X_k - X_{k-1}||_F, to the rounding of the difference of the iterates
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=rho, seed=3))
+        try:
+            rep = solver(rec.problem, nme.SolverConfig(max_iter=60, record_history=True))
+        except MaxIterationsExceeded as exc:
+            rep = exc.report
+        xs = rep.iterates
+        size = np.trace if solver is nme.solve_sda else np.linalg.norm
+        steps = [size(prev - x if solver is nme.solve_sda else x - prev)
+                 for prev, x in zip(xs, xs[1:])]
+        assert len(steps) == len(rep.step_norms) >= 6
+        tol = 8 * np.finfo(float).eps * np.linalg.norm(rec.problem.Q)
+        assert np.abs(np.array(rep.step_norms) - steps).max() <= tol
+
+    def test_scalar_doubling_step_is_t(self):
+        # at n = 1 doubling's step size is t = a_k^2 / (q_k - p_k) = q_k - q_{k+1},
+        # exact on the dyadic critical scalar
+        rep = nme.solve_sda_scalar(1.0, 2.0, nme.SolverConfig(record_history=True))
+        qs = [float(q[0, 0]) for q in rep.iterates]
+        assert rep.step_norms == [prev - q for prev, q in zip(qs, qs[1:])]
+        assert rep.estimated_rate.kind == "linear"
+        assert rep.estimated_rate.rate == pytest.approx(0.5, abs=0.02)
 
     @pytest.mark.parametrize("n", [1, 8, 33])
     def test_w0_is_the_cho_solve_of_q(self, n, monkeypatch):

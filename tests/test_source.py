@@ -174,7 +174,8 @@ def test_stein_doubling_loop_calls_dgemm_not_matmul():
 
 def test_newton_passes_the_kernels_residual_to_stein():
     # Newton in correction form: the Stein right side is the residual kernel's
-    # R(X_k), not a Q - 2G formed beside it, and X_{k+1} = X_k + E_k
+    # R(X_k), not a Q - 2G formed beside it, and X_{k+1} = X_k + E_k, where
+    # E_k = solve_stein(...) is kept for the size of the step
     newton = _function("solvers.py", "solve_newton")
     assert "np.multiply(G, 2.0" not in ast.unparse(newton)
     unpack = next(node for node in ast.walk(newton) if isinstance(node, ast.Assign)
@@ -184,7 +185,28 @@ def test_newton_passes_the_kernels_residual_to_stein():
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "solve_stein"]
     assert [ast.unparse(node.args[1]) for node in stein] == [R]
     assert [node.arg for node in stein[0].keywords] == ["rtol"]
-    assert "X = X + solve_stein(" in ast.unparse(newton)
+    E = next(node.targets[0].id for node in ast.walk(newton)
+             if isinstance(node, ast.Assign) and node.value is stein[0])
+    assert f"X + {E}" in ast.unparse(newton)
+
+
+def test_drive_keeps_no_previous_iterate():
+    # each update yields the size of its own step, so _Run.drive keeps the
+    # floats but no X_{k-1} and takes no norm of X_k - X_{k-1} itself
+    drive = _function("solvers.py", "drive")
+    assert "fro_norm(" not in ast.unparse(drive)
+    assert not [node for node in ast.walk(drive)
+                if isinstance(node, ast.Assign) and ast.unparse(node.value) == "X"]
+
+
+def test_cli_forces_history_only_for_scalar_critical():
+    # the rate needs no history, so only scalar-critical, which reads the
+    # iterates, sets record_history=True
+    tree = ast.parse((SRC / "cli.py").read_text())
+    forced = [function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function) if isinstance(node, ast.keyword)
+              and node.arg == "record_history" and ast.unparse(node.value) == "True"]
+    assert forced == ["_cmd_scalar_critical"]
 
 
 def test_one_preparation_for_both_stein_paths():
