@@ -187,8 +187,8 @@ class SolverConfig:
     ``record_history`` is opt-in: a default solve computes only what its
     stopping rule and step sizes need.  When it is on, the report also holds
     one :class:`HistoryRecord` per iteration and copies of every iterate, and
-    the solvers compute the history-only diagnostics (Newton's rho(L_k),
-    doubling's min-eig(Q_k - P_k)).  X, the iteration count, the step sizes
+    the solvers compute the history-only diagnostics (Newton's rho(L_{k-1}),
+    doubling's min-eig(Q_k - P_k), for record k).  X, the iteration count, the step sizes
     and the estimated rate do not depend on it.
     """
 
@@ -213,7 +213,7 @@ class SolverConfig:
 class HistoryRecord:
     """One iteration, recorded only with ``SolverConfig.record_history``: step_norm is
     the report's ``step_norms[k - 1]``, aux1/aux2 algorithm specific (SDA: ||A_k||_F
-    and min-eig(Q_k - P_k); Newton: rho(L_k) and 0; others: 0 and 0)."""
+    and min-eig(Q_k - P_k); Newton: rho(L_{k-1}), of the step to X_k, and 0; others: 0, 0)."""
 
     k: int
     rel_residual: float
@@ -239,12 +239,15 @@ class SolveReport:
     solver, "A" and "P" for doubling).  ``step_norms`` holds, on every run, the
     size of the step to each X_k, k >= 1 (see the module docstring).
     ``estimated_rate`` and ``rho_ratio`` (``spectral_radius_ratio`` of X and A)
-    are computed when first read.
+    are computed when first read.  ``rel_residual`` is the residual the run took of X,
+    ``residual(problem, X).rel_norm`` bit for bit: inf where X has no Cholesky
+    factor or it overflows, NaN only on a report built by hand.
     """
 
     X: np.ndarray
     iterations: int
     converged: bool
+    rel_residual: float = math.nan
     history: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
     failure: str | None = None
@@ -276,8 +279,8 @@ class _Run:
     """One solve: the iteration loop with its stopping rule, the divergence
     watch and the failure reports.  The run fills the one report it returns
     (``out``) as it goes: history records, iterates and companion iterates
-    when history is on, and in X and ``iterations`` the last accepted X_k and
-    its k (X_0 = Q until one is)."""
+    when history is on, and in X, ``iterations`` and ``rel_residual`` the last
+    accepted X_k, its k and its residual (X_0 = Q until one is)."""
 
     def __init__(self, A: np.ndarray, Q: np.ndarray, config: SolverConfig | None, name: str):
         self.A, self.Q = A, Q
@@ -340,7 +343,7 @@ class _Run:
                         Diverged,
                         f"residual {res:.3e} grew beyond {DIVERGENCE_FACTOR:g} x "
                         f"minimum {self.best_res:.3e} at iteration {self.k}")
-                out.X, out.iterations, self.untested = X, self.k, None
+                out.X, out.iterations, out.rel_residual, self.untested = X, self.k, res, None
             raise self.failure(
                 MaxIterationsExceeded,
                 f"no convergence within {cfg.max_iter} iterations "
@@ -352,7 +355,7 @@ class _Run:
         if not np.all(np.isfinite(X)):
             raise self.failure(Diverged, f"iterate {self.k} met the stopping test but is not finite")
         if math.isfinite(res):
-            self.out.X, self.out.iterations, self.untested = X, self.k, None
+            self.out.X, self.out.iterations, self.out.rel_residual, self.untested = X, self.k, res, None
         if not res <= self.config.tol:
             raise self.failure(
                 Stagnated,
@@ -378,8 +381,10 @@ class _Run:
                                f"iterate {self.k} is not positive definite") from exc
 
     def report(self, converged: bool, failure: str | None = None) -> SolveReport:
-        """``out`` ended: X copied (X_0 is the problem's own Q)."""
+        """``out`` ended: X copied (X_0 is the problem's own Q), its residual taken if none was."""
         out = self.out
+        if math.isnan(out.rel_residual):
+            out.rel_residual = self.residual(out.X)
         out.X, out.converged, out.failure = np.array(out.X, dtype=float), converged, failure
         return out
 
@@ -387,8 +392,8 @@ class _Run:
         """The exception for iteration k, with the report of the last accepted X
         (an untested one only if its residual, taken now, is finite), whose
         ``failure`` is the exception's message."""
-        if self.untested and math.isfinite(self.residual(self.untested[1])):
-            self.out.iterations, self.out.X = self.untested
+        if self.untested and math.isfinite(res := self.residual(self.untested[1])):
+            (self.out.iterations, self.out.X), self.out.rel_residual = self.untested, res
         message = f"{self.name}: {detail}"
         return exc_cls(message, report=self.report(False, message), iteration=self.k)
 
@@ -587,8 +592,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     A truncated sum of R(X_k) <= 0 lies between E_k and 0, so the iterates
     still descend monotonically from Q toward the maximal solution, and one
     whose trace exceeds tr(Q) by more than :data:`NEWTON_TRACE_RTOL` raises
-    :class:`~nmesolve.exceptions.Diverged`.  With history on, each record
-    stores rho(L_k) in aux1; these stay below one while the iteration is healthy.
+    :class:`~nmesolve.exceptions.Diverged`.  With history on, record k stores
+    rho(L_{k-1}) in aux1, below one while the iteration is healthy.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
@@ -729,8 +734,8 @@ def estimate_rate(history) -> RateEstimate:
     """Classify a positive, decreasing sequence as linear/quadratic/stalled.
 
     Fits the log of the tail half against k (linear model) and against 2^k
-    (quadratic model) and reports the better fit; the linear rate is the
-    geometric mean of successive ratios over the tail.  The sequence ends at
+    (quadratic model) and reports the better fit; the linear rate comes from
+    the last two ratios, sqrt(v[-1] / v[-3]).  The sequence ends at
     its first entry that is not finite and positive (exact convergence and an
     overflow carry no information).  Raises :class:`InsufficientHistory` for
     fewer than 4 usable entries.
@@ -752,7 +757,7 @@ def estimate_rate(history) -> RateEstimate:
     sse_quad = _fit_sse(doubling, logs)
     if sse_quad < sse_lin:
         return RateEstimate("quadratic", None)
-    return RateEstimate("linear", gmean)
+    return RateEstimate("linear", math.sqrt(vals[-1] / vals[-3]))
 
 
 def write_history_csv(report: SolveReport, path) -> None:

@@ -109,6 +109,18 @@ class TestSolve:
         assert report["converged"] is False
         assert report["failure"]
 
+    @pytest.mark.parametrize("algorithm", [a.value for a in nme.Algorithm])
+    def test_failure_prints_the_residual_of_its_x(self, tmp_path, capsys, algorithm):
+        # rel_residual is the one the run took of the X it reports
+        problem = tmp_path / "p.json"
+        run_cli(capsys, "generate", "--n", "8", "--rho", "0.999", "--out", str(problem))
+        code, out, _ = run_cli(capsys, "solve", str(problem), "--algorithm", algorithm,
+                               "--max-iter", "3")
+        report = json.loads(out)
+        assert code == 1 and report["converged"] is False and report["iterations"] == 3
+        X = np.array(report["X"]).reshape(8, 8)
+        assert report["rel_residual"] == nme.residual(nme.load_problem(problem), X).rel_norm
+
     @pytest.mark.parametrize("tol", ["inf", "1"])
     def test_tol_outside_the_unit_interval_exit_code(self, tmp_path, capsys, tol):
         # at tol >= 1 the unsolvable q < 2|a| problem would converge at once

@@ -513,6 +513,16 @@ class TestDetectUnimodular:
         with pytest.raises(EigensolverFailure, match="did not converge"):
             nme.detect_unimodular(nme.build_pencil(p))
 
+    def test_generalized_eigenvalues_failure_is_typed(self, monkeypatch):
+        # a QZ that does not converge is an EigensolverFailure, not a raw LinAlgError
+        def failing_eigvals(*args, **kwargs):
+            raise np.linalg.LinAlgError("generalized eig algorithm did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", failing_eigvals)
+        pencil = nme.build_pencil(nme.new_problem([[1.0]], [[2.0]]))
+        with pytest.raises(EigensolverFailure, match="did not converge"):
+            nme.generalized_eigenvalues(pencil)
+
     @pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (8, 2), (32, 0), (32, 1),
                                         (32, 2), (32, 3), (32, 4)])
     def test_nonnormal_critical_cells(self, n, seed):

@@ -274,6 +274,15 @@ class TestStein:
         with pytest.raises(SingularSteinOperator):
             nme.solve_stein(np.array([[c, -s], [s, c]]), np.eye(2))
 
+    def test_dtgsyl_info_is_a_singular_operator(self, monkeypatch):
+        # dtgsyl's info > 0 (close eigenvalues) ends the Schur solve typed; the powers
+        # of L = 2I overflow the doubling, and its gaps |1 - 4| pass the rank test
+        dtgsyl = scipy.linalg.lapack.dtgsyl
+        monkeypatch.setattr(scipy.linalg.lapack, "dtgsyl",
+                            lambda *args: (*dtgsyl(*args)[:4], 1))
+        with pytest.raises(SingularSteinOperator):
+            nme.solve_stein(2.0 * np.eye(3), np.eye(3))
+
     @pytest.mark.parametrize("L,C", [([[math.nan]], [[1.0]]), ([[0.5]], [[math.inf]])])
     def test_non_finite_input(self, L, C):
         with pytest.raises(NonFiniteInput):
@@ -660,6 +669,16 @@ class TestNewton:
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=7))
         rep = nme.solve_newton(rec.problem, nme.SolverConfig(record_history=True))
         assert all(h.aux1 < 1.0 + 1e-8 for h in rep.history)
+
+    def test_aux1_is_rho_of_the_previous_iterate(self):
+        # record k holds rho(L_{k-1}) = rho(X_{k-1}^{-1} A), the L of the step to
+        # X_k like its step_norm: record 1 reads rho(Q^{-1} A)
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.9, seed=3))
+        rep = nme.solve_newton(rec.problem, nme.SolverConfig(record_history=True))
+        assert len(rep.history) >= 4
+        for h in rep.history:
+            expected = nme.spectral_radius_ratio(rec.problem, rep.iterates[h.k - 1])
+            assert h.aux1 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_planted_n64(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.9, seed=21))
@@ -1375,6 +1394,16 @@ class TestEstimateRate:
         assert est.kind == "linear"
         assert est.rate == pytest.approx(0.5)
 
+    def test_linear_rate_reads_the_last_two_steps(self):
+        # doubling at rho = 1: the tail half's early ratios are pre-asymptotic (their
+        # geometric mean reads 0.452), its last two 0.4994 and 0.4997
+        rec = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=1))
+        rep = nme.solve_sda(rec.problem)
+        steps = rep.step_norms
+        assert rep.estimated_rate.kind == "linear"
+        assert rep.estimated_rate.rate == math.sqrt(steps[-1] / steps[-3])
+        assert abs(rep.estimated_rate.rate - 0.5) <= 0.005
+
 
 class TestReports:
     def test_history_length_matches_iterations(self):
@@ -1688,6 +1717,42 @@ class TestReports:
             on = outcome(problem, nme.SolverConfig(record_history=True))
             assert off[:2] == on[:2], seed
             assert np.array_equal(off[2], on[2], equal_nan=True), seed
+
+    @pytest.mark.parametrize("case", ["converged", "max-iter", "gated-x0", "overflowing-x0"])
+    @pytest.mark.parametrize("solver", MATRIX_SOLVERS)
+    def test_rel_residual_is_that_of_x(self, solver, case, monkeypatch):
+        # the report keeps the residual its run took of X, bit for bit that of
+        # residual(problem, X): of a converged X, of the X a failure reports, of
+        # X_0 = Q, which doubling's gate holds out and the breakdown on (2I, I)
+        # adopts (the other three reject X_1 back to it); only a Q whose residual
+        # overflows, which no run accepts, is measured when the report is made: inf
+        kept = []
+        report = solvers._Run.report
+        monkeypatch.setattr(solvers._Run, "report",
+                            lambda run, *args: kept.append(run.out.rel_residual) or report(run, *args))
+        problem, config = {
+            "converged": (nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.5)).problem,
+                          None),
+            "max-iter": (nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=0.999)).problem,
+                         nme.SolverConfig(max_iter=3)),
+            "gated-x0": (nme.new_problem(2.0 * np.eye(3), np.eye(3)), None),
+            "overflowing-x0": (nme.new_problem(scalar(1e10), scalar(1e-300)), None)}[case]
+        try:
+            rep = solver(problem, config)
+        except SolverFailure as exc:
+            assert case != "converged"
+            assert case != "max-iter" or type(exc) is MaxIterationsExceeded
+            rep = exc.report
+        assert rep.converged == (case == "converged")
+        assert rep.rel_residual == nme.residual(problem, rep.X).rel_norm
+        assert len(kept) == 1 and math.isnan(kept[0]) == (case == "overflowing-x0")
+        if case == "gated-x0":
+            assert rep.iterations == 0 and rep.rel_residual == 4.0
+        if case == "overflowing-x0":
+            assert rep.iterations == 0 and rep.rel_residual == math.inf
+
+    def test_hand_built_report_has_no_residual(self):
+        assert math.isnan(nme.SolveReport(X=np.eye(2), iterations=0, converged=True).rel_residual)
 
     def test_rho_ratio_computed_once_on_read(self, monkeypatch):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=21))

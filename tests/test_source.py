@@ -413,3 +413,18 @@ def test_run_is_its_report():
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     assert assigned.isdisjoint({"gated", "accepted", "history", "iterates", "aux_iterates"})
     assert "every_step" not in ast.unparse(_function("solvers.py", "solve_sda"))
+
+
+def test_one_residual_of_the_reported_x():
+    # a report keeps the residual its run took of X: the CLI takes none of its
+    # own, and only _Run writes a report's rel_residual
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = {ast.unparse(node.func).rsplit(".", 1)[-1] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert "residual" not in imported | called
+    writers = {scope for scope, node in _scoped_nodes("solvers.py")
+               if isinstance(node, ast.Attribute) and node.attr == "rel_residual"
+               and isinstance(node.ctx, ast.Store)}
+    assert writers and all(scope.startswith("_Run.") for scope in writers)
