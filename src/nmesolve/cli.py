@@ -133,11 +133,9 @@ def _cmd_bench(args) -> int:
         run_experiment(record, algorithms, cfg)
         for algorithm in algorithms:
             report = record.reports[algorithm]
-            rate = report.estimated_rate
-            rate_val = rate.rate if (rate and rate.kind == "linear") else None
-            rows.append((algorithm.value, n, rho, report.iterations,
-                         _num(report.rel_residual), _num(rate_val),
-                         "true" if report.converged else "false"))
+            rate = report.estimated_rate  # a rate only for a linear kind
+            rows.append((algorithm.value, n, rho, report.iterations, _num(report.rel_residual),
+                         _num(rate.rate) if rate else None, "true" if report.converged else "false"))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     with _open_out(args.out) as fh:
         serialize.write_csv(

@@ -239,9 +239,8 @@ class SolveReport:
     solver, "A" and "P" for doubling).  ``step_norms`` holds, on every run, the
     size of the step to each X_k, k >= 1 (see the module docstring).
     ``estimated_rate`` and ``rho_ratio`` (``spectral_radius_ratio`` of X and A)
-    are computed when first read.  ``rel_residual`` is the residual the run took of X,
-    ``residual(problem, X).rel_norm`` bit for bit: inf where X has no Cholesky
-    factor or it overflows, NaN only on a report built by hand.
+    are computed when first read.  ``rel_residual`` is the one the run took of X, bit for bit
+    ``residual(problem, X).rel_norm`` (inf where X is not SPD or it overflows; NaN if hand-built).
     """
 
     X: np.ndarray
@@ -330,6 +329,8 @@ class _Run:
                         self.untested = (self.k, X)
                     continue
                 self.best_res = min(self.best_res, res)
+                if not self.k:  # X_0 = Q is out.X until an X_k is accepted
+                    out.rel_residual = res
                 if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
                     return self.stopped(X, res)
                 if not math.isfinite(res):  # X_k is not accepted
@@ -390,9 +391,10 @@ class _Run:
 
     def failure(self, exc_cls, detail: str):
         """The exception for iteration k, with the report of the last accepted X
-        (an untested one only if its residual, taken now, is finite), whose
-        ``failure`` is the exception's message."""
-        if self.untested and math.isfinite(res := self.residual(self.untested[1])):
+        (an untested one if its residual, taken now, is finite or it is X_0 = Q,
+        the report's X already), whose ``failure`` is the exception's message."""
+        if self.untested and (math.isfinite(res := self.residual(self.untested[1]))
+                              or not self.untested[0]):
             (self.out.iterations, self.out.X), self.out.rel_residual = self.untested, res
         message = f"{self.name}: {detail}"
         return exc_cls(message, report=self.report(False, message), iteration=self.k)
@@ -734,8 +736,8 @@ def estimate_rate(history) -> RateEstimate:
     """Classify a positive, decreasing sequence as linear/quadratic/stalled.
 
     Fits the log of the tail half against k (linear model) and against 2^k
-    (quadratic model) and reports the better fit; the linear rate comes from
-    the last two ratios, sqrt(v[-1] / v[-3]).  The sequence ends at
+    (quadratic model) and reports the better fit; the linear rate is the
+    geometric mean of successive ratios over the tail.  The sequence ends at
     its first entry that is not finite and positive (exact convergence and an
     overflow carry no information).  Raises :class:`InsufficientHistory` for
     fewer than 4 usable entries.
@@ -757,7 +759,7 @@ def estimate_rate(history) -> RateEstimate:
     sse_quad = _fit_sse(doubling, logs)
     if sse_quad < sse_lin:
         return RateEstimate("quadratic", None)
-    return RateEstimate("linear", math.sqrt(vals[-1] / vals[-3]))
+    return RateEstimate("linear", gmean)
 
 
 def write_history_csv(report: SolveReport, path) -> None:
