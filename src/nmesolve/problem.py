@@ -31,6 +31,7 @@ from . import serialize
 from .exceptions import (
     DimensionMismatch,
     EigensolverFailure,
+    NmeError,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSSF2Pencil,
@@ -70,6 +71,11 @@ SYMMETRY_RTOL = 1e-12
 #: sqrt(eps * condition), and an extra critical angle costs one evaluation of
 #: psi but cannot change a correct verdict or a null vector of psi.
 UNIMODULAR_RTOL = 1e-4
+
+#: The order from which ``_critical_angles`` solves before any QZ.  Below it the QZ alone
+#: is the cheaper cold verdict at rho = 1 (one thread, Intel Xeon: 1.1 against 1.2 ms at
+#: n = 28, 1.3 both at n = 30, 11.8 against 4.5 at n = 64).
+SOLVE_FIRST_N = 30
 
 #: A pencil factor F with max |Im F| <= REAL_RTOL * ||F||_F is stored real.
 REAL_RTOL = 1e-10
@@ -462,18 +468,25 @@ def _crossings(A: np.ndarray, Q: np.ndarray):
     return not np.any(negligible), np.unique(np.abs(np.angle(mu)))
 
 
-#: The last ``_critical_angles`` result, read-only.  One entry: enough for
-#: ``detect_unimodular`` after ``solvability_check`` of one (A, Q) to share it.
+#: The last ``_critical_angles`` result (of its solve or its fallback QZ), read-only.
+#: One entry: enough for ``detect_unimodular`` after ``solvability_check`` to share it.
 _last_qz = None
 
 
+def _eig_error(A: np.ndarray, Q: np.ndarray) -> float:
+    """eigvalsh's error on psi: about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||."""
+    return A.shape[0] * np.finfo(float).eps * (fro_norm(Q) + 2.0 * fro_norm(A))
+
+
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
-    """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``:
-    scale the ``_pow2_scale`` of max |A|, |Q|, regular and the angles from
-    ``_crossings`` of the scaled pair, points 0, the angles and pi, unique,
-    and spectra psi's eigenvalues at each angle, then at each arc midpoint of
-    points.  The last result is remembered and, when the scale and the bits of
-    the scaled pair equal it, returned as the QZ would give it again, read-only."""
+    """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``: scale the
+    ``_pow2_scale`` of max |A|, |Q|; for the scaled pair, regular and the angles in
+    [0, pi], unique, where psi is singular on the circle, from a solve that certifies
+    them (see :func:`solvability_check`) or else, and below :data:`SOLVE_FIRST_N`,
+    ``_crossings``' QZ; points 0, the angles and pi, unique; spectra psi's eigenvalues
+    at each angle, then at each arc midpoint.  The last result is remembered and, when
+    the scale and the bits of the scaled pair equal it, returned as if redone, read-only."""
+    from .solvers import solve_sda  # solvers imports this module
     global _last_qz
     scale, A, Q = _unit_scaled(A, Q)
     last = _last_qz
@@ -481,9 +494,22 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
     if (last is not None and last[0] == scale and last[1].tobytes() == A.tobytes()
             and last[2].tobytes() == Q.tobytes()):
         return last
-    regular, angles = _crossings(A, Q)
-    points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
-    spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
+    regular = False
+    try:
+        rep = solve_sda(new_problem(A, Q)) if A.shape[0] >= SOLVE_FIRST_N else None
+        if rep is not None and rep.rel_residual * fro_norm(Q) <= SOLVABILITY_TOL:
+            lam = np.linalg.eigvals(_candidate_w(A, rep.X)[1])
+            near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_RTOL * np.maximum(np.abs(lam), 1.0)
+            angles = np.unique(np.abs(np.angle(-lam[near])))  # _crossings' test, with beta = 1
+            points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
+            spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
+            regular = bool(spectra[:, 0].max() > _eig_error(A, Q))  # psi nonsingular at one angle
+    except (NmeError, np.linalg.LinAlgError):
+        pass
+    if not regular:  # the fallback
+        regular, angles = _crossings(A, Q)
+        points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
+        spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
     for F in (A, Q, angles, points, spectra):
         F.flags.writeable = False
     _last_qz = scale, A, Q, regular, angles, points, spectra
@@ -504,23 +530,27 @@ def _level_min(A: np.ndarray, Q: np.ndarray, low: float, ftol: float) -> float:
 
 
 def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
-    """Decide whether the maximal solution X+ exists, from the pencil.
+    """Decide whether the maximal solution X+ exists.
 
     X+ exists iff psi(e^{i theta}) is positive semidefinite on the whole
     unit circle (Engwerda, Ran & Rijkeboer, LAA 186, 1993).  Its smallest
-    eigenvalue can change sign only where psi is singular, and since
-    det(M - lambda L) = +-lambda^n det psi(-1/lambda), psi is singular on the
-    circle exactly at mu = -conj(lambda) for the unimodular eigenvalues
-    lambda of the SSF-2 pencil.  One real QZ of the pencil gives these
-    critical angles; psi(e^{-i theta}) = conj psi(e^{i theta}), so they fold
-    into [0, pi].  On each arc between them lambda_min(psi) keeps its sign,
-    so v, its least value at the critical angles and the arc midpoints,
-    decides: NOT_SOLVABLE when v < -SOLVABILITY_TOL; otherwise SOLVABLE when
-    the pencil is regular (no eigenvalue pair (alpha, beta) with both entries
-    negligible), INCONCLUSIVE when it is not.  Where v is below minus
-    eigvalsh's error but not below -SOLVABILITY_TOL, or the pencil is
-    singular (psi singular everywhere), ``min_eig_on_circle`` decides in v's
-    place; elsewhere it is computed when first read.  It is found by the
+    eigenvalue can change sign only where psi is singular: for an SPD X with
+    residual R and S = X^{-1} A, psi(mu) = (I + S^T / mu) X (I + mu S) + R, so
+    where ``solve_sda`` reaches ||R||_F <= SOLVABILITY_TOL these critical angles
+    are those of mu = -1/lambda for the unimodular eigenvalues lambda of S, and
+    psi nonsingular at one angle taken shows the pencil regular.  Elsewhere,
+    and below order SOLVE_FIRST_N, one real QZ of the SSF-2 pencil is the
+    fallback: det(M - lambda L) = +-lambda^n det psi(-1/lambda) puts them at
+    mu = -conj(lambda) for its unimodular eigenvalues lambda, and the pencil is
+    regular when no pair (alpha, beta) has both entries negligible.  As
+    psi(e^{-i theta}) = conj psi(e^{i theta}), the angles fold into [0, pi].
+    On each arc between them lambda_min(psi) keeps its sign, so v, its least
+    value at the critical angles and the arc midpoints, decides: NOT_SOLVABLE
+    when v < -SOLVABILITY_TOL; otherwise SOLVABLE when the pencil is regular,
+    INCONCLUSIVE when it is not.  Where v is below minus eigvalsh's error but
+    not below -SOLVABILITY_TOL, or the pencil is singular (psi singular
+    everywhere), ``min_eig_on_circle`` decides in v's place; elsewhere it is
+    computed when first read.  It is found by the
     level-set iteration (Boyd & Balakrishnan; Bruinsma & Steinbuch, Syst.
     Control Lett. 15 and 14, 1990): from l, the least of v and lambda_min(psi)
     at 0 and pi, each step takes the angles where psi - l I is singular, from
@@ -530,14 +560,11 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
     An arc below l is bounded by such angles, so the minimum is global.
 
     A and Q are first divided by the power of two s with max |A|, |Q| / s in
-    [1, 2), so the tolerance is relative to that scale and (A, Q) ->
-    (2^k A, 2^k Q) keeps the verdict and scales the minimum by 2^k.  A failed
-    QZ raises EigensolverFailure; the QZ and psi's spectra on the arcs come
-    from ``_critical_angles``, as in ``detect_unimodular``."""
+    [1, 2), so the tolerance is relative to that scale and (A, Q) -> (2^k A,
+    2^k Q) keeps the verdict and scales the minimum by 2^k.  A failed QZ raises
+    EigensolverFailure; the angles and arcs come from ``_critical_angles``."""
     scale, A, Q, regular, _, _, spectra = _critical_angles(problem.A, problem.Q)
-    on_arcs = float(spectra[:, 0].min())
-    # eigvalsh's error is about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||
-    ftol = A.shape[0] * np.finfo(float).eps * (fro_norm(Q) + 2.0 * fro_norm(A))
+    on_arcs, ftol = float(spectra[:, 0].min()), _eig_error(A, Q)
     known = -SOLVABILITY_TOL <= on_arcs and (on_arcs < -ftol or not regular)
     low = _level_min(A, Q, on_arcs, ftol) if known else on_arcs
     verdict = (Verdict.NOT_SOLVABLE if low < -SOLVABILITY_TOL

@@ -14,7 +14,8 @@ satisfying R1^T V = LambdaHat - Lambda and R2^T V = 0,
 
 moves exactly the designated eigenvalues and keeps the rest.  The unimodular
 eigenvalues of an SSF-2 pencil and their eigenvectors come from the null
-vectors of psi at the critical angles of one QZ (``detect_unimodular``).
+vectors of psi at the critical angles of a certified solve, or else of one
+QZ (``detect_unimodular``).
 
 The critical equation, where S = X_+^{-1} A has an eigenvalue +-1 and every
 solver slows to linear rate 1/2, is shifted on (A, Q) itself: the null vectors
@@ -251,14 +252,15 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     With (A, Q, P) = ``ssf2_blocks(pencil)``, M v = lambda L v for v = [x;
     A x / lambda + P x] exactly when psi(mu) x = 0, with mu = -1/lambda and
     psi(mu) = Q - P + mu A + mu^{-1} A^T.  The points searched are 0, pi and
-    the critical angles of ``solvability_check``'s QZ; adjacent points are one
+    the critical angles of ``solvability_check``: those of a solve whose
+    residual certifies them, or else of the fallback QZ; adjacent points are one
     when psi is singular half way between them (a defective pair's two
     computed values), and a point that reaches 0 or pi is that end, where
     lambda is real.  At each point the eigenvectors x of psi for eigenvalues
     within :data:`NULL_RTOL` * (||Q - P||_F + 2 ||A||_F) of zero give lambda,
     and inside (0, pi) conj(x) gives conj(lambda).  A defective pair counts
     once, as its null space is a line.  The analysis runs on (A, Q - P) scaled
-    by a power of two, so it is homogeneous.  The QZ, the points and psi's
+    by a power of two, so it is homogeneous.  The angles, the points and psi's
     spectra at the arc midpoints come from ``problem._critical_angles``: right
     after ``solvability_check`` of the same (A, Q) they are read, not redone.
     A complex or non-SSF-2 pencil raises :class:`NotSSF2Pencil`."""

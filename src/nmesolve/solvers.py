@@ -737,10 +737,11 @@ def estimate_rate(history) -> RateEstimate:
 
     Fits the log of the tail half against k (linear model) and against 2^k
     (quadratic model) and reports the better fit; the linear rate is the
-    geometric mean of successive ratios over the tail.  The sequence ends at
-    its first entry that is not finite and positive (exact convergence and an
-    overflow carry no information).  Raises :class:`InsufficientHistory` for
-    fewer than 4 usable entries.
+    geometric mean of successive ratios over the tail; a mean of STALL_RATIO or
+    more, or last two ratios both above 1 (a growing tail), is stalled.  The
+    sequence ends at its first entry that is not finite and positive (exact
+    convergence and an overflow carry no information).  Raises
+    :class:`InsufficientHistory` for fewer than 4 usable entries.
     """
     vals = np.asarray([float(v) for v in history], dtype=float)
     bad = np.nonzero(~((vals > 0) & (vals < math.inf)))[0]
@@ -752,7 +753,7 @@ def estimate_rate(history) -> RateEstimate:
     kk = np.arange(start, vals.size, dtype=float)
     logs = np.log(vals[start:])
     gmean = math.exp((logs[-1] - logs[0]) / (logs.size - 1))
-    if gmean >= STALL_RATIO:
+    if gmean >= STALL_RATIO or vals[-1] > vals[-2] > vals[-3]:
         return RateEstimate("stalled", None)
     sse_lin = _fit_sse(kk, logs)
     doubling = np.power(2.0, np.minimum(kk - kk[0], 1020.0))

@@ -23,7 +23,14 @@ the grids are
   seeds 0-1, with A and Q multiplied by 2^k for k in {-1030, -600, 600, 1000},
   ``record_history`` off only (192 cells): (A, Q) -> (2^k A, 2^k Q) maps X to
   2^k X, so a cell that leaves its unit twin's class or iteration count shows
-  a homogeneity regression, also where max|Q| is subnormal.
+  a homogeneity regression, also where max|Q| is subnormal;
+- ``verdict``: the problem-layer analysis, not a solver, on ``generate_problem``
+  at n in {1, 2, 8, 32, 64, 128}, the four rho and seeds 0-4, each as (A, Q),
+  (-A, Q) and (A, Q / 2), plus ``nonnormal_planted`` at n in {8, 32}, eta in
+  {1, 3}, rho in {.9, .999, 1} and seeds 0-3 (408 cells).  Its record is the
+  verdict of ``solvability_check``, ``regular``, the hex bits of
+  ``min_eig_on_circle`` and a SHA-256 of ``detect_unimodular``'s eigenvalues and
+  eigenvectors of the pencil (each an exception's class where one is raised).
 
 Given BASE.json, a file this script wrote for another checkout, it prints
 each cell whose record differs, then the moved cells of each grid, and of
@@ -48,7 +55,7 @@ import nmesolve as nme  # noqa: E402
 from helpers import nonnormal_planted  # noqa: E402
 
 SOLVERS = (nme.solve_fixed_point, nme.solve_inversion_free, nme.solve_newton, nme.solve_sda)
-GRIDS = ("planted", "nonnormal", "edge", "large", "scale")
+GRIDS = ("planted", "nonnormal", "edge", "large", "scale", "verdict")
 RHOS = (0.5, 0.9, 0.999, 1.0)
 
 
@@ -106,11 +113,44 @@ def outcome(solver, problem, record_history: bool) -> list:
     return ["converged", report.iterations, x_hash(report.X)]
 
 
+def verdict_problems():
+    """(name, problem) of the ``verdict`` grid."""
+    for n in (1, 2, 8, 32, 64, 128):
+        for rho in RHOS:
+            for seed in range(5):
+                p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed)).problem
+                for variant, A, Q in (("a", p.A, p.Q), ("neg-a", -p.A, p.Q), ("half-q", p.A, p.Q / 2)):
+                    yield f"verdict/n={n}/rho={rho}/seed={seed}/{variant}", nme.new_problem(A, Q)
+    for n in (8, 32):
+        for eta in (1.0, 3.0):
+            for rho in RHOS[1:]:
+                for seed in range(4):
+                    yield (f"verdict/nonnormal/n={n}/eta={eta}/rho={rho}/seed={seed}",
+                           nonnormal_planted(n, rho, eta, seed)[0])
+
+
+def analysis(problem) -> list:
+    """[verdict, regular, min_eig_on_circle's hex bits, detect_unimodular's hash]."""
+    try:
+        check = nme.solvability_check(problem)
+        record = [check.verdict.value, check.regular, check.min_eig_on_circle.hex()]
+    except Exception as exc:  # noqa: BLE001 - a raw error is an outcome too
+        record = [type(exc).__name__, None, None]
+    try:
+        found = nme.detect_unimodular(nme.build_pencil(problem))
+        digest = hashlib.sha256(x_hash(found.eigenvalues.view(float)).encode())
+        digest.update(x_hash(found.eigenvectors.view(float)).encode())
+        return record + [digest.hexdigest()]
+    except Exception as exc:  # noqa: BLE001
+        return record + [type(exc).__name__]
+
+
 def grid() -> dict:
-    return {f"{name}/{solver.__name__}/history={int(history)}": outcome(solver, problem, history)
-            for name, problem in problems()
-            for solver in ((nme.solve_sda,) if name.startswith("large/") else SOLVERS)
-            for history in ((False,) if name.startswith("scale/") else (False, True))}
+    cells = {f"{name}/{solver.__name__}/history={int(history)}": outcome(solver, problem, history)
+             for name, problem in problems()
+             for solver in ((nme.solve_sda,) if name.startswith("large/") else SOLVERS)
+             for history in ((False,) if name.startswith("scale/") else (False, True))}
+    return cells | {name: analysis(problem) for name, problem in verdict_problems()}
 
 
 def main(argv: list[str]) -> int:

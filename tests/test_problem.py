@@ -15,6 +15,7 @@ from nmesolve import problem as problem_module
 from nmesolve import solvers
 from nmesolve.exceptions import (
     DimensionMismatch,
+    EigensolverFailure,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
@@ -636,17 +637,20 @@ class TestSolvabilityCheck:
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_verdict_runs_no_grid(self, monkeypatch, n):
-        # one QZ and one stacked eigvalsh of psi at the critical angles and arc
-        # midpoints decide; the first read of the minimum takes psi at 0 and pi,
-        # then one QZ and one stacked eigvalsh a level; the second runs nothing
+        # a verdict the solve certifies (from order SOLVE_FIRST_N) runs no 2n-by-2n
+        # QZ, and below it one QZ runs: then one stacked eigvalsh of psi at the
+        # critical angles and arc midpoints decides; the first read of the
+        # minimum takes psi at 0 and pi, then one QZ and one stacked eigvalsh a
+        # level; the second runs nothing
         calls = self._eigensolver_calls(monkeypatch)
         v = nme.solvability_check(
             nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem)
         assert v.verdict is nme.Verdict.SOLVABLE
-        assert calls == ["eigvals", "eigvalsh"]
+        verdict = ([] if n >= problem_module.SOLVE_FIRST_N else ["eigvals"]) + ["eigvalsh"]
+        assert calls == verdict
         first = v.min_eig_on_circle
-        levels = calls.count("eigvals") - 1
-        assert levels >= 1 and calls[2:] == ["eigvalsh"] + ["eigvals", "eigvalsh"] * levels
+        levels = calls.count("eigvals") - verdict.count("eigvals")
+        assert levels >= 1 and calls[len(verdict):] == ["eigvalsh"] + ["eigvals", "eigvalsh"] * levels
         calls.clear()
         assert same_bits(v.min_eig_on_circle, first)
         assert calls == []
@@ -669,13 +673,22 @@ class TestSolvabilityCheck:
 
     @classmethod
     def _count_refinement(cls, monkeypatch, p):
-        # the verdict's QZ (with no remembered QZ of this pair) is the first;
-        # every later one is a level of the level-set iteration
+        # the QZs that _level_min runs, each a level of the level-set iteration;
+        # the verdict's own QZ, where its solve does not certify it, is not one
         calls = cls._eigensolver_calls(monkeypatch)
+        levels = []
+
+        def counted(*args, real=problem_module._level_min):
+            start = calls.count("eigvals")
+            low = real(*args)
+            levels.append(calls.count("eigvals") - start)
+            return low
+
+        monkeypatch.setattr(problem_module, "_level_min", counted)
         verdict = nme.solvability_check(p)
         verdict.min_eig_on_circle  # the level-set iteration runs by the time it is read
         monkeypatch.undo()
-        return verdict, calls.count("eigvals") - 1
+        return verdict, sum(levels)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [1, 8, 32])
@@ -733,6 +746,110 @@ class TestSolvabilityCheck:
         # the sample misses the minimum by at most about 4e-8 of its value
         assert dense * (1.0 - 1e-6) <= v.min_eig_on_circle <= dense
         assert evaluations <= 6
+
+
+class TestCriticalAngles:
+    """From order ``SOLVE_FIRST_N`` on, ``problem._critical_angles`` takes the
+    angles from a solve whose residual certifies them, and falls back on the QZ
+    of ``_crossings`` elsewhere; below that order the QZ runs alone."""
+
+    @staticmethod
+    def _qzs(monkeypatch):
+        """The QZs run from now on, with no remembered analysis."""
+        calls = count_calls(monkeypatch, "eigvals")
+        monkeypatch.setattr(problem_module, "_last_qz", None)
+        return calls
+
+    @pytest.mark.parametrize("n", [problem_module.SOLVE_FIRST_N, 32, 64])
+    def test_certified_angles_are_the_qz_angles(self, monkeypatch, n):
+        # the unimodular eigenvalues of X^{-1} A put psi's singular angles where
+        # the QZ of the pencil puts them, up to the scatter of a defective pair
+        qzs = self._qzs(monkeypatch)
+        for seed in range(5):
+            p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed)).problem
+            for A in (p.A, -p.A):
+                _, As, Qs, regular, angles, _, _ = problem_module._critical_angles(A, p.Q)
+                assert regular and angles.size and qzs["eigvals"] == 0
+                gaps = np.abs(np.subtract.outer(angles, problem_module._crossings(As, Qs)[1]))
+                qzs["eigvals"] = 0
+                assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-6, seed
+
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    def test_certified_angles_of_rotations(self, monkeypatch, rho):
+        # A = rho diag(R(theta_k)), Q = (1 + rho^2) I: X_+ = I and S = A, whose
+        # eigenvalues rho e^{+-i theta_k} put psi's singular angles at pi - theta_k
+        # for rho = 1, and nowhere for rho < 1
+        thetas = 0.1 + 0.19 * np.arange(16)
+        A = rho * scipy.linalg.block_diag(*(np.array([[math.cos(t), -math.sin(t)],
+                                                      [math.sin(t), math.cos(t)]]) for t in thetas))
+        qzs = self._qzs(monkeypatch)
+        _, _, _, regular, angles, _, _ = problem_module._critical_angles(A, (1 + rho**2) * np.eye(32))
+        assert regular and qzs["eigvals"] == 0
+        expected = np.sort(math.pi - thetas) if rho == 1.0 else np.empty(0)
+        assert angles.shape == expected.shape and np.allclose(angles, expected, rtol=0, atol=1e-6)
+
+    def test_below_the_order_the_qz_runs_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solvers, "solve_sda", lambda *args, **kwargs: calls.append(1))
+        qzs = self._qzs(monkeypatch)
+        n = problem_module.SOLVE_FIRST_N - 1
+        p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem
+        assert nme.solvability_check(p).verdict is nme.Verdict.SOLVABLE
+        assert calls == [] and qzs["eigvals"] == 1
+
+    def test_failed_solve_falls_back(self, monkeypatch):
+        # doubling breaks down on the unsolvable (A, Q / 2): the QZ decides
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
+        qzs = self._qzs(monkeypatch)
+        v = nme.solvability_check(nme.new_problem(p.A, p.Q / 2.0))
+        assert v.verdict is nme.Verdict.NOT_SOLVABLE and v.regular
+        assert qzs["eigvals"] == 1
+
+    def test_large_residual_falls_back(self, monkeypatch):
+        # a solve whose residual is above SOLVABILITY_TOL certifies nothing
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
+        expected = nme.solvability_check(p)
+        real = solvers.solve_sda
+
+        def loose(problem, *args, **kwargs):
+            rep = real(problem, *args, **kwargs)
+            rep.rel_residual = 2.0 * problem_module.SOLVABILITY_TOL / problem_module.fro_norm(problem.Q)
+            return rep
+
+        monkeypatch.setattr(solvers, "solve_sda", loose)
+        qzs = self._qzs(monkeypatch)
+        v = nme.solvability_check(p)
+        assert qzs["eigvals"] == 1
+        assert v == expected
+
+    def test_no_certified_regularity_falls_back(self, monkeypatch):
+        # A = 0 solves at X = Q, but lambda_min(psi) = 1e-20 at every angle taken
+        # is below eigvalsh's error: the QZ decides regularity
+        n = problem_module.SOLVE_FIRST_N
+        qzs = self._qzs(monkeypatch)
+        _, _, _, regular, _, _, _ = problem_module._critical_angles(
+            np.zeros((n, n)), np.diag([1.0] * (n - 1) + [1e-20]))
+        assert qzs["eigvals"] == 1 and not regular
+
+    def test_eigvals_failure_falls_back(self, monkeypatch):
+        # an n-by-n eigvals that does not converge leaves the answer to the QZ;
+        # where the QZ fails too, the error is typed
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
+        expected = nme.solvability_check(p)
+        found = nme.detect_unimodular(nme.build_pencil(p))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        qzs = self._qzs(monkeypatch)
+        assert nme.solvability_check(p) == expected and qzs["eigvals"] == 1
+        again = nme.detect_unimodular(nme.build_pencil(p))
+        assert np.array_equal(again.eigenvalues, found.eigenvalues)
+        monkeypatch.setattr(scipy.linalg, "eigvals", failing)
+        monkeypatch.setattr(problem_module, "_last_qz", None)
+        with pytest.raises(EigensolverFailure, match="did not converge"):
+            nme.solvability_check(p)
 
 
 class TestSpectralRadiusRatio:

@@ -501,13 +501,15 @@ class TestDetectUnimodular:
             assert np.array_equal(scaled.eigenvectors[n:] * 2.0 ** -k, base.eigenvectors[n:])
 
     def test_qz_failure_is_typed(self, monkeypatch):
-        # scipy raises LinAlgError when the QZ (dggev) returns info > 0
+        # scipy raises LinAlgError when the QZ (dggev) returns info > 0; the
+        # unsolvable (1, 1) is below SOLVE_FIRST_N, and its doubling would break
+        # down, so its analysis runs the QZ
         def failing_eigvals(*args, **kwargs):
             raise np.linalg.LinAlgError("generalized eig algorithm did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvals", failing_eigvals)
-        monkeypatch.setattr(nme.problem, "_last_qz", None)  # no remembered QZ of this pair
-        p = nme.new_problem([[1.0]], [[2.0]])
+        monkeypatch.setattr(nme.problem, "_last_qz", None)  # no remembered analysis of this pair
+        p = nme.new_problem([[1.0]], [[1.0]])
         with pytest.raises(EigensolverFailure, match="did not converge"):
             nme.solvability_check(p)
         with pytest.raises(EigensolverFailure, match="did not converge"):
@@ -579,36 +581,47 @@ def planted_critical(n, seed):
     return nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed)).problem
 
 
+def counting(calls: list, name: str, real):
+    """real, which appends name to calls on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapper
+
+
 class TestOneQZ:
-    """``solvability_check`` and ``detect_unimodular`` of one (A, Q) share
-    the QZ that ``problem._critical_angles`` remembers."""
+    """``solvability_check`` and ``detect_unimodular`` of one (A, Q) share the
+    analysis that ``problem._critical_angles`` remembers: its solve, and the
+    QZ where it falls back on one."""
 
     def test_one_qz_per_pair(self, monkeypatch):
+        # each analysis of a pair starts with one solve
         calls = []
-        eigvals = scipy.linalg.eigvals
-
-        def counting_eigvals(*args, **kwargs):
-            calls.append(1)
-            return eigvals(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigvals", counting_eigvals)
+        for module, name in ((nme.solvers, "solve_sda"), (scipy.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
         monkeypatch.setattr(nme.problem, "_last_qz", None)
-        p = planted_critical(8, 4242)
+        p = planted_critical(32, 4242)
         pen = nme.build_pencil(p)
         nme.solvability_check(p)
         nme.detect_unimodular(pen)
-        assert len(calls) == 1
+        assert calls == ["solve_sda"]
         # one ulp in one entry of Q is another pair
         Q = p.Q.copy()
         Q[0, 0] = np.nextafter(Q[0, 0], math.inf)
         nme.solvability_check(nme.new_problem(p.A, Q))
-        assert len(calls) == 2
-        # P != 0 changes Q - P
+        assert calls == ["solve_sda"] * 2
+        # P != 0 changes Q - P, and Q - 1e-3 I is no longer solvable: the
+        # analysis falls back on the QZ
         n = p.n
         L = pen.L.copy()
         L[:n, :n] = -1e-3 * np.eye(n)
         nme.detect_unimodular(nme.SymplecticPencil(pen.M, L))
-        assert len(calls) == 3
+        assert calls == ["solve_sda"] * 3 + ["eigvals"]
+        # the unsolvable (A, Q / 2) falls back on one QZ, which detection shares
+        q = nme.new_problem(p.A, p.Q / 2.0)
+        nme.solvability_check(q)
+        nme.detect_unimodular(nme.build_pencil(q))
+        assert calls == ["solve_sda"] * 3 + ["eigvals", "solve_sda", "eigvals"]
 
     @pytest.mark.parametrize("n,normal", [(8, True), (32, True), (8, False)])
     def test_hit_is_exact(self, n, normal, monkeypatch):
@@ -627,21 +640,15 @@ class TestOneQZ:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_detect_after_check_runs_no_eigensolver(self, monkeypatch):
-        # the QZ and psi's spectra on the arcs are read from the remembered entry
+        # the analysis and psi's spectra on the arcs are read from the remembered entry
         calls = []
-
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return wrapper
-
-        for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eigvals")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigvals"),
+                             (scipy.linalg, "eigvals"), (nme.solvers, "solve_sda")):
+            monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
         monkeypatch.setattr(nme.problem, "_last_qz", None)
         p = planted_critical(32, 4242)
         nme.solvability_check(p)
-        assert calls.count("eigvals") == 1 and "eigvalsh" in calls
+        assert calls.count("solve_sda") == 1 and "eigvalsh" in calls
         calls.clear()
         assert nme.detect_unimodular(nme.build_pencil(p)).eigenvalues.tolist() == [1.0]
         assert calls == []

@@ -1374,6 +1374,13 @@ class TestEstimateRate:
         est = nme.estimate_rate([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         assert est.kind == "stalled"
 
+    def test_growing_tail_is_stalled(self):
+        # the tail half's mean ratio is below STALL_RATIO, but the last two steps grew
+        decay = [2.0 ** -k for k in range(12)]
+        assert nme.estimate_rate(decay + [2.0 ** -10, 2.0 ** -9]).kind == "stalled"
+        # one grown step is not yet a growing tail
+        assert nme.estimate_rate(decay + [2.0 ** -10]).kind == "linear"
+
     def test_fixed_point_rate_matches_contraction(self):
         p = nme.new_problem(scalar(0.9), scalar(2.0))
         rep = nme.solve_fixed_point(p, nme.SolverConfig(record_history=True))

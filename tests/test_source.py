@@ -130,6 +130,22 @@ def test_min_on_circle_by_level_sets():
             if any(name in text for text in texts.values())] == []
 
 
+def test_qz_is_the_fallback_of_the_critical_angles():
+    # _critical_angles solves first and runs _crossings' QZ only where the solve
+    # does not certify the angles; problem.py keeps its one QZ call in _crossings
+    fn = _function("problem.py", "_critical_angles")
+    crossings = [node for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "_crossings"]
+    fallback = [node for node in ast.walk(fn)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "not regular"]
+    assert len(crossings) == 1 and len(fallback) == 1
+    assert any(node is crossings[0] for node in ast.walk(fallback[0]))
+    solve = next(node for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "solve_sda")
+    assert solve.lineno < fallback[0].lineno
+    assert (SRC / "problem.py").read_text().count("scipy.linalg.eigvals(") == 1
+
+
 def test_one_float_format():
     # every file and text line writes floats as repr, through json.dumps in
     # serialize or an !r / %r format; a .17g beside them would fork the format
