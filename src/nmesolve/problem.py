@@ -320,9 +320,9 @@ def _candidate(A: np.ndarray, X) -> np.ndarray:
 
 def _candidate_w(A: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
     """Validate an SPD candidate X; returns Xs = (X + X^T)/2 and W = Xs^{-1} A by
-    ``cho_solve`` (``dpotrs``) on the Cholesky factor that tests Xs."""
+    ``cho_solve`` (``dpotrs``) on the Cholesky factor that tests Xs; NaN or inf in A shows in W."""
     Xs = _candidate(A, X)
-    return Xs, cho_solve((_cholesky(Xs, "X"), True), A)
+    return Xs, cho_solve((_cholesky(Xs, "X"), True), A, check_finite=False)
 
 
 def cholesky_residual(A: np.ndarray, Q: np.ndarray, X: np.ndarray, q_fro: float,
@@ -468,11 +468,6 @@ def _crossings(A: np.ndarray, Q: np.ndarray):
     return not np.any(negligible), np.unique(np.abs(np.angle(mu)))
 
 
-#: The last ``_critical_angles`` result (of its solve or its fallback QZ), read-only.
-#: One entry: enough for ``detect_unimodular`` after ``solvability_check`` to share it.
-_last_qz = None
-
-
 def _eig_error(A: np.ndarray, Q: np.ndarray) -> float:
     """eigvalsh's error on psi: about n eps ||psi||, and ||psi|| <= ||Q|| + 2 ||A||."""
     return A.shape[0] * np.finfo(float).eps * (fro_norm(Q) + 2.0 * fro_norm(A))
@@ -480,23 +475,24 @@ def _eig_error(A: np.ndarray, Q: np.ndarray) -> float:
 
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
     """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``: scale the
-    ``_pow2_scale`` of max |A|, |Q|; for the scaled pair, regular and the angles in
-    [0, pi], unique, where psi is singular on the circle, from a solve that certifies
-    them (see :func:`solvability_check`) or else, and below :data:`SOLVE_FIRST_N`,
-    ``_crossings``' QZ; points 0, the angles and pi, unique; spectra psi's eigenvalues
-    at each angle, then at each arc midpoint.  The last result is remembered and, when
-    the scale and the bits of the scaled pair equal it, returned as if redone, read-only."""
-    from .solvers import solve_sda  # solvers imports this module
-    global _last_qz
+    ``_pow2_scale`` of max |A|, |Q|; the rest ``_psi_analysis`` of the scaled pair, kept for
+    the last pair: by its bits, not values, as -0.0 == 0.0 but the QZ may tell them apart."""
     scale, A, Q = _unit_scaled(A, Q)
-    last = _last_qz
-    # bits, not values: -0.0 == 0.0, but the QZ may tell them apart
-    if (last is not None and last[0] == scale and last[1].tobytes() == A.tobytes()
-            and last[2].tobytes() == Q.tobytes()):
-        return last
+    return _psi_analysis(scale, A.tobytes(), Q.tobytes(), A.shape[0])
+
+
+@functools.lru_cache(maxsize=1)  # enough for detect_unimodular after solvability_check
+def _psi_analysis(scale: float, A: bytes, Q: bytes, n: int):
+    """``_critical_angles`` of the read-only scaled pair whose C-order bytes are A, Q: for
+    it, regular and the angles in [0, pi], unique, where psi is singular on the circle,
+    from a solve that certifies them (see :func:`solvability_check`) or else, and below
+    :data:`SOLVE_FIRST_N`, ``_crossings``' QZ; points 0, the angles and pi, unique;
+    spectra psi's eigenvalues at each angle, then at each arc midpoint; all read-only."""
+    from .solvers import solve_sda  # solvers imports this module
+    A, Q = (np.frombuffer(F).reshape(n, n) for F in (A, Q))
     regular = False
     try:
-        rep = solve_sda(new_problem(A, Q)) if A.shape[0] >= SOLVE_FIRST_N else None
+        rep = solve_sda(new_problem(A, Q)) if n >= SOLVE_FIRST_N else None
         if rep is not None and rep.rel_residual * fro_norm(Q) <= SOLVABILITY_TOL:
             lam = np.linalg.eigvals(_candidate_w(A, rep.X)[1])
             near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_RTOL * np.maximum(np.abs(lam), 1.0)
@@ -510,10 +506,9 @@ def _critical_angles(A: np.ndarray, Q: np.ndarray):
         regular, angles = _crossings(A, Q)
         points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
         spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
-    for F in (A, Q, angles, points, spectra):
+    for F in (angles, points, spectra):
         F.flags.writeable = False
-    _last_qz = scale, A, Q, regular, angles, points, spectra
-    return _last_qz
+    return scale, A, Q, regular, angles, points, spectra
 
 
 def _level_min(A: np.ndarray, Q: np.ndarray, low: float, ftol: float) -> float:

@@ -261,8 +261,9 @@ def detect_unimodular(pencil: SymplecticPencil) -> UnimodularReport:
     and inside (0, pi) conj(x) gives conj(lambda).  A defective pair counts
     once, as its null space is a line.  The analysis runs on (A, Q - P) scaled
     by a power of two, so it is homogeneous.  The angles, the points and psi's
-    spectra at the arc midpoints come from ``problem._critical_angles``: right
-    after ``solvability_check`` of the same (A, Q) they are read, not redone.
+    spectra at the arc midpoints come from ``problem._critical_angles``, whose
+    one-entry ``lru_cache`` holds them right after ``solvability_check`` of the
+    same (A, Q - P): read, not redone.
     A complex or non-SSF-2 pencil raises :class:`NotSSF2Pencil`."""
     A, Q, P = ssf2_blocks(pencil)
     _, As, Qs, _, angles, points, spectra = _critical_angles(A, Q - P)

@@ -69,11 +69,10 @@ array it must copy transposed, ``dpotrs`` (in ``cho_solve``) for the W of
 ``ddot`` a Stein doubling step (less a last squaring that cannot change the
 stop) and two ``dgemm`` for its check, into one allocation per call (``ddot``
 also takes its scale ||C||_F and the check's norms), ``scipy.linalg.schur``
-and ``dtgsyl`` for the Stein solves it gives up.  At scalar or n = 8 sizes,
-the dispatch of ``np.linalg.cholesky`` or ``scipy.linalg.lu_solve`` costs
-several times the arithmetic.  Each routine is looked up on its module
-(``scipy.linalg.lapack``, ``.blas`` or ``scipy.linalg``) when it is called,
-never bound at import, so a tracer that wraps the module attribute sees it.
+and ``dtgsyl`` for the Stein solves it gives up.  Each routine is looked up
+on its module (``scipy.linalg.lapack``, ``.blas`` or ``scipy.linalg``) when it
+is called, never bound at import, so a tracer that wraps the module attribute
+sees it.
 """
 
 import functools
@@ -257,7 +256,7 @@ class SolveReport:
 
     @functools.cached_property
     def rho_ratio(self) -> float:
-        """rho(X^{-1} A); NaN when X is not finite or not SPD, X^{-1} A overflows or A is unknown."""
+        """rho(X^{-1} A); NaN when X or A is not finite, X is not SPD, X^{-1} A overflows or A is unknown."""
         if self.A is None:
             return math.nan
         try:

@@ -624,7 +624,7 @@ class TestSolvabilityCheck:
                     == (v.verdict is nme.Verdict.NOT_SOLVABLE))
 
     @staticmethod
-    def _eigensolver_calls(monkeypatch):
+    def _eigensolver_calls(monkeypatch, forget_analysis):
         """The QZs ("eigvals") and stacked eigvalsh calls in order, with no remembered QZ."""
         calls = []
         for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eigvals")):
@@ -632,17 +632,17 @@ class TestSolvabilityCheck:
                 calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(problem_module, "_last_qz", None)
+        forget_analysis()
         return calls
 
     @pytest.mark.parametrize("n", [8, 32])
-    def test_verdict_runs_no_grid(self, monkeypatch, n):
+    def test_verdict_runs_no_grid(self, monkeypatch, forget_analysis, n):
         # a verdict the solve certifies (from order SOLVE_FIRST_N) runs no 2n-by-2n
         # QZ, and below it one QZ runs: then one stacked eigvalsh of psi at the
         # critical angles and arc midpoints decides; the first read of the
         # minimum takes psi at 0 and pi, then one QZ and one stacked eigvalsh a
         # level; the second runs nothing
-        calls = self._eigensolver_calls(monkeypatch)
+        calls = self._eigensolver_calls(monkeypatch, forget_analysis)
         v = nme.solvability_check(
             nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem)
         assert v.verdict is nme.Verdict.SOLVABLE
@@ -655,11 +655,11 @@ class TestSolvabilityCheck:
         assert same_bits(v.min_eig_on_circle, first)
         assert calls == []
 
-    def test_band_decides_by_the_minimum(self, monkeypatch):
+    def test_band_decides_by_the_minimum(self, monkeypatch, forget_analysis):
         # on the arcs lambda_min is above -SOLVABILITY_TOL but below eigvalsh's
         # error; at pi it reads q - 2 < -SOLVABILITY_TOL, and the minimum the
         # check needed is kept
-        calls = self._eigensolver_calls(monkeypatch)
+        calls = self._eigensolver_calls(monkeypatch, forget_analysis)
         v = nme.solvability_check(nme.new_problem([[1.0]], [[2.0 - 1e-10]]))
         assert v.verdict is nme.Verdict.NOT_SOLVABLE
         calls.clear()
@@ -672,10 +672,10 @@ class TestSolvabilityCheck:
         return p, nme.new_problem(p.A, p.Q / 2.0), nme.new_problem(-p.A, p.Q)
 
     @classmethod
-    def _count_refinement(cls, monkeypatch, p):
+    def _count_refinement(cls, monkeypatch, forget_analysis, p):
         # the QZs that _level_min runs, each a level of the level-set iteration;
         # the verdict's own QZ, where its solve does not certify it, is not one
-        calls = cls._eigensolver_calls(monkeypatch)
+        calls = cls._eigensolver_calls(monkeypatch, forget_analysis)
         levels = []
 
         def counted(*args, real=problem_module._level_min):
@@ -693,11 +693,11 @@ class TestSolvabilityCheck:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [1, 8, 32])
     @pytest.mark.parametrize("rho", [0.3, 0.999, 1.0])
-    def test_refinement_evaluations(self, monkeypatch, seed, n, rho):
+    def test_refinement_evaluations(self, monkeypatch, forget_analysis, seed, n, rho):
         # lambda_min of a planted problem is least at 0 or pi, where the
         # iteration starts: one level finds no lower arc
         for p in self._planted_variants(seed, n, rho):
-            assert self._count_refinement(monkeypatch, p)[1] <= 1
+            assert self._count_refinement(monkeypatch, forget_analysis, p)[1] <= 1
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -719,7 +719,7 @@ class TestSolvabilityCheck:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("eta", [1.0, 3.0])
-    def test_nonnormal_against_dense_sample(self, monkeypatch, seed, n, eta):
+    def test_nonnormal_against_dense_sample(self, monkeypatch, forget_analysis, seed, n, eta):
         # lambda_min of these is often least off 0 and pi, and near them it
         # may peak at 0 or pi; the check may not sit above the dense sample
         # by more than roundoff
@@ -727,19 +727,19 @@ class TestSolvabilityCheck:
         for rho in (0.3, 0.9, 0.999):
             p, _ = nonnormal_planted(n=n, rho=rho, eta=eta, seed=seed)
             dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
-            v, evaluations = self._count_refinement(monkeypatch, p)
+            v, evaluations = self._count_refinement(monkeypatch, forget_analysis, p)
             scale = 2.0 ** math.frexp(max(np.max(np.abs(p.A)), np.max(np.abs(p.Q))))[1]
             assert v.min_eig_on_circle <= dense + 1e-14 * scale
             assert v.verdict is nme.Verdict.SOLVABLE
             assert evaluations <= 6
 
     @pytest.mark.parametrize("n, seed", [(8, 2), (32, 3)])
-    def test_interior_minimum_found(self, monkeypatch, n, seed):
+    def test_interior_minimum_found(self, monkeypatch, forget_analysis, n, seed):
         # S = X^{-1} A is not normal here.  At n = 8 lambda_min is least
         # about 0.0224 rad above the grid angle 31 pi / 32; at n = 32 it
         # peaks at pi and is least 0.0234 rad to either side
         p, _ = nonnormal_planted(n=n, rho=0.9, eta=1.0, seed=seed)
-        v, evaluations = self._count_refinement(monkeypatch, p)
+        v, evaluations = self._count_refinement(monkeypatch, forget_analysis, p)
         step = math.pi / 32
         thetas = np.linspace(30 * step, 32 * step, 4097)
         dense = float(problem_module._eigs_on_circle(p.A, p.Q, thetas).min())
@@ -754,17 +754,17 @@ class TestCriticalAngles:
     of ``_crossings`` elsewhere; below that order the QZ runs alone."""
 
     @staticmethod
-    def _qzs(monkeypatch):
+    def _qzs(monkeypatch, forget_analysis):
         """The QZs run from now on, with no remembered analysis."""
         calls = count_calls(monkeypatch, "eigvals")
-        monkeypatch.setattr(problem_module, "_last_qz", None)
+        forget_analysis()
         return calls
 
     @pytest.mark.parametrize("n", [problem_module.SOLVE_FIRST_N, 32, 64])
-    def test_certified_angles_are_the_qz_angles(self, monkeypatch, n):
+    def test_certified_angles_are_the_qz_angles(self, monkeypatch, forget_analysis, n):
         # the unimodular eigenvalues of X^{-1} A put psi's singular angles where
         # the QZ of the pencil puts them, up to the scatter of a defective pair
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         for seed in range(5):
             p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=seed)).problem
             for A in (p.A, -p.A):
@@ -775,37 +775,37 @@ class TestCriticalAngles:
                 assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-6, seed
 
     @pytest.mark.parametrize("rho", [0.9, 1.0])
-    def test_certified_angles_of_rotations(self, monkeypatch, rho):
+    def test_certified_angles_of_rotations(self, monkeypatch, forget_analysis, rho):
         # A = rho diag(R(theta_k)), Q = (1 + rho^2) I: X_+ = I and S = A, whose
         # eigenvalues rho e^{+-i theta_k} put psi's singular angles at pi - theta_k
         # for rho = 1, and nowhere for rho < 1
         thetas = 0.1 + 0.19 * np.arange(16)
         A = rho * scipy.linalg.block_diag(*(np.array([[math.cos(t), -math.sin(t)],
                                                       [math.sin(t), math.cos(t)]]) for t in thetas))
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         _, _, _, regular, angles, _, _ = problem_module._critical_angles(A, (1 + rho**2) * np.eye(32))
         assert regular and qzs["eigvals"] == 0
         expected = np.sort(math.pi - thetas) if rho == 1.0 else np.empty(0)
         assert angles.shape == expected.shape and np.allclose(angles, expected, rtol=0, atol=1e-6)
 
-    def test_below_the_order_the_qz_runs_alone(self, monkeypatch):
+    def test_below_the_order_the_qz_runs_alone(self, monkeypatch, forget_analysis):
         calls = []
         monkeypatch.setattr(solvers, "solve_sda", lambda *args, **kwargs: calls.append(1))
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         n = problem_module.SOLVE_FIRST_N - 1
         p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=7)).problem
         assert nme.solvability_check(p).verdict is nme.Verdict.SOLVABLE
         assert calls == [] and qzs["eigvals"] == 1
 
-    def test_failed_solve_falls_back(self, monkeypatch):
+    def test_failed_solve_falls_back(self, monkeypatch, forget_analysis):
         # doubling breaks down on the unsolvable (A, Q / 2): the QZ decides
         p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         v = nme.solvability_check(nme.new_problem(p.A, p.Q / 2.0))
         assert v.verdict is nme.Verdict.NOT_SOLVABLE and v.regular
         assert qzs["eigvals"] == 1
 
-    def test_large_residual_falls_back(self, monkeypatch):
+    def test_large_residual_falls_back(self, monkeypatch, forget_analysis):
         # a solve whose residual is above SOLVABILITY_TOL certifies nothing
         p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
         expected = nme.solvability_check(p)
@@ -817,21 +817,21 @@ class TestCriticalAngles:
             return rep
 
         monkeypatch.setattr(solvers, "solve_sda", loose)
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         v = nme.solvability_check(p)
         assert qzs["eigvals"] == 1
         assert v == expected
 
-    def test_no_certified_regularity_falls_back(self, monkeypatch):
+    def test_no_certified_regularity_falls_back(self, monkeypatch, forget_analysis):
         # A = 0 solves at X = Q, but lambda_min(psi) = 1e-20 at every angle taken
         # is below eigvalsh's error: the QZ decides regularity
         n = problem_module.SOLVE_FIRST_N
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         _, _, _, regular, _, _, _ = problem_module._critical_angles(
             np.zeros((n, n)), np.diag([1.0] * (n - 1) + [1e-20]))
         assert qzs["eigvals"] == 1 and not regular
 
-    def test_eigvals_failure_falls_back(self, monkeypatch):
+    def test_eigvals_failure_falls_back(self, monkeypatch, forget_analysis):
         # an n-by-n eigvals that does not converge leaves the answer to the QZ;
         # where the QZ fails too, the error is typed
         p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
@@ -842,12 +842,12 @@ class TestCriticalAngles:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", failing)
-        qzs = self._qzs(monkeypatch)
+        qzs = self._qzs(monkeypatch, forget_analysis)
         assert nme.solvability_check(p) == expected and qzs["eigvals"] == 1
         again = nme.detect_unimodular(nme.build_pencil(p))
         assert np.array_equal(again.eigenvalues, found.eigenvalues)
         monkeypatch.setattr(scipy.linalg, "eigvals", failing)
-        monkeypatch.setattr(problem_module, "_last_qz", None)
+        forget_analysis()
         with pytest.raises(EigensolverFailure, match="did not converge"):
             nme.solvability_check(p)
 

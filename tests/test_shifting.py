@@ -500,7 +500,7 @@ class TestDetectUnimodular:
             assert np.array_equal(scaled.eigenvectors[:n], base.eigenvectors[:n])
             assert np.array_equal(scaled.eigenvectors[n:] * 2.0 ** -k, base.eigenvectors[n:])
 
-    def test_qz_failure_is_typed(self, monkeypatch):
+    def test_qz_failure_is_typed(self, monkeypatch, forget_analysis):
         # scipy raises LinAlgError when the QZ (dggev) returns info > 0; the
         # unsolvable (1, 1) is below SOLVE_FIRST_N, and its doubling would break
         # down, so its analysis runs the QZ
@@ -508,7 +508,7 @@ class TestDetectUnimodular:
             raise np.linalg.LinAlgError("generalized eig algorithm did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvals", failing_eigvals)
-        monkeypatch.setattr(nme.problem, "_last_qz", None)  # no remembered analysis of this pair
+        forget_analysis()  # no remembered analysis of this pair
         p = nme.new_problem([[1.0]], [[1.0]])
         with pytest.raises(EigensolverFailure, match="did not converge"):
             nme.solvability_check(p)
@@ -594,12 +594,12 @@ class TestOneQZ:
     analysis that ``problem._critical_angles`` remembers: its solve, and the
     QZ where it falls back on one."""
 
-    def test_one_qz_per_pair(self, monkeypatch):
+    def test_one_qz_per_pair(self, monkeypatch, forget_analysis):
         # each analysis of a pair starts with one solve
         calls = []
         for module, name in ((nme.solvers, "solve_sda"), (scipy.linalg, "eigvals")):
             monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
-        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        forget_analysis()
         p = planted_critical(32, 4242)
         pen = nme.build_pencil(p)
         nme.solvability_check(p)
@@ -624,14 +624,14 @@ class TestOneQZ:
         assert calls == ["solve_sda"] * 3 + ["eigvals", "solve_sda", "eigvals"]
 
     @pytest.mark.parametrize("n,normal", [(8, True), (32, True), (8, False)])
-    def test_hit_is_exact(self, n, normal, monkeypatch):
+    def test_hit_is_exact(self, n, normal, forget_analysis):
         p = planted_critical(n, 17) if normal else nonnormal_planted(n, 1.0, 1.0, 1)[0]
         pen = nme.build_pencil(p)
         warm_verdict = nme.solvability_check(p)
         warm = nme.detect_unimodular(pen)
-        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        forget_analysis()
         cold = nme.detect_unimodular(pen)
-        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        forget_analysis()
         verdict = nme.solvability_check(p)
         assert verdict == warm_verdict
         assert same_bits(verdict.min_eig_on_circle, warm_verdict.min_eig_on_circle)
@@ -639,13 +639,13 @@ class TestOneQZ:
             a, b = getattr(warm, field), getattr(cold, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_detect_after_check_runs_no_eigensolver(self, monkeypatch):
+    def test_detect_after_check_runs_no_eigensolver(self, monkeypatch, forget_analysis):
         # the analysis and psi's spectra on the arcs are read from the remembered entry
         calls = []
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigvals"),
                              (scipy.linalg, "eigvals"), (nme.solvers, "solve_sda")):
             monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
-        monkeypatch.setattr(nme.problem, "_last_qz", None)
+        forget_analysis()
         p = planted_critical(32, 4242)
         nme.solvability_check(p)
         assert calls.count("solve_sda") == 1 and "eigvalsh" in calls
@@ -653,13 +653,19 @@ class TestOneQZ:
         assert nme.detect_unimodular(nme.build_pencil(p)).eigenvalues.tolist() == [1.0]
         assert calls == []
 
-    def test_returned_arrays_are_read_only(self):
-        p = planted_critical(8, 17)
-        _, A, Q, _, angles, points, spectra = nme.problem._critical_angles(p.A, p.Q)
-        assert angles.size
-        for F in (A, Q, angles, points, spectra):
-            with pytest.raises(ValueError):
-                F[0] = 0.0
+    def test_returned_arrays_are_read_only(self, forget_analysis):
+        # the remembered analysis goes to every caller of the pair, from the QZ (n = 8)
+        # or the solve (n = 32): none can write to it
+        for n in (8, 32):
+            p = planted_critical(n, 17)
+            forget_analysis()
+            first = nme.problem._critical_angles(p.A, p.Q)
+            remembered = nme.problem._critical_angles(p.A, p.Q)
+            _, A, Q, _, angles, points, spectra = remembered
+            assert remembered is first and angles.size
+            for F in (A, Q, angles, points, spectra):
+                with pytest.raises(ValueError):
+                    F[0] = 0.0
 
 
 class TestCriticalShift:

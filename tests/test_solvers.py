@@ -1813,6 +1813,13 @@ class TestReports:
         rep = nme.SolveReport(X=np.diag([x, 1.0]), iterations=0, converged=False, A=np.eye(2))
         assert math.isnan(rep.rho_ratio)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rho_ratio_non_finite_a_is_nan(self, a):
+        # a hand-built report may carry any A: a NaN or inf in it shows in
+        # X^{-1} A, not as cho_solve's ValueError
+        rep = nme.SolveReport(X=np.eye(2), iterations=0, converged=True, A=np.full((2, 2), a))
+        assert math.isnan(rep.rho_ratio)
+
     def test_rho_ratio_of_overflowing_w_is_nan(self):
         # X is finite and SPD, but X^{-1} A = 1e600 overflows: NaN, not
         # eigvals' LinAlgError

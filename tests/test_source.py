@@ -131,9 +131,10 @@ def test_min_on_circle_by_level_sets():
 
 
 def test_qz_is_the_fallback_of_the_critical_angles():
-    # _critical_angles solves first and runs _crossings' QZ only where the solve
-    # does not certify the angles; problem.py keeps its one QZ call in _crossings
-    fn = _function("problem.py", "_critical_angles")
+    # the analysis _critical_angles remembers solves first and runs _crossings' QZ
+    # only where the solve does not certify the angles; problem.py keeps its one QZ
+    # call in _crossings
+    fn = _function("problem.py", "_psi_analysis")
     crossings = [node for node in ast.walk(fn)
                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "_crossings"]
     fallback = [node for node in ast.walk(fn)
@@ -144,6 +145,18 @@ def test_qz_is_the_fallback_of_the_critical_angles():
                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "solve_sda")
     assert solve.lineno < fallback[0].lineno
     assert (SRC / "problem.py").read_text().count("scipy.linalg.eigvals(") == 1
+
+
+def test_one_memo_and_no_module_state():
+    # the one remembered result, the psi analysis of a pair, is kept by one
+    # lru_cache; no function rebinds a module global to keep one by hand
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in texts.items() for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Global, ast.Nonlocal))] == []
+    assert [f"{name}:{ast.unparse(node)}" for name, text in texts.items()
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+            and "cache" in ast.unparse(node.func)] == ["problem.py:functools.lru_cache(maxsize=1)"]
+    assert "@functools.lru_cache(maxsize=1)" in ast.unparse(_function("problem.py", "_psi_analysis"))
 
 
 def test_one_float_format():
