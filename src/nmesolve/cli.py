@@ -94,6 +94,7 @@ def _report_payload(report, algorithm, problem):
         "rate_kind": rate.kind if rate else None,
         "rate": _num(rate.rate) if rate else None,
         "failure": report.failure,
+        "stop": report.stop,
         "X": report.X.ravel().tolist(),
     }
 

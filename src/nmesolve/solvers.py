@@ -31,8 +31,9 @@ Four algorithms share one reporting contract:
     rho = 1.  ``solve_sda_scalar`` is its 1-by-1 call, used by the shifted
     scalar pipeline.
 
-Each solver supplies only its update, as one loop with one yield from
-X_0 = Q, and one driver (``_Run.drive``) tests every X_k, X_0 included, by
+Each solver supplies only its update, as one loop with one yield of
+(X_k, res_k, step_k, aux_k, stop_k) from X_0 = Q, and one driver
+(``_Run.drive``) tests every X_k, X_0 included, by
 one rule: relative residual ||Q - X_k - A^T X_k^{-1} A||_F / ||Q||_F <= tol,
 taken from ``problem.cholesky_residual``: X_k = C C^T, Y = C^{-1} A, G = Y^T Y
 and R = Q - X_k - G.  Its norms, and those of doubling's own test
@@ -56,6 +57,9 @@ outcome; Q_0 has no record.  Each update yields the size of its step, from a
 number it holds or by one ``ddot``: Newton ||E_k||_F, doubling ||W_1||_F^2 =
 tr(Q_{k-1} - Q_k), fixed point ||R(X_{k-1})||_F, inversion-free
 ||X_k - X_{k-1}||_F.  Every run keeps them; the rate is fitted to them when read.
+No loop computes a diagnostic or reads ``record_history``: with history on,
+the driver takes each record's aux1 and aux2 from the iterates it keeps, so
+a solve without history pays for none.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
@@ -112,6 +116,7 @@ from .problem import (
     fro_norm,
     new_problem,
     spectral_radius,
+    spectral_radius_ratio,
     symmetric_part,
 )
 
@@ -185,10 +190,9 @@ class SolverConfig:
 
     ``record_history`` is opt-in: a default solve computes only what its
     stopping rule and step sizes need.  When it is on, the report also holds
-    one :class:`HistoryRecord` per iteration and copies of every iterate, and
-    the solvers compute the history-only diagnostics (Newton's rho(L_{k-1}),
-    doubling's min-eig(Q_k - P_k), for record k).  X, the iteration count, the step sizes
-    and the estimated rate do not depend on it.
+    copies of every iterate and one :class:`HistoryRecord` per iteration, whose
+    diagnostics the driver takes from those copies, not the solver loops.  X,
+    the iteration count, the step sizes and the estimated rate do not depend on it.
     """
 
     tol: float = 1e-12
@@ -211,8 +215,9 @@ class SolverConfig:
 @dataclass(frozen=True)
 class HistoryRecord:
     """One iteration, recorded only with ``SolverConfig.record_history``: step_norm is
-    the report's ``step_norms[k - 1]``, aux1/aux2 algorithm specific (SDA: ||A_k||_F
-    and min-eig(Q_k - P_k); Newton: rho(L_{k-1}), of the step to X_k, and 0; others: 0, 0)."""
+    the report's ``step_norms[k - 1]``, aux1/aux2 algorithm specific, taken by the driver
+    from the report's iterates (SDA: ||A_k||_F and min-eig(Q_k - P_k); Newton:
+    rho(L_{k-1}) = ``spectral_radius_ratio`` of X_{k-1}, of the step to X_k, and 0; others: 0, 0)."""
 
     k: int
     rel_residual: float
@@ -237,6 +242,9 @@ class SolveReport:
     and algorithm-specific companion sequences ("Y" for the inversion-free
     solver, "A" and "P" for doubling).  ``step_norms`` holds, on every run, the
     size of the step to each X_k, k >= 1 (see the module docstring).
+    ``stop`` names the test that ended the run: "residual", "own-test" (doubling's,
+    with the residual <= tol), "stagnated" (its own test with the residual above tol),
+    "budget" (``MaxIterationsExceeded``) or "failure" (another ``SolverFailure``).
     ``estimated_rate`` and ``rho_ratio`` (``spectral_radius_ratio`` of X and A)
     are computed when first read.  ``rel_residual`` is the one the run took of X, bit for bit
     ``residual(problem, X).rel_norm`` (inf where X is not SPD or it overflows; NaN if hand-built).
@@ -249,6 +257,7 @@ class SolveReport:
     history: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
     failure: str | None = None
+    stop: str | None = None
     iterates: list = field(default_factory=list)
     aux_iterates: dict = field(default_factory=dict)
     #: the problem's A, kept for ``rho_ratio``
@@ -292,13 +301,14 @@ class _Run:
         #: the least residual, and the last later gated (k, X_k) with a positive diagonal
         self.best_res, self.untested = math.inf, None
 
-    def drive(self, steps, nonfinite_fatal: bool = True) -> SolveReport:
+    def drive(self, steps, nonfinite_fatal: bool = True, diagnose=None) -> SolveReport:
         """Run the update generator ``steps``, filling ``out``: one loop with one
-        ``yield`` of (X_k, res_k, step_k, aux1, aux2, aux_k, stop_k) for each k
-        from X_0 = Q, which is tested like every later iterate; the float step_k,
-        the size of the step to X_k, goes to ``step_norms``; step, aux1 and aux2
-        of X_0 are 0 and unused, ``aux`` holds the companion iterates by name (or
-        None) and ``stop`` is the solver's own test besides res <= tol.  X_k is
+        ``yield`` of (X_k, res_k, step_k, aux_k, stop_k) for each k from X_0 = Q,
+        which is tested like every later iterate; the float step_k, the size of
+        the step to X_k, goes to ``step_norms`` (X_0's is unused), ``aux`` holds
+        the companion iterates by name (or None) and ``stop`` is the solver's own
+        test besides res <= tol.  With history on, X_k is stored before its record,
+        whose aux1 and aux2 are ``diagnose(k)`` (0 where it gives none).  X_k is
         accepted once it passes the tests here: a residual that is not finite
         or grew beyond DIVERGENCE_FACTOR x its minimum rejects it, also where
         ``nonfinite_fatal`` lets the run go on.  A None res_k is an X_k that
@@ -309,7 +319,11 @@ class _Run:
         # one context per solve: an overflow ends in a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for self.k in range(cfg.max_iter + 1):
-                X, res, step, aux1, aux2, aux, stop = next(steps)
+                X, res, step, aux, stop = next(steps)
+                if cfg.record_history:
+                    out.iterates.append(np.array(X, dtype=float))
+                    for key, val in (aux or {}).items():
+                        out.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
                 if self.k:
                     out.step_norms.append(step)
                 if self.every_step and self.k:
@@ -317,12 +331,8 @@ class _Run:
                     logged = self.residual(X) if res is None else res
                     logger.debug("%s k=%d rel_residual=%.3e step=%.3e", self.name, self.k, logged, step)
                     if cfg.record_history:
-                        out.history.append(
-                            HistoryRecord(self.k, float(logged), step, float(aux1), float(aux2)))
-                if cfg.record_history:
-                    out.iterates.append(np.array(X, dtype=float))
-                    for key, val in (aux or {}).items():
-                        out.aux_iterates.setdefault(key, []).append(np.array(val, dtype=float))
+                        out.history.append(HistoryRecord(
+                            self.k, float(logged), step, *(diagnose(self.k) if diagnose else ())))
                 if res is None:
                     if X.diagonal().min() > 0.0:  # else its residual is not finite
                         self.untested = (self.k, X)
@@ -331,7 +341,7 @@ class _Run:
                 if not self.k:  # X_0 = Q is out.X until an X_k is accepted
                     out.rel_residual = res
                 if self.k >= cfg.min_iter and (res <= cfg.tol or stop):
-                    return self.stopped(X, res)
+                    return self.stopped(X, res, stop)
                 if not math.isfinite(res):  # X_k is not accepted
                     if not nonfinite_fatal:
                         continue
@@ -349,7 +359,7 @@ class _Run:
                 f"no convergence within {cfg.max_iter} iterations "
                 f"(best relative residual {self.best_res:.3e})")
 
-    def stopped(self, X: np.ndarray, res: float) -> SolveReport:
+    def stopped(self, X: np.ndarray, res: float, stop: bool) -> SolveReport:
         """The report of a run whose stopping test passed at X_k: converged only
         when X_k is finite and the residual test passed."""
         if not np.all(np.isfinite(X)):
@@ -361,7 +371,8 @@ class _Run:
                 Stagnated,
                 f"iterate {self.k} met the solver's own stopping test with relative "
                 f"residual {res:.3e} above tol {self.config.tol:g}")
-        logger.info("%s converged in %d iterations", self.name, self.k)
+        self.out.stop = "own-test" if stop else "residual"
+        logger.info("%s converged in %d iterations (stop: %s)", self.name, self.k, self.out.stop)
         return self.report(True)
 
     def residual(self, X: np.ndarray) -> float:
@@ -396,6 +407,7 @@ class _Run:
                               or not self.untested[0]):
             (self.out.iterations, self.out.X), self.out.rel_residual = self.untested, res
         message = f"{self.name}: {detail}"
+        self.out.stop = {MaxIterationsExceeded: "budget", Stagnated: "stagnated"}.get(exc_cls, "failure")
         return exc_cls(message, report=self.report(False, message), iteration=self.k)
 
 
@@ -415,7 +427,7 @@ def solve_fixed_point(problem: NmeProblem, config: SolverConfig | None = None) -
         X, step = Q, 0.0
         while True:
             _, r_norm, res, _, _, G = run.factored_residual(X)
-            yield X, res, step, 0.0, 0.0, None, False
+            yield X, res, step, None, False
             X, step = Q - G, r_norm  # exactly symmetric, as Q and G are; X - X_k = R(X_k)
 
     return run.drive(steps())
@@ -438,7 +450,7 @@ def solve_inversion_free(problem: NmeProblem, config: SolverConfig | None = None
         X, Y, Xp = Q, np.eye(problem.n) / float(np.linalg.norm(Q, np.inf)), Q
         two_eye = 2.0 * np.eye(problem.n)
         while True:
-            yield (Xk := s * X), run.residual(Xk), s * fro_norm(X - Xp), 0.0, 0.0, {"Y": Y / s}, False
+            yield (Xk := s * X), run.residual(Xk), s * fro_norm(X - Xp), {"Y": Y / s}, False
             # the X-update consumes the previous Y
             X, Y, Xp = symmetric_part(Q - A.T @ Y @ A), symmetric_part(Y @ (two_eye - X @ Y)), X
 
@@ -593,8 +605,8 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     A truncated sum of R(X_k) <= 0 lies between E_k and 0, so the iterates
     still descend monotonically from Q toward the maximal solution, and one
     whose trace exceeds tr(Q) by more than :data:`NEWTON_TRACE_RTOL` raises
-    :class:`~nmesolve.exceptions.Diverged`.  With history on, record k stores
-    rho(L_{k-1}) in aux1, below one while the iteration is healthy.
+    :class:`~nmesolve.exceptions.Diverged`.  With history on, record k's aux1
+    is ``spectral_radius_ratio`` of the stored X_{k-1}, below one while healthy.
     """
     A, Q = problem.A, problem.Q
     run = _Run(A, Q, config, "newton")
@@ -604,13 +616,12 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
     tr_q = float((Q.diagonal() / run.q_scale).sum())
 
     def steps():
-        X, step, rho_L = Q, 0.0, 0.0
+        X, step = Q, 0.0
         while True:
             R, _, res, C, Y, _ = run.factored_residual(X)
-            yield X, res, step, rho_L, 0.0, None, False
+            yield X, res, step, None, False
             # L_k^T = Y^T C^{-1}, in place on Y^T; the right side R(X_k) is exactly symmetric
             W = scipy.linalg.blas.dtrsm(1.0, C, Y.T, side=1, lower=1, overwrite_b=1).T
-            rho_L = spectral_radius(W) if run.config.record_history else 0.0
             try:  # the forcing term eta_k; at r_k = 0 (min_iter runs) E_k = 0 for any eta
                 E = solve_stein(W, R, rtol=min(0.1, max(res, _EPS / res)) if res else 0.1)
             except SingularSteinOperator as exc:
@@ -626,7 +637,7 @@ def solve_newton(problem: NmeProblem, config: SolverConfig | None = None) -> Sol
                 raise run.failure(
                     Diverged, f"iterate {run.k} rose above Q: tr(X) / tr(Q) = {rise:.6g}")
 
-    return run.drive(steps())
+    return run.drive(steps(), diagnose=lambda k: (spectral_radius_ratio(problem, run.out.iterates[k - 1]),))
 
 
 def _mirrored(H: np.ndarray) -> np.ndarray:
@@ -657,8 +668,8 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
     Q_k - W_1^T W_1 and P_k + W_2^T W_2 by lower ``dsyrk`` copied to the upper
     triangle.  At n = 1 it factors D alone and stays sqrt-free,
     t = A_k (A_k / D): W^T W misses the dyadic critical closed forms by 1.1e-8.
-    With history on, each record stores ||A_k||_F (aux1) and min-eig(Q_k - P_k)
-    (aux2; NaN if not finite), positive whenever a solution exists.  Raises
+    With history on, record k holds ||A_k||_F and min-eig(Q_k - P_k) of the stored
+    iterates (aux1, aux2; NaN if not finite), positive whenever a solution exists.  Raises
     :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
     """
     A, Q = problem.A, problem.Q
@@ -669,14 +680,14 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
         n, cfg = A.shape[0], run.config
         a_k = a_scale = fro_norm(A / run.q_scale)  # a_k = ||A_k||_F / s
         a_gate = RESIDUAL_GATE * math.sqrt(cfg.tol) * run.q_fro
-        a_norm = gap_min = step = 0.0
+        step = 0.0
         while True:
             # doubling's own test; at k = 0 it is A = 0: the other form passes where a_scale overflows
             stop = a_k <= cfg.tol * a_scale if run.k else a_scale == 0.0
             # the residual is tested only where it can end the run (RESIDUAL_GATE)
             gated = math.inf > a_k > a_gate and not (stop or run.k == cfg.max_iter)
             res = None if gated else run.residual(Qk)
-            yield Qk, res, step, a_norm, gap_min, {"A": Ak, "P": Pk}, stop
+            yield Qk, res, step, {"A": Ak, "P": Pk}, stop
             try:  # Q_k.T - P_k.T is exactly Q_k - P_k, as both are symmetric, and Fortran-ordered;
                 # C^{-1}, or at n = 1 C, whose diagonal holds NaN exactly where the other's does
                 C = (_cholesky if n == 1 else _cholesky_inverse)(Qk.T - Pk.T, "Q_k - P_k")
@@ -693,11 +704,13 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
                 Ak, step = blas.dgemm(1.0, W[:, n:], W[:, :n], trans_a=1), _sum_sq(W[:, :n])
                 Qk = _mirrored(blas.dsyrk(-1.0, W[:, :n], beta=1.0, c=Qk.T, trans=1, lower=1))
                 Pk = _mirrored(blas.dsyrk(1.0, W[:, n:], beta=1.0, c=Pk.T, trans=1, lower=1))
-            gap_min = (float(np.linalg.eigvalsh(D).min()) if np.isfinite(D := Qk - Pk).all()
-                       else math.nan) if cfg.record_history else 0.0
-            a_k = (a_norm := fro_norm(Ak)) / run.q_scale
+            a_k = fro_norm(Ak) / run.q_scale
 
-    return run.drive(steps(), nonfinite_fatal=False)
+    def diagnose(k):  # record k: ||A_k||_F and min-eig(Q_k - P_k), NaN where that is not finite
+        A_k, D = run.out.aux_iterates["A"][k], run.out.iterates[k] - run.out.aux_iterates["P"][k]
+        return fro_norm(A_k), float(np.linalg.eigvalsh(D).min()) if np.isfinite(D).all() else math.nan
+
+    return run.drive(steps(), nonfinite_fatal=False, diagnose=diagnose)
 
 
 def solve_sda_scalar(a: float, q: float, config: SolverConfig | None = None) -> SolveReport:

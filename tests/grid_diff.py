@@ -6,7 +6,9 @@ Solves each cell and writes one record per cell to OUT.json: the outcome
 class (``converged`` or the exception's class), the iteration count (the
 report's on success, the exception's ``iteration`` on failure) and a SHA-256
 of the shape and bytes of X (the partial report's X on failure; ``null``
-where the exception carries no report).  A cell is a problem, one of the four
+where the exception carries no report).  A ``history=1`` cell also records a
+SHA-256 of its history's k, rel_residual and step_norm columns and the lists
+of its aux1 and aux2 values.  A cell is a problem, one of the four
 solvers (``solve_sda`` alone on ``large``) and ``record_history`` off or on;
 the grids are
 
@@ -33,9 +35,11 @@ the grids are
   eigenvectors of the pencil (each an exception's class where one is raised).
 
 Given BASE.json, a file this script wrote for another checkout, it prints
-each cell whose record differs, then the moved cells of each grid, and of
-each grid and solver the cells whose X bits, iteration count and outcome
-class moved, and returns 1 when any cell moved.  Run it from
+each cell whose record differs outside its aux values, then the moved cells
+of each grid, and of each grid and solver the cells whose X bits, iteration
+count, outcome class and history hash moved and the largest relative
+difference of an aux value, and returns 1 when any cell moved: aux values
+are diagnostics (eigenvalues among them), so they alone move no cell.  Run it from
 each checkout's own tree (``tests/`` and ``src/`` beside it are imported):
 a bit-changing change reports the diff against its parent.  The file is
 not collected by pytest, whose test files are named ``test_*.py``.
@@ -43,6 +47,7 @@ not collected by pytest, whose test files are named ``test_*.py``.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -103,14 +108,38 @@ def x_hash(X) -> str | None:
     return hashlib.sha256(data).hexdigest()
 
 
+def history_record(report) -> list:
+    """[SHA-256 of the history's k, rel_residual and step_norm columns, aux1 values, aux2 values]."""
+    if report is None:
+        return [None, [], []]
+    columns = np.array([(h.k, h.rel_residual, h.step_norm) for h in report.history], float)
+    return [hashlib.sha256(columns.tobytes()).hexdigest(),
+            [h.aux1 for h in report.history], [h.aux2 for h in report.history]]
+
+
 def outcome(solver, problem, record_history: bool) -> list:
     try:
         report = solver(problem, nme.SolverConfig(record_history=record_history))
+        record = ["converged", report.iterations, x_hash(report.X)]
     except Exception as exc:  # noqa: BLE001 - a raw error is an outcome too
         report = getattr(exc, "report", None)
-        return [type(exc).__name__, getattr(exc, "iteration", None),
-                x_hash(report.X if report is not None else None)]
-    return ["converged", report.iterations, x_hash(report.X)]
+        record = [type(exc).__name__, getattr(exc, "iteration", None),
+                  x_hash(report.X if report is not None else None)]
+    return record + (history_record(report) if record_history else [])
+
+
+def rel_diff(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 where a and b are equal or both NaN, inf where one is not finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else math.inf
+
+
+def aux_diff(old: list | None, new: list | None) -> float:
+    """The largest ``rel_diff`` of two records' aux1 and aux2 values, step by step."""
+    if not (old and new and len(old) == len(new) == 6):
+        return 0.0
+    return max((rel_diff(a, b) for i in (4, 5) for a, b in zip(old[i], new[i])), default=0.0)
 
 
 def verdict_problems():
@@ -163,9 +192,10 @@ def main(argv: list[str]) -> int:
     if len(argv) == 1:
         return 0
     base = json.loads(Path(argv[1]).read_text())
-    moved = sorted(key for key in base.keys() | cells.keys() if base.get(key) != cells.get(key))
+    moved = sorted(key for key in base.keys() | cells.keys()
+                   if (base.get(key) or [None])[:4] != (cells.get(key) or [None])[:4])
     for key in moved:
-        print(f"{key}: {base.get(key)} -> {cells.get(key)}")
+        print(f"{key}: {(base.get(key) or [None])[:4]} -> {(cells.get(key) or [None])[:4]}")
     for name in GRIDS:
         print(f"{name}: {sum(key.startswith(name + '/') for key in moved)} of "
               f"{sum(key.startswith(name + '/') for key in cells)} cells moved")
@@ -176,9 +206,12 @@ def main(argv: list[str]) -> int:
             if not keys:
                 continue
             pairs = [(base.get(key), cells.get(key)) for key in moved if key in keys]
+            history = [key for key in keys if key.endswith("/history=1")]
+            aux = max((aux_diff(base.get(key), cells[key]) for key in history), default=0.0)
             print(f"{name} {solver.__name__}: " + ", ".join(
-                f"{sum(None in pair or pair[0][i] != pair[1][i] for pair in pairs)} {what} moved"
-                for i, what in ((2, "bits"), (1, "iterations"), (0, "class"))))
+                f"{sum(None in pair or pair[0][i:i + 1] != pair[1][i:i + 1] for pair in pairs)} "
+                f"{what} moved" for i, what in ((2, "bits"), (1, "iterations"), (0, "class"),
+                                                (3, "history"))) + f", largest aux difference {aux:.2g}")
     return 1 if moved else 0
 
 

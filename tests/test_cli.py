@@ -69,7 +69,7 @@ class TestSolve:
         assert code == 0
         report = json.loads(out)
         assert report["converged"] is True
-        assert report["algorithm"] == "newton"
+        assert report["algorithm"] == "newton" and report["stop"] == "residual"
         assert report["rel_residual"] <= 1e-12
         assert len(report["X"]) == 16
         lines = history.read_text().splitlines()
@@ -107,7 +107,7 @@ class TestSolve:
         assert "error" in err
         report = json.loads(out)
         assert report["converged"] is False
-        assert report["failure"]
+        assert report["failure"] and report["stop"] == "failure"
 
     @pytest.mark.parametrize("algorithm", [a.value for a in nme.Algorithm])
     def test_failure_prints_the_residual_of_its_x(self, tmp_path, capsys, algorithm):
@@ -118,6 +118,7 @@ class TestSolve:
                                "--max-iter", "3")
         report = json.loads(out)
         assert code == 1 and report["converged"] is False and report["iterations"] == 3
+        assert report["stop"] == "budget"
         X = np.array(report["X"]).reshape(8, 8)
         assert report["rel_residual"] == nme.residual(nme.load_problem(problem), X).rel_norm
 

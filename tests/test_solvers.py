@@ -28,7 +28,7 @@ from nmesolve.exceptions import (
     SolverFailure,
     Stagnated,
 )
-from nmesolve.problem import _cholesky, cholesky_residual, spectral_radius
+from nmesolve.problem import _cholesky, cholesky_residual, fro_norm, spectral_radius
 
 MATRIX_SOLVERS = [nme.solve_fixed_point, nme.solve_inversion_free,
                   nme.solve_newton, nme.solve_sda]
@@ -678,7 +678,7 @@ class TestNewton:
         assert len(rep.history) >= 4
         for h in rep.history:
             expected = nme.spectral_radius_ratio(rec.problem, rep.iterates[h.k - 1])
-            assert h.aux1 == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert h.aux1 == expected
 
     def test_planted_n64(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=64, rho_target=0.9, seed=21))
@@ -839,6 +839,16 @@ class TestSda:
             assert qs[k] == pytest.approx((two_k + 1.0) / two_k, abs=1e-13)
             assert ps[k] == pytest.approx((two_k - 1.0) / two_k, abs=1e-13)
             assert a_s[k] == pytest.approx(1.0 / two_k, abs=1e-13)
+
+    def test_aux_is_taken_from_the_stored_iterates(self):
+        # record k holds ||A_k||_F and min-eig(Q_k - P_k), bit for bit those of
+        # the iterates the report keeps
+        rec = nme.generate_problem(nme.GeneratorSpec(n=8, rho_target=0.999, seed=3))
+        rep = nme.solve_sda(rec.problem, nme.SolverConfig(record_history=True))
+        assert len(rep.history) >= 4
+        for h in rep.history:
+            assert h.aux1 == fro_norm(rep.aux_iterates["A"][h.k])
+            assert h.aux2 == float(np.linalg.eigvalsh(rep.iterates[h.k] - rep.aux_iterates["P"][h.k]).min())
 
     def test_gap_eigenvalue_recorded_positive(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=4, rho_target=0.9, seed=8))
@@ -1413,6 +1423,29 @@ class TestEstimateRate:
 
 
 class TestReports:
+    @pytest.mark.parametrize("stop", ["residual", "own-test", "stagnated", "budget", "failure"])
+    def test_stop_names_the_test_that_ended_the_run(self, stop, caplog):
+        # A = 0 passes doubling's own test at k = 0 with a zero residual, the
+        # non-normal cell passes it with a residual above tol, and Newton has no
+        # own test; the INFO line of a converged run names its stop too
+        planted = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=0.999)).problem
+        solver, problem, config = {
+            "residual": (nme.solve_newton, planted, None),
+            "own-test": (nme.solve_sda, nme.new_problem(np.zeros((2, 2)), np.diag([2.0, 3.0])), None),
+            "stagnated": (nme.solve_sda, nonnormal_planted(n=32, rho=0.9, eta=3.0, seed=3)[0], None),
+            "budget": (nme.solve_sda, planted, nme.SolverConfig(max_iter=3)),
+            "failure": (nme.solve_sda, nme.new_problem(scalar(1.0), scalar(1.0)), None)}[stop]
+        with caplog.at_level(logging.INFO, logger="nmesolve.solvers"):
+            try:
+                rep = solver(problem, config)
+            except SolverFailure as exc:
+                rep = exc.report
+        assert rep.stop == stop and rep.converged == (stop in ("residual", "own-test"))
+        assert rep.iterations == 0 or stop != "own-test"
+        assert [record.getMessage() for record in caplog.records if "converged" in record.getMessage()] == (
+            [f"{solver.__name__[6:]} converged in {rep.iterations} iterations (stop: {stop})"]
+            if rep.converged else [])
+
     def test_history_length_matches_iterations(self):
         rec = nme.generate_problem(nme.GeneratorSpec(n=3, rho_target=0.5, seed=15))
         for solver in (nme.solve_fixed_point, nme.solve_inversion_free,

@@ -416,15 +416,28 @@ def test_one_critical_shift_and_no_qz_in_it():
 
 def test_every_solver_yields_from_one_loop():
     # each steps() generator tests X_0 = Q by the route of its later iterates
-    # and hands every X_k to _Run.drive from one yield; a start-up yield, or a
-    # start helper on _Run, forks the first iterate's test again
+    # and hands every X_k to _Run.drive from one yield of (X, res, step, aux,
+    # stop); a start-up yield, or a start helper on _Run, forks the first
+    # iterate's test again.  History's diagnostics are taken by _Run.drive from
+    # the iterates it stores, so no loop reads record_history or calls an
+    # eigensolver, and only SolverConfig and _Run read record_history
     tree = ast.parse((SRC / "solvers.py").read_text())
-    yields = {solver.name: sum(isinstance(node, ast.Yield) for node in ast.walk(steps))
-              for solver in tree.body if isinstance(solver, ast.FunctionDef)
-              for steps in solver.body
-              if isinstance(steps, ast.FunctionDef) and steps.name == "steps"}
-    assert yields == {"solve_fixed_point": 1, "solve_inversion_free": 1,
-                      "solve_newton": 1, "solve_sda": 1}
+    generators = {solver.name: steps for solver in tree.body if isinstance(solver, ast.FunctionDef)
+                  for steps in solver.body
+                  if isinstance(steps, ast.FunctionDef) and steps.name == "steps"}
+    yields = {name: [node for node in ast.walk(steps) if isinstance(node, ast.Yield)]
+              for name, steps in generators.items()}
+    assert {name: len(nodes) for name, nodes in yields.items()} == {
+        "solve_fixed_point": 1, "solve_inversion_free": 1, "solve_newton": 1, "solve_sda": 1}
+    assert all(isinstance(node.value, ast.Tuple) and len(node.value.elts) == 5
+               for nodes in yields.values() for node in nodes)
+    for steps in generators.values():
+        named = {node.id for node in ast.walk(steps) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(steps) if isinstance(node, ast.Attribute)}
+        assert named.isdisjoint({"record_history", "eigvals", "eigvalsh", "spectral_radius"})
+    readers = {scope.split(".")[0] for scope, node in _scoped_nodes("solvers.py")
+               if isinstance(node, ast.Attribute) and node.attr == "record_history"}
+    assert readers and readers <= {"SolverConfig", "_Run"}
     run = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
     assert "start_at_q" not in [node.name for node in run.body if isinstance(node, ast.FunctionDef)]
 
