@@ -11,7 +11,8 @@ X.  The pencil is symplectic, M J M^T = L J L^T, so its spectrum is closed
 under lambda -> 1/lambda.  Solvability is decided through the rational matrix
 function psi(lambda) = Q + lambda A + lambda^{-1} A^T: a positive definite
 solution exists iff psi is positive semidefinite on the unit circle, and the
-pencil's unimodular eigenvalues locate the points where psi is singular.
+pencil's unimodular eigenvalues locate the points where psi is singular; from
+order SOLVE_FIRST_N a doubling run finds them, which the problem keeps for solve_sda.
 
 Symmetric intermediates stay exactly symmetric, as downstream factorizations
 assume: ``cholesky_residual`` and the doubling step form them so, and other
@@ -475,40 +476,43 @@ def _eig_error(A: np.ndarray, Q: np.ndarray) -> float:
 
 def _critical_angles(A: np.ndarray, Q: np.ndarray):
     """``(scale, A / scale, Q / scale, regular, angles, points, spectra)``: scale the
-    ``_pow2_scale`` of max |A|, |Q|; the rest ``_psi_analysis`` of the scaled pair, kept for
-    the last pair: by its bits, not values, as -0.0 == 0.0 but the QZ may tell them apart."""
-    scale, A, Q = _unit_scaled(A, Q)
-    return _psi_analysis(scale, A.tobytes(), Q.tobytes(), A.shape[0])
+    ``_pow2_scale`` of max |A|, |Q|; the rest the analysis of the scaled pair that
+    ``_psi_analysis`` keeps for the last pair, the same tuple on every call."""
+    return _psi_analysis(A.tobytes(), Q.tobytes(), A.shape[0])[0]
 
 
 @functools.lru_cache(maxsize=1)  # enough for detect_unimodular after solvability_check
-def _psi_analysis(scale: float, A: bytes, Q: bytes, n: int):
-    """``_critical_angles`` of the read-only scaled pair whose C-order bytes are A, Q: for
-    it, regular and the angles in [0, pi], unique, where psi is singular on the circle,
-    from a solve that certifies them (see :func:`solvability_check`) or else, and below
-    :data:`SOLVE_FIRST_N`, ``_crossings``' QZ; points 0, the angles and pi, unique;
+def _psi_analysis(A: bytes, Q: bytes, n: int):
+    """``(analysis, run)`` of the pair whose C-order bytes are A, Q, kept for the last pair:
+    by its bits, not values, as -0.0 == 0.0 but the QZ may tell them apart.  analysis is
+    ``_critical_angles``' tuple: regular and the angles in [0, pi], unique, where psi is
+    singular on the circle, from a ``solve_sda`` of the pair that certifies them (see
+    :func:`solvability_check`; run is then that problem and report, else None) or else, and
+    below :data:`SOLVE_FIRST_N`, ``_crossings``' QZ; points 0, the angles and pi, unique;
     spectra psi's eigenvalues at each angle, then at each arc midpoint; all read-only."""
     from .solvers import solve_sda  # solvers imports this module
-    A, Q = (np.frombuffer(F).reshape(n, n) for F in (A, Q))
-    regular = False
+    pair = [np.frombuffer(F).reshape(n, n) for F in (A, Q)]
+    scale, A, Q = _unit_scaled(*pair)
+    regular, run = False, None
     try:
-        rep = solve_sda(new_problem(A, Q)) if n >= SOLVE_FIRST_N else None
-        if rep is not None and rep.rel_residual * fro_norm(Q) <= SOLVABILITY_TOL:
-            lam = np.linalg.eigvals(_candidate_w(A, rep.X)[1])
+        rep = solve_sda(solved := new_problem(*pair)) if n >= SOLVE_FIRST_N else None
+        if rep is not None and rep.rel_residual * fro_norm(Q) <= SOLVABILITY_TOL:  # ||R / scale||_F
+            lam = np.linalg.eigvals(_candidate_w(solved.A, rep.X)[1])
             near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_RTOL * np.maximum(np.abs(lam), 1.0)
             angles = np.unique(np.abs(np.angle(-lam[near])))  # _crossings' test, with beta = 1
             points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
             spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
             regular = bool(spectra[:, 0].max() > _eig_error(A, Q))  # psi nonsingular at one angle
+            run = (solved, rep) if regular else None
     except (NmeError, np.linalg.LinAlgError):
         pass
     if not regular:  # the fallback
         regular, angles = _crossings(A, Q)
         points = np.unique(np.concatenate(([0.0], angles, [math.pi])))
         spectra = _eigs_on_circle(A, Q, np.concatenate((angles, (points[:-1] + points[1:]) / 2)))
-    for F in (angles, points, spectra):
+    for F in (A, Q, angles, points, spectra):
         F.flags.writeable = False
-    return scale, A, Q, regular, angles, points, spectra
+    return (scale, A, Q, regular, angles, points, spectra), run
 
 
 def _level_min(A: np.ndarray, Q: np.ndarray, low: float, ftol: float) -> float:
@@ -556,9 +560,15 @@ def solvability_check(problem: NmeProblem) -> SolvabilityVerdict:
 
     A and Q are first divided by the power of two s with max |A|, |Q| / s in
     [1, 2), so the tolerance is relative to that scale and (A, Q) -> (2^k A,
-    2^k Q) keeps the verdict and scales the minimum by 2^k.  A failed QZ raises
-    EigensolverFailure; the angles and arcs come from ``_critical_angles``."""
-    scale, A, Q, regular, _, _, spectra = _critical_angles(problem.A, problem.Q)
+    2^k Q) keeps the verdict and scales the minimum by 2^k, to eigvalsh's error
+    where a solve decides.  That solve alone runs on (A, Q) itself, with the default
+    config, its residual read as ||R / s||_F; the problem keeps a run that certifies
+    the verdict for ``solve_sda`` (see there).  A failed QZ raises
+    EigensolverFailure; the angles and arcs come from ``_psi_analysis``."""
+    (scale, A, Q, regular, _, _, spectra), run = _psi_analysis(
+        problem.A.tobytes(), problem.Q.tobytes(), problem.n)
+    if run is not None:  # the doubling run that certified the analysis, for solve_sda
+        vars(problem)["_certified_run"] = run
     on_arcs, ftol = float(spectra[:, 0].min()), _eig_error(A, Q)
     known = -SOLVABILITY_TOL <= on_arcs and (on_arcs < -ftol or not regular)
     low = _level_min(A, Q, on_arcs, ftol) if known else on_arcs

@@ -59,7 +59,8 @@ tr(Q_{k-1} - Q_k), fixed point ||R(X_{k-1})||_F, inversion-free
 ||X_k - X_{k-1}||_F.  Every run keeps them; the rate is fitted to them when read.
 No loop computes a diagnostic or reads ``record_history``: with history on,
 the driver takes each record's aux1 and aux2 from the iterates it keeps, so
-a solve without history pays for none.
+a solve without history pays for none.  With the default config ``solve_sda`` returns
+a copy of a certified run that ``problem.solvability_check`` kept on the problem.
 
 The loops call LAPACK and BLAS themselves: ``dpotrf`` (through
 ``problem._cholesky``) for every Cholesky factor and SPD test, doubling's
@@ -79,6 +80,7 @@ is called, never bound at import, so a tracer that wraps the module attribute
 sees it.
 """
 
+import copy
 import functools
 import logging
 import math
@@ -670,9 +672,15 @@ def solve_sda(problem: NmeProblem, config: SolverConfig | None = None) -> SolveR
     t = A_k (A_k / D): W^T W misses the dyadic critical closed forms by 1.1e-8.
     With history on, record k holds ||A_k||_F and min-eig(Q_k - P_k) of the stored
     iterates (aux1, aux2; NaN if not finite), positive whenever a solution exists.  Raises
-    :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.
+    :class:`DoublingBreakdown` when Q_k - P_k stops being SPD.  With the default config, a
+    problem whose A and Q (C-ordered) keep the bits of the run ``solvability_check`` kept for
+    its verdict gets a deep copy of that run, bit for bit a fresh one.
     """
     A, Q = problem.A, problem.Q
+    kept = vars(problem).get("_certified_run") if (config or SolverConfig()) == SolverConfig() else None
+    if kept and all(F.flags.c_contiguous and F.tobytes() == K.tobytes()
+                    for F, K in ((A, kept[0].A), (Q, kept[0].Q))):
+        return copy.deepcopy(kept[1])
     run = _Run(A, Q, config, "sda")
 
     def steps():

@@ -31,15 +31,19 @@ the grids are
   (-A, Q) and (A, Q / 2), plus ``nonnormal_planted`` at n in {8, 32}, eta in
   {1, 3}, rho in {.9, .999, 1} and seeds 0-3 (408 cells).  Its record is the
   verdict of ``solvability_check``, ``regular``, the hex bits of
-  ``min_eig_on_circle`` and a SHA-256 of ``detect_unimodular``'s eigenvalues and
-  eigenvectors of the pencil (each an exception's class where one is raised).
+  ``min_eig_on_circle``, a SHA-256 of ``detect_unimodular``'s eigenvalues and
+  eigenvectors of the pencil (each an exception's class where one is raised),
+  the SHA-256 of the X of ``solve_sda`` of the problem taken right after the
+  verdict, and whether the verdict kept its doubling run for that solve.
 
 Given BASE.json, a file this script wrote for another checkout, it prints
-each cell whose record differs outside its aux values, then the moved cells
-of each grid, and of each grid and solver the cells whose X bits, iteration
-count, outcome class and history hash moved and the largest relative
-difference of an aux value, and returns 1 when any cell moved: aux values
-are diagnostics (eigenvalues among them), so they alone move no cell.  Run it from
+each cell whose record differs outside its aux values and kept flag, then the
+moved cells of each grid, the ``verdict`` cells that kept a run in each file,
+and of each grid and solver the cells whose X bits, iteration count, outcome
+class and history hash moved and the largest relative difference of an aux
+value, and returns 1 when any cell moved: aux values are diagnostics
+(eigenvalues among them) and a kept run is a saving whose X the hash checks,
+so neither alone moves a cell.  Run it from
 each checkout's own tree (``tests/`` and ``src/`` beside it are imported):
 a bit-changing change reports the diff against its parent.  The file is
 not collected by pytest, whose test files are named ``test_*.py``.
@@ -159,19 +163,28 @@ def verdict_problems():
 
 
 def analysis(problem) -> list:
-    """[verdict, regular, min_eig_on_circle's hex bits, detect_unimodular's hash]."""
+    """[verdict, regular, min_eig_on_circle's hex bits, detect_unimodular's hash,
+    the hash of solve_sda's X right after the verdict, whether the verdict kept a run]."""
     try:
         check = nme.solvability_check(problem)
         record = [check.verdict.value, check.regular, check.min_eig_on_circle.hex()]
     except Exception as exc:  # noqa: BLE001 - a raw error is an outcome too
         record = [type(exc).__name__, None, None]
+    solved = outcome(nme.solve_sda, problem, False)[2]
+    kept = "_certified_run" in vars(problem)
     try:
         found = nme.detect_unimodular(nme.build_pencil(problem))
         digest = hashlib.sha256(x_hash(found.eigenvalues.view(float)).encode())
         digest.update(x_hash(found.eigenvectors.view(float)).encode())
-        return record + [digest.hexdigest()]
+        return record + [digest.hexdigest(), solved, kept]
     except Exception as exc:  # noqa: BLE001
-        return record + [type(exc).__name__]
+        return record + [type(exc).__name__, solved, kept]
+
+
+def compared(key: str, record: list | None) -> list:
+    """The part of a cell's record that moves it: all but the aux values of a solver
+    cell and the kept flag of a ``verdict`` cell."""
+    return (record or [None])[:5 if key.startswith("verdict/") else 4]
 
 
 def grid() -> dict:
@@ -193,12 +206,16 @@ def main(argv: list[str]) -> int:
         return 0
     base = json.loads(Path(argv[1]).read_text())
     moved = sorted(key for key in base.keys() | cells.keys()
-                   if (base.get(key) or [None])[:4] != (cells.get(key) or [None])[:4])
+                   if compared(key, base.get(key)) != compared(key, cells.get(key)))
     for key in moved:
-        print(f"{key}: {(base.get(key) or [None])[:4]} -> {(cells.get(key) or [None])[:4]}")
+        print(f"{key}: {compared(key, base.get(key))} -> {compared(key, cells.get(key))}")
     for name in GRIDS:
         print(f"{name}: {sum(key.startswith(name + '/') for key in moved)} of "
               f"{sum(key.startswith(name + '/') for key in cells)} cells moved")
+    for label, records in (("base", base), ("this run", cells)):
+        kept = sum(key.startswith("verdict/") and (record or [None])[5:] == [True]
+                   for key, record in records.items())
+        print(f"verdict: {kept} cells kept a run in {label}")
     for name in GRIDS:
         for solver in SOLVERS:
             keys = {key for key in cells

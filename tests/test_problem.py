@@ -606,6 +606,28 @@ class TestSolvabilityCheck:
             assert math.ldexp(scaled.min_eig_on_circle, -k) == pytest.approx(
                 base.min_eig_on_circle, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("rho", [0.9, 0.999, 1.0])
+    def test_homogeneity_of_the_solve_first_path(self, n, rho):
+        # from order SOLVE_FIRST_N on, each twin's verdict doubles its own pair, so the
+        # twins agree on the verdict and, within eigvalsh's error, on the minimum; a
+        # certified run is kept and solve_sda of the twin returns its own bits
+        for seed in range(3):
+            rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=seed))
+            for p in (rec.problem, nme.new_problem(rec.problem.A, rec.problem.Q / 2.0)):
+                base = nme.solvability_check(p)
+                err = problem_module._eig_error(p.A, p.Q)
+                for k in (-1000, -600, 600, 1000, 1021):
+                    twin = nme.new_problem(np.ldexp(p.A, k), np.ldexp(p.Q, k))
+                    scaled = nme.solvability_check(twin)
+                    assert (scaled.verdict, scaled.regular) == (base.verdict, base.regular), (seed, k)
+                    assert abs(math.ldexp(scaled.min_eig_on_circle, -k) - base.min_eig_on_circle) <= err
+                    kept = "_certified_run" in vars(twin)
+                    assert kept == (base.verdict is nme.Verdict.SOLVABLE), (seed, k)
+                    if kept:
+                        fresh = nme.solve_sda(nme.new_problem(twin.A, twin.Q))
+                        assert same_bits(nme.solve_sda(twin).X, fresh.X), (seed, k)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), seed=st.integers(0, 1000),
            rho=st.sampled_from([0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0]))
@@ -806,14 +828,16 @@ class TestCriticalAngles:
         assert qzs["eigvals"] == 1
 
     def test_large_residual_falls_back(self, monkeypatch, forget_analysis):
-        # a solve whose residual is above SOLVABILITY_TOL certifies nothing
+        # a solve whose residual is above SOLVABILITY_TOL, in units of the pair's
+        # scale s, certifies nothing: the solve is of the unscaled pair
         p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=7)).problem
         expected = nme.solvability_check(p)
         real = solvers.solve_sda
 
         def loose(problem, *args, **kwargs):
             rep = real(problem, *args, **kwargs)
-            rep.rel_residual = 2.0 * problem_module.SOLVABILITY_TOL / problem_module.fro_norm(problem.Q)
+            s = problem_module._unit_scaled(problem.A, problem.Q)[0]
+            rep.rel_residual = 2.0 * problem_module.SOLVABILITY_TOL / problem_module.fro_norm(problem.Q / s)
             return rep
 
         monkeypatch.setattr(solvers, "solve_sda", loose)

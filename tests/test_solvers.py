@@ -1117,6 +1117,117 @@ class TestSda:
             assert np.linalg.norm(qs[k] - X, 2) <= x_norm * s_norm ** 2 + eps
 
 
+
+class TestCertifiedRun:
+    """``solvability_check`` keeps the ``solve_sda`` run that certified its verdict on
+    the problem, and ``solve_sda`` with default settings returns a copy of it while the
+    problem's A and Q keep the bits it solved; every other solve doubles again."""
+
+    @staticmethod
+    def _doublings(monkeypatch):
+        """Calls of the doubling step's inverse Cholesky factor from now on (n >= 2)."""
+        calls = []
+        real = solvers._cholesky_inverse
+        monkeypatch.setattr(solvers, "_cholesky_inverse",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        return calls
+
+    @staticmethod
+    def _assert_same_run(rep, fresh):
+        assert same_bits(rep.X, fresh.X) and rep.iterations == fresh.iterations
+        assert same_bits(rep.rel_residual, fresh.rel_residual)
+        assert same_bits(rep.step_norms, fresh.step_norms) and rep.stop == fresh.stop
+        assert rep.converged and rep.history == [] and rep.iterates == []
+
+    @pytest.mark.parametrize("n", [problem_module.SOLVE_FIRST_N, 32, 64])
+    @pytest.mark.parametrize("rho", [0.9, 0.999, 1.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_checked_problem_is_solved_once(self, monkeypatch, n, rho, sign):
+        rec = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=rho, seed=n))
+        p = nme.new_problem(sign * rec.problem.A, rec.problem.Q)
+        assert nme.solvability_check(p).verdict is nme.Verdict.SOLVABLE
+        calls = self._doublings(monkeypatch)
+        reps = [nme.solve_sda(p), nme.solve_sda(p, nme.SolverConfig(tol=1e-12, max_iter=200))]
+        assert calls == []
+        fresh = nme.solve_sda(nme.new_problem(p.A, p.Q))
+        assert calls
+        for rep in reps:
+            self._assert_same_run(rep, fresh)
+            assert rep.rho_ratio == fresh.rho_ratio
+
+    @pytest.mark.parametrize("config", [
+        nme.SolverConfig(tol=1e-11), nme.SolverConfig(max_iter=199),
+        nme.SolverConfig(min_iter=1), nme.SolverConfig(record_history=True)])
+    def test_other_settings_solve_again(self, monkeypatch, config):
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=5)).problem
+        nme.solvability_check(p)
+        calls = self._doublings(monkeypatch)
+        rep = nme.solve_sda(p, config)
+        assert calls
+        fresh = nme.solve_sda(nme.new_problem(p.A, p.Q), config)
+        assert same_bits(rep.X, fresh.X) and len(rep.history) == len(fresh.history)
+
+    @pytest.mark.parametrize("name", ["A", "Q"])
+    def test_written_data_solves_again(self, monkeypatch, name):
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=0.9, seed=5)).problem
+        nme.solvability_check(p)
+        F = getattr(p, name)
+        F[-1, -1] = np.nextafter(F[-1, -1], 0.0)  # one ulp of a diagonal entry: Q stays SPD
+        calls = self._doublings(monkeypatch)
+        rep = nme.solve_sda(p)
+        assert calls
+        self._assert_same_run(rep, nme.solve_sda(nme.NmeProblem(A=p.A.copy(), Q=p.Q.copy())))
+
+    def test_no_run_kept_where_no_solve_certified(self, monkeypatch):
+        # below SOLVE_FIRST_N, where doubling breaks down on the unsolvable (A, Q / 2),
+        # and for A = 0, where lambda_min(psi) = 1e-20 leaves regularity to the QZ
+        n = problem_module.SOLVE_FIRST_N
+        small = nme.generate_problem(nme.GeneratorSpec(n=n - 1, rho_target=1.0, seed=1)).problem
+        p = nme.generate_problem(nme.GeneratorSpec(n=n, rho_target=1.0, seed=1)).problem
+        zero = nme.new_problem(np.zeros((n, n)), np.diag([1.0] * (n - 1) + [1e-20]))
+        for q in (small, nme.new_problem(p.A, p.Q / 2.0), zero):
+            nme.solvability_check(q)
+            assert "_certified_run" not in vars(q)
+        calls = self._doublings(monkeypatch)
+        rep = nme.solve_sda(small)
+        assert len(calls) == rep.iterations  # one factor a step
+        self._assert_same_run(rep, nme.solve_sda(nme.new_problem(small.A, small.Q)))
+        with pytest.raises(DoublingBreakdown):
+            nme.solve_sda(nme.new_problem(p.A, p.Q / 2.0))
+
+    def test_equal_bits_without_verdict_solve_again(self, monkeypatch):
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=2)).problem
+        nme.solvability_check(p)
+        twin = nme.new_problem(p.A, p.Q)
+        calls = self._doublings(monkeypatch)
+        first = nme.solve_sda(twin)
+        assert calls and "_certified_run" not in vars(twin)
+        calls.clear()
+        again = nme.solve_sda(twin)  # solve_sda keeps nothing: it doubles every time
+        assert len(calls) == again.iterations
+        self._assert_same_run(again, first)
+
+    @pytest.mark.parametrize("k", [-1000, -3, 1, 600])
+    def test_scaled_twin_gets_its_own_run(self, k):
+        # the analysis is kept by the unscaled bits, so the twin checked right after
+        # its unit pair solves its own pair: at odd k its X is not 2^k times the other's
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=3)).problem
+        twin = nme.new_problem(np.ldexp(p.A, k), np.ldexp(p.Q, k))
+        for q in (p, twin):
+            nme.solvability_check(q)
+        assert vars(twin)["_certified_run"][0].A.tobytes() == twin.A.tobytes()
+        self._assert_same_run(nme.solve_sda(twin), nme.solve_sda(nme.new_problem(twin.A, twin.Q)))
+        self._assert_same_run(nme.solve_sda(p), nme.solve_sda(nme.new_problem(p.A, p.Q)))
+
+    def test_returned_report_is_a_copy(self):
+        p = nme.generate_problem(nme.GeneratorSpec(n=32, rho_target=1.0, seed=4)).problem
+        nme.solvability_check(p)
+        first = nme.solve_sda(p)
+        first.X[:] = 0.0
+        first.step_norms.append(1.0)
+        first.history.append(None)
+        self._assert_same_run(nme.solve_sda(p), nme.solve_sda(nme.new_problem(p.A, p.Q)))
+
 class TestSpdSolve:
     """The doubling step's SPD solve, seen through solve_sda: D = Q_k - P_k =
     C C^T and C^{-1} by ``problem._cholesky_inverse``, W = C^{-1} [A_k, A_k^T]

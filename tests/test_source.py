@@ -157,6 +157,17 @@ def test_one_memo_and_no_module_state():
             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
             and "cache" in ast.unparse(node.func)] == ["problem.py:functools.lru_cache(maxsize=1)"]
     assert "@functools.lru_cache(maxsize=1)" in ast.unparse(_function("problem.py", "_psi_analysis"))
+    # the doubling run that certified a verdict is kept in one private slot of the
+    # problem: solvability_check alone writes it, and solve_sda alone reads it
+    assert [(name, scope) for name in texts for scope, node in _scoped_nodes(name)
+            if isinstance(node, ast.Constant) and node.value == "_certified_run"] == [
+        ("problem.py", "solvability_check"), ("solvers.py", "solve_sda")]
+    stores = {name: [ast.unparse(node) for node in ast.walk(_function(name, fn))
+                     if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                     and ast.unparse(node.value) == "vars(problem)"]
+              for name, fn in (("problem.py", "solvability_check"), ("solvers.py", "solve_sda"))}
+    assert stores == {"problem.py": ["vars(problem)['_certified_run']"], "solvers.py": []}
+    assert "vars(problem).get('_certified_run')" in ast.unparse(_function("solvers.py", "solve_sda"))
 
 
 def test_one_float_format():
